@@ -14,10 +14,11 @@ domains are supported:
 Determinism: every (noise level, trial) cell derives its RNG from
 ``SeedSequence((seed, salt, noise_idx, trial_idx))`` and all cells
 share that one perturbed observation across subsets, features and
-methods, so reruns — with any worker count — produce identical
-records.  Records are sorted canonically before they are returned or
-persisted.  Wall times are written as 0.0 unless ``timing`` is enabled
-(real timing necessarily breaks byte-identical reruns).
+methods, and the grid runs serially in one thread, so reruns produce
+identical records.  Records are sorted canonically before they are
+returned or persisted.  Wall times are written as 0.0 unless
+``timing`` is enabled (real timing necessarily breaks byte-identical
+reruns).
 
 Multiple source positions are folded into the trial axis: trial t uses
 scene position ``t mod n_positions``, keeping the record count at
@@ -36,7 +37,6 @@ for the schema.
 import csv
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -56,8 +56,6 @@ _TRIAL_SALT = 202
 
 VALID_FEATURES = ("vad_on:raw", "vad_on:denoised",
                   "vad_off:raw", "vad_off:denoised")
-_METHOD_NAMES = ("usrd-ls", "srd-ls", "conic", "conic-norm", "hyperbolic")
-_REF_POLICIES = ("nearest-barycenter", "max-energy", "min-energy")
 
 RECORDS_HEADER = ("method,feature,subset,noise_level,trial,status,"
                   "position_error_m,mean_abs_rd_error_m,wall_time_s")
@@ -66,6 +64,89 @@ SUMMARY_HEADER = "method,feature,noise_level,median_m,q1_m,q3_m,failure_rate,n"
 
 class ConfigError(ValueError):
     """Raised for malformed scene or benchmark configuration."""
+
+
+# ---------------------------------------------------------------------------
+# method registry: the one place that names methods and reference
+# policies and dispatches to them (the harness and the CLI both use it)
+
+METHOD_NAMES = ("usrd-ls", "srd-ls", "conic", "conic-norm", "hyperbolic")
+REF_POLICIES = ("nearest-barycenter", "max-energy", "min-energy")
+_CONIC_METHODS = ("conic", "conic-norm")
+_ENERGY_POLICIES = ("max-energy", "min-energy")
+
+
+def check_reference(ref_policy, mic_count=None):
+    """Validate a reference policy: one of REF_POLICIES or 'index:N'.
+
+    With ``mic_count`` given, a fixed index must satisfy
+    0 <= N < mic_count.  Returns the policy unchanged.
+    """
+    if ref_policy in REF_POLICIES:
+        return ref_policy
+    if not ref_policy.startswith("index:"):
+        raise ConfigError(f"unknown reference policy {ref_policy!r}")
+    try:
+        index = int(ref_policy.removeprefix("index:"))
+    except ValueError:
+        raise ConfigError(f"bad fixed reference {ref_policy!r}") from None
+    if mic_count is not None and not 0 <= index < mic_count:
+        raise ConfigError(f"fixed reference {ref_policy!r} out of range "
+                          f"for {mic_count} microphones")
+    return ref_policy
+
+
+def parse_method(method_id, mic_count=None):
+    """Split 'name[:ref-policy]' into (name, ref policy or None), validated.
+
+    Conic methods take no reference policy; the others default to
+    nearest-barycenter.
+    """
+    name, sep, ref = method_id.partition(":")
+    if name not in METHOD_NAMES:
+        raise ConfigError(f"unknown method {name!r}; "
+                          f"valid: {', '.join(METHOD_NAMES)}")
+    if name in _CONIC_METHODS:
+        if sep:
+            raise ConfigError("conic methods take no reference policy")
+        return name, None
+    if not sep:
+        return name, "nearest-barycenter"
+    return name, check_reference(ref, mic_count)
+
+
+def localize(method, ref_policy, rd_full, mics, signals=None):
+    """Run one registered method on a full RD matrix of the given mics.
+
+    ``ref_policy`` is one that ``check_reference`` accepts.  Returns
+    (reference index, LocalizationResult); conic methods use every
+    pair, ignore ``ref_policy`` and return reference None.  Energy
+    policies need ``signals``.  The estimators and
+    ``select_reference`` are looked up as module globals at call time,
+    so wrappers installed on this module see every call.
+    """
+    if method in _CONIC_METHODS:
+        return None, conic_ls(rd_full, mics,
+                              normalize=method == "conic-norm")
+    if ref_policy in _ENERGY_POLICIES:
+        if signals is None:
+            raise ConfigError("energy reference policies need signals")
+        reference = select_reference_energy(
+            signals, policy=ref_policy.replace("-", "_"))
+    elif ref_policy == "nearest-barycenter":
+        reference = select_reference(mics)
+    else:
+        reference = select_reference(
+            mics, policy="fixed", index=int(ref_policy.removeprefix("index:")))
+    estimator = {"usrd-ls": usrd_ls, "srd-ls": srd_ls,
+                 "hyperbolic": hyperbolic_ls}[method]
+    return reference, estimator(rd_full.reference_row(reference), mics)
+
+
+def _method_id(name, ref_policy):
+    if ref_policy is None or ref_policy == "nearest-barycenter":
+        return name
+    return f"{name}:{ref_policy}"
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +274,6 @@ class BenchmarkConfig:
             if feature not in VALID_FEATURES:
                 raise ConfigError(f"unknown feature {feature!r}; "
                                   f"valid: {', '.join(VALID_FEATURES)}")
-        for method in self.methods:
-            name, ref = _parse_method(method)
-            if self.noise_domain == "rd" and ref in ("max-energy",
-                                                     "min-energy"):
-                raise ConfigError("energy reference policies need signals; "
-                                  "use the signal noise domain")
         if self.scene_kind not in ("paper_table1", "random"):
             raise ConfigError(f"unknown scene kind {self.scene_kind!r}")
         if self.scene_kind == "paper_table1" and self.scene_position is not None \
@@ -207,8 +282,10 @@ class BenchmarkConfig:
         if self.scene_kind == "random":
             if self.scene_count < 1:
                 raise ConfigError("scene count must be >= 1")
-            if self.scene_mic_count < 2:
-                raise ConfigError("scene mic_count must be >= 2")
+            if self.scene_mic_count < 4:
+                # fewer than four points are always coplanar, and
+                # random_scenes rejects every coplanar draw
+                raise ConfigError("scene mic_count must be >= 4")
             if self.scene_bounds <= 0:
                 raise ConfigError("scene bounds must be positive")
         if self.subset_mode not in ("all_k_of_m", "full"):
@@ -221,31 +298,16 @@ class BenchmarkConfig:
                          outlier_scale=self.outlier_scale)
         mic_count = 8 if self.scene_kind == "paper_table1" \
             else self.scene_mic_count
-        if self.subset_mode == "all_k_of_m" and not 1 <= self.subset_k <= mic_count:
-            raise ConfigError("subset k must satisfy 1 <= k <= mic count")
-
-
-def _parse_method(method_id):
-    """Split 'name[:ref-policy]' and validate both parts."""
-    name, sep, ref = method_id.partition(":")
-    if name not in _METHOD_NAMES:
-        raise ConfigError(f"unknown method {name!r}; "
-                          f"valid: {', '.join(_METHOD_NAMES)}")
-    if name in ("conic", "conic-norm"):
-        if sep:
-            raise ConfigError("conic methods take no reference policy")
-        return name, None
-    if not sep:
-        return name, "nearest-barycenter"
-    if ref in _REF_POLICIES:
-        return name, ref
-    if ref.startswith("index:"):
-        try:
-            int(ref.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad fixed reference {ref!r}") from None
-        return name, ref
-    raise ConfigError(f"unknown reference policy {ref!r}")
+        subset_size = mic_count
+        if self.subset_mode == "all_k_of_m":
+            if not 1 <= self.subset_k <= mic_count:
+                raise ConfigError("subset k must satisfy 1 <= k <= mic count")
+            subset_size = self.subset_k
+        for method in self.methods:
+            _, ref = parse_method(method, subset_size)
+            if self.noise_domain == "rd" and ref in _ENERGY_POLICIES:
+                raise ConfigError("energy reference policies need signals; "
+                                  "use the signal noise domain")
 
 
 def _feature_parts(feature_id):
@@ -361,15 +423,9 @@ def _subset_id(subset):
     return "-".join(str(i) for i in subset)
 
 
+# kept only for perfbench/workload.py, which sizes its calibration by it
 def _worker_count():
-    raw = os.environ.get("MULTILAT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(32, os.cpu_count() or 1)
-    return n
+    return min(32, os.cpu_count() or 1)
 
 
 def _scenes_for(config):
@@ -380,28 +436,6 @@ def _scenes_for(config):
         scenes = random_scenes(config.scene_count, config.scene_mic_count,
                                config.scene_bounds, config.seed)
     return [(scene, true_rd_full(scene)) for scene in scenes]
-
-
-def _select_subset_reference(ref_policy, sub_mics, sub_signals):
-    if ref_policy.startswith("index:"):
-        return select_reference(sub_mics, policy="fixed",
-                                index=int(ref_policy.split(":", 1)[1]))
-    if ref_policy == "nearest-barycenter":
-        return select_reference(sub_mics)
-    return select_reference_energy(sub_signals, policy=ref_policy.replace("-", "_"))
-
-
-def _localize(method_name, ref, sub_rd, sub_mics):
-    if method_name == "conic":
-        return conic_ls(sub_rd, sub_mics, normalize=False)
-    if method_name == "conic-norm":
-        return conic_ls(sub_rd, sub_mics, normalize=True)
-    rd_vec = sub_rd.reference_row(ref)
-    if method_name == "usrd-ls":
-        return usrd_ls(rd_vec, sub_mics)
-    if method_name == "srd-ls":
-        return srd_ls(rd_vec, sub_mics)
-    return hyperbolic_ls(rd_vec, sub_mics)
 
 
 def _observations_for_cell(config, scene, true_full, noise_idx, trial_idx):
@@ -434,7 +468,7 @@ def _observations_for_cell(config, scene, true_full, noise_idx, trial_idx):
         signals = synth_signals(scene, model, config.duration_s,
                                 config.sample_rate)
         frame_config = FrameConfig(sample_rate=config.sample_rate)
-        diameter = _array_diameter(scene.mics)
+        diameter = array_diameter(scene.mics)
         per_vad = {}
         for feature in config.features:
             vad, denoised = _feature_parts(feature)
@@ -454,7 +488,8 @@ def _observations_for_cell(config, scene, true_full, noise_idx, trial_idx):
     return observed, signals
 
 
-def _array_diameter(mics):
+def array_diameter(mics):
+    """Largest distance between two microphones, metres."""
     diff = mics[:, None, :] - mics[None, :, :]
     return float(np.linalg.norm(diff, axis=-1).max())
 
@@ -486,21 +521,19 @@ def _run_cell(config, scenes, subsets, methods, noise_idx, trial_idx):
                     (sub_rd.values - sub_true.values)[iu])))
             else:
                 rd_err = float("nan")
-            for method_id in methods:
-                name, ref_policy = method_id
+            for name, ref_policy in methods:
+                method_id = _method_id(name, ref_policy)
                 if sub_rd is None:
                     records.append(TrialRecord(
-                        method=_method_id(name, ref_policy), feature=feature,
+                        method=method_id, feature=feature,
                         subset=sub_id, noise_level=level, trial=trial_idx,
                         status="invalid_pair", position_error_m=float("nan"),
                         mean_abs_rd_error_m=rd_err, wall_time_s=0.0))
                     continue
                 try:
-                    ref = (None if ref_policy is None else
-                           _select_subset_reference(ref_policy, sub_mics,
-                                                    sub_signals))
                     started = time.perf_counter() if config.timing else 0.0
-                    result = _localize(name, ref, sub_rd, sub_mics)
+                    _, result = localize(name, ref_policy, sub_rd, sub_mics,
+                                         sub_signals)
                     elapsed = (time.perf_counter() - started
                                if config.timing else 0.0)
                     pos_err = float("nan")
@@ -508,25 +541,19 @@ def _run_cell(config, scenes, subsets, methods, noise_idx, trial_idx):
                         pos_err = float(np.linalg.norm(
                             result.position - scene.source))
                     records.append(TrialRecord(
-                        method=_method_id(name, ref_policy), feature=feature,
+                        method=method_id, feature=feature,
                         subset=sub_id, noise_level=level, trial=trial_idx,
                         status=result.status, position_error_m=pos_err,
                         mean_abs_rd_error_m=rd_err, wall_time_s=elapsed,
                         extra=dict(result.info)))
                 except (ValueError, IndexError) as exc:
                     records.append(TrialRecord(
-                        method=_method_id(name, ref_policy), feature=feature,
+                        method=method_id, feature=feature,
                         subset=sub_id, noise_level=level, trial=trial_idx,
                         status="degenerate", position_error_m=float("nan"),
                         mean_abs_rd_error_m=rd_err, wall_time_s=0.0,
                         extra={"reason": str(exc)}))
     return records
-
-
-def _method_id(name, ref_policy):
-    if ref_policy is None or ref_policy == "nearest-barycenter":
-        return name
-    return f"{name}:{ref_policy}"
 
 
 def run_benchmark(config):
@@ -541,21 +568,12 @@ def run_benchmark(config):
         subsets = [tuple(range(mic_count))]
     else:
         subsets = enumerate_subsets(mic_count, config.subset_k)
-    methods = [_parse_method(mid) for mid in config.methods]
-
-    work = [(ni, ti)
-            for ni in range(len(config.noise_levels))
-            for ti in range(config.trials)]
-    workers = _worker_count()
-    if workers > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                lambda item: _run_cell(config, scenes, subsets, methods, *item),
-                work))
-    else:
-        chunks = [_run_cell(config, scenes, subsets, methods, *item)
-                  for item in work]
-    records = [record for chunk in chunks for record in chunk]
+    methods = [parse_method(mid) for mid in config.methods]
+    records = [record
+               for ni in range(len(config.noise_levels))
+               for ti in range(config.trials)
+               for record in _run_cell(config, scenes, subsets, methods,
+                                       ni, ti)]
     records.sort(key=TrialRecord.sort_key)
     return records
 

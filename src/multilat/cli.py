@@ -19,18 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .bench import ConfigError, load_config, load_scene
+from .bench import (METHOD_NAMES, REF_POLICIES, ConfigError, array_diameter,
+                    check_reference, load_config, load_scene, localize)
 from .denoise import tdoa_average
-from .estimators import conic_ls, hyperbolic_ls, srd_ls, usrd_ls
-from .geometry import RdMatrix, select_reference, tdoa_to_rd
-from .tdoa import FrameConfig, MicSignals, estimate_tdoa_matrix, \
-    select_reference_energy
+from .geometry import RdMatrix, tdoa_to_rd
+from .tdoa import FrameConfig, MicSignals, estimate_tdoa_matrix
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
-
-_METHODS = ("usrd-ls", "srd-ls", "conic", "conic-norm", "hyperbolic")
 
 
 def _fail(code, reason):
@@ -88,32 +85,13 @@ def _load_rd_csv(path, mic_count):
         raise ConfigError(f"invalid RD matrix: {exc}") from exc
 
 
-def _array_diameter(mics):
-    diff = mics[:, None, :] - mics[None, :, :]
-    return float(np.linalg.norm(diff, axis=-1).max())
-
-
-def _pick_reference(ref_spec, mics, signals):
-    if ref_spec.startswith("index:"):
-        return select_reference(mics, policy="fixed",
-                                index=int(ref_spec.split(":", 1)[1]))
-    if ref_spec == "nearest-barycenter":
-        return select_reference(mics)
-    if ref_spec in ("max-energy", "min-energy"):
-        if signals is None:
-            raise ConfigError(
-                "energy-based reference policies need WAV input")
-        return select_reference_energy(signals,
-                                       policy=ref_spec.replace("-", "_"))
-    raise ConfigError(f"unknown reference policy {ref_spec!r}")
-
-
 def cmd_localize(args):
     try:
         scene = load_scene(args.scene)
         if args.sound_speed is not None:
             scene = type(scene)(mics=scene.mics, source=scene.source,
                                 sound_speed=args.sound_speed)
+        check_reference(args.ref, scene.mic_count)
         if (args.rd is None) == (not args.wav):
             raise ConfigError("provide exactly one of --rd or --wav")
         signals = None
@@ -127,7 +105,7 @@ def cmd_localize(args):
                     f"{scene.mic_count} microphones")
             tdoa_mat = estimate_tdoa_matrix(
                 signals, FrameConfig(sample_rate=signals.sample_rate),
-                vad=args.vad, max_distance_m=1.05 * _array_diameter(scene.mics),
+                vad=args.vad, max_distance_m=1.05 * array_diameter(scene.mics),
                 sound_speed=scene.sound_speed)
             rd_full = RdMatrix(tdoa_to_rd(tdoa_mat.values, scene.sound_speed))
     except ConfigError as exc:
@@ -138,19 +116,10 @@ def cmd_localize(args):
             raise ValueError("TDOA estimation produced invalid pairs")
         if args.denoise == "on":
             rd_full = tdoa_average(rd_full)
-        reference = None
-        if args.method in ("usrd-ls", "srd-ls", "hyperbolic"):
-            try:
-                reference = _pick_reference(args.ref, scene.mics, signals)
-            except ConfigError as exc:
-                return _fail(EXIT_CONFIG, str(exc))
-            rd_vec = rd_full.reference_row(reference)
-            estimator = {"usrd-ls": usrd_ls, "srd-ls": srd_ls,
-                         "hyperbolic": hyperbolic_ls}[args.method]
-            result = estimator(rd_vec, scene.mics)
-        else:
-            result = conic_ls(rd_full, scene.mics,
-                              normalize=args.method == "conic-norm")
+        reference, result = localize(args.method, args.ref, rd_full,
+                                     scene.mics, signals)
+    except ConfigError as exc:
+        return _fail(EXIT_CONFIG, str(exc))
     except (ValueError, IndexError) as exc:
         return _fail(EXIT_DEGENERATE, str(exc))
     if result.status == "degenerate":
@@ -236,17 +205,13 @@ def build_parser():
     p_loc.add_argument("--rd", help="M x M range-difference CSV, meters")
     p_loc.add_argument("--wav", nargs="+",
                        help="WAV input (multichannel or one per mic)")
-    p_loc.add_argument("--method", default="srd-ls", choices=_METHODS)
+    p_loc.add_argument("--method", default="srd-ls", choices=METHOD_NAMES)
     p_loc.add_argument("--ref", default="nearest-barycenter",
-                       help="nearest-barycenter | max-energy | min-energy "
-                            "| index:N")
+                       help=" | ".join(REF_POLICIES + ("index:N",)))
     p_loc.add_argument("--vad", default="on", choices=("on", "off"))
     p_loc.add_argument("--denoise", default="off", choices=("on", "off"))
     p_loc.add_argument("--sound-speed", type=float, default=None,
                        help="override the scene's speed of sound, m/s")
-    p_loc.add_argument("--seed", type=int, default=0,
-                       help="random seed (pipeline is deterministic; "
-                            "reserved for stochastic extensions)")
     p_loc.set_defaults(func=cmd_localize)
 
     p_bench = sub.add_parser("bench", help="run a Monte Carlo benchmark")

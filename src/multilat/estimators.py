@@ -143,14 +143,6 @@ def usrd_ls(rd, mics):
 # constrained spherical LS (generalized trust-region subproblem)
 
 
-def _pd_test(mat):
-    try:
-        np.linalg.cholesky(mat)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
 def _gtrs_candidates(gram, rhs):
     """Roots of phi(lam) = c(lam)^T D c(lam), c(lam) = (A + lam D)^-1 f.
 
@@ -286,10 +278,9 @@ def srd_ls(rd, mics):
         # full pencil search cannot take on a singular system
         c0 = vt[:3].T @ ((u[:, :3].T @ system.b) / s[:3])
         null = vt[3]
-        dsign = np.array([1.0, -1.0, -1.0, -1.0])
-        qa = float(null @ (dsign * null))
-        qb = float(null @ (dsign * c0))
-        qc = float(c0 @ (dsign * c0))
+        qa = float(null @ (_D_SIGNS * null))
+        qb = float(null @ (_D_SIGNS * c0))
+        qc = float(c0 @ (_D_SIGNS * c0))
         roots = []
         if abs(qa) < 1e-14:
             if abs(qb) > 1e-14:

@@ -10,7 +10,7 @@ Two levels of realism, both deterministic under a seed:
   pipeline tests.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +40,6 @@ class RdNoiseModel:
             raise ValueError("sigma must be >= 0")
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError("outlier_fraction must be in [0, 1]")
-
-    def with_seed(self, seed):
-        return replace(self, rng_seed=seed)
 
     def draw(self, rng, n):
         """n i.i.d. noise samples from the configured law."""
@@ -83,9 +80,6 @@ class SignalModel:
             raise ValueError("snr_db must be finite")
         if self.source_kind == "file" and not self.source_path:
             raise ValueError("file source needs source_path")
-
-    def with_seed(self, seed):
-        return replace(self, rng_seed=seed)
 
 
 def perturb_rd(rd, model, rng=None):

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _as_points  # noqa: F401  (re-used validation helper)
-
 _PHAT_FLOOR = 1e-12
 
 

@@ -268,3 +268,20 @@ def test_fixed_reference_parses():
     assert cfg.methods == ("srd-ls:index:2",)
     records = run_benchmark(cfg)
     assert all(np.isfinite(r.position_error_m) for r in records)
+
+
+@pytest.mark.parametrize("method, subsets", [
+    ("srd-ls:index:7", {"mode": "all_k_of_m", "k": 5}),
+    ("usrd-ls:index:8", {"mode": "full"}),
+    ("hyperbolic:index:-1", {"mode": "full"}),
+])
+def test_fixed_reference_out_of_range(method, subsets):
+    with pytest.raises(ConfigError, match="out of range"):
+        base_config(methods=[method], subsets=subsets)
+
+
+@pytest.mark.parametrize("mic_count", [2, 3])
+def test_random_scene_needs_four_mics(mic_count):
+    with pytest.raises(ConfigError, match="mic_count"):
+        base_config(scene={"kind": "random", "count": 1,
+                           "mic_count": mic_count})

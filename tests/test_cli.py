@@ -104,6 +104,25 @@ def test_localize_degenerate_geometry(tmp_path, capsys):
     assert last_error(capsys)["code"] == 3
 
 
+@pytest.mark.parametrize("method", ["srd-ls", "conic"])
+@pytest.mark.parametrize("ref", ["index:abc", "index:99", "index:-1",
+                                 "bogus"])
+def test_localize_bad_reference_is_config_error(paper_scene, capsys,
+                                                method, ref):
+    scene_path, rd_path, _ = paper_scene
+    assert main(["localize", scene_path, "--rd", rd_path,
+                 "--method", method, "--ref", ref]) == 2
+    assert last_error(capsys)["code"] == 2
+
+
+@pytest.mark.parametrize("ref", ["index:2", "max-energy"])
+def test_localize_conic_ignores_valid_reference(paper_scene, capsys, ref):
+    scene_path, rd_path, _ = paper_scene
+    assert main(["localize", scene_path, "--rd", rd_path,
+                 "--method", "conic", "--ref", ref]) == 0
+    assert "reference:" not in capsys.readouterr().out
+
+
 def test_localize_needs_exactly_one_input(paper_scene, capsys):
     scene_path, rd_path, _ = paper_scene
     assert main(["localize", scene_path]) == 2

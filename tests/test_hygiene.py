@@ -1,0 +1,65 @@
+"""Source hygiene: no dead private helpers, no unused imports.
+
+Stdlib-only stand-in for a linter.  Names are collected from the syntax
+tree, so a mention in a comment or a string does not count as a use.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "multilat"
+SEARCHED = ("src", "tests", "demos", "perfbench")
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _referenced_names(tree):
+    """Every identifier the tree reads, imports or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def _private_definitions(tree):
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def test_private_helpers_are_referenced():
+    referenced = set()
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            referenced |= _referenced_names(_tree(path))
+    dead = [f"{path.name}:{name}" for path in MODULES
+            for name in _private_definitions(_tree(path))
+            if name not in referenced]
+    assert not dead, f"private helpers named nowhere: {dead}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_imports_are_used(path):
+    tree = _tree(path)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.append(alias.asname
+                                or alias.name.partition(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [name for name in imported if name not in used]
+    assert not unused, f"{path.name} imports unused names: {unused}"

@@ -253,7 +253,6 @@ class BenchmarkConfig:
     gain_law: str = "unit"
     sound_speed: float = 343.0
     timing: bool = False
-    vad_energy_mode: str = "sum_of_energies"
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -329,7 +328,7 @@ def load_config(path):
 
 _CONFIG_KEYS = {
     "": {"methods", "features", "trials", "seed", "scene", "subsets",
-         "noise", "sound_speed", "timing", "vad_energy_mode"},
+         "noise", "sound_speed", "timing"},
     "scene": {"kind", "position", "count", "mic_count", "bounds"},
     "subsets": {"mode", "k"},
     "noise": {"domain", "kind", "levels", "outlier_fraction",
@@ -379,7 +378,6 @@ def config_from_dict(raw):
             gain_law=noise.get("gain_law", "unit"),
             sound_speed=float(raw.get("sound_speed", 343.0)),
             timing=bool(raw.get("timing", False)),
-            vad_energy_mode=raw.get("vad_energy_mode", "sum_of_energies"),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -476,8 +474,7 @@ def _observations_for_cell(config, scene, true_full, noise_idx, trial_idx):
                 tdoa_mat = estimate_tdoa_matrix(
                     signals, frame_config, vad=vad,
                     max_distance_m=1.05 * diameter,
-                    sound_speed=scene.sound_speed,
-                    vad_energy_mode=config.vad_energy_mode)
+                    sound_speed=scene.sound_speed)
                 per_vad[vad] = RdMatrix(
                     tdoa_to_rd(tdoa_mat.values, scene.sound_speed))
             raw = per_vad[vad]

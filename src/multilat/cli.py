@@ -108,7 +108,8 @@ def cmd_localize(args):
                 vad=args.vad, max_distance_m=1.05 * array_diameter(scene.mics),
                 sound_speed=scene.sound_speed)
             rd_full = RdMatrix(tdoa_to_rd(tdoa_mat.values, scene.sound_speed))
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # also a bad --sound-speed or a capture too short to frame
         return _fail(EXIT_CONFIG, str(exc))
 
     try:

@@ -29,6 +29,7 @@ are translated back before returning.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -352,14 +353,23 @@ class ConicSystem:
     One row per kept triplet (p, q, r): coefficients [A, B, C] and
     right-hand side F of the plane containing the source.  Triplets
     whose coefficient norm falls below the drop tolerance contribute no
-    plane and are recorded in ``dropped_triplets``.
+    plane and are recorded in ``dropped_triplets``.  Both triplet
+    fields are ``(K, 3)`` integer arrays of microphone indices.
     """
 
     psi_matrix: np.ndarray
     psi_rhs: np.ndarray
-    triplets: list
+    triplets: np.ndarray
     normalized: bool
-    dropped_triplets: list
+    dropped_triplets: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _triplet_index(m):
+    """Read-only (C(m, 3), 3) array of the triplets p < q < r, sorted."""
+    index = np.array(list(combinations(range(m), 3)), dtype=int)
+    index.flags.writeable = False
+    return index
 
 
 def build_conic_system(rd, mics, normalize=False):
@@ -388,28 +398,23 @@ def build_conic_system(rd, mics, normalize=False):
             "insufficient microphones: conic_ls needs at least 4")
     d = rd.values
     norms2 = np.sum(mics ** 2, axis=1)
-    rows, rhs, kept, dropped = [], [], [], []
-    for trip in combinations(range(m), 3):
-        p, q, r = trip
-        normal = d[q, r] * mics[p] + d[r, p] * mics[q] + d[p, q] * mics[r]
-        f = 0.5 * (d[p, q] * d[q, r] * d[r, p]
-                   + d[q, r] * norms2[p]
-                   + d[r, p] * norms2[q]
-                   + d[p, q] * norms2[r])
-        scale = np.linalg.norm(normal)
-        if scale < 1e-12:
-            dropped.append(trip)
-            continue
-        if normalize:
-            normal = normal / scale
-            f = f / scale
-        rows.append(normal)
-        rhs.append(f)
-        kept.append(trip)
-    psi = np.array(rows) if rows else np.zeros((0, 3))
-    return ConicSystem(psi_matrix=psi, psi_rhs=np.array(rhs),
-                       triplets=kept, normalized=bool(normalize),
-                       dropped_triplets=dropped)
+    triplets = _triplet_index(m)
+    p, q, r = triplets.T
+    d_qr, d_rp, d_pq = d[q, r], d[r, p], d[p, q]
+    normal = (d_qr[:, None] * mics[p] + d_rp[:, None] * mics[q]
+              + d_pq[:, None] * mics[r])
+    f = 0.5 * (d_pq * d_qr * d_rp + d_qr * norms2[p] + d_rp * norms2[q]
+               + d_pq * norms2[r])
+    # a row-by-row dot product, so that each scale equals the
+    # np.linalg.norm of its row to the last bit
+    scale = np.sqrt((normal[:, None, :] @ normal[:, :, None])[:, 0, 0])
+    kept = scale >= 1e-12
+    normal, f, scale = normal[kept], f[kept], scale[kept]
+    if normalize:
+        normal, f = normal / scale[:, None], f / scale
+    return ConicSystem(psi_matrix=normal, psi_rhs=f,
+                       triplets=triplets[kept], normalized=bool(normalize),
+                       dropped_triplets=triplets[~kept])
 
 
 def _rd_residual2(x, mics, d):
@@ -440,9 +445,9 @@ def _complete_rank2(x0, direction, mics, d):
 
     Returns ``(point, ambiguous)`` or ``None`` if no feasible root.
     """
-    m = mics.shape[0]
-    pairs = list(combinations(range(m), 2))
-    i, j = max(pairs, key=lambda ij: abs(d[ij[0], ij[1]]))
+    upper = np.triu_indices(mics.shape[0], k=1)
+    largest = np.argmax(np.abs(d[upper]))  # first of ties, as row-major
+    i, j = upper[0][largest], upper[1][largest]
     dij = d[i, j]
     if abs(dij) < 1e-12:
         return None

@@ -227,7 +227,7 @@ def tdoa_to_rd(tdoa_seconds, sound_speed=DEFAULT_SOUND_SPEED):
         raise ValueError("tdoa must not be infinite")
     if not (np.isfinite(sound_speed) and sound_speed > 0):
         raise ValueError("sound_speed must be positive")
-    return sound_speed * tdoa_seconds
+    return sound_speed * t
 
 
 def select_reference(mics, policy="nearest_barycenter", index=None):

@@ -135,8 +135,6 @@ def _load_source(model, n_samples, rng):
     if data.ndim > 1:
         data = data[:, 0]
     data = np.asarray(data, dtype=float)
-    if np.issubdtype(np.asarray(data).dtype, np.integer):
-        data = data / 32768.0
     peak = np.max(np.abs(data))
     if peak > 0:
         data = data / peak

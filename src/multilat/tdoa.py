@@ -119,115 +119,109 @@ def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
     Positive lag means ``frame_b`` is delayed relative to ``frame_a``.
     With ``refine`` a three-point parabola around the integer peak adds
     sub-sample resolution.
+
+    The frames may be equal-shape stacks ``(..., L)``: the result then
+    holds one lag per frame pair, NaN for a silent pair.  A single
+    silent pair of 1-D frames raises instead.
     """
-    a = np.asarray(frame_a, dtype=float).reshape(-1)
-    b = np.asarray(frame_b, dtype=float).reshape(-1)
-    if a.size != b.size:
+    a = np.asarray(frame_a, dtype=float)
+    b = np.asarray(frame_b, dtype=float)
+    if a.ndim == 0 or a.shape != b.shape:
         raise ValueError("frames must have equal length")
     max_lag = int(max_lag_samples)
-    if not 0 < max_lag < a.size:
+    if not 0 < max_lag < a.shape[-1]:
         raise ValueError("max_lag must be in (0, frame length)")
-    nfft = 2 * a.size
+    nfft = 2 * a.shape[-1]
     spec = np.conj(np.fft.rfft(a, nfft)) * np.fft.rfft(b, nfft)
     mag = np.abs(spec)
     live = mag > _PHAT_FLOOR
-    if not np.any(live):
+    silent = ~np.any(live, axis=-1)
+    if a.ndim == 1 and silent:
         raise ValueError("no correlation peak (silent frame pair)")
     weighted = np.where(live, spec / np.where(live, mag, 1.0), 0.0)
     corr = np.fft.irfft(weighted, nfft)
     # peak by magnitude: PHAT keeps the delay information in the phase,
     # so an inverted channel must still locate the same |peak|
-    window = np.concatenate([corr[-max_lag:], corr[:max_lag + 1]])
-    peak = int(np.argmax(np.abs(window)))
-    lag = float(peak - max_lag)
-    if refine and 0 < peak < window.size - 1:
+    window = np.concatenate([corr[..., -max_lag:], corr[..., :max_lag + 1]],
+                            axis=-1)
+    peak = np.argmax(np.abs(window), axis=-1)
+    lag = (peak - max_lag).astype(float)
+    if refine:
         # fit on the sign-normalized correlation: folding with abs()
         # would bend the parabola whenever a neighbor crosses zero
-        sign = 1.0 if window[peak] >= 0.0 else -1.0
-        left, mid, right = sign * window[peak - 1:peak + 2]
+        edge = window.shape[-1] - 1
+        around = np.clip(peak, 1, edge - 1)[..., None] + np.arange(-1, 2)
+        near = np.take_along_axis(window, around, axis=-1)
+        near = near * np.where(near[..., 1:2] >= 0.0, 1.0, -1.0)
+        left, mid, right = np.moveaxis(near, -1, 0)
         denom = left - 2.0 * mid + right
-        if denom < 0:  # proper maximum; otherwise keep the integer lag
-            lag += 0.5 * (left - right) / denom
-    return lag
+        # an inner proper maximum; otherwise keep the integer lag
+        fit = (0 < peak) & (peak < edge) & (denom < 0)
+        lag = np.where(fit, lag + 0.5 * (left - right)
+                       / np.where(fit, denom, -1.0), lag)
+    lag = np.where(silent, np.nan, lag)
+    return float(lag) if a.ndim == 1 else lag
 
 
-def frame_energies(frames):
-    """Per-frame energy (sum of squared windowed samples)."""
-    return np.sum(np.asarray(frames) ** 2, axis=-1)
+def energy_vad(frame_a, frame_b, median_energy):
+    """Keep a frame pair if either channel beats half the median energy.
 
-
-def pair_median_energy(frames_a, frames_b, mode="sum_of_energies"):
-    """Median pair energy over frame indices, for the VAD threshold.
-
-    ``sum_of_energies`` (default) uses E(a_i) + E(b_i) per frame pair;
-    ``energy_of_sum`` uses E(a_i + b_i), the other reading of "energy
-    of the sum of the two windowed representations".
+    ``median_energy`` is the median over the pair's frames of
+    E(a_i) + E(b_i), E being the sum of squared windowed samples.  The
+    frames may be equal-shape stacks ``(..., L)``, giving one keep
+    decision per frame pair.
     """
-    if mode == "sum_of_energies":
-        per_frame = frame_energies(frames_a) + frame_energies(frames_b)
-    elif mode == "energy_of_sum":
-        per_frame = frame_energies(np.asarray(frames_a) + np.asarray(frames_b))
-    else:
-        raise ValueError(f"unknown VAD energy mode {mode!r}")
-    return float(np.median(per_frame))
-
-
-def energy_vad(frame_a, frame_b, pair_median_energy):
-    """Keep a frame pair if either channel beats half the median energy."""
-    threshold = 0.5 * pair_median_energy
-    ea = float(np.sum(np.asarray(frame_a, dtype=float) ** 2))
-    eb = float(np.sum(np.asarray(frame_b, dtype=float) ** 2))
-    return ea > threshold or eb > threshold
+    threshold = 0.5 * median_energy
+    ea = np.sum(np.asarray(frame_a, dtype=float) ** 2, axis=-1)
+    eb = np.sum(np.asarray(frame_b, dtype=float) ** 2, axis=-1)
+    keep = (ea > threshold) | (eb > threshold)
+    return bool(keep) if keep.ndim == 0 else keep
 
 
 def estimate_tdoa_matrix(signals, config, vad="on", max_distance_m=None,
-                         sound_speed=343.0, refine=True,
-                         vad_energy_mode="sum_of_energies"):
+                         sound_speed=343.0, refine=True):
     """Estimate the full pairwise TDOA matrix of a multichannel capture.
 
-    For each pair: per-frame GCC-PHAT lags (restricted to the lags
-    physically reachable within ``max_distance_m``), VAD-filtered when
-    ``vad`` is on, median-aggregated (even counts average the middle
+    For each pair: GCC-PHAT lags of all its frame pairs at once
+    (restricted to the lags physically reachable within
+    ``max_distance_m``), VAD-filtered when ``vad`` is on, silent frame
+    pairs skipped, median-aggregated (even counts average the middle
     two) and converted to seconds.  A pair with no surviving frames is
     marked invalid (NaN value, zero count) — callers decide policy.
 
     ``max_distance_m`` must be supplied: it is the largest inter-mic
     distance (the array diameter), which the signals alone cannot know.
+    It and ``sound_speed`` must be finite and positive.
     """
     if vad not in ("on", "off"):
         raise ValueError("vad must be 'on' or 'off'")
     if signals.mic_count < 2:
         raise ValueError("need at least two channels")
-    if max_distance_m is None or max_distance_m <= 0:
-        raise ValueError("max_distance_m (array diameter) is required")
+    for name, value in (("max_distance_m", max_distance_m),
+                        ("sound_speed", sound_speed)):
+        if value is None or not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite positive number")
     max_lag = int(np.ceil(max_distance_m / sound_speed * signals.sample_rate))
     if max_lag >= config.frame_length:
         raise ValueError("max lag exceeds the frame length; "
                          "use longer frames or a smaller max distance")
     m = signals.mic_count
     frames = [frame_signal(signals.channels[i], config) for i in range(m)]
+    energies = [np.sum(f ** 2, axis=-1) for f in frames]
     values = np.zeros((m, m))
     counts = np.zeros((m, m), dtype=int)
     for i in range(m):
         for j in range(i + 1, m):
-            lags = []
+            fa, fb = frames[i], frames[j]
             if vad == "on":
-                median_e = pair_median_energy(frames[i], frames[j],
-                                              mode=vad_energy_mode)
-            for k in range(frames[i].shape[0]):
-                fa, fb = frames[i][k], frames[j][k]
-                if vad == "on" and not energy_vad(fa, fb, median_e):
-                    continue
-                try:
-                    lags.append(gcc_phat_pair(fa, fb, max_lag, refine=refine))
-                except ValueError:
-                    continue  # silent frame pair: nothing to aggregate
-            if lags:
-                tau = float(np.median(lags)) / signals.sample_rate
-                values[i, j], values[j, i] = tau, -tau
-                counts[i, j] = counts[j, i] = len(lags)
-            else:
-                values[i, j] = values[j, i] = np.nan
+                keep = energy_vad(fa, fb, np.median(energies[i] + energies[j]))
+                fa, fb = fa[keep], fb[keep]
+            lags = gcc_phat_pair(fa, fb, max_lag, refine=refine)
+            lags = lags[~np.isnan(lags)]
+            tau = (float(np.median(lags)) / signals.sample_rate
+                   if lags.size else np.nan)
+            values[i, j], values[j, i] = tau, -tau
+            counts[i, j] = counts[j, i] = lags.size
     return TdoaMatrix(values=values, frame_count_used=counts)
 
 

@@ -265,6 +265,30 @@ def test_tdoa_sample_rate_mismatch(tmp_path, capsys):
     assert "rate" in last_error(capsys)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    "tdoa --wav {pair} --out {out} --max-distance 2.0 --sound-speed 0",
+    "tdoa --wav {pair} --out {out} --max-distance 2.0 --sound-speed -343",
+    "tdoa --wav {pair} --out {out} --max-distance 2.0 --sound-speed inf",
+    "tdoa --wav {pair} --out {out} --max-distance inf",
+    "localize {scene} --rd {rd} --sound-speed 0",
+    "localize {scene} --rd {rd} --sound-speed -1",
+    "localize {scene} --rd {rd} --sound-speed nan",
+    "localize {scene} --wav {short}",
+])
+def test_bad_front_end_numbers_are_config_errors(tmp_path, paper_scene,
+                                                 capsys, argv):
+    scene_path, rd_path, scene = paper_scene
+    short = tmp_path / "short.wav"  # 100 samples: shorter than one frame
+    wavfile.write(short, FS,
+                  np.ones((100, scene.mic_count), dtype=np.float32))
+    paths = {"pair": shifted_pair_wav(tmp_path), "out": tmp_path / "out",
+             "scene": scene_path, "rd": rd_path, "short": short}
+    before = set(tmp_path.rglob("*"))
+    assert main([arg.format(**paths) for arg in argv.split()]) == 2
+    assert last_error(capsys)["code"] == 2
+    assert set(tmp_path.rglob("*")) == before
+
+
 def test_help_documents_sign_convention():
     from multilat.cli import build_parser
     epilog = build_parser().epilog

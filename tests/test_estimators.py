@@ -1,5 +1,7 @@
 """Closed-form and iterative localizers against generator oracles."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,51 @@ def test_conic_normalization_noop_when_consistent(rng):
         scaled = conic_ls(rd, scene.mics, normalize=True)
         assert scaled.info["normalized"]
         assert np.linalg.norm(plain.position - scaled.position) <= 1e-9
+
+
+def reference_conic_rows(rd, mics, normalize):
+    """The plane system built one triplet at a time."""
+    d = rd.values
+    norms2 = np.sum(mics ** 2, axis=1)
+    rows, rhs, kept, dropped = [], [], [], []
+    for p, q, r in combinations(range(mics.shape[0]), 3):
+        normal = d[q, r] * mics[p] + d[r, p] * mics[q] + d[p, q] * mics[r]
+        f = 0.5 * (d[p, q] * d[q, r] * d[r, p] + d[q, r] * norms2[p]
+                   + d[r, p] * norms2[q] + d[p, q] * norms2[r])
+        scale = np.linalg.norm(normal)
+        if scale < 1e-12:
+            dropped.append((p, q, r))
+            continue
+        if normalize:
+            normal, f = normal / scale, f / scale
+        rows.append(normal)
+        rhs.append(f)
+        kept.append((p, q, r))
+    return (np.array(rows).reshape(-1, 3), np.array(rhs),
+            np.array(kept, dtype=int).reshape(-1, 3),
+            np.array(dropped, dtype=int).reshape(-1, 3))
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("mic_count", [4, 5, 8])
+def test_conic_system_matches_triplet_loop(rng, mic_count, normalize):
+    for trial in range(20):
+        scene = make_scene(rng, mic_count=mic_count)
+        rd = true_rd_full(scene).values
+        noise = rng.normal(0.0, 0.05, mic_count)
+        rd = rd + noise[None, :] - noise[:, None]
+        if trial % 5 == 0:
+            rd[:] = 0.0  # every plane trivial: all triplets dropped
+        elif trial % 5 == 1:
+            rd[:3, :3] = 0.0  # triplet (0, 1, 2) dropped
+        system = build_conic_system(RdMatrix(rd), scene.mics,
+                                    normalize=normalize)
+        psi, rhs, kept, dropped = reference_conic_rows(RdMatrix(rd),
+                                                       scene.mics, normalize)
+        assert np.array_equal(system.psi_matrix, psi)
+        assert np.array_equal(system.psi_rhs, rhs)
+        assert np.array_equal(system.triplets, kept)
+        assert np.array_equal(system.dropped_triplets, dropped)
 
 
 def test_conic_triplet_count(rng):

@@ -221,6 +221,11 @@ def test_tdoa_to_rd_values():
         tdoa_to_rd(np.inf)
 
 
+def test_tdoa_to_rd_accepts_lists():
+    np.testing.assert_allclose(tdoa_to_rd([0.001, -0.002], 343.0),
+                               [0.343, -0.686])
+
+
 def test_tdoa_to_rd_propagates_invalid_marks():
     out = tdoa_to_rd(np.array([[0.0, np.nan], [np.nan, 0.0]]), 343.0)
     assert np.isnan(out[0, 1]) and out[0, 0] == 0.0

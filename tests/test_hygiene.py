@@ -1,4 +1,4 @@
-"""Source hygiene: no dead private helpers, no unused imports.
+"""Source hygiene: no dead helpers, no unused imports.
 
 Stdlib-only stand-in for a linter.  Names are collected from the syntax
 tree, so a mention in a comment or a string does not count as a use.
@@ -8,6 +8,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import multilat
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "multilat"
@@ -19,10 +21,14 @@ def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _referenced_names(tree):
-    """Every identifier the tree reads, imports or reaches as an attribute."""
+def _referenced_names(tree, skip=None):
+    """Every identifier the tree reads, imports or reaches as an attribute,
+    leaving out the subtree of ``skip``."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip else set()
     names = set()
     for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -47,6 +53,26 @@ def test_private_helpers_are_referenced():
             for name in _private_definitions(_tree(path))
             if name not in referenced]
     assert not dead, f"private helpers named nowhere: {dead}"
+
+
+def test_unexported_definitions_are_named_elsewhere():
+    # a module-level function or class outside the public API must be
+    # named by something other than its own definition
+    trees = {path: _tree(path) for top in SEARCHED
+             for path in (ROOT / top).rglob("*.py")}
+    names = {path: _referenced_names(tree) for path, tree in trees.items()}
+    dead = []
+    for path in MODULES:
+        elsewhere = set().union(*(found for other, found in names.items()
+                                  if other != path))
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name not in multilat.__all__ \
+                    and node.name not in elsewhere \
+                    and node.name not in _referenced_names(trees[path],
+                                                           skip=node):
+                dead.append(f"{path.name}:{node.name}")
+    assert not dead, f"definitions named nowhere else: {dead}"
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from multilat import (
     FrameConfig,
@@ -147,6 +148,23 @@ def test_synth_seed_determinism():
     a = synth_signals(scene, model, duration_s=0.5, sample_rate=16000)
     b = synth_signals(scene, model, duration_s=0.5, sample_rate=16000)
     np.testing.assert_array_equal(a.channels, b.channels)
+
+
+def test_file_source_scale_free(tmp_path):
+    # the same samples as PCM16 and as float32 render identical channels:
+    # the source is peak-normalized, whatever its sample format
+    samples = np.random.default_rng(8).integers(-20000, 20000, 4000,
+                                                dtype=np.int16)
+    pcm, flt = tmp_path / "pcm.wav", tmp_path / "float.wav"
+    wavfile.write(pcm, 16000, samples)
+    wavfile.write(flt, 16000, (samples / 32768.0).astype(np.float32))
+    scene = paper_table1_scenes()[0]
+    pcm_sig, flt_sig = (
+        synth_signals(scene, SignalModel(source_kind="file",
+                                         source_path=str(path), rng_seed=5),
+                      duration_s=0.5, sample_rate=16000)
+        for path in (pcm, flt))
+    np.testing.assert_array_equal(pcm_sig.channels, flt_sig.channels)
 
 
 def test_delay_beyond_duration_rejected():

@@ -99,6 +99,18 @@ def test_negated_frame_zero_lag():
     assert abs(gcc_phat_pair(frame, -frame, 64)) <= 1e-9
 
 
+def test_inverted_channel_same_refined_lag():
+    # the parabola is fitted on the sign-normalized correlation, so a
+    # polarity flip must not change the sub-sample lag by a single bit
+    frame = noise_frame(5)
+    bins = np.arange(frame.size // 2 + 1) / frame.size
+    shifted = np.fft.irfft(np.fft.rfft(frame)
+                           * np.exp(-2j * np.pi * bins * 10.4), frame.size)
+    lag = gcc_phat_pair(frame, shifted, 64)
+    assert lag != round(lag)
+    assert gcc_phat_pair(frame, -shifted, 64) == lag
+
+
 def test_swap_antisymmetry():
     frame = noise_frame(3)
     rng = np.random.default_rng(4)
@@ -114,6 +126,22 @@ def test_swap_antisymmetry():
 def test_silent_pair_rejected():
     with pytest.raises(ValueError, match="peak"):
         gcc_phat_pair(np.zeros(1024), np.zeros(1024), 64)
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_frame_stack_matches_single_frames(refine):
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((6, 1024))
+    b = np.roll(a, 17, axis=1) + 0.5 * rng.standard_normal((6, 1024))
+    a[2] = b[2] = 0.0
+    lags = gcc_phat_pair(a, b, 64, refine=refine)
+    assert lags.shape == (6,)
+    assert np.isnan(lags[2])
+    for k in (0, 1, 3, 4, 5):
+        assert lags[k] == gcc_phat_pair(a[k], b[k], 64, refine=refine)
+    stacked = gcc_phat_pair(a.reshape(2, 3, -1), b.reshape(2, 3, -1), 64,
+                            refine=refine)
+    assert np.array_equal(stacked, lags.reshape(2, 3), equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +169,8 @@ def test_vad_alternating_frames():
     median = float(np.median(sums))
     kept = [energy_vad(a, b, median) for a, b in zip(frames_a, frames_b)]
     assert kept == [True, False, True, False]
+    stacked = energy_vad(np.array(frames_a), np.array(frames_b), median)
+    assert stacked.tolist() == kept
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +235,62 @@ def test_estimate_matches_geometry_at_20db():
     upper = np.triu_indices(scene.mic_count, k=1)
     err = np.abs(td.values[upper] - truth[upper])
     assert np.mean(err <= 2.0 / FS) >= 0.9
+
+
+def reference_tdoa_matrix(signals, config, vad, max_distance_m, sound_speed,
+                          refine):
+    """The per-frame algorithm: per pair and frame a VAD decision and a
+    single-frame GCC-PHAT call, silent frame pairs skipped, then a
+    median."""
+    m = signals.mic_count
+    max_lag = int(np.ceil(max_distance_m / sound_speed * signals.sample_rate))
+    frames = [frame_signal(ch, config) for ch in signals.channels]
+    values = np.zeros((m, m))
+    counts = np.zeros((m, m), dtype=int)
+    for i in range(m):
+        for j in range(i + 1, m):
+            median = np.median(np.sum(frames[i] ** 2, axis=1)
+                               + np.sum(frames[j] ** 2, axis=1))
+            lags = []
+            for fa, fb in zip(frames[i], frames[j]):
+                if vad == "on" and not energy_vad(fa, fb, median):
+                    continue
+                try:
+                    lags.append(gcc_phat_pair(fa, fb, max_lag, refine=refine))
+                except ValueError:
+                    continue
+            tau = float(np.median(lags)) / signals.sample_rate \
+                if lags else np.nan
+            values[i, j], values[j, i] = tau, -tau
+            counts[i, j] = counts[j, i] = len(lags)
+    return values, counts
+
+
+@pytest.mark.parametrize("capture", ["silent_stretches", "zero_channel"])
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("vad", ["on", "off"])
+def test_matrix_matches_per_frame_reference(vad, refine, capture):
+    scene = paper_table1_scenes()[2]
+    sig = synth_signals(scene, SignalModel(snr_db=0.0, rng_seed=11),
+                        duration_s=1.0, sample_rate=FS)
+    channels = sig.channels[:5].copy()
+    if capture == "silent_stretches":
+        channels[:, 3000:7000] = 0.0
+        channels[1, 11000:] = 0.0
+    else:
+        channels[3] = 0.0
+    sig = MicSignals(channels=channels, sample_rate=FS)
+    kwargs = dict(vad=vad, max_distance_m=4.0, sound_speed=343.0,
+                  refine=refine)
+    td = estimate_tdoa_matrix(sig, default_config(), **kwargs)
+    values, counts = reference_tdoa_matrix(sig, default_config(), **kwargs)
+    assert np.array_equal(td.values, values, equal_nan=True)
+    assert np.array_equal(td.frame_count_used, counts)
+    if capture == "zero_channel":
+        others = [0, 1, 2, 4]
+        assert np.all(np.isnan(td.values[3, others]))
+        assert np.all(td.frame_count_used[3] == 0)
+        assert np.all(np.isfinite(td.values[np.ix_(others, others)]))
 
 
 def test_max_lag_must_fit_frame():

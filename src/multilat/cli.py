@@ -141,12 +141,12 @@ def cmd_localize(args):
 
 
 def cmd_bench(args):
+    out_dir = Path(args.out)
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     records = bench_mod.run_benchmark(config)
     elapsed = time.perf_counter() - started
@@ -174,10 +174,10 @@ def cmd_tdoa(args):
             max_distance_m=args.max_distance,
             sound_speed=args.sound_speed,
             refine=not args.no_refine)
-    except (ConfigError, ValueError) as exc:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, ValueError, OSError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     np.savetxt(out_dir / "tdoa.csv", tdoa_mat.values,
                delimiter=",", fmt="%.12g")
     np.savetxt(out_dir / "rd.csv",

@@ -10,7 +10,9 @@ Four solvers for the source position from range differences:
     Constrained spherical LS: the same system solved *subject to* the
     coupling constraint c1^2 = ||r||^2, c1 >= 0, via the generalized
     trust-region subproblem (Beck, Stoica & Li, 2008) — a closed-form
-    global solution up to a 1D root search in the Lagrange multiplier.
+    global solution up to a 1D root search in the Lagrange multiplier,
+    run on a 4-term rational function after one simultaneous
+    diagonalization of the pencil (A^T A, diag(1, -1, -1, -1)).
 ``conic_ls``
     Plane intersection (Schmidt, 1972): every microphone triplet's RDs
     define a plane containing the source; stacking all C(M, 3) planes
@@ -28,6 +30,7 @@ the reference microphone sits at the origin internally, and estimates
 are translated back before returning.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -144,33 +147,58 @@ def usrd_ls(rd, mics):
 # constrained spherical LS (generalized trust-region subproblem)
 
 
-def _gtrs_candidates(gram, rhs):
+def _diagonal_pencil(s, vt, proj):
+    """Diagonalize the pencil (A, D), A = phi^T phi, of a rank-4 system.
+
+    With phi = U S V^T (``s``, ``vt``, ``proj = U[:, :4]^T b``), one
+    symmetric 4x4 eigendecomposition S V^T D V S = P diag(mu) P^T and
+    h = P^T proj give c(lam) = (A + lam D)^-1 phi^T b
+    = D V S P (h / (mu + lam)) and
+
+        phi(lam) = c^T D c = sum_i mu_i h_i^2 / (mu_i + lam)^2,
+
+    with poles lam = -mu_i = -1/kappa_i for the generalized eigenvalues
+    kappa of (D, A).  S is never inverted, so a nearly singular A costs
+    the other poles no accuracy.  Returns ``(basis, mu, h)`` with
+    c(lam) = basis @ (h / (mu + lam)).
+    """
+    scaled = vt * s[:, None]  # S V^T
+    mu, p = np.linalg.eigh((scaled * _D_SIGNS) @ scaled.T)
+    return _D_SIGNS[:, None] * (scaled.T @ p), mu, p.T @ proj
+
+
+def _phi(terms, lam):
+    """phi(lam) and phi'(lam) = -2 sum_i mu_i h_i^2 / (mu_i + lam)^3 in
+    plain floats, from the pairs (mu_i, mu_i h_i^2); NaN on a pole."""
+    val = der = 0.0
+    for m, mh2 in terms:
+        den = m + lam
+        if den == 0.0:
+            return math.nan, math.nan
+        term = mh2 / (den * den)
+        val += term
+        der += term / den
+    return val, -2.0 * der
+
+
+def _gtrs_candidates(s, vt, proj):
     """Roots of phi(lam) = c(lam)^T D c(lam), c(lam) = (A + lam D)^-1 f.
 
-    The real axis splits into intervals where A + lam*D stays
-    invertible, delimited by lam = -1/kappa for the finite real
-    generalized eigenvalues kappa of the pencil (D, A).  phi is
-    monotonically decreasing on the interval where A + lam*D is
-    positive definite, which contains the multiplier of the global
-    constrained minimizer; the remaining intervals are scanned for
-    completeness and the caller picks among feasible candidates.
+    On the diagonalized pencil (``_diagonal_pencil``) phi is a 4-term
+    rational function, and the real axis splits into intervals between
+    its poles.  phi is monotonically decreasing on the interval where
+    A + lam*D is positive definite, which contains the multiplier of
+    the global constrained minimizer; the remaining intervals are
+    scanned for completeness and the caller picks among feasible
+    candidates.  Each bracketed root is found by safeguarded Newton in
+    plain floats (bisecting when Newton leaves the bracket or stalls),
+    and c is built once per root.
     """
-    diag_d = np.diag(_D_SIGNS)
+    basis, mu, h = _diagonal_pencil(s, vt, proj)
+    terms = [(m, m * hi * hi) for m, hi in zip(mu.tolist(), h.tolist())]
 
-    def solve_c(lam):
-        return np.linalg.solve(gram + lam * diag_d, rhs)
-
-    def phi(lam):
-        c = solve_c(lam)
-        return float(c @ (_D_SIGNS * c))
-
-    kappa = scipy.linalg.eigvals(diag_d, gram)
-    bounds = sorted({
-        -1.0 / k.real
-        for k in kappa
-        if np.isfinite(k) and abs(k.imag) <= 1e-9 * (1 + abs(k.real))
-        and abs(k.real) > 1e-14
-    })
+    # mu beyond 1e14 is a pole too far out to bracket (kappa below 1e-14)
+    bounds = sorted({-m for m, _ in terms if abs(m) < 1e14})
     scale = max(1.0, max((abs(x) for x in bounds), default=1.0))
     edges = [bounds[0] - 10 * scale] + bounds + [bounds[-1] + 10 * scale] \
         if bounds else [-10 * scale, 10 * scale]
@@ -179,48 +207,26 @@ def _gtrs_candidates(gram, rhs):
     for lo, hi in zip(edges[:-1], edges[1:]):
         margin = 1e-9 * (hi - lo)
         a, b = lo + margin, hi - margin
-        try:
-            fa, fb = phi(a), phi(b)
-        except np.linalg.LinAlgError:
+        fa, fb = _phi(terms, a)[0], _phi(terms, b)[0]
+        if not (math.isfinite(fa) and math.isfinite(fb)) or fa * fb > 0:
             continue
-        if not (np.isfinite(fa) and np.isfinite(fb)) or fa * fb > 0:
-            continue
-        for _ in range(120):  # bisection to ~machine width of the interval
-            mid = 0.5 * (a + b)
-            try:
-                fm = phi(mid)
-            except np.linalg.LinAlgError:
+        lam, step = 0.5 * (a + b), b - a
+        for _ in range(120):
+            val, der = _phi(terms, lam)
+            if not math.isfinite(val) or val == 0.0:
                 break
-            if not np.isfinite(fm):
-                break
-            if fa * fm <= 0:
-                b, fb = mid, fm
+            if (val > 0.0) == (fa > 0.0):
+                a = lam
             else:
-                a, fa = mid, fm
-            if b - a <= 1e-15 * (1 + abs(a)):
-                break
-        lam = 0.5 * (a + b)
-        # Newton polish: phi'(lam) = -2 c^T D (A + lam D)^-1 D c
-        for _ in range(8):
-            try:
-                c = solve_c(lam)
-                val = float(c @ (_D_SIGNS * c))
-                dc = np.linalg.solve(gram + lam * diag_d, _D_SIGNS * c)
-                slope = -2.0 * float((_D_SIGNS * c) @ dc)
-            except np.linalg.LinAlgError:
-                break
-            if abs(slope) < 1e-300:
-                break
-            step = val / slope
-            if not np.isfinite(step) or not (lo < lam - step < hi):
-                break
+                b = lam
+            last, step = step, val / der if der != 0.0 else math.inf
+            if not a < lam - step < b or abs(step) > 0.5 * abs(last):
+                step = lam - 0.5 * (a + b)
             lam -= step
-            if abs(step) <= 1e-15 * (1 + abs(lam)):
+            if abs(step) <= 1e-15 * (1.0 + abs(lam)) \
+                    or b - a <= 1e-15 * (1.0 + abs(a)):
                 break
-        try:
-            roots.append((lam, solve_c(lam)))
-        except np.linalg.LinAlgError:
-            continue
+        roots.append(basis @ (h / (mu + lam)))
     return roots
 
 
@@ -228,10 +234,14 @@ def srd_ls(rd, mics):
     """Constrained spherical LS: global minimizer with c1^2 = ||r||^2.
 
     Solves min ||phi c - b||^2 s.t. c^T diag(1, -1, -1, -1) c = 0 and
-    c1 >= 0, by root-finding the Lagrange-multiplier equation on the
-    positive-definite interval of the matrix pencil.  Feasible roots
-    are ranked by data residual; the result's ``info`` records the
-    achieved constraint residual for auditability.
+    c1 >= 0, by root-finding the Lagrange-multiplier equation between
+    the poles of the matrix pencil, diagonalized once from the SVD of
+    phi so that no step of the search solves a linear system.  Feasible
+    roots are ranked by data residual; the result's ``info`` records the
+    achieved constraint residual for auditability.  When no interval
+    brackets a root (the hard case, where the weights of all poles but
+    one vanish), the status is ``degenerate`` with reason
+    ``"no multiplier root"`` and the finite unconstrained LS point.
 
     A rank-3 system (the minimal 4-microphone case, or exactly coplanar
     arrays) has no positive-definite pencil interval; there the
@@ -318,28 +328,23 @@ def srd_ls(rd, mics):
             extra["ambiguous"] = True
         return finish(best[2], "closed_form", extra)
 
-    gram = system.phi.T @ system.phi
-    rhs = system.phi.T @ system.b
-    candidates = [c for _, c in _gtrs_candidates(gram, rhs)]
+    proj = u[:, :4].T @ system.b
+    candidates = _gtrs_candidates(s, vt, proj)
     if not candidates:
         # no bracketed root anywhere: report the failure mode distinctly,
         # with the unconstrained LS point as a finite best effort
-        c0 = vt.T @ ((u[:, :4].T @ system.b) / s)
-        return finish(c0, "max_iterations", {"reason": "no multiplier root"})
+        return finish(vt.T @ (proj / s), "degenerate",
+                      {"reason": "no multiplier root"})
 
-    best = None
-    for c_hat in candidates:
-        if c_hat[0] < -1e-9:
-            continue
-        resid = system.phi @ c_hat - system.b
-        cost = float(resid @ resid)
-        if best is None or cost < best[0]:
-            best = (cost, c_hat)
-    if best is None:
+    feasible = [c_hat for c_hat in candidates if c_hat[0] >= -1e-9]
+    if not feasible:
         return LocalizationResult(
             position=np.full(3, np.nan), residual=np.inf, status="degenerate",
             info={"reason": "no feasible multiplier root", "rank": rank})
-    return finish(best[1], "closed_form")
+    gaps = [system.phi @ c_hat - system.b for c_hat in feasible]
+    # the first of equal costs wins
+    return finish(feasible[int(np.argmin([float(g @ g) for g in gaps]))],
+                  "closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +549,6 @@ def conic_ls(rd, mics, normalize=False):
 # hyperbolic (iterative, optionally weighted) LS
 
 
-def _barycenter(mics):
-    return mics.mean(axis=0)
-
-
 def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
     """Iterative weighted LS on the RD residuals.
 
@@ -596,7 +597,7 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
         return scipy.linalg.solve_triangular(chol, arr, lower=True)
 
     if init is None:
-        init = _barycenter(mics)
+        init = mics.mean(axis=0)
         if rd.mic_count >= 5:
             guess = usrd_ls(rd, mics)
             if guess.ok:
@@ -605,22 +606,22 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
     if not np.all(np.isfinite(x)):
         raise ValueError("init must be finite")
 
-    def residual(pos):
-        dist = np.linalg.norm(mics - pos[None, :], axis=1)
-        return (dist[others] - dist[ref]) - d, dist
+    def distances(pos):
+        diff = mics - pos[None, :]
+        return np.sqrt(np.add.reduce(diff * diff, axis=1))
 
-    def guard(pos):
+    def evaluate(pos):
         # keep the iterate off the microphones, where the Jacobian blows up
-        dist = np.linalg.norm(mics - pos[None, :], axis=1)
+        dist = distances(pos)
         if dist.min() < 1e-9:
-            away = _barycenter(mics) - pos
+            away = mics.mean(axis=0) - pos
             nrm = np.linalg.norm(away)
             step = away / nrm if nrm > 1e-12 else np.array([1.0, 0.0, 0.0])
             pos = pos + 1e-6 * step
-        return pos
+            dist = distances(pos)
+        return pos, (dist[others] - dist[ref]) - d, dist
 
-    x = guard(x)
-    err, dist = residual(x)
+    x, err, dist = evaluate(x)
     werr = whiten(err)
     cost = float(werr @ werr)
     damping = 1e-3
@@ -640,8 +641,7 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
             return LocalizationResult(
                 position=x, residual=cost / scale, status="degenerate",
                 info={"reason": "singular Jacobian", "iterations": iterations})
-        candidate = guard(x + step)
-        new_err, new_dist = residual(candidate)
+        candidate, new_err, new_dist = evaluate(x + step)
         new_werr = whiten(new_err)
         new_cost = float(new_werr @ new_werr)
         if np.isfinite(new_cost) and new_cost <= cost:

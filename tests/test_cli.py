@@ -289,6 +289,22 @@ def test_bad_front_end_numbers_are_config_errors(tmp_path, paper_scene,
     assert set(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("argv", [
+    "bench {config} --out {out}",
+    "tdoa --wav {pair} --out {out} --max-distance 2.0",
+])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_that_is_a_file_is_config_error(tmp_path, capsys, argv, out):
+    (tmp_path / "afile").write_text("keep")
+    paths = {"config": bench_yaml(tmp_path),
+             "pair": shifted_pair_wav(tmp_path), "out": tmp_path / out}
+    before = set(tmp_path.rglob("*"))
+    assert main([arg.format(**paths) for arg in argv.split()]) == 2
+    assert last_error(capsys)["code"] == 2
+    assert set(tmp_path.rglob("*")) == before
+    assert (tmp_path / "afile").read_text() == "keep"
+
+
 def test_help_documents_sign_convention():
     from multilat.cli import build_parser
     epilog = build_parser().epilog

@@ -4,6 +4,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multilat import (
     NoiseCovariance,
@@ -15,7 +18,13 @@ from multilat import (
     true_rd_ref,
     usrd_ls,
 )
-from multilat.estimators import build_conic_system, build_spherical_system
+from multilat.estimators import (
+    SphericalSystem,
+    _diagonal_pencil,
+    _phi,
+    build_conic_system,
+    build_spherical_system,
+)
 from multilat.geometry import RdMatrix, RdVector
 
 from conftest import make_scene
@@ -203,6 +212,197 @@ def test_srd_matches_feasible_brute_force(rng):
                       scene.source,
                       scene.mics.mean(axis=0) + [0.5, -0.3, 0.2]])
     assert result.residual <= best + 1e-9
+
+
+def _solve_phi(system, lam):
+    """phi, phi' and c of the multiplier equation by a linear solve."""
+    dsign = np.array([1.0, -1.0, -1.0, -1.0])
+    pencil = system.phi.T @ system.phi + lam * np.diag(dsign)
+    c = np.linalg.solve(pencil, system.phi.T @ system.b)
+    dc = np.linalg.solve(pencil, dsign * c)
+    return float(c @ (dsign * c)), -2.0 * float((dsign * c) @ dc), c
+
+
+def _bisection_srd(rd, mics):
+    """The multiplier search as a bisection with one linear solve per
+    step (QZ poles, 120 steps, Newton polish), then srd_ls's choice
+    among feasible roots: (position, residual, status) of a rank-4
+    system, position None when no interval brackets a root."""
+    system = build_spherical_system(rd, mics)
+
+    def phi(lam):
+        return _solve_phi(system, lam)[0]
+
+    kappa = scipy.linalg.eigvals(np.diag([1.0, -1.0, -1.0, -1.0]),
+                                 system.phi.T @ system.phi)
+    bounds = sorted({-1.0 / k.real for k in kappa
+                     if np.isfinite(k)
+                     and abs(k.imag) <= 1e-9 * (1 + abs(k.real))
+                     and abs(k.real) > 1e-14})
+    scale = max(1.0, max((abs(x) for x in bounds), default=1.0))
+    edges = ([bounds[0] - 10 * scale] + bounds + [bounds[-1] + 10 * scale]
+             if bounds else [-10 * scale, 10 * scale])
+    best = None
+    found = False
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        margin = 1e-9 * (hi - lo)
+        a, b = lo + margin, hi - margin
+        try:
+            fa, fb = phi(a), phi(b)
+        except np.linalg.LinAlgError:
+            continue
+        if not (np.isfinite(fa) and np.isfinite(fb)) or fa * fb > 0:
+            continue
+        for _ in range(120):
+            mid = 0.5 * (a + b)
+            fm = phi(mid)
+            if not np.isfinite(fm):
+                break
+            if fa * fm <= 0:
+                b = mid
+            else:
+                a, fa = mid, fm
+            if b - a <= 1e-15 * (1 + abs(a)):
+                break
+        lam = 0.5 * (a + b)
+        for _ in range(8):
+            val, slope, _ = _solve_phi(system, lam)
+            if abs(slope) < 1e-300:
+                break
+            step = val / slope
+            if not np.isfinite(step) or not lo < lam - step < hi:
+                break
+            lam -= step
+            if abs(step) <= 1e-15 * (1 + abs(lam)):
+                break
+        c = _solve_phi(system, lam)[2]
+        found = True
+        resid = system.phi @ c - system.b
+        if c[0] >= -1e-9 and (best is None or resid @ resid < best[0]):
+            best = (float(resid @ resid), c)
+    if not found:
+        return None, np.inf, "degenerate"
+    if best is None:
+        return np.full(3, np.nan), np.inf, "degenerate"
+    return best[1][1:] + mics[rd.reference_index], best[0], "closed_form"
+
+
+def _random_srd_case(rng, m, flatness=None):
+    """Random array (optionally squashed to a z spread of ``flatness``
+    m), interior source, Gaussian RD noise of 0.01 to 0.1 m."""
+    mics = rng.uniform(-3.0, 3.0, size=(m, 3))
+    if flatness is not None:
+        mics[:, 2] = rng.normal(0.0, flatness, size=m)
+    source = rng.dirichlet(np.ones(m)) @ mics + rng.normal(0.0, 0.3, 3)
+    dist = np.linalg.norm(mics - source, axis=1)
+    noise = rng.normal(0.0, rng.uniform(0.01, 0.1), size=m - 1)
+    return RdVector(values=dist[1:] - dist[0] + noise, reference_index=0), mics
+
+
+def test_rational_phi_matches_linear_solve():
+    # phi, phi' and c(lam) from the diagonalized pencil against a linear
+    # solve of (A + lam D) c = f, at multipliers away from the poles
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        rows = 4 + trial % 5
+        system = SphericalSystem(phi=rng.normal(size=(rows, 4)),
+                                 b=rng.normal(size=rows))
+        u, s, vt = np.linalg.svd(system.phi, full_matrices=True)
+        basis, mu, h = _diagonal_pencil(s, vt, u[:, :4].T @ system.b)
+        terms = [(m, m * hi * hi) for m, hi in zip(mu.tolist(), h.tolist())]
+        poles = np.sort(-mu)
+        scale = max(1.0, np.abs(poles).max())
+        lams = np.concatenate([0.5 * (poles[:-1] + poles[1:]),
+                               [poles[0] - scale, poles[-1] + scale, 0.0]])
+        for lam in lams:
+            if np.min(np.abs(lam + mu)) < 1e-3 * scale:
+                continue
+            val, der = _phi(terms, float(lam))
+            ref_val, ref_der, ref_c = _solve_phi(system, lam)
+            size = sum(abs(mh2) / (m + lam) ** 2 for m, mh2 in terms)
+            assert abs(val - ref_val) <= 1e-9 * size
+            assert abs(der - ref_der) <= 1e-9 * max(abs(ref_der), size)
+            c = basis @ (h / (mu + lam))
+            assert np.linalg.norm(c - ref_c) <= 1e-9 * np.linalg.norm(ref_c)
+
+
+def test_srd_matches_bisection_reference():
+    # the Newton search on the diagonalized pencil returns the roots the
+    # solve-per-step bisection returns: same status, same position
+    rng = np.random.default_rng(41)
+    checked = 0
+    for trial in range(600):
+        # every third array is nearly coplanar: z spread 10 um to 10 mm
+        flatness = 10.0 ** rng.uniform(-5, -2) if trial % 3 == 2 else None
+        rd, mics = _random_srd_case(rng, (5, 8)[trial % 2], flatness)
+        position, _, status = _bisection_srd(rd, mics)
+        result = srd_ls(rd, mics)
+        assert result.info["rank"] == 4
+        if position is None:
+            assert result.info["reason"] == "no multiplier root"
+        assert result.status == status, trial
+        if result.ok:
+            checked += 1
+            assert np.linalg.norm(result.position - position) <= 1e-6, trial
+            assert result.info["constraint_rel"] <= 1e-6
+    assert checked >= 500
+
+
+# The hard case of the multiplier equation: only the one positive
+# pencil eigenvalue carries weight (h_i = 0 elsewhere, up to rounding),
+# so phi is positive between every pair of poles and has no root.
+HARD_CASE_MICS = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.3], [0.0, 2.0, 0.1],
+                           [0.2, 0.3, 2.0], [2.0, 2.0, 1.5]])
+HARD_CASE_RD = np.array([0.6071660553475742, 0.06507545304549898,
+                         0.21044000783847006, 0.9920608300681928])
+
+
+def test_srd_no_multiplier_root_is_degenerate():
+    rd = RdVector(values=HARD_CASE_RD, reference_index=0)
+    assert _bisection_srd(rd, HARD_CASE_MICS)[0] is None
+    result = srd_ls(rd, HARD_CASE_MICS)
+    assert result.status == "degenerate"
+    assert result.info["reason"] == "no multiplier root"
+    # the unconstrained LS point stays as a finite best effort
+    np.testing.assert_allclose(result.position,
+                               usrd_ls(rd, HARD_CASE_MICS).position,
+                               atol=1e-9)
+
+
+def _rotation(angles):
+    cx, cy, cz = np.cos(angles)
+    sx, sy, sz = np.sin(angles)
+    rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
+    ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
+    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+    return rz @ ry @ rx
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([5, 6, 8]),
+       angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+       shift=st.tuples(*[st.floats(-50.0, 50.0)] * 3), data=st.data())
+def test_srd_equivariant_under_rigid_motion_and_permutation(
+        seed, m, angles, shift, data):
+    rng = np.random.default_rng(seed)
+    scene = make_scene(rng, mic_count=m)
+    # noisy ranges, so that every reordering sees the same RDs
+    ranges = (np.linalg.norm(scene.mics - scene.source, axis=1)
+              + rng.normal(0.0, 0.01, size=m))
+    perm = np.array(data.draw(st.permutations(range(m))))
+    rot = _rotation(np.array(angles))
+
+    def run(mics, ranges, ref):
+        others = [k for k in range(m) if k != ref]
+        rd = RdVector(values=ranges[others] - ranges[ref], reference_index=ref)
+        return srd_ls(rd, mics)
+
+    base = run(scene.mics, ranges, 0)
+    moved = run(scene.mics[perm] @ rot.T + np.array(shift), ranges[perm],
+                int(np.flatnonzero(perm == 0)[0]))
+    assert moved.status == base.status == "closed_form"
+    expected = rot @ base.position + np.array(shift)
+    assert np.linalg.norm(moved.position - expected) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -519,37 +519,28 @@ def _run_cell(config, scenes, subsets, methods, noise_idx, trial_idx):
             else:
                 rd_err = float("nan")
             for name, ref_policy in methods:
-                method_id = _method_id(name, ref_policy)
-                if sub_rd is None:
-                    records.append(TrialRecord(
-                        method=method_id, feature=feature,
-                        subset=sub_id, noise_level=level, trial=trial_idx,
-                        status="invalid_pair", position_error_m=float("nan"),
-                        mean_abs_rd_error_m=rd_err, wall_time_s=0.0))
-                    continue
-                try:
-                    started = time.perf_counter() if config.timing else 0.0
-                    _, result = localize(name, ref_policy, sub_rd, sub_mics,
-                                         sub_signals)
-                    elapsed = (time.perf_counter() - started
-                               if config.timing else 0.0)
-                    pos_err = float("nan")
-                    if np.all(np.isfinite(result.position)):
-                        pos_err = float(np.linalg.norm(
-                            result.position - scene.source))
-                    records.append(TrialRecord(
-                        method=method_id, feature=feature,
-                        subset=sub_id, noise_level=level, trial=trial_idx,
-                        status=result.status, position_error_m=pos_err,
-                        mean_abs_rd_error_m=rd_err, wall_time_s=elapsed,
-                        extra=dict(result.info)))
-                except (ValueError, IndexError) as exc:
-                    records.append(TrialRecord(
-                        method=method_id, feature=feature,
-                        subset=sub_id, noise_level=level, trial=trial_idx,
-                        status="degenerate", position_error_m=float("nan"),
-                        mean_abs_rd_error_m=rd_err, wall_time_s=0.0,
-                        extra={"reason": str(exc)}))
+                status, pos_err, elapsed, extra = (
+                    "invalid_pair", float("nan"), 0.0, {})
+                if sub_rd is not None:
+                    try:
+                        started = time.perf_counter() if config.timing else 0.0
+                        _, result = localize(name, ref_policy, sub_rd,
+                                             sub_mics, sub_signals)
+                        elapsed = (time.perf_counter() - started
+                                   if config.timing else 0.0)
+                        status, extra = result.status, dict(result.info)
+                        if np.all(np.isfinite(result.position)):
+                            pos_err = float(np.linalg.norm(
+                                result.position - scene.source))
+                    except (ValueError, IndexError) as exc:
+                        status, elapsed = "degenerate", 0.0
+                        extra = {"reason": str(exc)}
+                records.append(TrialRecord(
+                    method=_method_id(name, ref_policy), feature=feature,
+                    subset=sub_id, noise_level=level, trial=trial_idx,
+                    status=status, position_error_m=pos_err,
+                    mean_abs_rd_error_m=rd_err, wall_time_s=elapsed,
+                    extra=extra))
     return records
 
 

@@ -205,10 +205,13 @@ def _gtrs_candidates(s, vt, proj):
 
     roots = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        margin = 1e-9 * (hi - lo)
+        # a few dozen ulps inside the poles, so that roots next to a pole
+        # are bracketed too; intervals narrower than that are skipped
+        margin = 1e-14 * (abs(lo) + abs(hi))
         a, b = lo + margin, hi - margin
         fa, fb = _phi(terms, a)[0], _phi(terms, b)[0]
-        if not (math.isfinite(fa) and math.isfinite(fb)) or fa * fb > 0:
+        if not (a < b and math.isfinite(fa) and math.isfinite(fb)) \
+                or fa * fb > 0:
             continue
         lam, step = 0.5 * (a + b), b - a
         for _ in range(120):
@@ -230,6 +233,53 @@ def _gtrs_candidates(s, vt, proj):
     return roots
 
 
+def _rd_misfit(x, mics, rows, cols, d):
+    """Sum of squared signed-RD mismatches of point x over the pairs
+    (rows, cols) with measured RDs d."""
+    dist = np.linalg.norm(mics - x[None, :], axis=1)
+    gap = (dist[cols] - dist[rows]) - d
+    return float(gap @ gap)
+
+
+def _cone_line(base, direction, misfit):
+    """Intersect the line c(t) = base + t*direction with the cone
+    c^T diag(1, -1, -1, -1) c = 0, c = [range; position relative to the
+    microphone the range is measured from].
+
+    This is the one rule for the minimal-array fallbacks of ``srd_ls``
+    and ``conic_ls``.  A discriminant down to -1e-9 relative counts as
+    a tangent (double) root.  Roots with range >= -1e-9 are feasible and
+    ranked by ``misfit(c)``.  Minimal arrays can be genuinely ambiguous:
+    a second point whose ranges all differ from the source's by one
+    constant reproduces the RDs exactly, so both roots tie.  Roots
+    within 1e-9 relative of the best misfit go to the smaller range (the
+    near solution) and are flagged, rather than left to floating-point
+    noise.  Returns ``(c, ambiguous)``, or ``None`` if no root is
+    feasible.
+    """
+    qa = float(direction @ (_D_SIGNS * direction))
+    qb = float(direction @ (_D_SIGNS * base))
+    qc = float(base @ (_D_SIGNS * base))
+    if abs(qa) < 1e-14:
+        ts = [-qc / (2.0 * qb)] if abs(qb) > 1e-14 else []
+    else:
+        disc = qb * qb - qa * qc
+        if disc < -0.25e-9 * max(1.0, 4.0 * qb * qb):
+            return None
+        sq = math.sqrt(max(disc, 0.0))
+        ts = [(-qb + sq) / qa, (-qb - sq) / qa]
+    points = [base + t * direction for t in ts]
+    feasible = [(misfit(c), c[0], c) for c in points if c[0] >= -1e-9]
+    if not feasible:
+        return None
+    best = min(feasible, key=lambda cand: cand[0])
+    ties = [cand for cand in feasible
+            if cand[0] - best[0] <= 1e-9 * (1.0 + best[0])]
+    if len(ties) > 1:
+        return min(ties, key=lambda cand: cand[1])[2], True
+    return best[2], False
+
+
 def srd_ls(rd, mics):
     """Constrained spherical LS: global minimizer with c1^2 = ||r||^2.
 
@@ -244,13 +294,15 @@ def srd_ls(rd, mics):
     ``"no multiplier root"`` and the finite unconstrained LS point.
 
     A rank-3 system (the minimal 4-microphone case, or exactly coplanar
-    arrays) has no positive-definite pencil interval; there the
-    constraint is applied directly along the LS null direction, which
-    recovers the exact-arithmetic solution the pencil search cannot
-    reach.  Rank below 3 is reported as degenerate.  When both
-    constraint roots explain the data equally well (minimal arrays can
-    admit two sources with identical RDs), the near one is returned and
-    ``info["ambiguous"]`` is set.
+    arrays) has no positive-definite pencil interval; there
+    ``_cone_line`` applies the constraint directly along the LS null
+    direction, which recovers the exact-arithmetic solution the pencil
+    search cannot reach, with the rules ``conic_ls`` uses on its line: a
+    discriminant down to -1e-9 relative is a tangent root, and when both
+    roots explain the data equally well (minimal arrays can admit two
+    sources with identical RDs) the near one is returned and
+    ``info["ambiguous"]`` is set.  Rank below 3 is reported as
+    degenerate.
     """
     _check_rd_vector(rd)
     mics = _as_points(mics, "mics")
@@ -285,48 +337,22 @@ def srd_ls(rd, mics):
     if rank == 3:
         # minimal (3-row) or exactly coplanar system: every point of the
         # affine family c0 + t*v attains the LS optimum, and the cone
-        # constraint picks t via a quadratic — the closed-form route the
-        # full pencil search cannot take on a singular system
+        # constraint picks t — the closed-form route the full pencil
+        # search cannot take on a singular system
         c0 = vt[:3].T @ ((u[:, :3].T @ system.b) / s[:3])
-        null = vt[3]
-        qa = float(null @ (_D_SIGNS * null))
-        qb = float(null @ (_D_SIGNS * c0))
-        qc = float(c0 @ (_D_SIGNS * c0))
-        roots = []
-        if abs(qa) < 1e-14:
-            if abs(qb) > 1e-14:
-                roots = [-qc / (2.0 * qb)]
-        else:
-            disc = qb * qb - qa * qc
-            if disc >= 0.0:
-                sq = np.sqrt(disc)
-                roots = [(-qb + sq) / qa, (-qb - sq) / qa]
         others = rd.other_indices()
-
-        def rd_misfit(c_hat):
-            pos = c_hat[1:] + ref_mic
-            dist = np.linalg.norm(mics - pos[None, :], axis=1)
-            gap = (dist[others] - dist[rd.reference_index]) - rd.values
-            return float(gap @ gap)
-
-        feasible = [(rd_misfit(c0 + t * null), float((c0 + t * null)[0]),
-                     c0 + t * null) for t in roots
-                    if (c0 + t * null)[0] >= -1e-9]
-        if not feasible:
+        completed = _cone_line(c0, vt[3], lambda c: _rd_misfit(
+            c[1:] + ref_mic, mics, rd.reference_index, others, rd.values))
+        if completed is None:
             return LocalizationResult(
                 position=np.full(3, np.nan), residual=np.inf,
                 status="degenerate",
                 info={"reason": "no feasible multiplier root", "rank": rank})
-        # a misfit tie means both roots explain the data exactly (the
-        # minimal-array ambiguity); prefer the near solution, flag it
-        best = min(feasible, key=lambda cand: cand[0])
-        ties = [cand for cand in feasible
-                if cand[0] - best[0] <= 1e-9 * (1.0 + best[0])]
+        c_hat, ambiguous = completed
         extra = {"null_completed": True}
-        if len(ties) > 1:
-            best = min(ties, key=lambda cand: cand[1])
+        if ambiguous:
             extra["ambiguous"] = True
-        return finish(best[2], "closed_form", extra)
+        return finish(c_hat, "closed_form", extra)
 
     proj = u[:, :4].T @ system.b
     candidates = _gtrs_candidates(s, vt, proj)
@@ -422,33 +448,16 @@ def build_conic_system(rd, mics, normalize=False):
                        dropped_triplets=triplets[~kept])
 
 
-def _rd_residual2(x, mics, d):
-    """Sum of squared signed-RD mismatches of point x over all pairs."""
-    dist = np.linalg.norm(mics - x[None, :], axis=1)
-    pred = dist[None, :] - dist[:, None]
-    iu = np.triu_indices(len(dist), k=1)
-    delta = (pred - d)[iu]
-    return float(delta @ delta)
-
-
 def _complete_rank2(x0, direction, mics, d):
     """Resolve the minimal-case ambiguity line of the plane system.
 
     With four microphones the stacked planes intersect in a line
     x(t) = x0 + t*v rather than a point (they cannot distinguish the
-    two intersection points of the underlying hyperboloids).  Impose
-    range consistency with the pair (i, j) of largest |RD|: the implied
-    reference range D_i is affine in x, and ||x - r_i||^2 = D_i^2 is a
-    quadratic in t.  Candidates are screened for a physical (>= 0)
-    range and ranked by the full signed-RD residual.
-
-    Minimal arrays can be genuinely ambiguous: a second point whose
-    ranges all differ from the source's by one constant reproduces the
-    RD matrix exactly, so both roots tie on residual.  Such ties are
-    broken toward the smaller implied range (the near solution) and
-    flagged, rather than left to floating-point noise.
-
-    Returns ``(point, ambiguous)`` or ``None`` if no feasible root.
+    two intersection points of the underlying hyperboloids).  Along it,
+    the range D_i to mic i of the pair (i, j) of largest |RD| is affine
+    in t, so c = [D_i; x - r_i] runs along a line that ``_cone_line``
+    intersects with the cone ||x - r_i|| = D_i, ranking roots by the
+    full signed-RD misfit.  Returns ``(point, ambiguous)`` or ``None``.
     """
     upper = np.triu_indices(mics.shape[0], k=1)
     largest = np.argmax(np.abs(d[upper]))  # first of ties, as row-major
@@ -459,37 +468,13 @@ def _complete_rank2(x0, direction, mics, d):
     ri, rj = mics[i], mics[j]
     beta = (rj @ rj - ri @ ri - 2.0 * (rj - ri) @ x0 - dij ** 2) / (2.0 * dij)
     gamma = -((rj - ri) @ direction) / dij
-    w = x0 - ri
-    a = 1.0 - gamma ** 2
-    b = 2.0 * (w @ direction - beta * gamma)
-    c = w @ w - beta ** 2
-    if abs(a) < 1e-14:
-        if abs(b) < 1e-14:
-            return None
-        ts = [-c / b]
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0:
-            if disc < -1e-9 * max(1.0, b * b):
-                return None
-            disc = 0.0
-        sq = np.sqrt(disc)
-        ts = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
-    candidates = []
-    for t in ts:
-        implied_range = beta + gamma * t
-        if implied_range < -1e-9:
-            continue
-        x = x0 + t * direction
-        candidates.append((_rd_residual2(x, mics, d), implied_range, x))
-    if not candidates:
+    completed = _cone_line(
+        np.concatenate([[beta], x0 - ri]),
+        np.concatenate([[gamma], direction]),
+        lambda c: _rd_misfit(c[1:] + ri, mics, upper[0], upper[1], d[upper]))
+    if completed is None:
         return None
-    best = min(candidates, key=lambda cand: cand[0])
-    ties = [cand for cand in candidates
-            if cand[0] - best[0] <= 1e-9 * (1.0 + best[0])]
-    if len(ties) > 1:
-        return min(ties, key=lambda cand: cand[1])[2], True
-    return best[2], False
+    return completed[0][1:] + ri, completed[1]
 
 
 def conic_ls(rd, mics, normalize=False):
@@ -514,7 +499,8 @@ def conic_ls(rd, mics, normalize=False):
     """
     mics = _as_points(mics, "mics")
     centroid = mics.mean(axis=0)
-    system = build_conic_system(rd, mics - centroid, normalize=normalize)
+    centered = mics - centroid
+    system = build_conic_system(rd, centered, normalize=normalize)
     info = {"dropped_rows": len(system.dropped_triplets),
             "normalized": system.normalized}
     if system.psi_matrix.shape[0] == 0:
@@ -535,13 +521,13 @@ def conic_ls(rd, mics, normalize=False):
     if rank >= 3:
         return result(x0, "closed_form")
     if rank == 2:
-        completed = _complete_rank2(x0 + centroid, vt[2], mics, rd.values)
+        completed = _complete_rank2(x0, vt[2], centered, rd.values)
         if completed is not None:
             point, ambiguous = completed
             info["line_completed"] = True
             if ambiguous:
                 info["ambiguous"] = True
-            return result(point - centroid, "closed_form")
+            return result(point, "closed_form")
     return result(x0, "degenerate")
 
 

@@ -23,15 +23,12 @@ class FrameConfig:
     sample_rate: float
     frame_duration: float = 0.064
     overlap: float = 0.5
-    window: str = "hann"
 
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError("overlap must be in [0, 1)")
-        if self.window != "hann":
-            raise ValueError(f"unsupported window {self.window!r}")
         if self.frame_length < 2:
             raise ValueError("frame must span at least 2 samples")
 

@@ -117,6 +117,22 @@ def test_failures_are_recorded_not_dropped():
     assert rows[0]["failure_rate"] == 1.0
 
 
+def test_srd_multiplier_root_next_to_a_pole():
+    # two Table-1 subsets whose constrained srd-ls root sits within
+    # 1e-9 of the interval width from a pencil pole at sigma = 1 cm
+    cfg = base_config(
+        methods=["srd-ls"], seed=70013,
+        subsets={"mode": "all_k_of_m", "k": 5},
+        noise={"domain": "rd", "kind": "gaussian", "levels": [0.01, 0.05]},
+        trials=1,
+    )
+    errors = {r.subset: r.position_error_m for r in run_benchmark(cfg)
+              if r.noise_level == 0.01 and r.status == "closed_form"}
+    assert len(errors) == 56
+    assert errors["0-1-2-3-4"] == pytest.approx(0.180, abs=5e-4)
+    assert errors["1-2-3-5-7"] == pytest.approx(0.134, abs=5e-4)
+
+
 # ---------------------------------------------------------------------------
 # summaries
 

@@ -19,6 +19,7 @@ from multilat import (
     usrd_ls,
 )
 from multilat.estimators import (
+    RANK_TOL,
     SphericalSystem,
     _diagonal_pencil,
     _phi,
@@ -185,6 +186,28 @@ def test_srd_ambiguous_minimal_array_near_point():
     result = srd_ls(true_rd_ref(scene, 0), scene.mics)
     assert result.info.get("ambiguous") is True
     np.testing.assert_allclose(result.position, scene.source, atol=1e-9)
+
+
+def test_srd_tangent_double_root():
+    # a source in the plane of a coplanar array, where the two mirror
+    # roots meet, or on the reference microphone, the apex of the cone:
+    # rounding can push the discriminant just below zero, and the
+    # tangent clamp keeps the double root
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        m = 4 + trial % 5
+        mics = rng.uniform(-3.0, 3.0, size=(m, 3))
+        if trial % 2:
+            mics[:, 2] = 1.25
+            source = rng.dirichlet(np.ones(m)) @ mics
+            ref = 0
+        else:
+            ref = int(rng.integers(m))
+            source = mics[ref]
+        scene = Scene(mics=mics, source=source)
+        result = srd_ls(true_rd_ref(scene, ref), mics)
+        assert result.status == "closed_form", trial
+        assert np.linalg.norm(result.position - source) <= 1e-6
 
 
 def test_srd_matches_feasible_brute_force(rng):
@@ -378,12 +401,15 @@ def _rotation(angles):
     return rz @ ry @ rx
 
 
+@pytest.mark.parametrize("estimator",
+                         [srd_ls, usrd_ls, conic_ls, hyperbolic_ls],
+                         ids=lambda fn: fn.__name__)
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([5, 6, 8]),
        angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
        shift=st.tuples(*[st.floats(-50.0, 50.0)] * 3), data=st.data())
-def test_srd_equivariant_under_rigid_motion_and_permutation(
-        seed, m, angles, shift, data):
+def test_equivariant_under_rigid_motion_and_permutation(
+        estimator, seed, m, angles, shift, data):
     rng = np.random.default_rng(seed)
     scene = make_scene(rng, mic_count=m)
     # noisy ranges, so that every reordering sees the same RDs
@@ -393,14 +419,17 @@ def test_srd_equivariant_under_rigid_motion_and_permutation(
     rot = _rotation(np.array(angles))
 
     def run(mics, ranges, ref):
+        if estimator is conic_ls:
+            return conic_ls(RdMatrix(ranges[None, :] - ranges[:, None]), mics)
         others = [k for k in range(m) if k != ref]
         rd = RdVector(values=ranges[others] - ranges[ref], reference_index=ref)
-        return srd_ls(rd, mics)
+        return estimator(rd, mics)
 
     base = run(scene.mics, ranges, 0)
     moved = run(scene.mics[perm] @ rot.T + np.array(shift), ranges[perm],
                 int(np.flatnonzero(perm == 0)[0]))
-    assert moved.status == base.status == "closed_form"
+    assert base.ok
+    assert moved.status == base.status
     expected = rot @ base.position + np.array(shift)
     assert np.linalg.norm(moved.position - expected) <= 1e-6
 
@@ -507,6 +536,149 @@ def test_conic_triplet_count(rng):
     scene = make_scene(rng, mic_count=6)
     system = build_conic_system(true_rd_full(scene), scene.mics)
     assert len(system.triplets) + len(system.dropped_triplets) == 20
+
+
+# ---------------------------------------------------------------------------
+# minimal-array fallbacks (srd rank 3, conic rank 2) against independent
+# implementations: the rank-3 branch with its own half-b quadratic on
+# [D_ref; r], the rank-2 line completion in absolute coordinates with
+# the full-b quadratic in t and its own tangent clamp
+
+
+def _reference_srd_rank3(rd, mics):
+    """(status, ambiguous, null_completed, position) of a rank-3
+    spherical system, or None for any other rank."""
+    system = build_spherical_system(rd, mics)
+    u, s, vt = np.linalg.svd(system.phi, full_matrices=True)
+    if int(np.sum(s > RANK_TOL * s[0])) != 3:
+        return None
+    dsign = np.array([1.0, -1.0, -1.0, -1.0])
+    c0 = vt[:3].T @ ((u[:, :3].T @ system.b) / s[:3])
+    null = vt[3]
+    qa, qb, qc = null @ (dsign * null), null @ (dsign * c0), c0 @ (dsign * c0)
+    roots = []
+    if abs(qa) < 1e-14:
+        if abs(qb) > 1e-14:
+            roots = [-qc / (2.0 * qb)]
+    elif qb * qb - qa * qc >= 0.0:
+        sq = np.sqrt(qb * qb - qa * qc)
+        roots = [(-qb + sq) / qa, (-qb - sq) / qa]
+    ref_mic = mics[rd.reference_index]
+    others = rd.other_indices()
+    cands = []
+    for t in roots:
+        c = c0 + t * null
+        if c[0] >= -1e-9:
+            dist = np.linalg.norm(mics - (c[1:] + ref_mic), axis=1)
+            gap = (dist[others] - dist[rd.reference_index]) - rd.values
+            cands.append((float(gap @ gap), float(c[0]), c[1:] + ref_mic))
+    return _pick_near(cands, completed=bool(cands))
+
+
+def _reference_conic_rank2(rd, mics, normalize):
+    """(status, ambiguous, line_completed, position) of a rank-2 plane
+    system, or None for any other rank."""
+    centroid = mics.mean(axis=0)
+    system = build_conic_system(rd, mics - centroid, normalize=normalize)
+    if system.psi_matrix.shape[0] == 0:
+        return None
+    u, s, vt = np.linalg.svd(system.psi_matrix, full_matrices=False)
+    if int(np.sum(s > RANK_TOL * s[0])) != 2:
+        return None
+    x0 = vt[:2].T @ ((u[:, :2].T @ system.psi_rhs) / s[:2]) + centroid
+    v, d = vt[2], rd.values
+    upper = np.triu_indices(len(mics), k=1)
+    largest = np.argmax(np.abs(d[upper]))
+    i, j = upper[0][largest], upper[1][largest]
+    ts = []
+    if abs(d[i, j]) >= 1e-12:
+        ri, rj = mics[i], mics[j]
+        beta = ((rj @ rj - ri @ ri - 2.0 * (rj - ri) @ x0 - d[i, j] ** 2)
+                / (2.0 * d[i, j]))
+        gamma = -((rj - ri) @ v) / d[i, j]
+        w = x0 - ri
+        a, b = 1.0 - gamma ** 2, 2.0 * (w @ v - beta * gamma)
+        c = w @ w - beta ** 2
+        if abs(a) < 1e-14:
+            ts = [-c / b] if abs(b) >= 1e-14 else []
+        elif b * b - 4.0 * a * c >= -1e-9 * max(1.0, b * b):
+            sq = np.sqrt(max(b * b - 4.0 * a * c, 0.0))
+            ts = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
+    cands = []
+    for t in ts:
+        if beta + gamma * t >= -1e-9:
+            x = x0 + t * v
+            dist = np.linalg.norm(mics - x, axis=1)
+            gap = (dist[None, :] - dist[:, None] - d)[upper]
+            cands.append((float(gap @ gap), beta + gamma * t, x))
+    if not cands:
+        return "degenerate", False, False, x0
+    return _pick_near(cands, completed=True)
+
+
+def _pick_near(cands, completed):
+    if not cands:
+        return "degenerate", False, False, np.full(3, np.nan)
+    best = min(cands, key=lambda cand: cand[0])
+    ties = [cand for cand in cands
+            if cand[0] - best[0] <= 1e-9 * (1.0 + best[0])]
+    if len(ties) > 1:
+        return "closed_form", True, completed, min(
+            ties, key=lambda cand: cand[1])[2]
+    return "closed_form", False, completed, best[2]
+
+
+def _minimal_systems(rng, count):
+    """(mics, ranges, reference): 4-mic random arrays, exactly coplanar
+    M = 5..8 arrays (z = 1.25 m), CUBE_MICS and AMBIGUOUS_MICS, with
+    range noise of 0, 1 and 5 cm in turn."""
+    for k in range(count):
+        kind, sigma = k % 5, (0.0, 0.01, 0.05)[(k // 5) % 3]
+        if kind < 2:
+            mics = rng.uniform(-3.0, 3.0, size=(4, 3))
+        elif kind == 2:
+            mics = rng.uniform(-3.0, 3.0, size=(5 + (k // 15) % 4, 3))
+            mics[:, 2] = 1.25
+        else:
+            mics = CUBE_MICS if kind == 3 else AMBIGUOUS_MICS
+        if kind == 4 and (k // 5) % 2 == 0:
+            source = AMBIGUOUS_SOURCE
+        else:
+            source = (rng.dirichlet(np.ones(len(mics))) @ mics
+                      + rng.normal(0.0, 0.5, size=3))
+        ranges = (np.linalg.norm(mics - source, axis=1)
+                  + rng.normal(0.0, sigma, size=len(mics)))
+        yield mics, ranges, int(rng.integers(len(mics)))
+
+
+def test_minimal_array_fallbacks_match_reference():
+    seen = {}
+    for k, (mics, ranges, ref) in enumerate(
+            _minimal_systems(np.random.default_rng(5), 2000)):
+        others = [i for i in range(len(mics)) if i != ref]
+        rd = RdVector(values=ranges[others] - ranges[ref], reference_index=ref)
+        full = RdMatrix(ranges[None, :] - ranges[:, None])
+        for name, expected, result, flag in (
+                ("srd", _reference_srd_rank3(rd, mics),
+                 lambda: srd_ls(rd, mics), "null_completed"),
+                ("conic", _reference_conic_rank2(full, mics, k % 2 == 1),
+                 lambda: conic_ls(full, mics, normalize=k % 2 == 1),
+                 "line_completed")):
+            if expected is None:
+                continue
+            got = result()
+            outcome = (got.status, got.info.get("ambiguous", False),
+                       got.info.get(flag, False))
+            assert outcome == expected[:3], (name, k)
+            seen[(name,) + outcome] = seen.get((name,) + outcome, 0) + 1
+            if got.ok or name == "conic":
+                assert np.linalg.norm(got.position - expected[3]) <= 1e-9
+    # every outcome of both fallbacks is exercised
+    for name, flag in (("srd", "null_completed"), ("conic", "line_completed")):
+        for outcome in (("closed_form", False, True),
+                        ("closed_form", True, True),
+                        ("degenerate", False, False)):
+            assert seen.get((name,) + outcome, 0) >= 50, (name, outcome)
 
 
 # ---------------------------------------------------------------------------

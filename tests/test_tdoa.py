@@ -71,8 +71,6 @@ def test_channel_shorter_than_frame_rejected():
 def test_frame_config_validation():
     with pytest.raises(ValueError, match="overlap"):
         FrameConfig(sample_rate=FS, overlap=1.0)
-    with pytest.raises(ValueError, match="window"):
-        FrameConfig(sample_rate=FS, window="hamming")
     with pytest.raises(ValueError, match="sample_rate"):
         FrameConfig(sample_rate=0)
 

@@ -22,8 +22,14 @@ Four solvers for the source position from range differences:
     same final step as the classic exact 4-receiver solvers).
 ``hyperbolic_ls``
     Direct (weighted) nonlinear LS on the RD residuals, minimized by
-    Gauss-Newton with Levenberg damping; equals ML for Gaussian noise
-    when the supplied covariance matches.
+    Levenberg-Marquardt with Nielsen's gain-ratio damping (Madsen,
+    Nielsen & Tingleff, *Methods for Non-Linear Least Squares Problems*,
+    2004, section 3.2); equals ML for Gaussian noise when the supplied
+    covariance matches.  It stops on a vanishing gradient or on a step
+    that is small relative to the estimate, records which in
+    ``info["termination"]``, and reports ``degenerate`` when the damping
+    overflows or the Jacobian at the solution has rank below 3 (the
+    source is then not identifiable, e.g. on a collinear array).
 
 All estimators accept arbitrary arrays: coordinates are translated so
 the reference microphone sits at the origin internally, and estimates
@@ -44,6 +50,12 @@ from .geometry import LocalizationResult, RdMatrix, RdVector, _as_points
 RANK_TOL = 1e-12
 #: condition-number ceiling beyond which normal equations are distrusted
 COND_LIMIT = 1e12
+#: hyperbolic_ls gradient stop on ||J^T e||_inf of the whitened RD
+#: residuals e, m
+GRAD_TOL = 1e-12
+#: hyperbolic_ls gives up once its damping exceeds this multiple of the
+#: largest diagonal entry of J^T J: J^T J + mu*I then rounds to mu*I
+DAMPING_LIMIT = 1e16
 
 _D_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -247,24 +259,28 @@ def _cone_line(base, direction, misfit):
     microphone the range is measured from].
 
     This is the one rule for the minimal-array fallbacks of ``srd_ls``
-    and ``conic_ls``.  A discriminant down to -1e-9 relative counts as
-    a tangent (double) root.  Roots with range >= -1e-9 are feasible and
-    ranked by ``misfit(c)``.  Minimal arrays can be genuinely ambiguous:
-    a second point whose ranges all differ from the source's by one
-    constant reproduces the RDs exactly, so both roots tie.  Roots
-    within 1e-9 relative of the best misfit go to the smaller range (the
-    near solution) and are flagged, rather than left to floating-point
-    noise.  Returns ``(c, ambiguous)``, or ``None`` if no root is
-    feasible.
+    and ``conic_ls``.  A discriminant within +-1e-9 relative is a
+    tangent (double) root: one root, although rounding may split it into
+    two points up to about 1e-6 of the array scale apart (the split
+    grows with the square root of the discriminant's rounding error).
+    Roots with range >= -1e-9 are feasible and ranked by ``misfit(c)``.
+    Minimal arrays can be genuinely ambiguous: a second point whose
+    ranges all differ from the source's by one constant reproduces the
+    RDs exactly, so both roots tie.  Roots within 1e-9 relative of the
+    best misfit go to the smaller range (the near solution) and are
+    flagged, unless they are the two halves of a tangent root.  Returns
+    ``(c, ambiguous)``, or ``None`` if no root is feasible.
     """
     qa = float(direction @ (_D_SIGNS * direction))
     qb = float(direction @ (_D_SIGNS * base))
     qc = float(base @ (_D_SIGNS * base))
+    tangent = False
     if abs(qa) < 1e-14:
         ts = [-qc / (2.0 * qb)] if abs(qb) > 1e-14 else []
     else:
         disc = qb * qb - qa * qc
-        if disc < -0.25e-9 * max(1.0, 4.0 * qb * qb):
+        tangent = abs(disc) <= 0.25e-9 * max(1.0, 4.0 * qb * qb)
+        if disc < 0.0 and not tangent:
             return None
         sq = math.sqrt(max(disc, 0.0))
         ts = [(-qb + sq) / qa, (-qb - sq) / qa]
@@ -276,7 +292,7 @@ def _cone_line(base, direction, misfit):
     ties = [cand for cand in feasible
             if cand[0] - best[0] <= 1e-9 * (1.0 + best[0])]
     if len(ties) > 1:
-        return min(ties, key=lambda cand: cand[1])[2], True
+        return min(ties, key=lambda cand: cand[1])[2], not tangent
     return best[2], False
 
 
@@ -298,9 +314,9 @@ def srd_ls(rd, mics):
     ``_cone_line`` applies the constraint directly along the LS null
     direction, which recovers the exact-arithmetic solution the pencil
     search cannot reach, with the rules ``conic_ls`` uses on its line: a
-    discriminant down to -1e-9 relative is a tangent root, and when both
-    roots explain the data equally well (minimal arrays can admit two
-    sources with identical RDs) the near one is returned and
+    discriminant within +-1e-9 relative is one tangent root, and when
+    two distinct roots explain the data equally well (minimal arrays can
+    admit two sources with identical RDs) the near one is returned and
     ``info["ambiguous"]`` is set.  Rank below 3 is reported as
     degenerate.
     """
@@ -535,27 +551,80 @@ def conic_ls(rd, mics, normalize=False):
 # hyperbolic (iterative, optionally weighted) LS
 
 
+def _damped_step(hess, grad, mu):
+    """Solve (hess + mu*I) h = -grad for a symmetric 3x3 ``hess`` (nested
+    lists) by Cholesky in plain floats; None when the damped matrix is
+    not numerically positive definite."""
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = hess
+    p0 = a00 + mu
+    if not p0 > 0.0:
+        return None
+    l00 = math.sqrt(p0)
+    l10, l20 = a01 / l00, a02 / l00
+    p1 = a11 + mu - l10 * l10
+    if not p1 > 0.0:
+        return None
+    l11 = math.sqrt(p1)
+    l21 = (a12 - l20 * l10) / l11
+    p2 = a22 + mu - l20 * l20 - l21 * l21
+    if not p2 > 0.0:
+        return None
+    l22 = math.sqrt(p2)
+    y0 = -grad[0] / l00
+    y1 = (-grad[1] - l10 * y0) / l11
+    y2 = (-grad[2] - l20 * y0 - l21 * y1) / l22
+    h2 = y2 / l22
+    h1 = (y1 - l21 * h2) / l11
+    return (y0 - l10 * h1 - l20 * h2) / l00, h1, h2
+
+
 def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
-    """Iterative weighted LS on the RD residuals.
+    """Iterative weighted LS on the RD residuals (Levenberg-Marquardt).
 
-    Minimizes (d - d_hat(x))^T Sigma^-1 (d - d_hat(x)) where d_hat
-    predicts the reference-based RDs from a candidate position x, by
-    Gauss-Newton with multiplicative Levenberg damping (x10 on a
-    rejected step, /10 on an accepted one).  The weighted cost never
-    increases across accepted iterations.  With ``weights=None`` the
-    covariance is the identity and this is plain hyperbolic LS;
-    correlated noise is supported by whitening with the Cholesky factor
-    of the covariance.
+    Minimizes the cost (d - d_hat(x))^T Sigma^-1 (d - d_hat(x)) where
+    d_hat predicts the reference-based RDs from a candidate position x.
+    With ``weights=None`` the covariance is the identity and this is
+    plain hyperbolic LS; correlated noise is supported by whitening with
+    the Cholesky factor of the covariance.  ``init`` defaults to the
+    unconstrained spherical solution, falling back to the array
+    barycenter when that is unavailable.
 
-    ``init`` defaults to the unconstrained spherical solution, falling
-    back to the array barycenter when that is unavailable.
+    Each step h solves (J^T J + mu I) h = -J^T e for the whitened
+    residuals e and their Jacobian J, starting from
+    mu = 1e-3 max diag(J^T J).  A step is accepted only if it lowers the
+    cost, so the cost never increases.  The damping follows Nielsen's
+    gain ratio rho, actual over predicted cost decrease (Madsen, Nielsen
+    & Tingleff, 2004, section 3.2): after an accepted step
+    mu <- mu max(1/3, 1 - (2 rho - 1)^3) and nu <- 2, after a rejected
+    one mu <- mu nu and nu <- 2 nu.  J, J^T J and J^T e are rebuilt only
+    after an accepted step.
+
+    ``info["termination"]`` says why the loop stopped, and
+    ``info["iterations"]`` counts its passes (one damped solve each):
+
+    - ``gradient``: every component of J^T e is at most ``GRAD_TOL``;
+    - ``step``: ||h|| <= tol (||x - r_ref|| + tol), a step small
+      relative to the estimate's distance from the reference microphone
+      (``tol`` is relative);
+    - ``max_iterations``: ``max_iter`` passes were used up;
+    - ``damping``: mu left (0, ``DAMPING_LIMIT`` max diag(J^T J)], so
+      no damped step lowers the cost (non-finite residuals end here).
+
+    ``gradient`` and ``step`` give status ``converged``,
+    ``max_iterations`` gives ``max_iterations`` (iterations exhausted),
+    and ``damping`` gives ``degenerate`` with reason
+    ``"damping overflow"``.  A result whose Jacobian has rank below 3
+    (singular values below ``RANK_TOL`` relative) is ``degenerate``
+    with reason ``"rank-deficient Jacobian"``: a collinear array fixes
+    the source only up to a circle about its line.  Degenerate results
+    keep the finite best point.  Iterates within 1e-9 m of a
+    microphone, where the Jacobian blows up, are moved 1e-6 m towards
+    the array centroid.
     """
     _check_rd_vector(rd)
     mics = _as_points(mics, "mics")
     if mics.shape[0] != rd.mic_count:
         raise ValueError("mic count does not match RD vector")
-    ref = rd.reference_index
-    others = rd.other_indices()
     d = rd.values
 
     if weights is None:
@@ -592,53 +661,75 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
     if not np.all(np.isfinite(x)):
         raise ValueError("init must be finite")
 
-    def distances(pos):
-        diff = mics - pos[None, :]
-        return np.sqrt(np.add.reduce(diff * diff, axis=1))
+    # reference microphone first, so RDs and Jacobian rows are slices
+    origin = mics[rd.reference_index]
+    pts = mics[[rd.reference_index] + rd.other_indices()]
+    center = pts.mean(axis=0)
 
     def evaluate(pos):
-        # keep the iterate off the microphones, where the Jacobian blows up
-        dist = distances(pos)
+        diff = pos[None, :] - pts
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
         if dist.min() < 1e-9:
-            away = mics.mean(axis=0) - pos
+            # keep the iterate off the microphones, where the Jacobian
+            # blows up
+            away = center - pos
             nrm = np.linalg.norm(away)
-            step = away / nrm if nrm > 1e-12 else np.array([1.0, 0.0, 0.0])
-            pos = pos + 1e-6 * step
-            dist = distances(pos)
-        return pos, (dist[others] - dist[ref]) - d, dist
+            pos = pos + 1e-6 * (away / nrm if nrm > 1e-12
+                                else np.array([1.0, 0.0, 0.0]))
+            diff = pos[None, :] - pts
+            dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        werr = whiten((dist[1:] - dist[0]) - d)
+        return pos, werr, float(werr @ werr), diff, dist
 
-    x, err, dist = evaluate(x)
-    werr = whiten(err)
-    cost = float(werr @ werr)
-    damping = 1e-3
-    status = "max_iterations"
+    def linearize(diff, dist, werr):
+        unit = diff / dist[:, None]
+        wjac = whiten(unit[1:] - unit[0])
+        hess = (wjac.T @ wjac).tolist()
+        return wjac, hess, (wjac.T @ werr).tolist(), max(
+            hess[0][0], hess[1][1], hess[2][2])
+
+    x, werr, cost, diff, dist = evaluate(x)
+    wjac, hess, grad, peak = linearize(diff, dist, werr)
+    mu = 1e-3 * peak
+    nu = 2.0
+    termination = "max_iterations"
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        unit = (x[None, :] - mics) / dist[:, None]
-        jac = unit[others] - unit[ref]
-        wjac = whiten(jac)
-        hess = wjac.T @ wjac
-        grad = wjac.T @ werr
-        diag = np.diag(hess).copy()
-        diag[diag <= 0] = 1e-12
-        try:
-            step = np.linalg.solve(hess + damping * np.diag(diag), -grad)
-        except np.linalg.LinAlgError:
-            return LocalizationResult(
-                position=x, residual=cost / scale, status="degenerate",
-                info={"reason": "singular Jacobian", "iterations": iterations})
-        candidate, new_err, new_dist = evaluate(x + step)
-        new_werr = whiten(new_err)
-        new_cost = float(new_werr @ new_werr)
-        if np.isfinite(new_cost) and new_cost <= cost:
-            x, err, dist, werr, cost = candidate, new_err, new_dist, new_werr, new_cost
-            damping = max(damping / 10.0, 1e-15)
-            if np.linalg.norm(step) < tol:
-                status = "converged"
+        if max(map(abs, grad)) <= GRAD_TOL:
+            termination = "gradient"
+            break
+        step = _damped_step(hess, grad, mu)
+        if step is not None:
+            if math.hypot(*step) <= tol * (math.dist(x, origin) + tol):
+                termination = "step"
                 break
-        else:
-            damping *= 10.0
-            if damping > 1e15:
-                break
+            cand, new_werr, new_cost, new_diff, new_dist = evaluate(x + step)
+            if new_cost < cost:
+                predicted = sum(h * (mu * h - g) for h, g in zip(step, grad))
+                rho = (cost - new_cost) / predicted if predicted > 0 else 1.0
+                x, cost = cand, new_cost
+                wjac, hess, grad, peak = linearize(new_diff, new_dist,
+                                                   new_werr)
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu = 2.0
+                continue
+        # no positive-definite damped system, or a step that does not
+        # lower the cost
+        mu *= nu
+        nu *= 2.0
+        if not 0.0 < mu <= DAMPING_LIMIT * peak:
+            termination = "damping"
+            break
+    info = {"iterations": iterations, "termination": termination}
+    status = "max_iterations" if termination == "max_iterations" \
+        else "converged"
+    if termination == "damping":
+        status, info["reason"] = "degenerate", "damping overflow"
+    else:
+        s = np.linalg.svd(wjac, compute_uv=False)
+        rank = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
+        if rank < 3:
+            status = "degenerate"
+            info.update(reason="rank-deficient Jacobian", rank=rank)
     return LocalizationResult(position=x, residual=cost / scale,
-                              status=status, info={"iterations": iterations})
+                              status=status, info=info)

@@ -97,6 +97,19 @@ def test_zero_noise_recovers_everywhere():
         assert row["median_m"] <= 1e-6
 
 
+def test_hyperbolic_rarely_exhausts_its_iterations():
+    # a stall guard that counts rather than times: on the Table-1 RD grid
+    # the damping must not park hyperbolic LS along the weak z axis
+    cfg = base_config(
+        methods=["hyperbolic"], features=["vad_on:raw", "vad_on:denoised"],
+        trials=6, scene={"kind": "paper_table1"},
+        subsets={"mode": "all_k_of_m", "k": 5})
+    records = run_benchmark(cfg)
+    assert len(records) == 672
+    stalled = sum(r.status == "max_iterations" for r in records)
+    assert stalled <= 0.005 * len(records)
+
+
 def test_rerun_is_identical():
     cfg = base_config()
     assert run_benchmark(cfg) == run_benchmark(cfg)

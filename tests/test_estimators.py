@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from multilat import (
     true_rd_ref,
     usrd_ls,
 )
+from multilat.bench import paper_table1_scenes
 from multilat.estimators import (
     RANK_TOL,
     SphericalSystem,
@@ -192,7 +194,9 @@ def test_srd_tangent_double_root():
     # a source in the plane of a coplanar array, where the two mirror
     # roots meet, or on the reference microphone, the apex of the cone:
     # rounding can push the discriminant just below zero, and the
-    # tangent clamp keeps the double root
+    # tangent clamp keeps the double root.  Its two halves are one root,
+    # so neither srd_ls nor conic_ls (on the same line rule) flags it
+    # as ambiguous.
     rng = np.random.default_rng(17)
     for trial in range(200):
         m = 4 + trial % 5
@@ -205,9 +209,11 @@ def test_srd_tangent_double_root():
             ref = int(rng.integers(m))
             source = mics[ref]
         scene = Scene(mics=mics, source=source)
-        result = srd_ls(true_rd_ref(scene, ref), mics)
-        assert result.status == "closed_form", trial
-        assert np.linalg.norm(result.position - source) <= 1e-6
+        for result in (srd_ls(true_rd_ref(scene, ref), mics),
+                       conic_ls(true_rd_full(scene), mics)):
+            assert result.status == "closed_form", trial
+            assert "ambiguous" not in result.info, trial
+            assert np.linalg.norm(result.position - source) <= 1e-6
 
 
 def test_srd_matches_feasible_brute_force(rng):
@@ -740,6 +746,109 @@ def test_hyperbolic_rejects_bad_weights(rng):
         hyperbolic_ls(rd, scene.mics, init=np.array([np.nan, 0.0, 0.0]))
 
 
+def test_hyperbolic_termination_gradient(rng):
+    scene = make_scene(rng, mic_count=8)
+    result = hyperbolic_ls(true_rd_ref(scene, 0), scene.mics,
+                           init=scene.source)
+    assert result.status == "converged"
+    assert result.info["termination"] == "gradient"
+
+
+def test_hyperbolic_termination_step(rng):
+    scene = make_scene(rng, mic_count=8)
+    rd = noisy_row(scene, 0.05, seed=3)
+    tight = hyperbolic_ls(rd, scene.mics)
+    # a loose relative step stops well before the gradient vanishes
+    loose = hyperbolic_ls(rd, scene.mics, tol=1e-4)
+    assert loose.status == "converged"
+    assert loose.info["termination"] == "step"
+    assert loose.info["iterations"] < tight.info["iterations"]
+    assert np.linalg.norm(loose.position - tight.position) <= 1e-3
+
+
+def test_hyperbolic_termination_max_iterations(rng):
+    scene = make_scene(rng, mic_count=8)
+    rd = noisy_row(scene, 0.05, seed=5)
+    result = hyperbolic_ls(rd, scene.mics, init=scene.mics.mean(axis=0),
+                           max_iter=2)
+    assert result.status == "max_iterations"
+    assert result.info == {"iterations": 2, "termination": "max_iterations"}
+
+
+def test_hyperbolic_termination_damping(rng):
+    # an init so far out that the distances overflow: the residuals are
+    # NaN and the Jacobian is zero, so no damping yields a step that
+    # lowers the cost
+    scene = make_scene(rng, mic_count=8)
+    init = np.array([1e200, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = hyperbolic_ls(true_rd_ref(scene, 0), scene.mics, init=init)
+    assert result.status == "degenerate"
+    assert result.info["termination"] == "damping"
+    assert result.info["reason"] == "damping overflow"
+    np.testing.assert_array_equal(result.position, init)
+
+
+def test_hyperbolic_collinear_is_degenerate():
+    # a line of microphones fixes the source only up to a circle about
+    # the line: J has rank 2 at every point off the line, 1 on it
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        m = 5 + trial % 4
+        direction = rng.normal(size=3)
+        mics = (rng.uniform(-3.0, 3.0, size=m)[:, None]
+                * direction / np.linalg.norm(direction)
+                + rng.uniform(-2.0, 2.0, size=3))
+        source = rng.uniform(-3.0, 3.0, size=3)
+        scene = Scene(mics=mics, source=source)
+        rd = noisy_row(scene, 0.01 * (trial % 2), seed=trial)
+        result = hyperbolic_ls(rd, mics)
+        assert result.status == "degenerate", trial
+        assert result.info["reason"] == "rank-deficient Jacobian"
+        assert result.info["rank"] < 3
+        assert np.all(np.isfinite(result.position))
+
+
+def _minpack(rd, mics, init):
+    """(position, cost) of MINPACK's Levenberg-Marquardt from ``init``."""
+    others = rd.other_indices()
+
+    def residuals(x):
+        dist = np.linalg.norm(mics - x, axis=1)
+        return dist[others] - dist[rd.reference_index] - rd.values
+
+    solution = scipy.optimize.least_squares(residuals, init, method="lm")
+    return solution.x, float(solution.fun @ solution.fun)
+
+
+def test_hyperbolic_matches_minpack_in_the_same_basin():
+    # Table-1 subsets (the nearly planar array whose weak z axis used to
+    # stall the damping) and random 8-mic arrays.  The cost is
+    # multimodal, so the comparison holds only where both methods end in
+    # the same minimum: there the cost must be no higher than MINPACK's.
+    rng = np.random.default_rng(31)
+    systems = []
+    for scene in paper_table1_scenes():
+        for subset in combinations(range(8), 5):
+            mics = scene.mics[list(subset)]
+            systems.append((noisy_row(Scene(mics=mics, source=scene.source),
+                                      0.05, seed=len(systems)), mics))
+    for k in range(60):
+        scene = make_scene(rng, mic_count=8)
+        systems.append((noisy_row(scene, 0.02, seed=k), scene.mics))
+    same_basin = 0
+    for rd, mics in systems:
+        init = usrd_ls(rd, mics).position
+        result = hyperbolic_ls(rd, mics, init=init)
+        point, cost = _minpack(rd, mics, init)
+        if not (np.all(np.isfinite(point))
+                and np.linalg.norm(point - result.position) <= 1e-3):
+            continue
+        same_basin += 1
+        assert result.residual <= cost * (1.0 + 1e-9)
+    assert same_basin >= 0.9 * len(systems)
+
+
 def test_noise_covariance_validation():
     with pytest.raises(ValueError, match="symmetric"):
         NoiseCovariance(np.array([[1.0, 0.5], [0.4, 1.0]]))
@@ -776,3 +885,65 @@ def test_estimators_equivariant(rng, method):
     rotated = run(scene.mics @ rot.T, rot @ scene.source)
     assert np.linalg.norm(translated - (base + shift)) <= 1e-9
     assert np.linalg.norm(rotated - rot @ base) <= 1e-9
+
+
+#: statuses each estimator documents
+_STATUSES = {usrd_ls: {"closed_form", "degenerate"},
+             srd_ls: {"closed_form", "degenerate"},
+             conic_ls: {"closed_form", "degenerate"},
+             hyperbolic_ls: {"converged", "max_iterations", "degenerate"}}
+#: the ValueErrors the estimators document: too few microphones for the
+#: method, and NaN (invalid) RD input
+_DOCUMENTED_ERRORS = ("insufficient microphones", "invalid")
+
+
+def _near_degenerate_case(kind, rng, m):
+    """(mics, ranges) of one near-degenerate geometry."""
+    mics = rng.uniform(-3.0, 3.0, size=(m, 3))
+    if kind == "collinear":
+        direction = rng.normal(size=3)
+        mics = (rng.uniform(-3.0, 3.0, size=m)[:, None] * direction
+                / np.linalg.norm(direction) + mics[0])
+    elif kind == "coplanar":
+        mics[:, 2] = 1.25
+    if kind == "source on a mic":
+        source = mics[int(rng.integers(m))]
+    elif kind == "far field":
+        direction = rng.normal(size=3)
+        source = 10.0 ** rng.uniform(3.0, 6.0) * direction / np.linalg.norm(
+            direction)
+    else:
+        source = rng.dirichlet(np.ones(m)) @ mics + rng.normal(0.0, 1.0, 3)
+    ranges = np.linalg.norm(mics - source, axis=1)
+    if kind == "NaN input":
+        ranges[int(rng.integers(m))] = np.nan
+    return mics, ranges
+
+
+@pytest.mark.parametrize("estimator", list(_STATUSES),
+                         ids=lambda fn: fn.__name__)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(4, 8),
+       kind=st.sampled_from(["collinear", "coplanar", "source on a mic",
+                             "far field", "NaN input"]),
+       sigma=st.sampled_from([0.0, 0.01]))
+def test_near_degenerate_inputs_give_documented_outcomes(
+        estimator, seed, m, kind, sigma):
+    rng = np.random.default_rng(seed)
+    mics, ranges = _near_degenerate_case(kind, rng, m)
+    ranges = ranges + rng.normal(0.0, sigma, size=m)
+    ref = int(rng.integers(m))
+    others = [k for k in range(m) if k != ref]
+    if estimator is conic_ls:
+        rd = RdMatrix(ranges[None, :] - ranges[:, None])
+    else:
+        rd = RdVector(values=ranges[others] - ranges[ref], reference_index=ref)
+    try:
+        result = estimator(rd, mics)
+    except ValueError as err:
+        assert any(text in str(err) for text in _DOCUMENTED_ERRORS), err
+        return
+    assert kind != "NaN input"
+    assert result.status in _STATUSES[estimator]
+    if result.status != "degenerate":
+        assert np.all(np.isfinite(result.position))

@@ -16,9 +16,7 @@ Determinism: every (noise level, trial) cell derives its RNG from
 share that one perturbed observation across subsets, features and
 methods, and the grid runs serially in one thread, so reruns produce
 identical records.  Records are sorted canonically before they are
-returned or persisted.  Wall times are written as 0.0 unless
-``timing`` is enabled (real timing necessarily breaks byte-identical
-reruns).
+returned or persisted.
 
 Multiple source positions are folded into the trial axis: trial t uses
 scene position ``t mod n_positions``, keeping the record count at
@@ -30,23 +28,24 @@ Scene files are YAML::
     source: [x, y, z]          # optional ground truth
     sound_speed: 343.0         # optional, m/s
 
-Benchmark config files are YAML; see ``load_config`` and the README
-for the schema.
+Benchmark config files are YAML; ``_SCHEMA`` maps each key to its
+``BenchmarkConfig`` field, and the README shows the defaults.
 """
 
 import csv
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import combinations
+from types import UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 import yaml
 
 from .denoise import tdoa_average
 from .estimators import conic_ls, hyperbolic_ls, srd_ls, usrd_ls
-from .geometry import (Scene, select_reference, tdoa_to_rd, true_rd_full,
-                       RdMatrix)
+from .geometry import (LocalizationResult, Scene, select_reference,
+                       tdoa_to_rd, true_rd_full, RdMatrix)
 from .simulate import RdNoiseModel, SignalModel, perturb_rd, synth_signals
 from .tdoa import (FrameConfig, MicSignals, estimate_tdoa_matrix,
                    select_reference_energy)
@@ -228,14 +227,50 @@ def load_scene(path):
 # configuration
 
 
+#: YAML (section, key) -> BenchmarkConfig field; "" is the top level
+_SCHEMA = {
+    ("", "methods"): "methods", ("", "features"): "features",
+    ("", "trials"): "trials", ("", "seed"): "seed",
+    ("", "sound_speed"): "sound_speed",
+    ("scene", "kind"): "scene_kind", ("scene", "position"): "scene_position",
+    ("scene", "count"): "scene_count", ("scene", "bounds"): "scene_bounds",
+    ("scene", "mic_count"): "scene_mic_count",
+    ("subsets", "mode"): "subset_mode", ("subsets", "k"): "subset_k",
+    ("noise", "domain"): "noise_domain", ("noise", "kind"): "noise_kind",
+    ("noise", "levels"): "noise_levels", ("noise", "gain_law"): "gain_law",
+    ("noise", "outlier_fraction"): "outlier_fraction",
+    ("noise", "outlier_scale"): "outlier_scale",
+    ("noise", "duration_s"): "duration_s",
+    ("noise", "sample_rate"): "sample_rate",
+}
+_LABELS = {name: ".".join(filter(None, key)) for key, name in _SCHEMA.items()}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(label, value, kind):
+    """``value`` as the annotated ``kind``: ints widen to float, lists become
+    tuples, ``T | None`` admits None; all else (bools too) is a ConfigError."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is UnionType:
+        return None if value is None else _typed(label, value, args[0])
+    if origin is tuple and isinstance(value, (list, tuple)):
+        return tuple(_typed(f"each entry of {label}", item, args[0])
+                     for item in value)
+    if origin is None and not isinstance(value, bool) and isinstance(
+            value, (float, int) if kind is float else kind):
+        return kind(value)
+    raise ConfigError(f"{label} must be {_KIND_NAMES.get(kind, 'a list')}, "
+                      f"not {value!r}")
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """Full description of one benchmark run (see module docstring)."""
+    """One benchmark run (see module docstring); creation checks it all."""
 
-    methods: tuple
-    features: tuple
-    noise_levels: tuple
-    trials: int
+    methods: tuple[str, ...]
+    features: tuple[str, ...]
+    noise_levels: tuple[float, ...]
+    trials: int = 1
     seed: int = 0
     scene_kind: str = "paper_table1"
     scene_position: int | None = None
@@ -252,31 +287,31 @@ class BenchmarkConfig:
     sample_rate: int = 16000
     gain_law: str = "unit"
     sound_speed: float = 343.0
-    timing: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "features", tuple(self.features))
-        object.__setattr__(self, "noise_levels",
-                           tuple(float(x) for x in self.noise_levels))
-        if not self.methods:
-            raise ConfigError("methods list must not be empty")
-        if not self.features:
-            raise ConfigError("features list must not be empty")
-        if not self.noise_levels:
-            raise ConfigError("noise_levels list must not be empty")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        for f in fields(self):
+            object.__setattr__(self, f.name, _typed(
+                _LABELS[f.name], getattr(self, f.name), f.type))
+        for name in ("methods", "features", "noise_levels"):
+            if not getattr(self, name):
+                raise ConfigError(f"{_LABELS[name]} list must not be empty")
+        for name, least in (("trials", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
+        if not (np.isfinite(self.sound_speed) and self.sound_speed > 0):
+            raise ConfigError("sound_speed must be finite and positive")
         for feature in self.features:
             if feature not in VALID_FEATURES:
                 raise ConfigError(f"unknown feature {feature!r}; "
                                   f"valid: {', '.join(VALID_FEATURES)}")
-        if self.scene_kind not in ("paper_table1", "random"):
-            raise ConfigError(f"unknown scene kind {self.scene_kind!r}")
-        if self.scene_kind == "paper_table1" and self.scene_position is not None \
-                and self.scene_position not in (0, 1, 2):
+        for name, valid in (("scene_kind", ("paper_table1", "random")),
+                            ("subset_mode", ("all_k_of_m", "full")),
+                            ("noise_domain", ("rd", "signal"))):
+            if getattr(self, name) not in valid:
+                raise ConfigError(f"unknown {_LABELS[name]} "
+                                  f"{getattr(self, name)!r}")
+        if self.scene_kind == "paper_table1" \
+                and self.scene_position not in (None, 0, 1, 2):
             raise ConfigError("paper_table1 position must be 0, 1 or 2")
         if self.scene_kind == "random":
             if self.scene_count < 1:
@@ -285,21 +320,22 @@ class BenchmarkConfig:
                 # fewer than four points are always coplanar, and
                 # random_scenes rejects every coplanar draw
                 raise ConfigError("scene mic_count must be >= 4")
-            if self.scene_bounds <= 0:
-                raise ConfigError("scene bounds must be positive")
-        if self.subset_mode not in ("all_k_of_m", "full"):
-            raise ConfigError(f"unknown subset mode {self.subset_mode!r}")
-        if self.noise_domain not in ("rd", "signal"):
-            raise ConfigError(f"unknown noise domain {self.noise_domain!r}")
-        if self.noise_domain == "rd":
-            RdNoiseModel(kind=self.noise_kind, sigma=0.0,
-                         outlier_fraction=self.outlier_fraction,
-                         outlier_scale=self.outlier_scale)
-        mic_count = 8 if self.scene_kind == "paper_table1" \
+            if not (np.isfinite(self.scene_bounds) and self.scene_bounds > 0):
+                raise ConfigError("scene bounds must be finite and positive")
+        try:
+            for level in self.noise_levels:
+                _noise_model(self, level)
+            if self.noise_domain == "signal" and not (
+                    np.isfinite(self.duration_s)
+                    and round(self.duration_s * self.sample_rate)
+                    >= FrameConfig(sample_rate=self.sample_rate).frame_length):
+                raise ValueError("duration_s is shorter than one frame")
+        except ValueError as exc:
+            raise ConfigError(f"invalid noise settings: {exc}") from exc
+        subset_size = 8 if self.scene_kind == "paper_table1" \
             else self.scene_mic_count
-        subset_size = mic_count
         if self.subset_mode == "all_k_of_m":
-            if not 1 <= self.subset_k <= mic_count:
+            if not 1 <= self.subset_k <= subset_size:
                 raise ConfigError("subset k must satisfy 1 <= k <= mic count")
             subset_size = self.subset_k
         for method in self.methods:
@@ -307,6 +343,16 @@ class BenchmarkConfig:
             if self.noise_domain == "rd" and ref in _ENERGY_POLICIES:
                 raise ConfigError("energy reference policies need signals; "
                                   "use the signal noise domain")
+
+
+def _noise_model(config, level, seed=None):
+    """Cell noise model; ``level`` is sigma (m, rd) or SNR (dB, signal)."""
+    if config.noise_domain == "rd":
+        return RdNoiseModel(kind=config.noise_kind, sigma=level,
+                            outlier_fraction=config.outlier_fraction,
+                            outlier_scale=config.outlier_scale,
+                            rng_seed=seed)
+    return SignalModel(gain_law=config.gain_law, snr_db=level, rng_seed=seed)
 
 
 def _feature_parts(feature_id):
@@ -321,68 +367,33 @@ def load_config(path):
             raw = yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("benchmark config must be a mapping")
     return config_from_dict(raw)
 
 
-_CONFIG_KEYS = {
-    "": {"methods", "features", "trials", "seed", "scene", "subsets",
-         "noise", "sound_speed", "timing"},
-    "scene": {"kind", "position", "count", "mic_count", "bounds"},
-    "subsets": {"mode", "k"},
-    "noise": {"domain", "kind", "levels", "outlier_fraction",
-              "outlier_scale", "duration_s", "sample_rate", "gain_law"},
-}
-
-
-def _check_keys(section, mapping):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"config section {section or 'top level'!r} "
-                          "must be a mapping")
-    unknown = set(mapping) - _CONFIG_KEYS[section]
-    if unknown:
-        raise ConfigError(
-            f"unknown config key(s) in {section or 'top level'!r}: "
-            f"{', '.join(sorted(map(str, unknown)))}")
-
-
 def config_from_dict(raw):
-    _check_keys("", raw)
-    scene = raw.get("scene", {}) or {}
-    subsets = raw.get("subsets", {}) or {}
-    noise = raw.get("noise", {}) or {}
-    for name, section in (("scene", scene), ("subsets", subsets),
-                          ("noise", noise)):
-        _check_keys(name, section)
-    try:
-        return BenchmarkConfig(
-            methods=tuple(raw.get("methods", ())),
-            features=tuple(raw.get("features", ())),
-            noise_levels=tuple(noise.get("levels", ())),
-            trials=int(raw.get("trials", 1)),
-            seed=int(raw.get("seed", 0)),
-            scene_kind=scene.get("kind", "paper_table1"),
-            scene_position=scene.get("position"),
-            scene_count=int(scene.get("count", 3)),
-            scene_mic_count=int(scene.get("mic_count", 8)),
-            scene_bounds=float(scene.get("bounds", 3.0)),
-            subset_mode=subsets.get("mode", "all_k_of_m"),
-            subset_k=int(subsets.get("k", 5)),
-            noise_domain=noise.get("domain", "rd"),
-            noise_kind=noise.get("kind", "gaussian"),
-            outlier_fraction=float(noise.get("outlier_fraction", 0.05)),
-            outlier_scale=float(noise.get("outlier_scale", 10.0)),
-            duration_s=float(noise.get("duration_s", 2.0)),
-            sample_rate=int(noise.get("sample_rate", 16000)),
-            gain_law=noise.get("gain_law", "unit"),
-            sound_speed=float(raw.get("sound_speed", 343.0)),
-            timing=bool(raw.get("timing", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid benchmark config: {exc}") from exc
+    """Validated BenchmarkConfig from a YAML-shaped mapping; only the keys
+    present are passed on, so every default is the dataclass's own."""
+    if not isinstance(raw, dict):
+        raise ConfigError("benchmark config must be a mapping")
+    sections = {section for section, _ in _SCHEMA if section}
+    given = {}
+    for key, value in raw.items():
+        if key not in sections:
+            given["", key] = value
+        elif isinstance(value or {}, dict):
+            given.update(((key, sub), v) for sub, v in (value or {}).items())
+        else:
+            raise ConfigError(f"config section {key!r} must be a mapping")
+    unknown = sorted(".".join(filter(None, map(str, key)))
+                     for key in given if key not in _SCHEMA)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    kwargs = {_SCHEMA[key]: value for key, value in given.items()}
+    missing = [_LABELS[f.name] for f in fields(BenchmarkConfig)
+               if f.default is MISSING and f.name not in kwargs]
+    if missing:
+        raise ConfigError(f"missing config key(s): {', '.join(missing)}")
+    return BenchmarkConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +456,11 @@ def _observations_for_cell(config, scene, true_full, noise_idx, trial_idx):
     """
     cell_seed = np.random.SeedSequence(
         (config.seed, _TRIAL_SALT, noise_idx, trial_idx))
-    level = config.noise_levels[noise_idx]
+    model = _noise_model(config, config.noise_levels[noise_idx], cell_seed)
     observed = {}
     signals = None
     if config.noise_domain == "rd":
-        rng = np.random.default_rng(cell_seed)
-        model = RdNoiseModel(kind=config.noise_kind, sigma=level,
-                             outlier_fraction=config.outlier_fraction,
-                             outlier_scale=config.outlier_scale)
-        raw = perturb_rd(true_full, model, rng=rng)
+        raw = perturb_rd(true_full, model)
         averaged = None
         for feature in config.features:
             _, denoised = _feature_parts(feature)
@@ -461,22 +468,13 @@ def _observations_for_cell(config, scene, true_full, noise_idx, trial_idx):
                 averaged = tdoa_average(raw)
             observed[feature] = averaged if denoised else raw
     else:
-        model = SignalModel(gain_law=config.gain_law, snr_db=level,
-                            rng_seed=cell_seed)
         signals = synth_signals(scene, model, config.duration_s,
                                 config.sample_rate)
-        frame_config = FrameConfig(sample_rate=config.sample_rate)
-        diameter = array_diameter(scene.mics)
         per_vad = {}
         for feature in config.features:
             vad, denoised = _feature_parts(feature)
             if vad not in per_vad:
-                tdoa_mat = estimate_tdoa_matrix(
-                    signals, frame_config, vad=vad,
-                    max_distance_m=1.05 * diameter,
-                    sound_speed=scene.sound_speed)
-                per_vad[vad] = RdMatrix(
-                    tdoa_to_rd(tdoa_mat.values, scene.sound_speed))
+                per_vad[vad] = rd_from_signals(signals, scene, vad)
             raw = per_vad[vad]
             if denoised:
                 observed[feature] = tdoa_average(raw) if raw.is_valid() else None
@@ -489,6 +487,16 @@ def array_diameter(mics):
     """Largest distance between two microphones, metres."""
     diff = mics[:, None, :] - mics[None, :, :]
     return float(np.linalg.norm(diff, axis=-1).max())
+
+
+def rd_from_signals(signals, scene, vad):
+    """Full RD matrix (NaN per invalid pair) of a capture of ``scene``:
+    GCC-PHAT with VAD ``vad``, lags up to 1.05 x the array diameter."""
+    tdoa_mat = estimate_tdoa_matrix(
+        signals, FrameConfig(sample_rate=signals.sample_rate), vad=vad,
+        max_distance_m=1.05 * array_diameter(scene.mics),
+        sound_speed=scene.sound_speed)
+    return RdMatrix(tdoa_to_rd(tdoa_mat.values, scene.sound_speed))
 
 
 def _run_cell(config, scenes, subsets, methods, noise_idx, trial_idx):
@@ -519,27 +527,22 @@ def _run_cell(config, scenes, subsets, methods, noise_idx, trial_idx):
             else:
                 rd_err = float("nan")
             for name, ref_policy in methods:
-                status, pos_err, elapsed, extra = (
-                    "invalid_pair", float("nan"), 0.0, {})
+                status, pos_err, extra = "invalid_pair", float("nan"), {}
                 if sub_rd is not None:
                     try:
-                        started = time.perf_counter() if config.timing else 0.0
                         _, result = localize(name, ref_policy, sub_rd,
                                              sub_mics, sub_signals)
-                        elapsed = (time.perf_counter() - started
-                                   if config.timing else 0.0)
                         status, extra = result.status, dict(result.info)
                         if np.all(np.isfinite(result.position)):
                             pos_err = float(np.linalg.norm(
                                 result.position - scene.source))
                     except (ValueError, IndexError) as exc:
-                        status, elapsed = "degenerate", 0.0
-                        extra = {"reason": str(exc)}
+                        status, extra = "degenerate", {"reason": str(exc)}
                 records.append(TrialRecord(
                     method=_method_id(name, ref_policy), feature=feature,
                     subset=sub_id, noise_level=level, trial=trial_idx,
                     status=status, position_error_m=pos_err,
-                    mean_abs_rd_error_m=rd_err, wall_time_s=elapsed,
+                    mean_abs_rd_error_m=rd_err, wall_time_s=0.0,
                     extra=extra))
     return records
 
@@ -569,8 +572,6 @@ def run_benchmark(config):
 # ---------------------------------------------------------------------------
 # aggregation and persistence
 
-_SUCCESS_STATUSES = ("closed_form", "converged")
-
 
 def summarize(records):
     """Per-(method, feature, noise level) summary rows.
@@ -589,7 +590,7 @@ def summarize(records):
     for key in sorted(groups):
         cell = groups[key]
         errors = [r.position_error_m for r in cell
-                  if r.status in _SUCCESS_STATUSES
+                  if r.status in LocalizationResult.SUCCESS_STATUSES
                   and np.isfinite(r.position_error_m)]
         if errors:
             q1, med, q3 = np.percentile(errors, [25.0, 50.0, 75.0])
@@ -655,7 +656,8 @@ def write_histogram_csv(records, path, bins=30):
     Bin edges are shared across groups (global successful-data range) so
     the heatmaps are comparable; only non-empty bins are written.
     """
-    ok = [r for r in records if r.status in _SUCCESS_STATUSES
+    ok = [r for r in records
+          if r.status in LocalizationResult.SUCCESS_STATUSES
           and np.isfinite(r.position_error_m)
           and np.isfinite(r.mean_abs_rd_error_m)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

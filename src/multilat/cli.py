@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .bench import (METHOD_NAMES, REF_POLICIES, ConfigError, array_diameter,
-                    check_reference, load_config, load_scene, localize)
+from .bench import (METHOD_NAMES, REF_POLICIES, ConfigError, check_reference,
+                    load_config, load_scene, localize, rd_from_signals)
 from .denoise import tdoa_average
 from .geometry import RdMatrix, tdoa_to_rd
 from .tdoa import FrameConfig, MicSignals, estimate_tdoa_matrix
@@ -103,11 +103,7 @@ def cmd_localize(args):
                 raise ConfigError(
                     f"{signals.mic_count} channels for "
                     f"{scene.mic_count} microphones")
-            tdoa_mat = estimate_tdoa_matrix(
-                signals, FrameConfig(sample_rate=signals.sample_rate),
-                vad=args.vad, max_distance_m=1.05 * array_diameter(scene.mics),
-                sound_speed=scene.sound_speed)
-            rd_full = RdMatrix(tdoa_to_rd(tdoa_mat.values, scene.sound_speed))
+            rd_full = rd_from_signals(signals, scene, args.vad)
     except (ConfigError, ValueError) as exc:
         # also a bad --sound-speed or a capture too short to frame
         return _fail(EXIT_CONFIG, str(exc))

@@ -21,8 +21,6 @@ import numpy as np
 
 from .geometry import RdMatrix
 
-_ANTISYM_TOL = 1e-9
-
 
 def tdoa_average(rd):
     """Project a full RD matrix onto the consistent subspace.
@@ -47,13 +45,10 @@ def tdoa_average(rd):
     subspace.  Being a projection, it spreads any single-entry error
     over all pairs that share a microphone with it.
     """
-    if not isinstance(rd, RdMatrix):
-        rd = RdMatrix(np.asarray(rd, dtype=float))
+    rd = rd if isinstance(rd, RdMatrix) else RdMatrix(rd)
     v = rd.values
     if not np.all(np.isfinite(v)):
         raise ValueError("tdoa_average needs a fully valid RD matrix")
-    if np.max(np.abs(v + v.T), initial=0.0) > _ANTISYM_TOL:
-        raise ValueError("input is not antisymmetric")
     m = rd.mic_count
     # sum_k (d[m, k] + d[k, m']) = rowsum[m] - rowsum[m'] by antisymmetry
     rowsum = v.sum(axis=1)

@@ -12,6 +12,7 @@ The full pairwise set of RDs is antisymmetric with a zero diagonal
 gives the non-redundant set of M-1 values (``RdVector``).
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,6 +139,7 @@ class RdVector:
     """Reference-based non-redundant RDs: d[m'] for all m' != reference.
 
     Values are ordered by ascending non-reference microphone index.
+    ``reference_index`` must be an integer in [0, mic_count), else IndexError.
     """
 
     reference_index: int
@@ -147,8 +149,13 @@ class RdVector:
         v = np.asarray(self.values, dtype=float).reshape(-1)
         if v.size < 1:
             raise ValueError("RdVector needs at least one entry")
-        if self.reference_index < 0:
+        try:
+            reference = operator.index(self.reference_index)
+        except TypeError:
+            reference = -1
+        if not 0 <= reference <= v.size:
             raise IndexError("reference index out of range")
+        object.__setattr__(self, "reference_index", reference)
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -177,6 +184,7 @@ class LocalizationResult:
     info: dict = field(default_factory=dict)
 
     _STATUSES = ("converged", "closed_form", "degenerate", "max_iterations")
+    SUCCESS_STATUSES = ("converged", "closed_form")
 
     def __post_init__(self):
         if self.status not in self._STATUSES:
@@ -191,7 +199,7 @@ class LocalizationResult:
 
     @property
     def ok(self):
-        return self.status in ("converged", "closed_form")
+        return self.status in self.SUCCESS_STATUSES
 
 
 def true_rd_full(scene):
@@ -211,8 +219,6 @@ def true_rd_full(scene):
 
 def true_rd_ref(scene, reference):
     """Ground-truth non-redundant RD vector for a reference microphone."""
-    if not 0 <= reference < scene.mic_count:
-        raise IndexError("reference index out of range")
     return true_rd_full(scene).reference_row(reference)
 
 

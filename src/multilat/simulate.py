@@ -36,8 +36,8 @@ class RdNoiseModel:
     def __post_init__(self):
         if self.kind not in ("gaussian", "laplacian", "outlier_mixture"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and >= 0")
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError("outlier_fraction must be in [0, 1]")
 

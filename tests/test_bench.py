@@ -1,9 +1,15 @@
 """Benchmark harness: subsets, record grid, summaries, persistence."""
 
+from dataclasses import MISSING, fields
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from multilat.bench import (
+    _SCHEMA,
+    BenchmarkConfig,
     ConfigError,
     RECORDS_HEADER,
     TrialRecord,
@@ -314,3 +320,67 @@ def test_random_scene_needs_four_mics(mic_count):
     with pytest.raises(ConfigError, match="mic_count"):
         base_config(scene={"kind": "random", "count": 1,
                            "mic_count": mic_count})
+
+
+# each is well-formed YAML that cannot run as written: it would crash
+# mid-run, be truncated to an integer, be ignored, or turn every record
+# into invalid_pair
+UNRUNNABLE = [
+    "noise: {domain: signal, levels: [20.0], gain_law: bogus}",
+    "noise: {domain: signal, levels: [20.0], duration_s: 0.01}",
+    "noise: {domain: signal, levels: [20.0], sample_rate: 0}",
+    "scene: {kind: paper_table1, position: 1.0}",
+    "scene: {kind: paper_table1, position: true}",
+    "noise: {domain: rd, levels: [-0.01]}",
+    "noise: {domain: rd, levels: [.nan]}",
+    "noise: {domain: rd, levels: [.inf]}",
+    "sound_speed: -343",
+    "trials: 2.7",
+    "subsets: {mode: all_k_of_m, k: 4.9}",
+    "seed: -0.5",
+    "timing: true",
+]
+
+
+@pytest.mark.parametrize("override", UNRUNNABLE)
+def test_config_that_cannot_run_is_rejected(override):
+    with pytest.raises(ConfigError):
+        base_config(**yaml.safe_load(override))
+
+
+def test_integers_widen_to_float_only():
+    cfg = base_config(noise={"domain": "rd", "levels": [0, 1]},
+                      sound_speed=340)
+    assert cfg.noise_levels == (0.0, 1.0)
+    assert all(type(x) is float
+               for x in cfg.noise_levels + (cfg.sound_speed,))
+    with pytest.raises(ConfigError, match="sample_rate must be an integer"):
+        base_config(noise={"domain": "signal", "levels": [20.0],
+                           "sample_rate": 16000.0})
+
+
+def test_missing_required_key_is_named():
+    with pytest.raises(ConfigError, match=r"missing .*noise\.levels"):
+        base_config(noise={"domain": "rd"})
+
+
+def _readme_benchmark_yaml():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8").split("**Benchmark YAML**")[1]
+    return yaml.safe_load(text.split("```yaml")[1].split("```")[0])
+
+
+def test_readme_yaml_matches_the_schema():
+    doc = _readme_benchmark_yaml()
+    keys = set()
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            keys |= {(key, sub) for sub in value}
+        else:
+            keys.add(("", key))
+    assert keys == set(_SCHEMA)
+    # and the values it shows are the defaults, wherever one exists
+    config = config_from_dict(doc)
+    for f in fields(BenchmarkConfig):
+        if f.default is not MISSING:
+            assert getattr(config, f.name) == f.default, f.name

@@ -207,6 +207,21 @@ def test_bench_unknown_key(tmp_path, capsys):
     assert "unknown" in last_error(capsys)["error"]
 
 
+@pytest.mark.parametrize("named, overrides", [
+    ("sound_speed", {"sound_speed": -343}),
+    ("duration_s", {"noise": {"domain": "signal", "levels": [20.0],
+                              "duration_s": 0.01}}),
+])
+def test_bench_unrunnable_config_exits_before_running(tmp_path, capsys,
+                                                     named, overrides):
+    cfg = bench_yaml(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert main(["bench", cfg, "--out", str(out)]) == 2
+    error = last_error(capsys)
+    assert error["code"] == 2 and named in error["error"]
+    assert not (out / "records.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # tdoa
 

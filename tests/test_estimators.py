@@ -398,6 +398,18 @@ def test_srd_no_multiplier_root_is_degenerate():
                                atol=1e-9)
 
 
+@pytest.mark.parametrize("reference", [5, 2.0, -1])
+@pytest.mark.parametrize("estimator", [usrd_ls, srd_ls, hyperbolic_ls],
+                         ids=lambda fn: fn.__name__)
+def test_bad_reference_index_is_documented_index_error(rng, estimator,
+                                                       reference):
+    scene = make_scene(rng, mic_count=5)
+    values = true_rd_ref(scene, 0).values
+    with pytest.raises(IndexError, match="reference index out of range"):
+        estimator(RdVector(reference_index=reference, values=values),
+                  scene.mics)
+
+
 def _rotation(angles):
     cx, cy, cz = np.cos(angles)
     sx, sy, sz = np.sin(angles)

@@ -36,7 +36,6 @@ from .tdoa import (
     estimate_tdoa_matrix,
     frame_signal,
     gcc_phat_pair,
-    select_reference_energy,
 )
 from .bench import (
     BenchmarkConfig,
@@ -80,7 +79,6 @@ __all__ = [
     "gcc_phat_pair",
     "energy_vad",
     "estimate_tdoa_matrix",
-    "select_reference_energy",
     "BenchmarkConfig",
     "TrialRecord",
     "enumerate_subsets",

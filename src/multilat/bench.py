@@ -34,7 +34,7 @@ Benchmark config files are YAML; ``_SCHEMA`` maps each key to its
 
 import csv
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import combinations
 from types import UnionType
 from typing import get_args, get_origin
@@ -44,14 +44,15 @@ import yaml
 
 from .denoise import tdoa_average
 from .estimators import conic_ls, hyperbolic_ls, srd_ls, usrd_ls
-from .geometry import (LocalizationResult, Scene, select_reference,
-                       tdoa_to_rd, true_rd_full, RdMatrix)
+from .geometry import (DEFAULT_SOUND_SPEED, LocalizationResult, Scene,
+                       select_reference, tdoa_to_rd, true_rd_full, RdMatrix)
 from .simulate import RdNoiseModel, SignalModel, perturb_rd, synth_signals
-from .tdoa import (FrameConfig, MicSignals, estimate_tdoa_matrix,
-                   select_reference_energy)
+from .tdoa import FrameConfig, MicSignals, estimate_tdoa_matrix
 
 _SCENE_SALT = 101
 _TRIAL_SALT = 202
+#: GCC-PHAT searches lags up to this many array diameters
+_LAG_MARGIN = 1.05
 
 VALID_FEATURES = ("vad_on:raw", "vad_on:denoised",
                   "vad_off:raw", "vad_off:denoised")
@@ -117,26 +118,29 @@ def parse_method(method_id, mic_count=None):
 def localize(method, ref_policy, rd_full, mics, signals=None):
     """Run one registered method on a full RD matrix of the given mics.
 
-    ``ref_policy`` is one that ``check_reference`` accepts.  Returns
+    ``ref_policy`` is one that ``check_reference`` accepts; this is the
+    one place that resolves it to a microphone index.  Returns
     (reference index, LocalizationResult); conic methods use every
     pair, ignore ``ref_policy`` and return reference None.  Energy
-    policies need ``signals``.  The estimators and
+    policies pick the loudest or quietest channel of ``signals`` (ties
+    to the lowest index) and need them; ``index:N`` picks N, and an N
+    out of range raises IndexError.  The estimators and
     ``select_reference`` are looked up as module globals at call time,
     so wrappers installed on this module see every call.
     """
     if method in _CONIC_METHODS:
         return None, conic_ls(rd_full, mics,
                               normalize=method == "conic-norm")
-    if ref_policy in _ENERGY_POLICIES:
+    if ref_policy == "nearest-barycenter":
+        reference = select_reference(mics)
+    elif ref_policy in _ENERGY_POLICIES:
         if signals is None:
             raise ConfigError("energy reference policies need signals")
-        reference = select_reference_energy(
-            signals, policy=ref_policy.replace("-", "_"))
-    elif ref_policy == "nearest-barycenter":
-        reference = select_reference(mics)
+        energies = np.sum(signals.channels ** 2, axis=1)
+        pick = np.argmax if ref_policy == "max-energy" else np.argmin
+        reference = int(pick(energies))
     else:
-        reference = select_reference(
-            mics, policy="fixed", index=int(ref_policy.removeprefix("index:")))
+        reference = int(ref_policy.removeprefix("index:"))
     estimator = {"usrd-ls": usrd_ls, "srd-ls": srd_ls,
                  "hyperbolic": hyperbolic_ls}[method]
     return reference, estimator(rd_full.reference_row(reference), mics)
@@ -161,7 +165,7 @@ _TABLE1_MIC_HEIGHTS = (1.078, 1.005, 1.063, 0.994,
                        1.071, 1.012, 1.055, 1.022)
 
 
-def paper_table1_scenes(position=None, sound_speed=343.0):
+def paper_table1_scenes(position=None):
     """The synthetic benchmark scene: 8 mics on a circle, 3 positions.
 
     Eight microphones on a circle of radius 2.28 m at 45-degree
@@ -180,8 +184,7 @@ def paper_table1_scenes(position=None, sound_speed=343.0):
         if not 0 <= position < len(sources):
             raise ConfigError("paper_table1 position must be 0, 1 or 2")
         sources = [sources[position]]
-    return [Scene(mics=mics, source=np.array(s), sound_speed=sound_speed)
-            for s in sources]
+    return [Scene(mics=mics, source=np.array(s)) for s in sources]
 
 
 def random_scenes(count, mic_count, bounds, seed):
@@ -215,10 +218,13 @@ def load_scene(path):
     if not isinstance(raw, dict) or "mics" not in raw:
         raise ConfigError("scene file must be a mapping with a 'mics' key")
     try:
-        return Scene(mics=np.asarray(raw["mics"], dtype=float),
-                     source=(np.asarray(raw["source"], dtype=float)
-                             if raw.get("source") is not None else None),
-                     sound_speed=float(raw.get("sound_speed", 343.0)))
+        return Scene(
+            mics=_typed("mics", raw["mics"], tuple[tuple[float, ...], ...]),
+            source=_typed("source", raw.get("source"),
+                          tuple[float, ...] | None),
+            sound_speed=_typed("sound_speed",
+                               raw.get("sound_speed", DEFAULT_SOUND_SPEED),
+                               float))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scene: {exc}") from exc
 
@@ -286,7 +292,7 @@ class BenchmarkConfig:
     duration_s: float = 2.0
     sample_rate: int = 16000
     gain_law: str = "unit"
-    sound_speed: float = 343.0
+    sound_speed: float = DEFAULT_SOUND_SPEED
 
     def __post_init__(self):
         for f in fields(self):
@@ -325,11 +331,23 @@ class BenchmarkConfig:
         try:
             for level in self.noise_levels:
                 _noise_model(self, level)
-            if self.noise_domain == "signal" and not (
-                    np.isfinite(self.duration_s)
-                    and round(self.duration_s * self.sample_rate)
-                    >= FrameConfig(sample_rate=self.sample_rate).frame_length):
-                raise ValueError("duration_s is shorter than one frame")
+            if self.noise_domain == "signal":
+                frame = FrameConfig(sample_rate=self.sample_rate).frame_length
+                if not (np.isfinite(self.duration_s)
+                        and round(self.duration_s * self.sample_rate) >= frame):
+                    raise ValueError("duration_s is shorter than one frame")
+                # the widest array the scene can have; most random draws
+                # are smaller, so this may refuse a run that would pass
+                diameter = (2.0 * np.sqrt(3.0) * self.scene_bounds
+                            if self.scene_kind == "random" else
+                            array_diameter(paper_table1_scenes()[0].mics))
+                lag = int(np.ceil(_LAG_MARGIN * diameter / self.sound_speed
+                                  * self.sample_rate))
+                if lag >= frame:
+                    raise ValueError(
+                        f"GCC-PHAT lags up to {lag} samples (an array up to "
+                        f"{diameter:.3g} m across) must stay below the "
+                        f"frame length {frame}")
         except ValueError as exc:
             raise ConfigError(f"invalid noise settings: {exc}") from exc
         subset_size = 8 if self.scene_kind == "paper_table1" \
@@ -413,7 +431,6 @@ class TrialRecord:
     status: str
     position_error_m: float
     mean_abs_rd_error_m: float
-    wall_time_s: float
     extra: dict = field(default_factory=dict, compare=False)
 
     def sort_key(self):
@@ -439,11 +456,12 @@ def _worker_count():
 
 def _scenes_for(config):
     if config.scene_kind == "paper_table1":
-        scenes = paper_table1_scenes(position=config.scene_position,
-                                     sound_speed=config.sound_speed)
+        scenes = paper_table1_scenes(position=config.scene_position)
     else:
         scenes = random_scenes(config.scene_count, config.scene_mic_count,
                                config.scene_bounds, config.seed)
+    scenes = [replace(scene, sound_speed=config.sound_speed)
+              for scene in scenes]
     return [(scene, true_rd_full(scene)) for scene in scenes]
 
 
@@ -491,10 +509,11 @@ def array_diameter(mics):
 
 def rd_from_signals(signals, scene, vad):
     """Full RD matrix (NaN per invalid pair) of a capture of ``scene``:
-    GCC-PHAT with VAD ``vad``, lags up to 1.05 x the array diameter."""
+    GCC-PHAT with VAD ``vad``, lags up to ``_LAG_MARGIN`` x the array
+    diameter."""
     tdoa_mat = estimate_tdoa_matrix(
         signals, FrameConfig(sample_rate=signals.sample_rate), vad=vad,
-        max_distance_m=1.05 * array_diameter(scene.mics),
+        max_distance_m=_LAG_MARGIN * array_diameter(scene.mics),
         sound_speed=scene.sound_speed)
     return RdMatrix(tdoa_to_rd(tdoa_mat.values, scene.sound_speed))
 
@@ -542,8 +561,7 @@ def _run_cell(config, scenes, subsets, methods, noise_idx, trial_idx):
                     method=_method_id(name, ref_policy), feature=feature,
                     subset=sub_id, noise_level=level, trial=trial_idx,
                     status=status, position_error_m=pos_err,
-                    mean_abs_rd_error_m=rd_err, wall_time_s=0.0,
-                    extra=extra))
+                    mean_abs_rd_error_m=rd_err, extra=extra))
     return records
 
 
@@ -612,7 +630,11 @@ def _fmt(x):
 
 
 def write_records_csv(records, path):
-    """Persist records with the pinned schema, 9 significant digits, LF."""
+    """Persist records with the pinned schema, 9 significant digits, LF.
+
+    The last column, ``wall_time_s``, is always 0 so reruns stay
+    byte-identical.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORDS_HEADER.split(","))
@@ -620,12 +642,11 @@ def write_records_csv(records, path):
             writer.writerow([r.method, r.feature, r.subset,
                              _fmt(r.noise_level), r.trial, r.status,
                              _fmt(r.position_error_m),
-                             _fmt(r.mean_abs_rd_error_m),
-                             _fmt(r.wall_time_s)])
+                             _fmt(r.mean_abs_rd_error_m), 0])
 
 
 def read_records_csv(path):
-    """Round-trip reader for the records CSV."""
+    """Round-trip reader for the records CSV; ``wall_time_s`` is skipped."""
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
@@ -634,8 +655,7 @@ def read_records_csv(path):
                 subset=row["subset"], noise_level=float(row["noise_level"]),
                 trial=int(row["trial"]), status=row["status"],
                 position_error_m=float(row["position_error_m"]),
-                mean_abs_rd_error_m=float(row["mean_abs_rd_error_m"]),
-                wall_time_s=float(row["wall_time_s"])))
+                mean_abs_rd_error_m=float(row["mean_abs_rd_error_m"])))
     return records
 
 

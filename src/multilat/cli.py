@@ -22,7 +22,7 @@ from . import bench as bench_mod
 from .bench import (METHOD_NAMES, REF_POLICIES, ConfigError, check_reference,
                     load_config, load_scene, localize, rd_from_signals)
 from .denoise import tdoa_average
-from .geometry import RdMatrix, tdoa_to_rd
+from .geometry import DEFAULT_SOUND_SPEED, RdMatrix, tdoa_to_rd
 from .tdoa import FrameConfig, MicSignals, estimate_tdoa_matrix
 
 EXIT_OK = 0
@@ -227,7 +227,8 @@ def build_parser():
     p_tdoa.add_argument("--vad", default="off", choices=("on", "off"))
     p_tdoa.add_argument("--max-distance", type=float, required=True,
                         help="largest inter-microphone distance, meters")
-    p_tdoa.add_argument("--sound-speed", type=float, default=343.0)
+    p_tdoa.add_argument("--sound-speed", type=float,
+                        default=DEFAULT_SOUND_SPEED)
     p_tdoa.add_argument("--no-refine", action="store_true",
                         help="disable sub-sample parabolic peak refinement")
     p_tdoa.set_defaults(func=cmd_tdoa)

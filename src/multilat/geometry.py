@@ -236,33 +236,16 @@ def tdoa_to_rd(tdoa_seconds, sound_speed=DEFAULT_SOUND_SPEED):
     return sound_speed * t
 
 
-def select_reference(mics, policy="nearest_barycenter", index=None):
-    """Pick a reference microphone from geometry alone.
+def select_reference(mics):
+    """The microphone closest to the mean of all ``(M, 3)`` positions,
+    ties broken by lowest index.
 
-    Parameters
-    ----------
-    mics : (M, 3) array_like
-    policy : {"nearest_barycenter", "fixed"}
-        ``nearest_barycenter`` returns the microphone closest to the
-        mean of all positions, ties broken by lowest index; ``fixed``
-        returns ``index`` unchanged (after a range check).
-    index : int, optional
-        Required for the ``fixed`` policy.
-
-    Energy-based policies need the recorded signals and live in
-    :func:`multilat.tdoa.select_reference_energy`.
+    The other reference policies are resolved by
+    :func:`multilat.bench.localize`.
     """
     pts = _as_points(mics, "mics")
     if pts.shape[0] < 1:
         raise ValueError("need at least one microphone")
-    if policy == "fixed":
-        if index is None:
-            raise ValueError("fixed policy needs an index")
-        if not 0 <= index < pts.shape[0]:
-            raise IndexError("reference index out of range")
-        return int(index)
-    if policy != "nearest_barycenter":
-        raise ValueError(f"unknown reference policy {policy!r}")
     barycenter = pts.mean(axis=0)
     dist = np.linalg.norm(pts - barycenter[None, :], axis=1)
     # np.argmin returns the first minimum, which is the tie-break we want

@@ -62,24 +62,20 @@ class SignalModel:
     Each channel is a_m * x(t - tau_m) + n_m(t): source signal delayed
     by the propagation time, scaled by the gain law, plus white
     Gaussian noise at ``snr_db`` relative to that channel's clean
-    power.
+    power.  The source x is white noise, or the WAV file at
+    ``source_path`` when one is given.
     """
 
     gain_law: str = "unit"
     snr_db: float = 30.0
-    source_kind: str = "white_noise"
     source_path: str | None = None
     rng_seed: object = None
 
     def __post_init__(self):
         if self.gain_law not in ("unit", "inverse_distance"):
             raise ValueError(f"unknown gain law {self.gain_law!r}")
-        if self.source_kind not in ("white_noise", "file"):
-            raise ValueError(f"unknown source kind {self.source_kind!r}")
         if not np.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite")
-        if self.source_kind == "file" and not self.source_path:
-            raise ValueError("file source needs source_path")
 
 
 def perturb_rd(rd, model, rng=None):
@@ -128,7 +124,7 @@ def _fractional_delay_filter(mu):
 
 
 def _load_source(model, n_samples, rng):
-    if model.source_kind == "white_noise":
+    if model.source_path is None:
         return rng.standard_normal(n_samples)
     from scipy.io import wavfile
     _, data = wavfile.read(model.source_path)

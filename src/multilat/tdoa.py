@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import DEFAULT_SOUND_SPEED
+
 _PHAT_FLOOR = 1e-12
 
 
@@ -176,7 +178,7 @@ def energy_vad(frame_a, frame_b, median_energy):
 
 
 def estimate_tdoa_matrix(signals, config, vad="on", max_distance_m=None,
-                         sound_speed=343.0, refine=True):
+                         sound_speed=DEFAULT_SOUND_SPEED, refine=True):
     """Estimate the full pairwise TDOA matrix of a multichannel capture.
 
     For each pair: GCC-PHAT lags of all its frame pairs at once
@@ -220,15 +222,3 @@ def estimate_tdoa_matrix(signals, config, vad="on", max_distance_m=None,
             values[i, j], values[j, i] = tau, -tau
             counts[i, j] = counts[j, i] = lags.size
     return TdoaMatrix(values=values, frame_count_used=counts)
-
-
-def select_reference_energy(signals, policy="max_energy"):
-    """Reference microphone by recorded energy (ties to lowest index)."""
-    if signals.mic_count < 1:
-        raise ValueError("need at least one channel")
-    energies = np.sum(signals.channels ** 2, axis=1)
-    if policy == "max_energy":
-        return int(np.argmax(energies))
-    if policy == "min_energy":
-        return int(np.argmin(energies))
-    raise ValueError(f"unknown energy policy {policy!r}")

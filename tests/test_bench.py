@@ -7,14 +7,20 @@ import numpy as np
 import pytest
 import yaml
 
+from multilat import (MicSignals, Scene, SignalModel, synth_signals,
+                      true_rd_full)
+from multilat import bench
 from multilat.bench import (
     _SCHEMA,
     BenchmarkConfig,
     ConfigError,
     RECORDS_HEADER,
     TrialRecord,
+    check_reference,
     config_from_dict,
     enumerate_subsets,
+    load_scene,
+    localize,
     paper_table1_scenes,
     read_records_csv,
     run_benchmark,
@@ -23,6 +29,11 @@ from multilat.bench import (
     write_records_csv,
     write_summary_csv,
 )
+
+FS = 16000
+FOUR_MICS = Scene(mics=np.array([[0.0, 0.0, 0.0], [1.7, 0.2, 0.1],
+                                 [0.3, 1.9, 0.2], [0.2, 0.4, 1.8]]),
+                  source=np.array([0.5, 0.6, 0.7]))
 
 
 def base_config(**overrides):
@@ -42,8 +53,7 @@ def base_config(**overrides):
 def record(error, status="closed_form", method="m", noise=0.1, trial=0):
     return TrialRecord(method=method, feature="vad_on:raw", subset="full",
                        noise_level=noise, trial=trial, status=status,
-                       position_error_m=error, mean_abs_rd_error_m=error / 3,
-                       wall_time_s=0.0)
+                       position_error_m=error, mean_abs_rd_error_m=error / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +325,81 @@ def test_fixed_reference_out_of_range(method, subsets):
         base_config(methods=[method], subsets=subsets)
 
 
+# ---------------------------------------------------------------------------
+# reference policies, all resolved by localize
+
+
+def test_reference_energy_policies():
+    rd = true_rd_full(FOUR_MICS)
+    channels = np.random.default_rng(5).standard_normal((4, FS))
+    channels[3] = 2.0 * channels[0]
+    loud = MicSignals(channels=channels, sample_rate=FS)
+    reference, result = localize("srd-ls", "max-energy", rd,
+                                 FOUR_MICS.mics, loud)
+    assert reference == 3 and result.ok
+    flat = MicSignals(channels=np.ones((4, FS)), sample_rate=FS)
+    for policy in ("max-energy", "min-energy"):
+        assert localize("srd-ls", policy, rd, FOUR_MICS.mics, flat)[0] == 0
+    with pytest.raises(ConfigError, match="signals"):
+        localize("srd-ls", "max-energy", rd, FOUR_MICS.mics)
+
+
+def test_max_energy_tracks_distance_gain():
+    scene = paper_table1_scenes()[1]
+    sig = synth_signals(scene,
+                        SignalModel(gain_law="inverse_distance",
+                                    snr_db=30.0, rng_seed=7),
+                        duration_s=1.0, sample_rate=FS)
+    distances = scene.source_distances()
+    for policy, expected in (("max-energy", np.argmin(distances)),
+                             ("min-energy", np.argmax(distances))):
+        reference, result = localize("srd-ls", policy, true_rd_full(scene),
+                                     scene.mics, sig)
+        assert reference == expected and result.ok
+
+
+def test_localize_fixed_reference():
+    rd = true_rd_full(FOUR_MICS)
+    reference, result = localize("srd-ls", "index:2", rd, FOUR_MICS.mics)
+    assert reference == 2
+    assert np.linalg.norm(result.position - FOUR_MICS.source) <= 1e-6
+    for policy in ("index:4", "index:-1"):
+        with pytest.raises(IndexError):
+            localize("srd-ls", policy, rd, FOUR_MICS.mics)
+    with pytest.raises(ConfigError, match="unknown"):
+        check_reference("loudest")
+
+
+def test_max_energy_through_the_harness(monkeypatch):
+    # inverse-distance gains make the nearest microphone the loudest
+    chosen = []
+
+    def spy(*args):
+        reference, result = localize(*args)
+        chosen.append(reference)
+        return reference, result
+
+    monkeypatch.setattr(bench, "localize", spy)
+    records = run_benchmark(base_config(
+        methods=["srd-ls:max-energy"], scene={"kind": "paper_table1"},
+        noise={"domain": "signal", "levels": [20.0], "duration_s": 0.5,
+               "gain_law": "inverse_distance"}))
+    assert [r.method for r in records] == ["srd-ls:max-energy"] * 3
+    assert all(np.isfinite(r.position_error_m) for r in records)
+    assert chosen == [int(np.argmin(scene.source_distances()))
+                      for scene in paper_table1_scenes()]
+
+
+def test_sound_speed_reaches_random_scenes():
+    runs = [run_benchmark(base_config(
+        sound_speed=speed, trials=1,
+        scene={"kind": "random", "count": 1, "mic_count": 5},
+        noise={"domain": "signal", "levels": [20.0], "duration_s": 0.5}))
+        for speed in (300.0, 343.0)]
+    assert all(np.isfinite(r.position_error_m) for run in runs for r in run)
+    assert runs[0] != runs[1]
+
+
 @pytest.mark.parametrize("mic_count", [2, 3])
 def test_random_scene_needs_four_mics(mic_count):
     with pytest.raises(ConfigError, match="mic_count"):
@@ -339,6 +424,8 @@ UNRUNNABLE = [
     "subsets: {mode: all_k_of_m, k: 4.9}",
     "seed: -0.5",
     "timing: true",
+    "{scene: {kind: random, count: 1, mic_count: 5, bounds: 30.0}, "
+    "noise: {domain: signal, levels: [20.0]}}",
 ]
 
 
@@ -346,6 +433,40 @@ UNRUNNABLE = [
 def test_config_that_cannot_run_is_rejected(override):
     with pytest.raises(ConfigError):
         base_config(**yaml.safe_load(override))
+
+
+def test_widest_array_sets_the_signal_lag_limit():
+    # 16 kHz, 343 m/s: a 6.0 m box needs lags up to 1019 < 1024 samples
+    signal = {"domain": "signal", "levels": [20.0]}
+    base_config(scene={"kind": "random", "bounds": 6.0}, noise=signal)
+    with pytest.raises(ConfigError, match="frame length"):
+        base_config(scene={"kind": "random", "bounds": 6.1}, noise=signal)
+
+
+SCENE_MICS = [[0, 0, 0], [4, 0, 1], [4, 3, 0], [0, 3, 1], [2, 1, 2]]
+
+
+@pytest.mark.parametrize("doc", [
+    {"mics": SCENE_MICS, "sound_speed": True},
+    {"mics": SCENE_MICS, "sound_speed": "343"},
+    {"mics": [[True, 2, 2]] + SCENE_MICS[1:]},
+    {"mics": SCENE_MICS, "source": [1, False, 1]},
+    {"mics": "0 0 0"},
+], ids=["speed-bool", "speed-str", "mic-bool", "source-bool", "mics-str"])
+def test_scene_file_values_have_exact_types(tmp_path, doc):
+    path = tmp_path / "scene.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError):
+        load_scene(path)
+
+
+def test_scene_file_integers_widen(tmp_path):
+    path = tmp_path / "scene.yaml"
+    path.write_text(yaml.safe_dump({"mics": SCENE_MICS, "source": [1, 1, 1],
+                                    "sound_speed": 340}))
+    scene = load_scene(path)
+    assert scene.sound_speed == 340.0 and type(scene.sound_speed) is float
+    np.testing.assert_array_equal(scene.mics, np.array(SCENE_MICS, float))
 
 
 def test_integers_widen_to_float_only():

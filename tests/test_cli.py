@@ -137,15 +137,20 @@ def test_localize_rd_shape_mismatch(tmp_path, paper_scene, capsys):
     assert "8" in last_error(capsys)["error"]
 
 
-def test_localize_from_wavs(tmp_path, capsys):
-    scene = paper_table1_scenes()[1]
-    sig = synth_signals(scene, SignalModel(snr_db=30.0, rng_seed=21),
-                        duration_s=2.0, sample_rate=FS)
+def write_wavs(tmp_path, scene, model):
+    """One float32 WAV per microphone of a synthesized 2 s capture."""
+    sig = synth_signals(scene, model, duration_s=2.0, sample_rate=FS)
     paths = []
     for m in range(scene.mic_count):
         p = tmp_path / f"mic{m}.wav"
         wavfile.write(p, FS, sig.channels[m].astype(np.float32))
         paths.append(str(p))
+    return paths
+
+
+def test_localize_from_wavs(tmp_path, capsys):
+    scene = paper_table1_scenes()[1]
+    paths = write_wavs(tmp_path, scene, SignalModel(snr_db=30.0, rng_seed=21))
     scene_path = write_scene(tmp_path / "scene.yaml", scene)
     code = main(["localize", scene_path, "--wav", *paths,
                  "--method", "srd-ls", "--denoise", "on"])
@@ -154,6 +159,20 @@ def test_localize_from_wavs(tmp_path, capsys):
     err_line = next(l for l in out.splitlines()
                     if l.startswith("position_error_m:"))
     assert float(err_line.split()[1]) < 0.2
+
+
+def test_localize_from_wavs_max_energy_reference(tmp_path, capsys):
+    # inverse-distance gains make the nearest microphone the loudest
+    scene = paper_table1_scenes()[1]
+    paths = write_wavs(tmp_path, scene,
+                       SignalModel(gain_law="inverse_distance", snr_db=30.0,
+                                   rng_seed=21))
+    scene_path = write_scene(tmp_path / "scene.yaml", scene)
+    assert main(["localize", scene_path, "--wav", *paths,
+                 "--method", "srd-ls", "--ref", "max-energy"]) == 0
+    nearest = int(np.argmin(scene.source_distances()))
+    assert f"reference: {nearest} (max-energy)" \
+        in capsys.readouterr().out.splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +230,9 @@ def test_bench_unknown_key(tmp_path, capsys):
     ("sound_speed", {"sound_speed": -343}),
     ("duration_s", {"noise": {"domain": "signal", "levels": [20.0],
                               "duration_s": 0.01}}),
+    ("frame length", {"scene": {"kind": "random", "count": 1,
+                                "mic_count": 5, "bounds": 30.0},
+                      "noise": {"domain": "signal", "levels": [20.0]}}),
 ])
 def test_bench_unrunnable_config_exits_before_running(tmp_path, capsys,
                                                      named, overrides):

@@ -252,14 +252,3 @@ def test_select_reference_prefers_actual_nearest(rng):
         idx = select_reference(mics)
         d = np.linalg.norm(mics - mics.mean(axis=0), axis=1)
         assert idx == int(np.argmin(d))
-
-
-def test_select_reference_fixed_policy():
-    mics = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-    assert select_reference(mics, policy="fixed", index=2) == 2
-    with pytest.raises(IndexError):
-        select_reference(mics, policy="fixed", index=3)
-    with pytest.raises(ValueError):
-        select_reference(mics, policy="fixed")
-    with pytest.raises(ValueError):
-        select_reference(mics, policy="loudest")

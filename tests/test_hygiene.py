@@ -1,10 +1,12 @@
-"""Source hygiene: no dead helpers, no unused imports.
+"""Source hygiene: no dead helpers, no unused imports, no stale README names.
 
 Stdlib-only stand-in for a linter.  Names are collected from the syntax
 tree, so a mention in a comment or a string does not count as a use.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,20 @@ def test_imports_are_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in imported if name not in used]
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def _library_tour_rows():
+    """(module, backticked identifiers) per row of the README's tour table."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Library tour")[1].split("\n\n")[1]
+    for row in table.splitlines()[2:]:
+        module, contents = row.strip("|").split("|")
+        yield module.strip(" `"), re.findall(r"`([A-Za-z_]\w*)`", contents)
+
+
+def test_readme_library_tour_names_exist():
+    rows = list(_library_tour_rows())
+    assert len(rows) == 6
+    missing = [f"{module}.{name}" for module, names in rows for name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"README library tour names missing code: {missing}"

@@ -160,8 +160,7 @@ def test_file_source_scale_free(tmp_path):
     wavfile.write(flt, 16000, (samples / 32768.0).astype(np.float32))
     scene = paper_table1_scenes()[0]
     pcm_sig, flt_sig = (
-        synth_signals(scene, SignalModel(source_kind="file",
-                                         source_path=str(path), rng_seed=5),
+        synth_signals(scene, SignalModel(source_path=str(path), rng_seed=5),
                       duration_s=0.5, sample_rate=16000)
         for path in (pcm, flt))
     np.testing.assert_array_equal(pcm_sig.channels, flt_sig.channels)
@@ -180,8 +179,6 @@ def test_signal_model_validation():
         SignalModel(gain_law="quadratic")
     with pytest.raises(ValueError, match="finite"):
         SignalModel(snr_db=np.inf)
-    with pytest.raises(ValueError, match="source_path"):
-        SignalModel(source_kind="file")
 
 
 def test_full_pipeline_rd_accuracy():

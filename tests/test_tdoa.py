@@ -11,7 +11,6 @@ from multilat import (
     estimate_tdoa_matrix,
     frame_signal,
     gcc_phat_pair,
-    select_reference_energy,
     synth_signals,
     tdoa_to_rd,
     true_rd_full,
@@ -297,31 +296,3 @@ def test_max_lag_must_fit_frame():
     with pytest.raises(ValueError, match="max"):
         estimate_tdoa_matrix(sig, default_config(), vad="off",
                              max_distance_m=300.0)
-
-
-# ---------------------------------------------------------------------------
-# energy reference policies
-
-
-def test_reference_energy_policies():
-    rng = np.random.default_rng(5)
-    base = rng.standard_normal((4, FS))
-    base[3] = 2.0 * base[0]
-    sig = MicSignals(channels=base, sample_rate=FS)
-    assert select_reference_energy(sig, policy="max_energy") == 3
-
-    flat = MicSignals(channels=np.ones((4, FS)), sample_rate=FS)
-    assert select_reference_energy(flat, policy="max_energy") == 0
-    assert select_reference_energy(flat, policy="min_energy") == 0
-
-
-def test_max_energy_tracks_distance_gain():
-    scene = paper_table1_scenes()[1]
-    sig = synth_signals(scene,
-                        SignalModel(gain_law="inverse_distance",
-                                    snr_db=30.0, rng_seed=7),
-                        duration_s=1.0, sample_rate=FS)
-    nearest = int(np.argmin(scene.source_distances()))
-    farthest = int(np.argmax(scene.source_distances()))
-    assert select_reference_energy(sig, policy="max_energy") == nearest
-    assert select_reference_energy(sig, policy="min_energy") == farthest

@@ -488,11 +488,9 @@ def _observations_for_cell(config, scene, true_full, noise_idx, trial_idx):
     else:
         signals = synth_signals(scene, model, config.duration_s,
                                 config.sample_rate)
-        per_vad = {}
+        per_vad = rd_from_signals(signals, scene)
         for feature in config.features:
             vad, denoised = _feature_parts(feature)
-            if vad not in per_vad:
-                per_vad[vad] = rd_from_signals(signals, scene, vad)
             raw = per_vad[vad]
             if denoised:
                 observed[feature] = tdoa_average(raw) if raw.is_valid() else None
@@ -507,15 +505,17 @@ def array_diameter(mics):
     return float(np.linalg.norm(diff, axis=-1).max())
 
 
-def rd_from_signals(signals, scene, vad):
-    """Full RD matrix (NaN per invalid pair) of a capture of ``scene``:
-    GCC-PHAT with VAD ``vad``, lags up to ``_LAG_MARGIN`` x the array
-    diameter."""
+def rd_from_signals(signals, scene):
+    """Full RD matrices (NaN per invalid pair) of a capture of ``scene``,
+    keyed by VAD setting ("on", "off"): one GCC-PHAT lag pass with lags
+    up to ``_LAG_MARGIN`` x the array diameter, reduced for both."""
     tdoa_mat = estimate_tdoa_matrix(
-        signals, FrameConfig(sample_rate=signals.sample_rate), vad=vad,
+        signals, FrameConfig(sample_rate=signals.sample_rate), vad="on",
         max_distance_m=_LAG_MARGIN * array_diameter(scene.mics),
         sound_speed=scene.sound_speed)
-    return RdMatrix(tdoa_to_rd(tdoa_mat.values, scene.sound_speed))
+    return {vad: RdMatrix(tdoa_to_rd(mat.values, scene.sound_speed))
+            for vad, mat in (("on", tdoa_mat),
+                             ("off", tdoa_mat.with_vad("off")))}
 
 
 def _run_cell(config, scenes, subsets, methods, noise_idx, trial_idx):
@@ -523,6 +523,9 @@ def _run_cell(config, scenes, subsets, methods, noise_idx, trial_idx):
     level = config.noise_levels[noise_idx]
     observed, signals = _observations_for_cell(
         config, scene, true_full, noise_idx, trial_idx)
+    # only energy reference policies read a subset's signals
+    if not any(ref in _ENERGY_POLICIES for _, ref in methods):
+        signals = None
     records = []
     for subset in subsets:
         sub_id = _subset_id(subset)

@@ -103,7 +103,7 @@ def cmd_localize(args):
                 raise ConfigError(
                     f"{signals.mic_count} channels for "
                     f"{scene.mic_count} microphones")
-            rd_full = rd_from_signals(signals, scene, args.vad)
+            rd_full = rd_from_signals(signals, scene)[args.vad]
     except (ConfigError, ValueError) as exc:
         # also a bad --sound-speed or a capture too short to frame
         return _fail(EXIT_CONFIG, str(exc))

@@ -9,7 +9,7 @@ are refined to sub-sample precision by parabolic interpolation, since
 the plain sample grid quantizes range differences to ~2 cm at 16 kHz.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,11 +79,19 @@ class TdoaMatrix:
     """Pairwise delay estimates in seconds plus per-pair frame counts.
 
     Antisymmetric up to the estimator's sub-sample resolution; pairs
-    with no usable frames hold NaN and a zero count.
+    with no usable frames hold NaN and a zero count.  The evidence
+    behind them is kept too: ``frame_lags`` holds every frame pair's
+    GCC-PHAT lag in samples (NaN for a silent frame pair) and
+    ``vad_keep`` the energy-VAD decision, both (pairs, frames) with the
+    pairs (i, j), i < j, in row-major order.  ``with_vad`` re-reduces
+    that evidence for the other VAD setting without a second lag pass.
     """
 
     values: np.ndarray
     frame_count_used: np.ndarray
+    frame_lags: np.ndarray
+    vad_keep: np.ndarray
+    sample_rate: float
 
     def is_valid(self):
         return bool(np.all(np.isfinite(self.values)))
@@ -91,6 +99,36 @@ class TdoaMatrix:
     @property
     def mic_count(self):
         return self.values.shape[0]
+
+    def with_vad(self, vad):
+        """The matrix that ``estimate_tdoa_matrix`` gives with ``vad``."""
+        values, counts = _reduce(self.frame_lags, self.vad_keep, vad,
+                                 self.mic_count, self.sample_rate)
+        return replace(self, values=values, frame_count_used=counts)
+
+
+def _reduce(frame_lags, vad_keep, vad, mic_count, sample_rate):
+    """Per-pair median of the usable frame lags (VAD-kept ones only
+    with ``vad`` on; never NaN ones), in seconds, and its frame count.
+
+    The median is taken in samples and then divided by the sample
+    rate; dividing first would not round the same."""
+    if vad not in ("on", "off"):
+        raise ValueError("vad must be 'on' or 'off'")
+    usable = ~np.isnan(frame_lags)
+    if vad == "on":
+        usable &= vad_keep
+    counts = np.count_nonzero(usable, axis=1)
+    # an even count averages the middle two
+    tau = np.array([np.median(lags[use]) if n else np.nan
+                    for lags, use, n in zip(frame_lags, usable, counts)]
+                   ) / sample_rate
+    iu = np.triu_indices(mic_count, k=1)
+    values = np.zeros((mic_count, mic_count))
+    values[iu], values[iu[::-1]] = tau, -tau
+    count_matrix = np.zeros((mic_count, mic_count), dtype=int)
+    count_matrix[iu] = count_matrix[iu[::-1]] = counts
+    return values, count_matrix
 
 
 def frame_signal(channel, config):
@@ -183,10 +221,13 @@ def estimate_tdoa_matrix(signals, config, vad="on", max_distance_m=None,
 
     For each pair: GCC-PHAT lags of all its frame pairs at once
     (restricted to the lags physically reachable within
-    ``max_distance_m``), VAD-filtered when ``vad`` is on, silent frame
-    pairs skipped, median-aggregated (even counts average the middle
-    two) and converted to seconds.  A pair with no surviving frames is
-    marked invalid (NaN value, zero count) — callers decide policy.
+    ``max_distance_m``) and an energy-VAD decision per frame pair,
+    whatever ``vad`` is.  The lags that are not silent, and VAD-kept
+    when ``vad`` is on, are median-aggregated (even counts average the
+    middle two) and converted to seconds.  A pair with no surviving
+    frames is marked invalid (NaN value, zero count) — callers decide
+    policy.  The result keeps the lags and the VAD mask, so
+    ``with_vad`` gives the other setting exactly.
 
     ``max_distance_m`` must be supplied: it is the largest inter-mic
     distance (the array diameter), which the signals alone cannot know.
@@ -207,18 +248,14 @@ def estimate_tdoa_matrix(signals, config, vad="on", max_distance_m=None,
     m = signals.mic_count
     frames = [frame_signal(signals.channels[i], config) for i in range(m)]
     energies = [np.sum(f ** 2, axis=-1) for f in frames]
-    values = np.zeros((m, m))
-    counts = np.zeros((m, m), dtype=int)
-    for i in range(m):
-        for j in range(i + 1, m):
-            fa, fb = frames[i], frames[j]
-            if vad == "on":
-                keep = energy_vad(fa, fb, np.median(energies[i] + energies[j]))
-                fa, fb = fa[keep], fb[keep]
-            lags = gcc_phat_pair(fa, fb, max_lag, refine=refine)
-            lags = lags[~np.isnan(lags)]
-            tau = (float(np.median(lags)) / signals.sample_rate
-                   if lags.size else np.nan)
-            values[i, j], values[j, i] = tau, -tau
-            counts[i, j] = counts[j, i] = lags.size
-    return TdoaMatrix(values=values, frame_count_used=counts)
+    pairs = list(zip(*np.triu_indices(m, k=1)))
+    frame_lags = np.array([gcc_phat_pair(frames[i], frames[j], max_lag,
+                                         refine=refine) for i, j in pairs])
+    vad_keep = np.array([energy_vad(frames[i], frames[j],
+                                    np.median(energies[i] + energies[j]))
+                         for i, j in pairs])
+    values, counts = _reduce(frame_lags, vad_keep, vad, m,
+                             signals.sample_rate)
+    return TdoaMatrix(values=values, frame_count_used=counts,
+                      frame_lags=frame_lags, vad_keep=vad_keep,
+                      sample_rate=signals.sample_rate)

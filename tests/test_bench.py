@@ -1,5 +1,6 @@
 """Benchmark harness: subsets, record grid, summaries, persistence."""
 
+import importlib.util
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -9,12 +10,13 @@ import yaml
 
 from multilat import (MicSignals, Scene, SignalModel, synth_signals,
                       true_rd_full)
-from multilat import bench
+from multilat import bench, estimators
 from multilat.bench import (
     _SCHEMA,
     BenchmarkConfig,
     ConfigError,
     RECORDS_HEADER,
+    VALID_FEATURES,
     TrialRecord,
     check_reference,
     config_from_dict,
@@ -398,6 +400,81 @@ def test_sound_speed_reaches_random_scenes():
         for speed in (300.0, 343.0)]
     assert all(np.isfinite(r.position_error_m) for run in runs for r in run)
     assert runs[0] != runs[1]
+
+
+SIGNAL = {"domain": "signal", "levels": [20.0], "duration_s": 0.5,
+          "gain_law": "inverse_distance"}
+
+
+def test_subset_signals_only_for_energy_policies(monkeypatch):
+    built = []
+
+    def counting(**kwargs):
+        built.append(None)
+        return MicSignals(**kwargs)
+
+    monkeypatch.setattr(bench, "MicSignals", counting)
+    subsets = {"mode": "all_k_of_m", "k": 5}
+    plain = run_benchmark(base_config(methods=["srd-ls"], trials=1,
+                                      subsets=subsets, noise=SIGNAL))
+    assert built == []
+    mixed = run_benchmark(base_config(
+        methods=["srd-ls", "srd-ls:max-energy"], trials=1, subsets=subsets,
+        noise=SIGNAL))
+    assert len(built) == 56  # one per C(8, 5) subset of the one cell
+    assert [r for r in mixed if r.method == "srd-ls"] == plain
+    assert len(mixed) == 2 * len(plain) == 112
+
+
+def test_one_lag_pass_per_cell(monkeypatch):
+    vads = []
+    original = bench.estimate_tdoa_matrix
+
+    def counting(*args, **kwargs):
+        vads.append(kwargs.get("vad"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "estimate_tdoa_matrix", counting)
+    records = run_benchmark(base_config(features=list(VALID_FEATURES),
+                                        trials=2, noise=SIGNAL))
+    assert vads == ["on", "on"]
+    assert len(records) == 2 * 4 * 2
+
+
+def _perfbench_tracing():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_tracer_sees_the_lag_pass():
+    # the benchmark wraps harness globals by name; a renamed one would
+    # otherwise only show up in the slow benchmark self-test
+    before = [dict(vars(module)) for module in (bench, estimators)]
+    tracer = _perfbench_tracing().Tracer()
+    tracer.install(bench, estimators)
+    try:
+        assert bench.estimate_tdoa_matrix is not \
+            before[0]["estimate_tdoa_matrix"]
+        bench.run_benchmark(base_config(
+            methods=["srd-ls", "hyperbolic"], features=list(VALID_FEATURES),
+            trials=1, noise=SIGNAL))
+    finally:
+        tracer.uninstall()
+    for module, saved in zip((bench, estimators), before):
+        assert all(vars(module)[name] is value
+                   for name, value in saved.items())
+    tdoa = [span for span in tracer.spans
+            if span[4].startswith("tdoa.estimate_tdoa_matrix.")]
+    assert [span[4] for span in tdoa] == ["tdoa.estimate_tdoa_matrix.vad_on"]
+    kept, possible, invalid = tdoa[0][9]
+    assert 0 < kept <= possible and invalid == 0
+    names = {span[4] for span in tracer.spans}
+    assert {"bench.run_benchmark", "simulate.synth_signals",
+            "denoise.tdoa_average", "estimators.srd_ls.m8",
+            "estimators.hyperbolic_ls.m8"} <= names
 
 
 @pytest.mark.parametrize("mic_count", [2, 3])

@@ -7,9 +7,12 @@ import pytest
 import yaml
 from scipy.io import wavfile
 
-from multilat import SignalModel, synth_signals, true_rd_full
+from multilat import (FrameConfig, RdMatrix, SignalModel,
+                      estimate_tdoa_matrix, synth_signals, tdoa_to_rd,
+                      true_rd_full)
+from multilat import bench
 from multilat.bench import paper_table1_scenes
-from multilat.cli import main
+from multilat.cli import _read_wavs, main
 
 FS = 16000
 
@@ -159,6 +162,27 @@ def test_localize_from_wavs(tmp_path, capsys):
     err_line = next(l for l in out.splitlines()
                     if l.startswith("position_error_m:"))
     assert float(err_line.split()[1]) < 0.2
+
+
+@pytest.mark.parametrize("vad", ["on", "off"])
+def test_localize_from_wavs_uses_the_chosen_vad(tmp_path, capsys, vad):
+    scene = paper_table1_scenes()[0]
+    paths = write_wavs(tmp_path, scene, SignalModel(snr_db=0.0, rng_seed=5))
+    scene_path = write_scene(tmp_path / "scene.yaml", scene)
+    assert main(["localize", scene_path, "--wav", *paths,
+                 "--method", "srd-ls", "--vad", vad]) == 0
+    position = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("position_m:"))
+    signals = _read_wavs(paths)
+    tdoa = estimate_tdoa_matrix(
+        signals, FrameConfig(sample_rate=FS), vad=vad,
+        max_distance_m=bench._LAG_MARGIN * bench.array_diameter(scene.mics),
+        sound_speed=scene.sound_speed)
+    rd = RdMatrix(tdoa_to_rd(tdoa.values, scene.sound_speed))
+    _, result = bench.localize("srd-ls", "nearest-barycenter", rd,
+                               scene.mics)
+    x, y, z = result.position
+    assert position == f"position_m: {x:.6f} {y:.6f} {z:.6f}"
 
 
 def test_localize_from_wavs_max_energy_reference(tmp_path, capsys):

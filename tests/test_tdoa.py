@@ -296,3 +296,46 @@ def test_max_lag_must_fit_frame():
     with pytest.raises(ValueError, match="max"):
         estimate_tdoa_matrix(sig, default_config(), vad="off",
                              max_distance_m=300.0)
+
+
+def edge_capture(kind):
+    """Five channels of a 0 dB capture with silent stretches, or with
+    one all-zero channel."""
+    scene = paper_table1_scenes()[2]
+    sig = synth_signals(scene, SignalModel(snr_db=0.0, rng_seed=11),
+                        duration_s=1.0, sample_rate=FS)
+    channels = sig.channels[:5].copy()
+    if kind == "silent_stretches":
+        channels[:, 3000:7000] = 0.0
+        channels[1, 11000:] = 0.0
+    else:
+        channels[3] = 0.0
+    return MicSignals(channels=channels, sample_rate=FS)
+
+
+@pytest.mark.parametrize("capture", ["silent_stretches", "zero_channel"])
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("first", ["on", "off"])
+@pytest.mark.parametrize("then", ["on", "off"])
+def test_with_vad_is_exact(first, then, refine, capture):
+    sig = edge_capture(capture)
+    kwargs = dict(max_distance_m=4.0, sound_speed=343.0, refine=refine)
+    switched = estimate_tdoa_matrix(sig, default_config(), vad=first,
+                                    **kwargs).with_vad(then)
+    direct = estimate_tdoa_matrix(sig, default_config(), vad=then, **kwargs)
+    assert np.array_equal(switched.values, direct.values, equal_nan=True)
+    assert np.array_equal(switched.frame_count_used, direct.frame_count_used)
+
+
+def test_matrix_keeps_the_frame_evidence():
+    sig = edge_capture("zero_channel")
+    td = estimate_tdoa_matrix(sig, default_config(), vad="on",
+                              max_distance_m=4.0, sound_speed=343.0)
+    frames = len(frame_signal(sig.channels[0], default_config()))
+    assert td.frame_lags.shape == td.vad_keep.shape == (10, frames)
+    assert td.vad_keep.dtype == bool and td.sample_rate == FS
+    # pairs run (0, 1), (0, 2), (0, 3), ...: (0, 3) has a silent channel
+    assert np.all(np.isnan(td.frame_lags[2]))
+    assert np.all(np.isfinite(td.frame_lags[[0, 1, 3]]))
+    with pytest.raises(ValueError, match="vad"):
+        td.with_vad("maybe")

@@ -1,8 +1,9 @@
 """Signals in, position out: the full measurement chain.
 
 Synthesizes microphone signals for a room scene at a chosen SNR,
-estimates the TDOA matrix with framed GCC-PHAT (voice-activity gating
-on), converts delays to range differences, and localizes.  Also peeks
+estimates the TDOA matrix with framed GCC-PHAT (the estimate uses the
+energy VAD; ``with_vad("off")`` gives it without), converts delays to
+range differences, and localizes.  Also peeks
 at a single microphone pair to show the framing arithmetic.
 """
 
@@ -50,11 +51,13 @@ def main():
           f"50% overlap -> {frames.shape[0]} frames per channel")
 
     diameter = max(np.linalg.norm(a - b) for a in MICS for b in MICS)
-    tdoa = estimate_tdoa_matrix(signals, config, vad="on",
+    tdoa = estimate_tdoa_matrix(signals, config,
                                 max_distance_m=1.05 * diameter)
-    pair_counts = tdoa.frame_count_used[np.triu_indices(scene.mic_count, 1)]
-    print(f"TDOA matrix from {int(np.median(pair_counts))} voiced frames "
-          "per pair (median)")
+    upper = np.triu_indices(scene.mic_count, 1)
+    voiced = int(np.median(tdoa.frame_count_used[upper]))
+    every = int(np.median(tdoa.with_vad("off").frame_count_used[upper]))
+    print(f"TDOA matrix from {voiced} voiced frames per pair (median; "
+          f"{every} without the VAD)")
 
     measured = tdoa_to_rd(tdoa.values, scene.sound_speed)
     truth = true_rd_full(scene)

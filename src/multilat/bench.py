@@ -47,7 +47,7 @@ from .estimators import conic_ls, hyperbolic_ls, srd_ls, usrd_ls
 from .geometry import (DEFAULT_SOUND_SPEED, LocalizationResult, Scene,
                        select_reference, tdoa_to_rd, true_rd_full, RdMatrix)
 from .simulate import RdNoiseModel, SignalModel, perturb_rd, synth_signals
-from .tdoa import FrameConfig, MicSignals, estimate_tdoa_matrix
+from .tdoa import FrameConfig, estimate_tdoa_matrix
 
 _SCENE_SALT = 101
 _TRIAL_SALT = 202
@@ -115,16 +115,18 @@ def parse_method(method_id, mic_count=None):
     return name, check_reference(ref, mic_count)
 
 
-def localize(method, ref_policy, rd_full, mics, signals=None):
+def localize(method, ref_policy, rd_full, mics, energies=None):
     """Run one registered method on a full RD matrix of the given mics.
 
     ``ref_policy`` is one that ``check_reference`` accepts; this is the
     one place that resolves it to a microphone index.  Returns
     (reference index, LocalizationResult); conic methods use every
     pair, ignore ``ref_policy`` and return reference None.  Energy
-    policies pick the loudest or quietest channel of ``signals`` (ties
-    to the lowest index) and need them; ``index:N`` picks N, and an N
-    out of range raises IndexError.  The estimators and
+    policies need ``energies``, one per microphone (such as
+    ``MicSignals.energies``), and pick the loudest or quietest
+    microphone (ties to the lowest index); any other shape raises
+    ValueError.  ``index:N`` picks N, and an N out of range raises
+    IndexError.  The estimators and
     ``select_reference`` are looked up as module globals at call time,
     so wrappers installed on this module see every call.
     """
@@ -134,9 +136,10 @@ def localize(method, ref_policy, rd_full, mics, signals=None):
     if ref_policy == "nearest-barycenter":
         reference = select_reference(mics)
     elif ref_policy in _ENERGY_POLICIES:
-        if signals is None:
+        if energies is None:
             raise ConfigError("energy reference policies need signals")
-        energies = np.sum(signals.channels ** 2, axis=1)
+        if np.shape(energies) != (len(mics),):
+            raise ValueError("need exactly one energy per microphone")
         pick = np.argmax if ref_policy == "max-energy" else np.argmin
         reference = int(pick(energies))
     else:
@@ -468,7 +471,8 @@ def _scenes_for(config):
 def _observations_for_cell(config, scene, true_full, noise_idx, trial_idx):
     """Observed full RD matrix per feature id, shared by all methods.
 
-    Returns (dict feature -> RdMatrix or None, signals or None).  The
+    Returns (dict feature -> RdMatrix or None, per-microphone channel
+    energies or None).  The
     denoised variants project the *full* observed matrix before any
     subset is taken (estimation -> averaging -> multilateration order).
     """
@@ -476,7 +480,7 @@ def _observations_for_cell(config, scene, true_full, noise_idx, trial_idx):
         (config.seed, _TRIAL_SALT, noise_idx, trial_idx))
     model = _noise_model(config, config.noise_levels[noise_idx], cell_seed)
     observed = {}
-    signals = None
+    energies = None
     if config.noise_domain == "rd":
         raw = perturb_rd(true_full, model)
         averaged = None
@@ -488,6 +492,7 @@ def _observations_for_cell(config, scene, true_full, noise_idx, trial_idx):
     else:
         signals = synth_signals(scene, model, config.duration_s,
                                 config.sample_rate)
+        energies = signals.energies
         per_vad = rd_from_signals(signals, scene)
         for feature in config.features:
             vad, denoised = _feature_parts(feature)
@@ -496,7 +501,7 @@ def _observations_for_cell(config, scene, true_full, noise_idx, trial_idx):
                 observed[feature] = tdoa_average(raw) if raw.is_valid() else None
             else:
                 observed[feature] = raw
-    return observed, signals
+    return observed, energies
 
 
 def array_diameter(mics):
@@ -510,7 +515,7 @@ def rd_from_signals(signals, scene):
     keyed by VAD setting ("on", "off"): one GCC-PHAT lag pass with lags
     up to ``_LAG_MARGIN`` x the array diameter, reduced for both."""
     tdoa_mat = estimate_tdoa_matrix(
-        signals, FrameConfig(sample_rate=signals.sample_rate), vad="on",
+        signals, FrameConfig(sample_rate=signals.sample_rate),
         max_distance_m=_LAG_MARGIN * array_diameter(scene.mics),
         sound_speed=scene.sound_speed)
     return {vad: RdMatrix(tdoa_to_rd(mat.values, scene.sound_speed))
@@ -521,20 +526,14 @@ def rd_from_signals(signals, scene):
 def _run_cell(config, scenes, subsets, methods, noise_idx, trial_idx):
     scene, true_full = scenes[trial_idx % len(scenes)]
     level = config.noise_levels[noise_idx]
-    observed, signals = _observations_for_cell(
+    observed, energies = _observations_for_cell(
         config, scene, true_full, noise_idx, trial_idx)
-    # only energy reference policies read a subset's signals
-    if not any(ref in _ENERGY_POLICIES for _, ref in methods):
-        signals = None
     records = []
     for subset in subsets:
         sub_id = _subset_id(subset)
         sub_mics = scene.mics[list(subset)]
         sub_true = true_full.subset(subset)
-        sub_signals = None
-        if signals is not None:
-            sub_signals = MicSignals(channels=signals.channels[list(subset)],
-                                     sample_rate=signals.sample_rate)
+        sub_energies = None if energies is None else energies[list(subset)]
         for feature in config.features:
             full = observed[feature]
             sub_rd = None
@@ -553,7 +552,7 @@ def _run_cell(config, scenes, subsets, methods, noise_idx, trial_idx):
                 if sub_rd is not None:
                     try:
                         _, result = localize(name, ref_policy, sub_rd,
-                                             sub_mics, sub_signals)
+                                             sub_mics, sub_energies)
                         status, extra = result.status, dict(result.info)
                         if np.all(np.isfinite(result.position)):
                             pos_err = float(np.linalg.norm(

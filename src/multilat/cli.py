@@ -38,9 +38,10 @@ def _fail(code, reason):
 def _read_wavs(paths):
     """Load one multichannel WAV or several single-channel ones.
 
-    PCM16 and IEEE float32 are accepted; all files must share the
-    sample rate (no resampling).  Channels are trimmed to the shortest
-    common length.
+    PCM is scaled to [-1, 1): unsigned 8-bit about its midpoint 128,
+    signed 16-, 24- and 32-bit about 0; IEEE float is read as is.  All
+    files must share the sample rate (no resampling).  Channels are
+    trimmed to the shortest common length.
     """
     from scipy.io import wavfile
 
@@ -57,7 +58,9 @@ def _read_wavs(paths):
                 f"sample-rate mismatch: {path} has {file_rate} Hz, "
                 f"expected {rate} Hz")
         data = np.atleast_2d(np.asarray(data).T)  # -> (channels, samples)
-        if np.issubdtype(data.dtype, np.integer):
+        if data.dtype == np.uint8:
+            data = (data.astype(float) - 128.0) / 128.0
+        elif np.issubdtype(data.dtype, np.integer):
             bits = data.dtype.itemsize * 8
             data = data.astype(float) / float(2 ** (bits - 1))
         else:
@@ -94,7 +97,7 @@ def cmd_localize(args):
         check_reference(args.ref, scene.mic_count)
         if (args.rd is None) == (not args.wav):
             raise ConfigError("provide exactly one of --rd or --wav")
-        signals = None
+        energies = None
         if args.rd is not None:
             rd_full = _load_rd_csv(args.rd, scene.mic_count)
         else:
@@ -104,6 +107,7 @@ def cmd_localize(args):
                     f"{signals.mic_count} channels for "
                     f"{scene.mic_count} microphones")
             rd_full = rd_from_signals(signals, scene)[args.vad]
+            energies = signals.energies
     except (ConfigError, ValueError) as exc:
         # also a bad --sound-speed or a capture too short to frame
         return _fail(EXIT_CONFIG, str(exc))
@@ -114,7 +118,7 @@ def cmd_localize(args):
         if args.denoise == "on":
             rd_full = tdoa_average(rd_full)
         reference, result = localize(args.method, args.ref, rd_full,
-                                     scene.mics, signals)
+                                     scene.mics, energies)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc))
     except (ValueError, IndexError) as exc:
@@ -166,10 +170,9 @@ def cmd_tdoa(args):
                              frame_duration=args.frame_duration,
                              overlap=args.overlap)
         tdoa_mat = estimate_tdoa_matrix(
-            signals, config, vad=args.vad,
-            max_distance_m=args.max_distance,
+            signals, config, args.max_distance,
             sound_speed=args.sound_speed,
-            refine=not args.no_refine)
+            refine=not args.no_refine).with_vad(args.vad)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:

@@ -327,7 +327,7 @@ def srd_ls(rd, mics):
             "insufficient microphones: srd_ls needs at least 4 in 3D")
     system = build_spherical_system(rd, mics)
     u, s, vt = np.linalg.svd(system.phi, full_matrices=True)
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     if rank < 3:
         # collinear-style geometry: even the cone constraint cannot pin
         # down a unique minimizer, so refuse rather than guess
@@ -727,7 +727,7 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
         status, info["reason"] = "degenerate", "damping overflow"
     else:
         s = np.linalg.svd(wjac, compute_uv=False)
-        rank = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
+        rank = int(np.sum(s > RANK_TOL * s[0]))
         if rank < 3:
             status = "degenerate"
             info.update(reason="rank-deficient Jacobian", rank=rank)

@@ -203,18 +203,13 @@ class LocalizationResult:
 
 
 def true_rd_full(scene):
-    """Ground-truth full RD matrix of a scene.
+    """Ground-truth full RD matrix of a scene, d[m, m'] = D_m' - D_m.
 
-    The upper triangle is computed from the microphone-source distances
-    and mirrored, so antisymmetry holds exactly.
+    Floating-point subtraction is exactly antisymmetric, so the matrix
+    is too.
     """
     dist = scene.source_distances()
-    m = scene.mic_count
-    values = np.zeros((m, m))
-    iu = np.triu_indices(m, k=1)
-    values[iu] = dist[iu[1]] - dist[iu[0]]
-    values = values - values.T
-    return RdMatrix(values)
+    return RdMatrix(dist[None, :] - dist[:, None])
 
 
 def true_rd_ref(scene, reference):

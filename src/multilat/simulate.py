@@ -175,6 +175,7 @@ def synth_signals(scene, model, duration_s, sample_rate):
     else:
         gains = np.ones(scene.mic_count)
 
+    snr_lin = 10.0 ** (model.snr_db / 10.0)
     channels = np.empty((scene.mic_count, n_samples))
     for m in range(scene.mic_count):
         n0 = int(np.floor(delay_samples[m]))
@@ -185,12 +186,9 @@ def synth_signals(scene, model, duration_s, sample_rate):
         # window at constant offset `lead` so all channels share the same
         # base latency and only the geometric delay differs
         start = lead - n0 - (half - 1)
-        channels[m] = gains[m] * delayed[start:start + n_samples]
-
-    snr_lin = 10.0 ** (model.snr_db / 10.0)
-    for m in range(scene.mic_count):
-        power = float(np.mean(channels[m] ** 2))
+        clean = gains[m] * delayed[start:start + n_samples]
+        power = float(np.mean(clean ** 2))
         noise_std = np.sqrt(power / snr_lin) if power > 0 else 0.0
-        channels[m] = channels[m] + rng.normal(0.0, noise_std, size=n_samples)
+        channels[m] = clean + rng.normal(0.0, noise_std, size=n_samples)
 
     return MicSignals(channels=channels, sample_rate=sample_rate)

@@ -73,6 +73,11 @@ class MicSignals:
     def length(self):
         return self.channels.shape[1]
 
+    @property
+    def energies(self):
+        """Sum of squared samples of each channel, shape (M,)."""
+        return np.sum(self.channels ** 2, axis=1)
+
 
 @dataclass(frozen=True)
 class TdoaMatrix:
@@ -83,8 +88,8 @@ class TdoaMatrix:
     behind them is kept too: ``frame_lags`` holds every frame pair's
     GCC-PHAT lag in samples (NaN for a silent frame pair) and
     ``vad_keep`` the energy-VAD decision, both (pairs, frames) with the
-    pairs (i, j), i < j, in row-major order.  ``with_vad`` re-reduces
-    that evidence for the other VAD setting without a second lag pass.
+    pairs (i, j), i < j, in row-major order.  ``with_vad`` reduces that
+    evidence for either VAD setting without a second lag pass.
     """
 
     values: np.ndarray
@@ -101,7 +106,7 @@ class TdoaMatrix:
         return self.values.shape[0]
 
     def with_vad(self, vad):
-        """The matrix that ``estimate_tdoa_matrix`` gives with ``vad``."""
+        """The matrix reduced with the energy VAD ``vad`` ("on" or "off")."""
         values, counts = _reduce(self.frame_lags, self.vad_keep, vad,
                                  self.mic_count, self.sample_rate)
         return replace(self, values=values, frame_count_used=counts)
@@ -200,61 +205,55 @@ def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
     return float(lag) if a.ndim == 1 else lag
 
 
-def energy_vad(frame_a, frame_b, median_energy):
+def energy_vad(energy_a, energy_b):
     """Keep a frame pair if either channel beats half the median energy.
 
-    ``median_energy`` is the median over the pair's frames of
-    E(a_i) + E(b_i), E being the sum of squared windowed samples.  The
-    frames may be equal-shape stacks ``(..., L)``, giving one keep
-    decision per frame pair.
+    ``energy_a`` and ``energy_b`` are equal-shape frame-energy stacks
+    ``(..., frames)``, an energy being the sum of squared windowed
+    samples of one frame.  The median is taken over the last axis of
+    E(a_i) + E(b_i).  Returns the boolean keep mask, one decision per
+    frame pair.
     """
-    threshold = 0.5 * median_energy
-    ea = np.sum(np.asarray(frame_a, dtype=float) ** 2, axis=-1)
-    eb = np.sum(np.asarray(frame_b, dtype=float) ** 2, axis=-1)
-    keep = (ea > threshold) | (eb > threshold)
-    return bool(keep) if keep.ndim == 0 else keep
+    threshold = 0.5 * np.median(energy_a + energy_b, axis=-1, keepdims=True)
+    return (energy_a > threshold) | (energy_b > threshold)
 
 
-def estimate_tdoa_matrix(signals, config, vad="on", max_distance_m=None,
+def estimate_tdoa_matrix(signals, config, max_distance_m,
                          sound_speed=DEFAULT_SOUND_SPEED, refine=True):
     """Estimate the full pairwise TDOA matrix of a multichannel capture.
 
     For each pair: GCC-PHAT lags of all its frame pairs at once
     (restricted to the lags physically reachable within
-    ``max_distance_m``) and an energy-VAD decision per frame pair,
-    whatever ``vad`` is.  The lags that are not silent, and VAD-kept
-    when ``vad`` is on, are median-aggregated (even counts average the
-    middle two) and converted to seconds.  A pair with no surviving
-    frames is marked invalid (NaN value, zero count) — callers decide
-    policy.  The result keeps the lags and the VAD mask, so
-    ``with_vad`` gives the other setting exactly.
+    ``max_distance_m``) and an energy-VAD decision per frame pair.  The
+    lags that are not silent and are VAD-kept are median-aggregated
+    (even counts average the middle two) and converted to seconds.  A
+    pair with no surviving frames is marked invalid (NaN value, zero
+    count) — callers decide policy.  The result keeps the lags and the
+    VAD mask, so ``with_vad("off")`` gives the matrix without the VAD.
 
-    ``max_distance_m`` must be supplied: it is the largest inter-mic
-    distance (the array diameter), which the signals alone cannot know.
-    It and ``sound_speed`` must be finite and positive.
+    ``max_distance_m`` is the largest inter-mic distance (the array
+    diameter), which the signals alone cannot know.  It and
+    ``sound_speed`` must be finite and positive.
     """
-    if vad not in ("on", "off"):
-        raise ValueError("vad must be 'on' or 'off'")
     if signals.mic_count < 2:
         raise ValueError("need at least two channels")
     for name, value in (("max_distance_m", max_distance_m),
                         ("sound_speed", sound_speed)):
-        if value is None or not (np.isfinite(value) and value > 0):
+        if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite positive number")
     max_lag = int(np.ceil(max_distance_m / sound_speed * signals.sample_rate))
     if max_lag >= config.frame_length:
         raise ValueError("max lag exceeds the frame length; "
                          "use longer frames or a smaller max distance")
     m = signals.mic_count
-    frames = [frame_signal(signals.channels[i], config) for i in range(m)]
-    energies = [np.sum(f ** 2, axis=-1) for f in frames]
-    pairs = list(zip(*np.triu_indices(m, k=1)))
+    frames = [frame_signal(channel, config) for channel in signals.channels]
+    energy = np.array([np.sum(f ** 2, axis=-1) for f in frames])
+    rows, cols = np.triu_indices(m, k=1)
     frame_lags = np.array([gcc_phat_pair(frames[i], frames[j], max_lag,
-                                         refine=refine) for i, j in pairs])
-    vad_keep = np.array([energy_vad(frames[i], frames[j],
-                                    np.median(energies[i] + energies[j]))
-                         for i, j in pairs])
-    values, counts = _reduce(frame_lags, vad_keep, vad, m,
+                                         refine=refine)
+                           for i, j in zip(rows, cols)])
+    vad_keep = energy_vad(energy[rows], energy[cols])
+    values, counts = _reduce(frame_lags, vad_keep, "on", m,
                              signals.sample_rate)
     return TdoaMatrix(values=values, frame_count_used=counts,
                       frame_lags=frame_lags, vad_keep=vad_keep,

@@ -2,14 +2,16 @@
 
 import importlib.util
 from dataclasses import MISSING, fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from multilat import (MicSignals, Scene, SignalModel, synth_signals,
-                      true_rd_full)
+from multilat import (LocalizationResult, MicSignals, RdMatrix, Scene,
+                      SignalModel, synth_signals, true_rd_full)
+import multilat.tdoa
 from multilat import bench, estimators
 from multilat.bench import (
     _SCHEMA,
@@ -337,13 +339,18 @@ def test_reference_energy_policies():
     channels[3] = 2.0 * channels[0]
     loud = MicSignals(channels=channels, sample_rate=FS)
     reference, result = localize("srd-ls", "max-energy", rd,
-                                 FOUR_MICS.mics, loud)
+                                 FOUR_MICS.mics, loud.energies)
     assert reference == 3 and result.ok
     flat = MicSignals(channels=np.ones((4, FS)), sample_rate=FS)
     for policy in ("max-energy", "min-energy"):
-        assert localize("srd-ls", policy, rd, FOUR_MICS.mics, flat)[0] == 0
+        assert localize("srd-ls", policy, rd, FOUR_MICS.mics,
+                        flat.energies)[0] == 0
     with pytest.raises(ConfigError, match="signals"):
         localize("srd-ls", "max-energy", rd, FOUR_MICS.mics)
+    # the signals themselves, or one energy too few, are refused
+    for wrong in (loud, loud.energies[:3]):
+        with pytest.raises(ValueError, match="one energy per microphone"):
+            localize("srd-ls", "max-energy", rd, FOUR_MICS.mics, wrong)
 
 
 def test_max_energy_tracks_distance_gain():
@@ -356,7 +363,7 @@ def test_max_energy_tracks_distance_gain():
     for policy, expected in (("max-energy", np.argmin(distances)),
                              ("min-energy", np.argmax(distances))):
         reference, result = localize("srd-ls", policy, true_rd_full(scene),
-                                     scene.mics, sig)
+                                     scene.mics, sig.energies)
         assert reference == expected and result.ok
 
 
@@ -407,38 +414,76 @@ SIGNAL = {"domain": "signal", "levels": [20.0], "duration_s": 0.5,
 
 
 def test_subset_signals_only_for_energy_policies(monkeypatch):
+    # energy policies read the capture's channel energies, so no subset
+    # builds signals of its own: one MicSignals per capture either way
     built = []
 
     def counting(**kwargs):
         built.append(None)
         return MicSignals(**kwargs)
 
-    monkeypatch.setattr(bench, "MicSignals", counting)
+    monkeypatch.setattr(multilat.tdoa, "MicSignals", counting)
     subsets = {"mode": "all_k_of_m", "k": 5}
     plain = run_benchmark(base_config(methods=["srd-ls"], trials=1,
                                       subsets=subsets, noise=SIGNAL))
-    assert built == []
+    assert len(built) == 1
     mixed = run_benchmark(base_config(
         methods=["srd-ls", "srd-ls:max-energy"], trials=1, subsets=subsets,
         noise=SIGNAL))
-    assert len(built) == 56  # one per C(8, 5) subset of the one cell
+    assert len(built) == 2
     assert [r for r in mixed if r.method == "srd-ls"] == plain
     assert len(mixed) == 2 * len(plain) == 112
 
 
 def test_one_lag_pass_per_cell(monkeypatch):
-    vads = []
+    calls = []
     original = bench.estimate_tdoa_matrix
 
     def counting(*args, **kwargs):
-        vads.append(kwargs.get("vad"))
+        calls.append(None)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(bench, "estimate_tdoa_matrix", counting)
     records = run_benchmark(base_config(features=list(VALID_FEATURES),
                                         trials=2, noise=SIGNAL))
-    assert vads == ["on", "on"]
+    assert len(calls) == 2
     assert len(records) == 2 * 4 * 2
+
+
+def test_invalid_pair_fails_only_the_subsets_holding_it(monkeypatch):
+    # pair (1, 3) has no usable frames in either VAD setting: every
+    # subset with both mics is invalid raw, and denoising needs the
+    # whole matrix, so every denoised record is invalid
+    original = bench.rd_from_signals
+
+    def without_pair(signals, scene):
+        per_vad = {}
+        for vad, rd in original(signals, scene).items():
+            values = rd.values.copy()
+            values[1, 3] = values[3, 1] = np.nan
+            per_vad[vad] = RdMatrix(values)
+        return per_vad
+
+    monkeypatch.setattr(bench, "rd_from_signals", without_pair)
+    records = run_benchmark(base_config(
+        methods=["srd-ls", "conic"],
+        features=["vad_on:raw", "vad_on:denoised"], trials=1, scene={"kind": "paper_table1", "position": 0},
+        subsets={"mode": "all_k_of_m", "k": 5}, noise=SIGNAL))
+    for method in ("srd-ls", "conic"):
+        raw = [r for r in records
+               if r.method == method and r.feature == "vad_on:raw"]
+        invalid = [r for r in raw if r.status == "invalid_pair"]
+        assert len(raw) == 56
+        assert sorted(r.subset for r in invalid) == sorted(
+            "-".join(map(str, s)) for s in combinations(range(8), 5)
+            if {1, 3} <= set(s))
+        assert all(np.isnan(r.mean_abs_rd_error_m) for r in invalid)
+        assert all(r.status in LocalizationResult.SUCCESS_STATUSES
+                   for r in raw if r not in invalid)
+        denoised = [r for r in records
+                    if r.method == method and r.feature == "vad_on:denoised"]
+        assert len(denoised) == 56
+        assert all(r.status == "invalid_pair" for r in denoised)
 
 
 def _perfbench_tracing():

@@ -175,9 +175,9 @@ def test_localize_from_wavs_uses_the_chosen_vad(tmp_path, capsys, vad):
                     if l.startswith("position_m:"))
     signals = _read_wavs(paths)
     tdoa = estimate_tdoa_matrix(
-        signals, FrameConfig(sample_rate=FS), vad=vad,
+        signals, FrameConfig(sample_rate=FS),
         max_distance_m=bench._LAG_MARGIN * bench.array_diameter(scene.mics),
-        sound_speed=scene.sound_speed)
+        sound_speed=scene.sound_speed).with_vad(vad)
     rd = RdMatrix(tdoa_to_rd(tdoa.values, scene.sound_speed))
     _, result = bench.localize("srd-ls", "nearest-barycenter", rd,
                                scene.mics)
@@ -324,6 +324,16 @@ def test_tdoa_sample_rate_mismatch(tmp_path, capsys):
     assert main(["tdoa", "--wav", str(a), str(b), "--out", str(tmp_path),
                  "--max-distance", "2.0"]) == 2
     assert "rate" in last_error(capsys)["error"]
+
+
+def test_8bit_wav_decodes_like_16bit(tmp_path):
+    # 8-bit PCM is unsigned and centred on 128; 16-bit PCM is signed
+    sine = 0.5 * np.sin(2.0 * np.pi * 440.0 * np.arange(FS) / FS)
+    u8, s16 = tmp_path / "u8.wav", tmp_path / "s16.wav"
+    wavfile.write(u8, FS, np.round(128.0 + 128.0 * sine).astype(np.uint8))
+    wavfile.write(s16, FS, np.round(32768.0 * sine).astype(np.int16))
+    channels = [_read_wavs([str(path)]).channels for path in (u8, s16)]
+    assert np.max(np.abs(channels[0] - channels[1])) <= 1.0 / 128.0
 
 
 @pytest.mark.parametrize("argv", [

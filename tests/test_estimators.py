@@ -861,6 +861,36 @@ def test_hyperbolic_matches_minpack_in_the_same_basin():
     assert same_basin >= 0.9 * len(systems)
 
 
+def test_weighted_hyperbolic_matches_minpack():
+    # a non-scalar covariance takes the whitening path: the oracle is
+    # MINPACK on the whitened residuals L^-1 (d - d_hat(x)), Sigma = L L^T
+    rng = np.random.default_rng(37)
+    for k in range(200):
+        scene = make_scene(rng, mic_count=5 + k % 4)
+        rd, mics = noisy_row(scene, 0.02, seed=k), scene.mics
+        n = rd.values.size
+        a = rng.normal(size=(n, n))
+        sigma = 1e-4 * (a @ a.T / n + 0.5 * np.eye(n))
+        chol = np.linalg.cholesky(sigma)
+        others = rd.other_indices()
+
+        def whitened(x):
+            dist = np.linalg.norm(mics - x, axis=1)
+            return scipy.linalg.solve_triangular(
+                chol, dist[others] - dist[rd.reference_index] - rd.values,
+                lower=True)
+
+        init = usrd_ls(rd, mics).position
+        result = hyperbolic_ls(rd, mics, init=init,
+                               weights=NoiseCovariance(sigma))
+        oracle = scipy.optimize.least_squares(
+            whitened, init, method="lm", xtol=1e-12, ftol=1e-12, gtol=1e-12)
+        assert result.status == "converged", k
+        assert np.linalg.norm(result.position - oracle.x) <= 1e-6, k
+        cost = whitened(result.position) @ whitened(result.position)
+        assert result.residual == pytest.approx(cost, rel=1e-12), k
+
+
 def test_noise_covariance_validation():
     with pytest.raises(ValueError, match="symmetric"):
         NoiseCovariance(np.array([[1.0, 0.5], [0.4, 1.0]]))

@@ -190,7 +190,7 @@ def test_full_pipeline_rd_accuracy():
                         duration_s=2.0, sample_rate=fs)
     diameter = max(np.linalg.norm(p - q)
                    for p in scene.mics for q in scene.mics)
-    tdoa = estimate_tdoa_matrix(sig, FrameConfig(sample_rate=fs), vad="on",
+    tdoa = estimate_tdoa_matrix(sig, FrameConfig(sample_rate=fs),
                                 max_distance_m=1.05 * diameter,
                                 sound_speed=c)
     rd = tdoa_to_rd(tdoa.values, c)

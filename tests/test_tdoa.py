@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multilat import (
     FrameConfig,
@@ -145,14 +147,21 @@ def test_frame_stack_matches_single_frames(refine):
 # energy VAD
 
 
+def frame_energies(frames):
+    return np.sum(np.asarray(frames) ** 2, axis=-1)
+
+
 def test_vad_silent_pair_discarded():
-    assert not energy_vad(np.zeros(16), np.zeros(16), 1.0)
+    silent = frame_energies(np.zeros((4, 16)))
+    assert not np.any(energy_vad(silent, silent))
 
 
 def test_vad_single_loud_frame_kept():
-    loud = np.full(16, 2.0)
-    assert energy_vad(loud, np.zeros(16), 1.0)
-    assert energy_vad(np.zeros(16), loud, 1.0)
+    frames = np.zeros((4, 16))
+    frames[2] = 2.0
+    loud, silent = frame_energies(frames), frame_energies(np.zeros((4, 16)))
+    assert energy_vad(loud, silent).tolist() == [False, False, True, False]
+    assert energy_vad(silent, loud).tolist() == [False, False, True, False]
 
 
 def test_vad_alternating_frames():
@@ -160,14 +169,33 @@ def test_vad_alternating_frames():
     # exactly the loud-containing frame indices survive
     loud = np.ones(16)
     silent = np.zeros(16)
-    frames_a = [loud, silent, loud, silent]
-    frames_b = [loud, silent, loud, silent]
-    sums = [float(a @ a + b @ b) for a, b in zip(frames_a, frames_b)]
-    median = float(np.median(sums))
-    kept = [energy_vad(a, b, median) for a, b in zip(frames_a, frames_b)]
-    assert kept == [True, False, True, False]
-    stacked = energy_vad(np.array(frames_a), np.array(frames_b), median)
-    assert stacked.tolist() == kept
+    energy_a = frame_energies([loud, silent, loud, silent])
+    energy_b = frame_energies([loud, silent, loud, silent])
+    kept = energy_vad(energy_a, energy_b)
+    assert kept.tolist() == [True, False, True, False]
+    # a stack of pairs takes each pair's own median
+    stacked = energy_vad(np.stack([energy_a, 4.0 * energy_a]),
+                         np.stack([energy_b, np.zeros(4)]))
+    assert stacked.tolist() == [kept.tolist()] * 2
+
+
+# silent frames and energies far from under- and overflow
+ENERGY = st.just(0.0) | st.floats(1e-3, 1e6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(energies=st.lists(st.tuples(ENERGY, ENERGY), min_size=1, max_size=40),
+       k=st.integers(-20, 20), seed=st.integers(0, 2 ** 32 - 1))
+def test_vad_scale_and_permutation_invariant(energies, k, seed):
+    energy_a, energy_b = np.array(energies).T
+    keep = energy_vad(energy_a, energy_b)
+    # a power of two scales every energy and the median exactly
+    scale = 2.0 ** k
+    assert np.array_equal(energy_vad(scale * energy_a, scale * energy_b),
+                          keep)
+    order = np.random.default_rng(seed).permutation(len(energies))
+    assert np.array_equal(energy_vad(energy_a[order], energy_b[order]),
+                          keep[order])
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +206,8 @@ def test_estimate_constructed_delay():
     base = np.random.default_rng(1).standard_normal(FS)
     sig = MicSignals(channels=np.vstack([base, np.roll(base, 37)]),
                      sample_rate=FS)
-    td = estimate_tdoa_matrix(sig, default_config(), vad="off",
-                              max_distance_m=2.0)
+    td = estimate_tdoa_matrix(sig, default_config(),
+                              max_distance_m=2.0).with_vad("off")
     assert td.values[0, 1] == pytest.approx(37.0 / FS, abs=1e-7)
     assert td.values[1, 0] == -td.values[0, 1]
     assert td.values[0, 0] == 0.0
@@ -190,15 +218,14 @@ def test_estimate_constructed_delay():
 def test_identical_channels_zero_matrix():
     base = np.random.default_rng(2).standard_normal(FS)
     sig = MicSignals(channels=np.vstack([base, base, base]), sample_rate=FS)
-    td = estimate_tdoa_matrix(sig, default_config(), vad="off",
-                              max_distance_m=2.0)
+    td = estimate_tdoa_matrix(sig, default_config(),
+                              max_distance_m=2.0).with_vad("off")
     assert np.abs(td.values).max() <= 1e-12
 
 
 def test_all_silent_pair_marked_invalid():
     sig = MicSignals(channels=np.zeros((2, FS)), sample_rate=FS)
-    td = estimate_tdoa_matrix(sig, default_config(), vad="on",
-                              max_distance_m=2.0)
+    td = estimate_tdoa_matrix(sig, default_config(), max_distance_m=2.0)
     assert np.isnan(td.values[0, 1])
     assert td.frame_count_used[0, 1] == 0
     assert not td.is_valid()
@@ -211,10 +238,8 @@ def test_vad_never_adds_frames():
     a = np.concatenate([talk, gap, talk])
     b = np.concatenate([talk, gap, talk])
     sig = MicSignals(channels=np.vstack([a, b]), sample_rate=FS)
-    on = estimate_tdoa_matrix(sig, default_config(), vad="on",
-                              max_distance_m=2.0)
-    off = estimate_tdoa_matrix(sig, default_config(), vad="off",
-                               max_distance_m=2.0)
+    on = estimate_tdoa_matrix(sig, default_config(), max_distance_m=2.0)
+    off = on.with_vad("off")
     assert on.frame_count_used[0, 1] < off.frame_count_used[0, 1]
     assert np.all(on.frame_count_used <= off.frame_count_used)
 
@@ -225,7 +250,7 @@ def test_estimate_matches_geometry_at_20db():
                         duration_s=2.0, sample_rate=FS)
     diameter = max(np.linalg.norm(p - q)
                    for p in scene.mics for q in scene.mics)
-    td = estimate_tdoa_matrix(sig, default_config(), vad="on",
+    td = estimate_tdoa_matrix(sig, default_config(),
                               max_distance_m=1.05 * diameter,
                               sound_speed=scene.sound_speed)
     truth = true_rd_full(scene).values / scene.sound_speed
@@ -236,8 +261,9 @@ def test_estimate_matches_geometry_at_20db():
 
 def reference_tdoa_matrix(signals, config, vad, max_distance_m, sound_speed,
                           refine):
-    """The per-frame algorithm: per pair and frame a VAD decision and a
-    single-frame GCC-PHAT call, silent frame pairs skipped, then a
+    """The per-frame algorithm: per pair and frame a VAD decision (either
+    channel's frame energy above half the pair's median energy sum) and
+    a single-frame GCC-PHAT call, silent frame pairs skipped, then a
     median."""
     m = signals.mic_count
     max_lag = int(np.ceil(max_distance_m / sound_speed * signals.sample_rate))
@@ -250,7 +276,8 @@ def reference_tdoa_matrix(signals, config, vad, max_distance_m, sound_speed,
                                + np.sum(frames[j] ** 2, axis=1))
             lags = []
             for fa, fb in zip(frames[i], frames[j]):
-                if vad == "on" and not energy_vad(fa, fb, median):
+                if vad == "on" and not (np.sum(fa ** 2) > 0.5 * median
+                                        or np.sum(fb ** 2) > 0.5 * median):
                     continue
                 try:
                     lags.append(gcc_phat_pair(fa, fb, max_lag, refine=refine))
@@ -277,10 +304,10 @@ def test_matrix_matches_per_frame_reference(vad, refine, capture):
     else:
         channels[3] = 0.0
     sig = MicSignals(channels=channels, sample_rate=FS)
-    kwargs = dict(vad=vad, max_distance_m=4.0, sound_speed=343.0,
-                  refine=refine)
-    td = estimate_tdoa_matrix(sig, default_config(), **kwargs)
-    values, counts = reference_tdoa_matrix(sig, default_config(), **kwargs)
+    kwargs = dict(max_distance_m=4.0, sound_speed=343.0, refine=refine)
+    td = estimate_tdoa_matrix(sig, default_config(), **kwargs).with_vad(vad)
+    values, counts = reference_tdoa_matrix(sig, default_config(), vad=vad,
+                                           **kwargs)
     assert np.array_equal(td.values, values, equal_nan=True)
     assert np.array_equal(td.frame_count_used, counts)
     if capture == "zero_channel":
@@ -294,8 +321,7 @@ def test_max_lag_must_fit_frame():
     base = np.random.default_rng(4).standard_normal(FS)
     sig = MicSignals(channels=np.vstack([base, base]), sample_rate=FS)
     with pytest.raises(ValueError, match="max"):
-        estimate_tdoa_matrix(sig, default_config(), vad="off",
-                             max_distance_m=300.0)
+        estimate_tdoa_matrix(sig, default_config(), max_distance_m=300.0)
 
 
 def edge_capture(kind):
@@ -318,19 +344,21 @@ def edge_capture(kind):
 @pytest.mark.parametrize("first", ["on", "off"])
 @pytest.mark.parametrize("then", ["on", "off"])
 def test_with_vad_is_exact(first, then, refine, capture):
-    sig = edge_capture(capture)
-    kwargs = dict(max_distance_m=4.0, sound_speed=343.0, refine=refine)
-    switched = estimate_tdoa_matrix(sig, default_config(), vad=first,
-                                    **kwargs).with_vad(then)
-    direct = estimate_tdoa_matrix(sig, default_config(), vad=then, **kwargs)
+    # the estimate is the VAD-on reduction, and a reduction keeps the
+    # evidence, so reducing it again gives what the estimate gives
+    td = estimate_tdoa_matrix(edge_capture(capture), default_config(),
+                              max_distance_m=4.0, sound_speed=343.0,
+                              refine=refine)
+    switched = td.with_vad(first).with_vad(then)
+    direct = td if then == "on" else td.with_vad(then)
     assert np.array_equal(switched.values, direct.values, equal_nan=True)
     assert np.array_equal(switched.frame_count_used, direct.frame_count_used)
 
 
 def test_matrix_keeps_the_frame_evidence():
     sig = edge_capture("zero_channel")
-    td = estimate_tdoa_matrix(sig, default_config(), vad="on",
-                              max_distance_m=4.0, sound_speed=343.0)
+    td = estimate_tdoa_matrix(sig, default_config(), max_distance_m=4.0,
+                              sound_speed=343.0)
     frames = len(frame_signal(sig.channels[0], default_config()))
     assert td.frame_lags.shape == td.vad_keep.shape == (10, frames)
     assert td.vad_keep.dtype == bool and td.sample_rate == FS

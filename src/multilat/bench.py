@@ -647,20 +647,6 @@ def write_records_csv(records, path):
                              _fmt(r.mean_abs_rd_error_m), 0])
 
 
-def read_records_csv(path):
-    """Round-trip reader for the records CSV; ``wall_time_s`` is skipped."""
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(TrialRecord(
-                method=row["method"], feature=row["feature"],
-                subset=row["subset"], noise_level=float(row["noise_level"]),
-                trial=int(row["trial"]), status=row["status"],
-                position_error_m=float(row["position_error_m"]),
-                mean_abs_rd_error_m=float(row["mean_abs_rd_error_m"])))
-    return records
-
-
 def write_summary_csv(rows, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")

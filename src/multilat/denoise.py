@@ -9,13 +9,8 @@ onto the range of the M-node first-order difference operator (Schmidt,
 
     d'[m, m'] = (1/M) * sum_k (d[m, k] + d[k, m']),
 
-which is what :func:`tdoa_average` evaluates; the explicit projector is
-exposed for verification and costs O(M^2 x M^2) to build, which is fine
-at the array sizes used here.
+which is what :func:`tdoa_average` evaluates in O(M^2).
 """
-
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -54,38 +49,3 @@ def tdoa_average(rd):
     rowsum = v.sum(axis=1)
     out = (rowsum[:, None] - rowsum[None, :]) / m
     return RdMatrix(out)
-
-
-@lru_cache(maxsize=32)
-def projection_matrix(mic_count):
-    """Dense orthogonal projector onto the consistent subspace.
-
-    Acts on the vectorized strict upper triangle (pairs in
-    lexicographic order).  Equals B pinv(B) where B maps the M
-    per-microphone ranges to their pairwise differences.  Cached per M;
-    intended for verification and analysis rather than the hot path.
-    """
-    if mic_count < 2:
-        raise ValueError("need at least two microphones")
-    pairs = list(combinations(range(mic_count), 2))
-    b = np.zeros((len(pairs), mic_count))
-    for row, (i, j) in enumerate(pairs):
-        b[row, j] = 1.0
-        b[row, i] = -1.0
-    proj = b @ np.linalg.pinv(b)
-    proj.setflags(write=False)
-    return proj
-
-
-def upper_triangle(rd_values):
-    """Vectorize the strict upper triangle in lexicographic pair order."""
-    v = np.asarray(rd_values, dtype=float)
-    return v[np.triu_indices(v.shape[0], k=1)]
-
-
-def from_upper_triangle(vec, mic_count):
-    """Inverse of :func:`upper_triangle`: rebuild the antisymmetric matrix."""
-    out = np.zeros((mic_count, mic_count))
-    iu = np.triu_indices(mic_count, k=1)
-    out[iu] = np.asarray(vec, dtype=float)
-    return out - out.T

@@ -7,6 +7,8 @@ optionally discard low-energy frames (a simple energy VAD), and
 aggregate the surviving per-frame delays with a median.  Peak positions
 are refined to sub-sample precision by parabolic interpolation, since
 the plain sample grid quantizes range differences to ~2 cm at 16 kHz.
+Each channel is transformed once per block of frames, and all pairs
+share those spectra.
 """
 
 from dataclasses import dataclass, replace
@@ -16,6 +18,10 @@ import numpy as np
 from .geometry import DEFAULT_SOUND_SPEED
 
 _PHAT_FLOOR = 1e-12
+# frames per spectrum block in estimate_tdoa_matrix: 2 keeps the
+# tracemalloc peak of an 8 ch x 2 s capture at the 8.0 MB the frames
+# and their energies take anyway; 4 frames reach 11.8 MB, 8 reach 19.5 MB
+_BLOCK_FRAMES = 2
 
 
 @dataclass(frozen=True)
@@ -136,20 +142,22 @@ def _reduce(frame_lags, vad_keep, vad, mic_count, sample_rate):
     return values, count_matrix
 
 
-def frame_signal(channel, config):
-    """Cut one channel into overlapping windowed frames.
+def frame_signal(channels, config):
+    """Cut each channel into overlapping windowed frames.
 
-    Returns an (n_frames, frame_length) array; a trailing partial frame
-    is discarded.  Raises if the channel is shorter than one frame.
+    Frames the last axis of a ``(..., N)`` stack and returns an
+    ``(..., n_frames, frame_length)`` array; a trailing partial frame is
+    discarded.  Raises if the channels are shorter than one frame.
     """
-    x = np.asarray(channel, dtype=float).reshape(-1)
+    x = np.asarray(channels, dtype=float)
     flen, hop = config.frame_length, config.hop_length
-    if x.size < flen:
+    if x.ndim == 0 or x.shape[-1] < flen:
         raise ValueError("channel shorter than one frame")
-    n_frames = 1 + (x.size - flen) // hop
-    window = periodic_hann(flen)
+    n_frames = 1 + (x.shape[-1] - flen) // hop
     idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
-    return x[idx] * window[None, :]
+    frames = x[..., idx]
+    frames *= periodic_hann(flen)
+    return frames
 
 
 def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
@@ -174,14 +182,22 @@ def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
     if not 0 < max_lag < a.shape[-1]:
         raise ValueError("max_lag must be in (0, frame length)")
     nfft = 2 * a.shape[-1]
-    spec = np.conj(np.fft.rfft(a, nfft)) * np.fft.rfft(b, nfft)
-    mag = np.abs(spec)
-    live = mag > _PHAT_FLOOR
-    silent = ~np.any(live, axis=-1)
-    if a.ndim == 1 and silent:
+    lag = _phat_lags(np.conj(np.fft.rfft(a, nfft)) * np.fft.rfft(b, nfft),
+                     max_lag, refine)
+    if a.ndim > 1:
+        return lag
+    if np.isnan(lag):
         raise ValueError("no correlation peak (silent frame pair)")
-    weighted = np.where(live, spec / np.where(live, mag, 1.0), 0.0)
-    corr = np.fft.irfft(weighted, nfft)
+    return float(lag)
+
+
+def _phat_lags(cross, max_lag, refine):
+    """Lags in samples from cross-power spectra ``(..., L + 1)`` of frame
+    pairs zero-padded to 2L; NaN where a spectrum has no live bin."""
+    mag = np.abs(cross)
+    live = mag > _PHAT_FLOOR
+    weighted = np.divide(cross, mag, out=np.zeros_like(cross), where=live)
+    corr = np.fft.irfft(weighted, 2 * (cross.shape[-1] - 1))
     # peak by magnitude: PHAT keeps the delay information in the phase,
     # so an inverted channel must still locate the same |peak|
     window = np.concatenate([corr[..., -max_lag:], corr[..., :max_lag + 1]],
@@ -201,8 +217,7 @@ def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
         fit = (0 < peak) & (peak < edge) & (denom < 0)
         lag = np.where(fit, lag + 0.5 * (left - right)
                        / np.where(fit, denom, -1.0), lag)
-    lag = np.where(silent, np.nan, lag)
-    return float(lag) if a.ndim == 1 else lag
+    return np.where(np.any(live, axis=-1), lag, np.nan)
 
 
 def energy_vad(energy_a, energy_b):
@@ -222,9 +237,10 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
                          sound_speed=DEFAULT_SOUND_SPEED, refine=True):
     """Estimate the full pairwise TDOA matrix of a multichannel capture.
 
-    For each pair: GCC-PHAT lags of all its frame pairs at once
-    (restricted to the lags physically reachable within
-    ``max_distance_m``) and an energy-VAD decision per frame pair.  The
+    For each pair: GCC-PHAT lags of all its frame pairs (restricted to
+    the lags physically reachable within ``max_distance_m``) and an
+    energy-VAD decision per frame pair.  Each channel is transformed
+    once per block of frames and the pairs share those spectra.  The
     lags that are not silent and are VAD-kept are median-aggregated
     (even counts average the middle two) and converted to seconds.  A
     pair with no surviving frames is marked invalid (NaN value, zero
@@ -246,12 +262,16 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
         raise ValueError("max lag exceeds the frame length; "
                          "use longer frames or a smaller max distance")
     m = signals.mic_count
-    frames = [frame_signal(channel, config) for channel in signals.channels]
-    energy = np.array([np.sum(f ** 2, axis=-1) for f in frames])
+    frames = frame_signal(signals.channels, config)
+    energy = np.sum(frames ** 2, axis=-1)
     rows, cols = np.triu_indices(m, k=1)
-    frame_lags = np.array([gcc_phat_pair(frames[i], frames[j], max_lag,
-                                         refine=refine)
-                           for i, j in zip(rows, cols)])
+    n_frames, flen = frames.shape[1:]
+    frame_lags = np.empty((rows.size, n_frames))
+    for start in range(0, n_frames, _BLOCK_FRAMES):
+        block = slice(start, start + _BLOCK_FRAMES)
+        spectra = np.fft.rfft(frames[:, block], 2 * flen)
+        frame_lags[:, block] = _phat_lags(np.conj(spectra)[rows]
+                                          * spectra[cols], max_lag, refine)
     vad_keep = energy_vad(energy[rows], energy[cols])
     values, counts = _reduce(frame_lags, vad_keep, "on", m,
                              signals.sample_rate)

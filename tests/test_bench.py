@@ -1,5 +1,6 @@
 """Benchmark harness: subsets, record grid, summaries, persistence."""
 
+import csv
 import importlib.util
 from dataclasses import MISSING, fields
 from itertools import combinations
@@ -26,7 +27,6 @@ from multilat.bench import (
     load_scene,
     localize,
     paper_table1_scenes,
-    read_records_csv,
     run_benchmark,
     summarize,
     write_histogram_csv,
@@ -210,6 +210,20 @@ def test_summary_rejects_empty():
 
 # ---------------------------------------------------------------------------
 # persistence
+
+
+def read_records_csv(path):
+    """Round-trip reader for the records CSV; ``wall_time_s`` is skipped."""
+    records = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            records.append(TrialRecord(
+                method=row["method"], feature=row["feature"],
+                subset=row["subset"], noise_level=float(row["noise_level"]),
+                trial=int(row["trial"]), status=row["status"],
+                position_error_m=float(row["position_error_m"]),
+                mean_abs_rd_error_m=float(row["mean_abs_rd_error_m"])))
+    return records
 
 
 def test_records_csv_round_trip(tmp_path):

@@ -1,11 +1,39 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from multilat import RdMatrix, tdoa_average, true_rd_full
-from multilat.denoise import from_upper_triangle, projection_matrix, \
-    upper_triangle
 
 from conftest import make_scene
+
+
+def projection_matrix(mic_count):
+    """Dense orthogonal projector onto the consistent subspace.
+
+    Acts on the vectorized strict upper triangle (pairs in
+    lexicographic order).  Equals B pinv(B) where B maps the M
+    per-microphone ranges to their pairwise differences.
+    """
+    pairs = list(combinations(range(mic_count), 2))
+    b = np.zeros((len(pairs), mic_count))
+    for row, (i, j) in enumerate(pairs):
+        b[row, j] = 1.0
+        b[row, i] = -1.0
+    return b @ np.linalg.pinv(b)
+
+
+def upper_triangle(rd_values):
+    """Vectorize the strict upper triangle in lexicographic pair order."""
+    v = np.asarray(rd_values, dtype=float)
+    return v[np.triu_indices(v.shape[0], k=1)]
+
+
+def from_upper_triangle(vec, mic_count):
+    """Inverse of :func:`upper_triangle`: rebuild the antisymmetric matrix."""
+    out = np.zeros((mic_count, mic_count))
+    out[np.triu_indices(mic_count, k=1)] = vec
+    return out - out.T
 
 
 def consistent_matrix(rng, m):

@@ -1,5 +1,7 @@
 """Framing, GCC-PHAT, VAD, and TDOA matrix aggregation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,18 @@ def test_window_energy_is_three_eighths():
 def test_trailing_partial_frame_dropped():
     frames = frame_signal(np.ones(2047), default_config())
     assert len(frames) == 2
+
+
+def test_channel_stack_framed_per_channel():
+    # a (..., N) stack frames each channel on its own: no frame may
+    # straddle two channels
+    cfg = default_config()
+    stack = np.random.default_rng(8).standard_normal((2, 3, 2100))
+    frames = frame_signal(stack, cfg)
+    assert frames.shape == (2, 3, 3, 1024)
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(frames[index], frame_signal(stack[index], cfg))
+    assert frame_signal(np.ones((2, 1024)), cfg).shape == (2, 1, 1024)
 
 
 def test_channel_shorter_than_frame_rejected():
@@ -290,20 +304,26 @@ def reference_tdoa_matrix(signals, config, vad, max_distance_m, sound_speed,
     return values, counts
 
 
-@pytest.mark.parametrize("capture", ["silent_stretches", "zero_channel"])
-@pytest.mark.parametrize("refine", [True, False])
-@pytest.mark.parametrize("vad", ["on", "off"])
-def test_matrix_matches_per_frame_reference(vad, refine, capture):
+def edge_capture(kind):
+    """Five channels of a 0 dB capture with silent stretches, or with
+    one all-zero channel."""
     scene = paper_table1_scenes()[2]
     sig = synth_signals(scene, SignalModel(snr_db=0.0, rng_seed=11),
                         duration_s=1.0, sample_rate=FS)
     channels = sig.channels[:5].copy()
-    if capture == "silent_stretches":
+    if kind == "silent_stretches":
         channels[:, 3000:7000] = 0.0
         channels[1, 11000:] = 0.0
     else:
         channels[3] = 0.0
-    sig = MicSignals(channels=channels, sample_rate=FS)
+    return MicSignals(channels=channels, sample_rate=FS)
+
+
+@pytest.mark.parametrize("capture", ["silent_stretches", "zero_channel"])
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("vad", ["on", "off"])
+def test_matrix_matches_per_frame_reference(vad, refine, capture):
+    sig = edge_capture(capture)
     kwargs = dict(max_distance_m=4.0, sound_speed=343.0, refine=refine)
     td = estimate_tdoa_matrix(sig, default_config(), **kwargs).with_vad(vad)
     values, counts = reference_tdoa_matrix(sig, default_config(), vad=vad,
@@ -322,21 +342,6 @@ def test_max_lag_must_fit_frame():
     sig = MicSignals(channels=np.vstack([base, base]), sample_rate=FS)
     with pytest.raises(ValueError, match="max"):
         estimate_tdoa_matrix(sig, default_config(), max_distance_m=300.0)
-
-
-def edge_capture(kind):
-    """Five channels of a 0 dB capture with silent stretches, or with
-    one all-zero channel."""
-    scene = paper_table1_scenes()[2]
-    sig = synth_signals(scene, SignalModel(snr_db=0.0, rng_seed=11),
-                        duration_s=1.0, sample_rate=FS)
-    channels = sig.channels[:5].copy()
-    if kind == "silent_stretches":
-        channels[:, 3000:7000] = 0.0
-        channels[1, 11000:] = 0.0
-    else:
-        channels[3] = 0.0
-    return MicSignals(channels=channels, sample_rate=FS)
 
 
 @pytest.mark.parametrize("capture", ["silent_stretches", "zero_channel"])
@@ -367,3 +372,46 @@ def test_matrix_keeps_the_frame_evidence():
     assert np.all(np.isfinite(td.frame_lags[[0, 1, 3]]))
     with pytest.raises(ValueError, match="vad"):
         td.with_vad("maybe")
+
+
+def table1_capture(snr_db, mics=8):
+    """The first ``mics`` channels of an 8 ch x 2 s Table-1 capture:
+    61 frames, so the last block of frames is a partial one."""
+    sig = synth_signals(paper_table1_scenes()[1],
+                        SignalModel(snr_db=snr_db, rng_seed=7),
+                        duration_s=2.0, sample_rate=FS)
+    return MicSignals(channels=sig.channels[:mics], sample_rate=FS)
+
+
+@pytest.mark.parametrize("snr_db, mics", [(20.0, 8), (-5.0, 8), (20.0, 2)])
+@pytest.mark.parametrize("refine", [True, False])
+def test_frame_lags_match_per_pair_calls(snr_db, mics, refine):
+    # the shared per-channel spectra give every frame pair the lag a
+    # single gcc_phat_pair call on its frames gives, bit for bit
+    sig = table1_capture(snr_db, mics)
+    td = estimate_tdoa_matrix(sig, default_config(), max_distance_m=4.0,
+                              sound_speed=343.0, refine=refine)
+    frames = [frame_signal(ch, default_config()) for ch in sig.channels]
+    max_lag = int(np.ceil(4.0 / 343.0 * FS))
+    rows, cols = np.triu_indices(mics, k=1)
+    expected = np.array([gcc_phat_pair(frames[i], frames[j], max_lag,
+                                       refine=refine)
+                         for i, j in zip(rows, cols)])
+    assert td.frame_lags.shape == (mics * (mics - 1) // 2, 61)
+    assert np.array_equal(td.frame_lags, expected, equal_nan=True)
+
+
+def test_matrix_memory_peak():
+    # the spectra of one block of frames at a time, not of the capture:
+    # the traced peak stays within 10 % of the 8.0 MB that framing all
+    # eight channels and summing their energies takes
+    sig = table1_capture(20.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        estimate_tdoa_matrix(sig, default_config(), max_distance_m=4.0,
+                             sound_speed=343.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8.0e6

@@ -505,8 +505,11 @@ def conic_ls(rd, mics, normalize=False):
     array — all RDs zero, every plane trivial — that is the center
     itself).  A numerical rank of 2 — the structural outcome for
     exactly four microphones — is completed along the remaining line by
-    the range-consistency quadratic; anything still underdetermined is
-    flagged degenerate.
+    the range-consistency quadratic.  What stays underdetermined is
+    ``degenerate`` with ``info["reason"]``: ``"no triplet planes"`` when
+    every plane is trivial, ``"rank-deficient plane system"`` below rank
+    2, and ``"no feasible line root"`` when the line of a rank-2 system
+    has no feasible root.
 
     A minimal array may genuinely admit two sources with identical RDs
     (all ranges offset by one constant); both line roots then fit the
@@ -522,7 +525,8 @@ def conic_ls(rd, mics, normalize=False):
     if system.psi_matrix.shape[0] == 0:
         return LocalizationResult(position=centroid, residual=0.0,
                                   status="degenerate",
-                                  info=dict(info, rank=0))
+                                  info=dict(info, rank=0,
+                                            reason="no triplet planes"))
     u, s, vt = np.linalg.svd(system.psi_matrix, full_matrices=False)
     rank = int(np.sum(s > RANK_TOL * s[0]))
     info["rank"] = rank
@@ -544,6 +548,9 @@ def conic_ls(rd, mics, normalize=False):
             if ambiguous:
                 info["ambiguous"] = True
             return result(point, "closed_form")
+        info["reason"] = "no feasible line root"
+    else:
+        info["reason"] = "rank-deficient plane system"
     return result(x0, "degenerate")
 
 

@@ -107,6 +107,7 @@ def perturb_rd(rd, model, rng=None):
 #: fractional-delay FIR length; the Kaiser beta matches ~80 dB sidelobes
 _FIR_TAPS = 32
 _KAISER_BETA = 8.6
+_KAISER_WINDOW = np.kaiser(_FIR_TAPS, _KAISER_BETA)
 
 
 def _fractional_delay_filter(mu):
@@ -119,7 +120,7 @@ def _fractional_delay_filter(mu):
     """
     half = _FIR_TAPS // 2
     k = np.arange(-(half - 1), half + 1)
-    taps = np.sinc(k - mu) * np.kaiser(_FIR_TAPS, _KAISER_BETA)
+    taps = np.sinc(k - mu) * _KAISER_WINDOW
     return taps / taps.sum()
 
 

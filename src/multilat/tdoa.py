@@ -7,10 +7,13 @@ optionally discard low-energy frames (a simple energy VAD), and
 aggregate the surviving per-frame delays with a median.  Peak positions
 are refined to sub-sample precision by parabolic interpolation, since
 the plain sample grid quantizes range differences to ~2 cm at 16 kHz.
-Each channel is transformed once per block of frames, and all pairs
-share those spectra.
+The capture is framed and transformed one block of frames at a time,
+each channel once per block with all pairs sharing those spectra, and
+the blocks run on up to two worker threads.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,10 +21,16 @@ import numpy as np
 from .geometry import DEFAULT_SOUND_SPEED
 
 _PHAT_FLOOR = 1e-12
-# frames per spectrum block in estimate_tdoa_matrix: 2 keeps the
-# tracemalloc peak of an 8 ch x 2 s capture at the 8.0 MB the frames
-# and their energies take anyway; 4 frames reach 11.8 MB, 8 reach 19.5 MB
+# frames per block in estimate_tdoa_matrix; a block frames its own
+# samples, so with one block in flight an 8 ch x 2 s call peaks at
+# 4.1 MB under tracemalloc (framing the whole capture took 8.0 MB).
+# With two workers, 2 frames took 53 ms per call, 1 frame 63 ms and
+# 4 frames 87 ms at a 15.4 MB peak
 _BLOCK_FRAMES = 2
+# threads the blocks run on: pocketfft and the elementwise steps release
+# the GIL, so on 2 cores two workers take that call from 91 to 53 ms
+# (medians of 15) and peak at 8.1 MB with two blocks in flight
+_WORKERS = min(2, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -130,10 +139,13 @@ def _reduce(frame_lags, vad_keep, vad, mic_count, sample_rate):
     if vad == "on":
         usable &= vad_keep
     counts = np.count_nonzero(usable, axis=1)
-    # an even count averages the middle two
-    tau = np.array([np.median(lags[use]) if n else np.nan
-                    for lags, use, n in zip(frame_lags, usable, counts)]
-                   ) / sample_rate
+    # unusable lags sort last; the middle two usable ones give
+    # (lo + hi) / 2 as np.median takes it, and for an odd count lo is hi
+    ordered = np.sort(np.where(usable, frame_lags, np.inf), axis=1)
+    pair = np.arange(counts.size)
+    lo = ordered[pair, np.maximum(counts - 1, 0) // 2]
+    hi = ordered[pair, counts // 2]
+    tau = np.where(counts > 0, (lo + hi) / 2.0, np.nan) / sample_rate
     iu = np.triu_indices(mic_count, k=1)
     values = np.zeros((mic_count, mic_count))
     values[iu], values[iu[::-1]] = tau, -tau
@@ -239,8 +251,9 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
 
     For each pair: GCC-PHAT lags of all its frame pairs (restricted to
     the lags physically reachable within ``max_distance_m``) and an
-    energy-VAD decision per frame pair.  Each channel is transformed
-    once per block of frames and the pairs share those spectra.  The
+    energy-VAD decision per frame pair.  Blocks of frames are framed
+    from their own samples and run on ``_WORKERS`` threads; each channel
+    is transformed once per block and the pairs share those spectra.  The
     lags that are not silent and are VAD-kept are median-aggregated
     (even counts average the middle two) and converted to seconds.  A
     pair with no surviving frames is marked invalid (NaN value, zero
@@ -262,16 +275,29 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
         raise ValueError("max lag exceeds the frame length; "
                          "use longer frames or a smaller max distance")
     m = signals.mic_count
-    frames = frame_signal(signals.channels, config)
-    energy = np.sum(frames ** 2, axis=-1)
+    flen, hop = config.frame_length, config.hop_length
+    if signals.length < flen:
+        raise ValueError("channel shorter than one frame")
+    n_frames = 1 + (signals.length - flen) // hop
     rows, cols = np.triu_indices(m, k=1)
-    n_frames, flen = frames.shape[1:]
+    energy = np.empty((m, n_frames))
     frame_lags = np.empty((rows.size, n_frames))
-    for start in range(0, n_frames, _BLOCK_FRAMES):
+
+    def run_block(start):
+        # the samples of frames start .. start + _BLOCK_FRAMES - 1; at
+        # the end of the capture both slices clip to the frames left
         block = slice(start, start + _BLOCK_FRAMES)
-        spectra = np.fft.rfft(frames[:, block], 2 * flen)
+        frames = frame_signal(signals.channels[
+            :, start * hop:(start + _BLOCK_FRAMES - 1) * hop + flen], config)
+        energy[:, block] = np.sum(frames ** 2, axis=-1)
+        spectra = np.fft.rfft(frames, 2 * flen)
         frame_lags[:, block] = _phat_lags(np.conj(spectra)[rows]
                                           * spectra[cols], max_lag, refine)
+
+    # blocks write disjoint columns, so the result does not depend on
+    # how they are scheduled; list() reads every result, re-raising errors
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        list(pool.map(run_block, range(0, n_frames, _BLOCK_FRAMES)))
     vad_keep = energy_vad(energy[rows], energy[cols])
     values, counts = _reduce(frame_lags, vad_keep, "on", m,
                              signals.sample_rate)

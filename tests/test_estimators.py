@@ -989,3 +989,61 @@ def test_near_degenerate_inputs_give_documented_outcomes(
     assert result.status in _STATUSES[estimator]
     if result.status != "degenerate":
         assert np.all(np.isfinite(result.position))
+    else:
+        assert result.info["reason"]
+
+
+def _from_ranges(ranges, full=False):
+    """The RDs of per-microphone ranges: the full matrix, or the vector
+    against microphone 0."""
+    ranges = np.asarray(ranges, dtype=float)
+    if full:
+        return RdMatrix(ranges[None, :] - ranges[:, None])
+    return RdVector(values=ranges[1:] - ranges[0], reference_index=0)
+
+
+LINE_MICS = np.array([[float(i), 0.0, 0.0] for i in range(5)])
+LINE_RANGES = [1.0, 1.5, 2.2, 2.9, 3.7]
+PLANE_MICS = np.array([[0.0, 0.0, 0.7], [2.0, 0.0, 0.7], [0.0, 2.0, 0.7],
+                       [2.0, 2.0, 0.7], [1.0, 3.0, 0.7], [3.0, 1.0, 0.7]])
+#: a rank-3 spherical (rank-2 plane) system whose constraint line has
+#: no feasible root
+CUBE_RANGES = [1.5, 2.85, 0.45, 2.85]
+#: a full-rank spherical system whose every multiplier root has c1 < 0
+NEGATIVE_ROOT_MICS = np.array([
+    [-0.02, 0.09, -0.08], [0.16, -1.15, 1.11], [-0.89, 1.65, 0.06],
+    [-0.79, -1.3, -0.06], [-0.49, 0.49, -0.01]])
+NEGATIVE_ROOT_RANGES = [0.15, 3.33, 0.21, 3.31, 3.25]
+
+
+@pytest.mark.parametrize("estimator, rd, mics, kwargs, reason", [
+    pytest.param(usrd_ls, true_rd_ref(Scene(
+        mics=PLANE_MICS, source=np.array([0.4, -0.2, 1.9])), 0), PLANE_MICS,
+        {}, "ill-conditioned spherical system", id="usrd-coplanar"),
+    pytest.param(srd_ls, _from_ranges(LINE_RANGES), LINE_MICS, {},
+                 "rank-deficient spherical system", id="srd-collinear"),
+    pytest.param(srd_ls, _from_ranges(CUBE_RANGES), CUBE_MICS, {},
+                 "no feasible multiplier root", id="srd-rank3-line"),
+    pytest.param(srd_ls, _from_ranges(NEGATIVE_ROOT_RANGES),
+                 NEGATIVE_ROOT_MICS, {}, "no feasible multiplier root",
+                 id="srd-negative-roots"),
+    pytest.param(srd_ls, RdVector(values=HARD_CASE_RD, reference_index=0),
+                 HARD_CASE_MICS, {}, "no multiplier root", id="srd-hard-case"),
+    pytest.param(conic_ls, RdMatrix(np.zeros((5, 5))), LINE_MICS, {},
+                 "no triplet planes", id="conic-empty"),
+    pytest.param(conic_ls, _from_ranges(LINE_RANGES, full=True), LINE_MICS,
+                 {}, "rank-deficient plane system", id="conic-collinear"),
+    pytest.param(conic_ls, _from_ranges(CUBE_RANGES, full=True), CUBE_MICS,
+                 {}, "no feasible line root", id="conic-rank2-line"),
+    pytest.param(hyperbolic_ls, _from_ranges(LINE_RANGES), LINE_MICS, {},
+                 "rank-deficient Jacobian", id="hyperbolic-collinear"),
+    pytest.param(hyperbolic_ls, _from_ranges(LINE_RANGES + [2.0]),
+                 PLANE_MICS, {"init": np.array([1e200, 0.0, 0.0])},
+                 "damping overflow", id="hyperbolic-overflow"),
+])
+def test_every_degenerate_path_gives_a_reason(estimator, rd, mics, kwargs,
+                                              reason):
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = estimator(rd, mics, **kwargs)
+    assert result.status == "degenerate"
+    assert result.info["reason"] == reason

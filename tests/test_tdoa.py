@@ -1,5 +1,6 @@
 """Framing, GCC-PHAT, VAD, and TDOA matrix aggregation."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from multilat import (
     FrameConfig,
     MicSignals,
     SignalModel,
+    TdoaMatrix,
     energy_vad,
     estimate_tdoa_matrix,
     frame_signal,
@@ -19,6 +21,7 @@ from multilat import (
     tdoa_to_rd,
     true_rd_full,
 )
+from multilat import tdoa
 from multilat.bench import paper_table1_scenes
 
 FS = 16000
@@ -415,3 +418,77 @@ def test_matrix_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * 8.0e6
+
+
+def one_frame_capture():
+    """Exactly one frame per channel: fewer blocks than workers."""
+    sig = table1_capture(20.0)
+    return MicSignals(channels=sig.channels[:, :default_config().frame_length],
+                      sample_rate=FS)
+
+
+def silent_stretch_capture():
+    sig = table1_capture(-5.0)
+    channels = sig.channels.copy()
+    channels[:, 9000:17000] = 0.0
+    return MicSignals(channels=channels, sample_rate=FS)
+
+
+@pytest.mark.parametrize("capture, frames", [
+    (lambda: table1_capture(20.0), 61),
+    (lambda: table1_capture(20.0, mics=2), 61),
+    (one_frame_capture, 1),
+    (silent_stretch_capture, 61),
+], ids=["8ch", "2ch", "one-frame", "-5dB-silent"])
+def test_worker_count_does_not_change_the_matrix(capture, frames,
+                                                 monkeypatch):
+    # blocks write disjoint columns: 2 workers, and 4 on a shortened
+    # switch interval, give what 1 worker gives, bit for bit
+    sig = capture()
+
+    def run(workers):
+        monkeypatch.setattr(tdoa, "_WORKERS", workers)
+        return estimate_tdoa_matrix(sig, default_config(), max_distance_m=4.0,
+                                    sound_speed=343.0)
+
+    serial = run(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [run(2), run(4)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial.frame_lags.shape[1] == frames
+    for td in threaded:
+        for field in ("values", "frame_count_used", "frame_lags", "vad_keep"):
+            assert np.array_equal(getattr(td, field), getattr(serial, field),
+                                  equal_nan=True), field
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reduction_matches_per_pair_median(seed):
+    # the sorted-array median equals np.median of each pair's usable
+    # lags for odd, even and zero counts
+    rng = np.random.default_rng(seed)
+    mics, frames = 7, 9
+    pairs = mics * (mics - 1) // 2
+    lags = np.round(rng.normal(0.0, 20.0, size=(pairs, frames)), 2)
+    lags[rng.random((pairs, frames)) < 0.3] = np.nan
+    lags[0] = np.nan
+    keep = rng.random((pairs, frames)) < 0.6
+    td = TdoaMatrix(values=np.zeros((mics, mics)),
+                    frame_count_used=np.zeros((mics, mics), dtype=int),
+                    frame_lags=lags, vad_keep=keep, sample_rate=FS)
+    upper = np.triu_indices(mics, k=1)
+    for vad in ("on", "off"):
+        usable = ~np.isnan(lags) & (keep if vad == "on" else True)
+        counts = usable.sum(axis=1)
+        assert 0 in counts and {0, 1} <= set(counts[counts > 0] % 2)
+        expected = np.array([np.median(row[use]) if n else np.nan
+                             for row, use, n in zip(lags, usable, counts)])
+        reduced = td.with_vad(vad)
+        assert np.array_equal(reduced.values[upper], expected / FS,
+                              equal_nan=True)
+        assert np.array_equal(reduced.values.T[upper], -expected / FS,
+                              equal_nan=True)
+        assert np.array_equal(reduced.frame_count_used[upper], counts)

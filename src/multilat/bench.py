@@ -18,6 +18,14 @@ methods, and the grid runs serially in one thread, so reruns produce
 identical records.  Records are sorted canonically before they are
 returned or persisted.
 
+A cell with several microphone subsets (``all_k_of_m``) picks each
+subset's reference once and solves each (feature, method) group as one
+stack through the estimator kernels (``usrd_stack``, ``srd_stack``,
+``conic_stack``, ``hyperbolic_stack``, looked up here at call time),
+seeding hyperbolic LS from the group's usrd stack.  A cell with one
+subset (``full``) calls ``localize`` per system.  Both give the same
+records bit for bit, ``extra`` included.
+
 Multiple source positions are folded into the trial axis: trial t uses
 scene position ``t mod n_positions``, keeping the record count at
 |methods| x |features| x |subsets| x |levels| x trials.
@@ -43,7 +51,9 @@ import numpy as np
 import yaml
 
 from .denoise import tdoa_average
-from .estimators import conic_ls, hyperbolic_ls, srd_ls, usrd_ls
+from .estimators import (_other_indices, conic_ls, conic_stack,
+                         hyperbolic_ls, hyperbolic_stack, srd_ls, srd_stack,
+                         usrd_ls, usrd_stack)
 from .geometry import (DEFAULT_SOUND_SPEED, LocalizationResult, Scene,
                        select_reference, tdoa_to_rd, true_rd_full, RdMatrix)
 from .simulate import RdNoiseModel, SignalModel, perturb_rd, synth_signals
@@ -118,8 +128,9 @@ def parse_method(method_id, mic_count=None):
 def localize(method, ref_policy, rd_full, mics, energies=None):
     """Run one registered method on a full RD matrix of the given mics.
 
-    ``ref_policy`` is one that ``check_reference`` accepts; this is the
-    one place that resolves it to a microphone index.  Returns
+    ``ref_policy`` is one that ``check_reference`` accepts;
+    ``_reference`` resolves it to a microphone index, here and for
+    cells solved as stacks.  Returns
     (reference index, LocalizationResult); conic methods use every
     pair, ignore ``ref_policy`` and return reference None.  Energy
     policies need ``energies``, one per microphone (such as
@@ -133,20 +144,23 @@ def localize(method, ref_policy, rd_full, mics, energies=None):
     if method in _CONIC_METHODS:
         return None, conic_ls(rd_full, mics,
                               normalize=method == "conic-norm")
+    reference = _reference(ref_policy, mics, energies)
+    estimator = {"usrd-ls": usrd_ls, "srd-ls": srd_ls,
+                 "hyperbolic": hyperbolic_ls}[method]
+    return reference, estimator(rd_full.reference_row(reference), mics)
+
+
+def _reference(ref_policy, mics, energies):
     if ref_policy == "nearest-barycenter":
-        reference = select_reference(mics)
-    elif ref_policy in _ENERGY_POLICIES:
+        return select_reference(mics)
+    if ref_policy in _ENERGY_POLICIES:
         if energies is None:
             raise ConfigError("energy reference policies need signals")
         if np.shape(energies) != (len(mics),):
             raise ValueError("need exactly one energy per microphone")
         pick = np.argmax if ref_policy == "max-energy" else np.argmin
-        reference = int(pick(energies))
-    else:
-        reference = int(ref_policy.removeprefix("index:"))
-    estimator = {"usrd-ls": usrd_ls, "srd-ls": srd_ls,
-                 "hyperbolic": hyperbolic_ls}[method]
-    return reference, estimator(rd_full.reference_row(reference), mics)
+        return int(pick(energies))
+    return int(ref_policy.removeprefix("index:"))
 
 
 def _method_id(name, ref_policy):
@@ -190,25 +204,53 @@ def paper_table1_scenes(position=None):
     return [Scene(mics=mics, source=np.array(s)) for s in sources]
 
 
+#: draws a random scene may take.  Nearly every draw of 8 mics passes,
+#: about one in 20 of 300 mics, one in 200 of 400 and one in 100,000 of
+#: 600 (each pair is closer than 5 % of the bounds with probability
+#: about 6.5e-5)
+_SCENE_DRAWS = 1000
+
+
 def random_scenes(count, mic_count, bounds, seed):
-    """Random non-degenerate scenes: spread-out mics, source in the hull."""
+    """Random non-degenerate scenes: spread-out mics, source in the hull.
+
+    A draw is rejected when the array is nearly coplanar or two of its
+    mics are closer than 5 % of ``bounds``; a scene that takes more
+    than ``_SCENE_DRAWS`` draws raises ConfigError.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SCENE_SALT)))
     scenes = []
-    while len(scenes) < count:
-        mics = rng.uniform(-bounds, bounds, size=(mic_count, 3))
-        centered = mics - mics.mean(axis=0)
-        sv = np.linalg.svd(centered, compute_uv=False)
-        if sv[2] < 0.05 * sv[0]:  # nearly coplanar: reject
-            continue
-        diff = mics[:, None, :] - mics[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() < 0.05 * bounds:
-            continue
-        weights = rng.dirichlet(np.ones(mic_count))
-        source = weights @ mics
-        scenes.append(Scene(mics=mics, source=source))
+    for _ in range(count):
+        for _ in range(_SCENE_DRAWS):
+            mics = rng.uniform(-bounds, bounds, size=(mic_count, 3))
+            centered = mics - mics.mean(axis=0)
+            sv = np.linalg.svd(centered, compute_uv=False)
+            if sv[2] < 0.05 * sv[0]:  # nearly coplanar: reject
+                continue
+            if not _spread_out(mics, 0.05 * bounds):
+                continue
+            weights = rng.dirichlet(np.ones(mic_count))
+            scenes.append(Scene(mics=mics, source=weights @ mics))
+            break
+        else:
+            raise ConfigError(
+                f"no random scene with scene.mic_count {mic_count} and "
+                f"scene.bounds {bounds:g} in {_SCENE_DRAWS} draws: its "
+                f"mics must be 5 % of the bounds apart and not coplanar")
     return scenes
+
+
+def _spread_out(mics, least):
+    """True when no two mics are closer than ``least``.  Rows are taken
+    32 at a time, so that a crowded draw is usually rejected on its
+    first block."""
+    for start in range(0, len(mics), 32):
+        block = mics[start:start + 32]
+        dist = np.linalg.norm(block[:, None, :] - mics[None, :, :], axis=-1)
+        dist[np.arange(len(block)), start + np.arange(len(block))] = np.inf
+        if dist.min() < least:
+            return False
+    return True
 
 
 def load_scene(path):
@@ -528,43 +570,125 @@ def _run_cell(config, scenes, subsets, methods, noise_idx, trial_idx):
     level = config.noise_levels[noise_idx]
     observed, energies = _observations_for_cell(
         config, scene, true_full, noise_idx, trial_idx)
+    index = np.array(subsets)
+    mics = scene.mics[index]
+    if energies is not None:
+        energies = energies[index]
+    rows, cols = np.triu_indices(index.shape[1], k=1)
+    truth = true_full.values[index[:, rows], index[:, cols]]
+    # a stack pays for itself from a few systems on (the stacked LM loop
+    # takes about 1.4x the scalar one on a stack of one), so one subset
+    # (full arrays) keeps the per-system calls; one-mic subsets have no
+    # RDs to stack and fail system by system
+    stacked = len(subsets) > 1 and index.shape[1] > 1
+    references = {}  # reference policy -> index per subset, once per cell
+    subset_ids = [_subset_id(subset) for subset in subsets]
     records = []
-    for subset in subsets:
-        sub_id = _subset_id(subset)
-        sub_mics = scene.mics[list(subset)]
-        sub_true = true_full.subset(subset)
-        sub_energies = None if energies is None else energies[list(subset)]
-        for feature in config.features:
-            full = observed[feature]
-            sub_rd = None
-            if full is not None:
-                sub_rd = full.subset(subset)
-                if not sub_rd.is_valid():
-                    sub_rd = None
-            if sub_rd is not None:
-                iu = np.triu_indices(len(subset), k=1)
-                rd_err = float(np.mean(np.abs(
-                    (sub_rd.values - sub_true.values)[iu])))
-            else:
-                rd_err = float("nan")
-            for name, ref_policy in methods:
+    for feature in config.features:
+        full = observed[feature]
+        if full is None:
+            values = np.full(index.shape + index.shape[1:], np.nan)
+            rd_err = np.full(len(subsets), np.nan)
+        else:
+            values = full.values[index[:, :, None], index[:, None, :]]
+            # C order, so that each row's mean sums its pairs in the
+            # order of a one-subset mean
+            rd_err = np.mean(np.abs(values[:, rows, cols] - truth,
+                                    order="C"), axis=-1)
+        valid = np.isfinite(values).all(axis=(1, 2))
+        outcomes = _solve(methods, values, mics, valid, energies, references,
+                          stacked)
+        rd_err = np.where(valid, rd_err, np.nan).tolist()
+        for method, results in zip(methods, outcomes):
+            method_id = _method_id(*method)
+            for subset_id, err, result in zip(subset_ids, rd_err, results):
                 status, pos_err, extra = "invalid_pair", float("nan"), {}
-                if sub_rd is not None:
-                    try:
-                        _, result = localize(name, ref_policy, sub_rd,
-                                             sub_mics, sub_energies)
-                        status, extra = result.status, dict(result.info)
-                        if np.all(np.isfinite(result.position)):
-                            pos_err = float(np.linalg.norm(
-                                result.position - scene.source))
-                    except (ValueError, IndexError) as exc:
-                        status, extra = "degenerate", {"reason": str(exc)}
+                if isinstance(result, Exception):
+                    status, extra = "degenerate", {"reason": str(result)}
+                elif result is not None:
+                    status, extra = result.status, dict(result.info)
+                    if np.all(np.isfinite(result.position)):
+                        pos_err = float(np.linalg.norm(
+                            result.position - scene.source))
                 records.append(TrialRecord(
-                    method=_method_id(name, ref_policy), feature=feature,
-                    subset=sub_id, noise_level=level, trial=trial_idx,
-                    status=status, position_error_m=pos_err,
-                    mean_abs_rd_error_m=rd_err, extra=extra))
+                    method=method_id, feature=feature, subset=subset_id,
+                    noise_level=level, trial=trial_idx, status=status,
+                    position_error_m=pos_err, mean_abs_rd_error_m=err,
+                    extra=extra))
     return records
+
+
+def _solve(methods, values, mics, valid, energies, references, stacked):
+    """Per method, one outcome per system: its LocalizationResult, the
+    ValueError or IndexError that ``localize`` raised for it, or None
+    for an invalid system.
+
+    ``values`` (S, k, k) are the systems' RD matrices, ``mics``
+    (S, k, 3) their microphones and ``energies`` (S, k) or None their
+    channel energies.  With ``stacked`` each method's valid systems go
+    through its estimator kernel as one stack, ``references`` caching
+    each policy's reference per system across calls; a stack that the
+    kernel refuses, and every system otherwise, goes through
+    ``localize`` one system at a time, with the same outcomes.
+    """
+    keep = np.flatnonzero(valid)
+    kept_values, kept_mics = values[keep], mics[keep]
+    stacks = {}  # reference policy -> [ref, RD rows, usrd results]
+
+    def stack(ref_policy):
+        if ref_policy not in references:
+            references[ref_policy] = np.array(
+                [_reference(ref_policy, mics[s],
+                            None if energies is None else energies[s])
+                 for s in range(len(mics))], dtype=int)
+        if ref_policy not in stacks:
+            ref = references[ref_policy][keep]
+            stacks[ref_policy] = [ref, kept_values[
+                np.arange(len(keep))[:, None], ref[:, None],
+                _other_indices(ref, mics.shape[1])], None]
+        return stacks[ref_policy]
+
+    def solve_stack(name, ref_policy):
+        if name in _CONIC_METHODS:
+            return conic_stack(kept_values, kept_mics,
+                               normalize=name == "conic-norm")
+        entry = stack(ref_policy)
+        ref, d, usrd = entry
+        if name == "usrd-ls":
+            entry[2] = usrd_stack(d, kept_mics, ref)
+            return entry[2]
+        if name == "srd-ls":
+            return srd_stack(d, kept_mics, ref)
+        return hyperbolic_stack(d, kept_mics, ref, usrd=usrd)
+
+    matrices = {}  # system -> its RdMatrix, built once for all methods
+
+    def solve_each(name, ref_policy):
+        results = []
+        for s in keep:
+            if s not in matrices:
+                matrices[s] = RdMatrix(values[s])
+            try:
+                results.append(localize(
+                    name, ref_policy, matrices[s], mics[s],
+                    None if energies is None else energies[s])[1])
+            except (ValueError, IndexError) as exc:
+                results.append(exc)
+        return results
+
+    outcomes = []
+    for name, ref_policy in methods:
+        results = None
+        if stacked:
+            try:
+                results = solve_stack(name, ref_policy)
+            except (ValueError, IndexError):
+                pass
+        if results is None:
+            results = solve_each(name, ref_policy)
+        solved = iter(results)
+        outcomes.append([next(solved) if ok else None for ok in valid])
+    return outcomes
 
 
 def run_benchmark(config):

@@ -145,10 +145,11 @@ def cmd_bench(args):
     try:
         config = load_config(args.config)
         out_dir.mkdir(parents=True, exist_ok=True)
+        started = time.perf_counter()
+        # random scenes are drawn here, and a draw can fail
+        records = bench_mod.run_benchmark(config)
     except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    started = time.perf_counter()
-    records = bench_mod.run_benchmark(config)
     elapsed = time.perf_counter() - started
     bench_mod.write_records_csv(records, out_dir / "records.csv")
     bench_mod.write_summary_csv(bench_mod.summarize(records),

@@ -34,6 +34,17 @@ Four solvers for the source position from range differences:
 All estimators accept arbitrary arrays: coordinates are translated so
 the reference microphone sits at the origin internally, and estimates
 are translated back before returning.
+
+Each estimator also has a stacked kernel (``usrd_stack``, ``srd_stack``,
+``conic_stack``, ``hyperbolic_stack``) that solves T systems of one
+microphone count at once, from inputs validated by the caller, and
+returns for each system bit for bit what the single-system call
+returns.  Stacked matrix products, solves and factorizations round as
+their per-system calls do (an elementwise sum over a row does not, so
+sums of squares are stacked matrix products too), and the scalar parts
+-- the multiplier root scan, the Levenberg-Marquardt step and damping
+-- run per system in the same plain-float code.  ``usrd_ls``,
+``srd_ls`` and ``conic_ls`` share their numerics with their kernels.
 """
 
 import math
@@ -58,6 +69,9 @@ GRAD_TOL = 1e-12
 DAMPING_LIMIT = 1e16
 
 _D_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+_USRD_MINIMUM = "usrd_ls needs at least 5 in 3D"
+_SRD_MINIMUM = "srd_ls needs at least 4 in 3D"
+_CONIC_MINIMUM = "conic_ls needs at least 4"
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +125,68 @@ def _check_rd_vector(rd):
         raise ValueError("RD vector contains invalid entries")
 
 
+def _check_mic_count(mics, rd):
+    if mics.shape[0] != rd.mic_count:
+        raise ValueError("mic count does not match RD vector")
+
+
+def _require(mic_count, least, what):
+    if mic_count < least:
+        raise ValueError(f"insufficient microphones: {what}")
+
+
+def _stack_of_one(rd, mics):
+    """(d, mics, ref) of one reference-based system as a stack of one."""
+    return rd.values[None], mics[None], np.array([rd.reference_index])
+
+
+def _other_indices(ref, m):
+    """(T, m-1) non-reference microphone indices, ascending, of systems
+    with reference indices ``ref`` (T,)."""
+    idx = np.arange(m - 1)
+    return idx + (idx >= ref[:, None])
+
+
+def _spherical_stack(d, mics, ref):
+    """phi (T, M-1, 4) and b (T, M-1) of T systems, and their reference
+    microphone positions (T, 3); see ``build_spherical_system``."""
+    rows = np.arange(ref.shape[0])
+    origin = mics[rows, ref]
+    others = (mics - origin[:, None, :])[rows[:, None],
+                                         _other_indices(ref, mics.shape[1])]
+    phi = np.concatenate([d[..., None], others], axis=-1)
+    b = 0.5 * (np.sum(others ** 2, axis=-1) - d ** 2)
+    return phi, b, origin
+
+
+def _sum_squares(v):
+    """v . v over the last axis, as one stacked matrix product: bit for
+    bit the ``v @ v`` of each row (an elementwise sum is not)."""
+    if v.ndim == 1:
+        return v @ v
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _matvec(a, v):
+    """a @ v over stacks of matrices a (..., n, k) and vectors v (..., k),
+    bit for bit the 2-D ``a @ v`` of each system."""
+    if v.ndim == 1:
+        return a @ v
+    return (a @ v[..., None])[..., 0]
+
+
+def _svd_solve(u, s, vt, rhs):
+    """The least-squares solution V S^-1 U^T rhs of one system or a
+    stack, from its leading singular triplets ``u``, ``s``, ``vt``."""
+    return _matvec(vt.mT, _matvec(u.mT, rhs) / s)
+
+
+def _degenerate(reason, **info):
+    return LocalizationResult(position=np.full(3, np.nan), residual=np.inf,
+                              status="degenerate",
+                              info={"reason": reason, **info})
+
+
 def build_spherical_system(rd, mics):
     """Assemble the spherical LS system for a reference-based RD vector.
 
@@ -119,14 +195,9 @@ def build_spherical_system(rd, mics):
     """
     _check_rd_vector(rd)
     mics = _as_points(mics, "mics")
-    if mics.shape[0] != rd.mic_count:
-        raise ValueError("mic count does not match RD vector")
-    translated = mics - mics[rd.reference_index]
-    others = translated[rd.other_indices()]
-    d = rd.values
-    phi = np.column_stack([d, others])
-    b = 0.5 * (np.sum(others ** 2, axis=1) - d ** 2)
-    return SphericalSystem(phi=phi, b=b)
+    _check_mic_count(mics, rd)
+    phi, b, _ = _spherical_stack(*_stack_of_one(rd, mics))
+    return SphericalSystem(phi=phi[0], b=b[0])
 
 
 def usrd_ls(rd, mics):
@@ -138,21 +209,40 @@ def usrd_ls(rd, mics):
     """
     _check_rd_vector(rd)
     mics = _as_points(mics, "mics")
-    if rd.mic_count < 5:
-        raise ValueError(
-            "insufficient microphones: usrd_ls needs at least 5 in 3D")
-    system = build_spherical_system(rd, mics)
-    gram = system.phi.T @ system.phi
-    if np.linalg.cond(gram) > COND_LIMIT:
-        return LocalizationResult(
-            position=np.full(3, np.nan), residual=np.inf, status="degenerate",
-            info={"reason": "ill-conditioned spherical system"})
-    c_hat = np.linalg.solve(gram, system.phi.T @ system.b)
-    resid = system.phi @ c_hat - system.b
-    position = c_hat[1:] + mics[rd.reference_index]
-    return LocalizationResult(
-        position=position, residual=float(resid @ resid), status="closed_form",
-        info={"c1": float(c_hat[0])})
+    _require(rd.mic_count, 5, _USRD_MINIMUM)
+    _check_mic_count(mics, rd)
+    return usrd_stack(*_stack_of_one(rd, mics))[0]
+
+
+def usrd_stack(d, mics, ref):
+    """``usrd_ls`` of T systems of M microphones at once.
+
+    ``d`` (T, M-1) holds each system's RDs against its reference
+    microphone ``ref`` (T,) in ascending order of the other microphones,
+    as ``RdVector.values`` does, and ``mics`` (T, M, 3) its positions.
+    Inputs are taken as valid (finite, matching shapes).  Returns T
+    results, each bit for bit the ``usrd_ls`` result of its system.
+    """
+    _require(mics.shape[1], 5, _USRD_MINIMUM)
+    phi, b, origin = _spherical_stack(d, mics, ref)
+    gram = phi.mT @ phi
+    good = ~(np.linalg.cond(gram) > COND_LIMIT)
+    if not good.all():
+        phi, b, gram, origin = phi[good], b[good], gram[good], origin[good]
+    c_hat = np.linalg.solve(gram, phi.mT @ b[..., None])[..., 0]
+    cost = _sum_squares(_matvec(phi, c_hat) - b).tolist()
+    position = c_hat[:, 1:] + origin
+    solved = iter(zip(position, cost, c_hat[:, 0].tolist()))
+    results = []
+    for ok in good.tolist():
+        if not ok:
+            results.append(_degenerate("ill-conditioned spherical system"))
+            continue
+        pos, residual, c1 = next(solved)
+        results.append(LocalizationResult(position=pos, residual=residual,
+                                          status="closed_form",
+                                          info={"c1": c1}))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +250,7 @@ def usrd_ls(rd, mics):
 
 
 def _diagonal_pencil(s, vt, proj):
-    """Diagonalize the pencil (A, D), A = phi^T phi, of a rank-4 system.
+    """Diagonalize the pencil (A, D), A = phi^T phi, of rank-4 systems.
 
     With phi = U S V^T (``s``, ``vt``, ``proj = U[:, :4]^T b``), one
     symmetric 4x4 eigendecomposition S V^T D V S = P diag(mu) P^T and
@@ -172,11 +262,12 @@ def _diagonal_pencil(s, vt, proj):
     with poles lam = -mu_i = -1/kappa_i for the generalized eigenvalues
     kappa of (D, A).  S is never inverted, so a nearly singular A costs
     the other poles no accuracy.  Returns ``(basis, mu, h)`` with
-    c(lam) = basis @ (h / (mu + lam)).
+    c(lam) = basis @ (h / (mu + lam)); every argument and result may
+    carry leading stack axes.
     """
-    scaled = vt * s[:, None]  # S V^T
-    mu, p = np.linalg.eigh((scaled * _D_SIGNS) @ scaled.T)
-    return _D_SIGNS[:, None] * (scaled.T @ p), mu, p.T @ proj
+    scaled = vt * s[..., :, None]  # S V^T
+    mu, p = np.linalg.eigh((scaled * _D_SIGNS) @ scaled.mT)
+    return _D_SIGNS[:, None] * (scaled.mT @ p), mu, _matvec(p.mT, proj)
 
 
 def _phi(terms, lam):
@@ -193,20 +284,19 @@ def _phi(terms, lam):
     return val, -2.0 * der
 
 
-def _gtrs_candidates(s, vt, proj):
+def _gtrs_candidates(basis, mu, h):
     """Roots of phi(lam) = c(lam)^T D c(lam), c(lam) = (A + lam D)^-1 f.
 
-    On the diagonalized pencil (``_diagonal_pencil``) phi is a 4-term
-    rational function, and the real axis splits into intervals between
-    its poles.  phi is monotonically decreasing on the interval where
-    A + lam*D is positive definite, which contains the multiplier of
-    the global constrained minimizer; the remaining intervals are
-    scanned for completeness and the caller picks among feasible
-    candidates.  Each bracketed root is found by safeguarded Newton in
-    plain floats (bisecting when Newton leaves the bracket or stalls),
-    and c is built once per root.
+    On the diagonalized pencil ``(basis, mu, h)`` of one system
+    (``_diagonal_pencil``) phi is a 4-term rational function, and the
+    real axis splits into intervals between its poles.  phi is
+    monotonically decreasing on the interval where A + lam*D is positive
+    definite, which contains the multiplier of the global constrained
+    minimizer; the remaining intervals are scanned for completeness and
+    the caller picks among feasible candidates.  Each bracketed root is
+    found by safeguarded Newton in plain floats (bisecting when Newton
+    leaves the bracket or stalls), and c is built once per root.
     """
-    basis, mu, h = _diagonal_pencil(s, vt, proj)
     terms = [(m, m * hi * hi) for m, hi in zip(mu.tolist(), h.tolist())]
 
     # mu beyond 1e14 is a pole too far out to bracket (kappa below 1e-14)
@@ -322,71 +412,92 @@ def srd_ls(rd, mics):
     """
     _check_rd_vector(rd)
     mics = _as_points(mics, "mics")
-    if rd.mic_count < 4:
-        raise ValueError(
-            "insufficient microphones: srd_ls needs at least 4 in 3D")
-    system = build_spherical_system(rd, mics)
-    u, s, vt = np.linalg.svd(system.phi, full_matrices=True)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    if rank < 3:
-        # collinear-style geometry: even the cone constraint cannot pin
-        # down a unique minimizer, so refuse rather than guess
-        return LocalizationResult(
-            position=np.full(3, np.nan), residual=np.inf, status="degenerate",
-            info={"reason": "rank-deficient spherical system", "rank": rank})
-    ref_mic = mics[rd.reference_index]
+    _require(rd.mic_count, 4, _SRD_MINIMUM)
+    _check_mic_count(mics, rd)
+    return srd_stack(*_stack_of_one(rd, mics))[0]
 
-    def finish(c_hat, status, extra=None):
-        resid = system.phi @ c_hat - system.b
-        r_norm2 = float(c_hat[1:] @ c_hat[1:])
-        constraint = abs(c_hat[0] ** 2 - r_norm2)
-        info = {"c1": float(c_hat[0]),
-                "constraint_residual": constraint,
-                "constraint_rel": constraint / (1.0 + r_norm2),
-                "rank": rank}
-        if extra:
-            info.update(extra)
-        return LocalizationResult(
-            position=c_hat[1:] + ref_mic, residual=float(resid @ resid),
-            status=status, info=info)
 
-    if rank == 3:
-        # minimal (3-row) or exactly coplanar system: every point of the
-        # affine family c0 + t*v attains the LS optimum, and the cone
-        # constraint picks t — the closed-form route the full pencil
-        # search cannot take on a singular system
-        c0 = vt[:3].T @ ((u[:, :3].T @ system.b) / s[:3])
-        others = rd.other_indices()
-        completed = _cone_line(c0, vt[3], lambda c: _rd_misfit(
-            c[1:] + ref_mic, mics, rd.reference_index, others, rd.values))
-        if completed is None:
-            return LocalizationResult(
-                position=np.full(3, np.nan), residual=np.inf,
-                status="degenerate",
-                info={"reason": "no feasible multiplier root", "rank": rank})
-        c_hat, ambiguous = completed
-        extra = {"null_completed": True}
-        if ambiguous:
-            extra["ambiguous"] = True
-        return finish(c_hat, "closed_form", extra)
+def srd_stack(d, mics, ref):
+    """``srd_ls`` of T systems at once (arguments as for ``usrd_stack``).
 
-    proj = u[:, :4].T @ system.b
-    candidates = _gtrs_candidates(s, vt, proj)
-    if not candidates:
-        # no bracketed root anywhere: report the failure mode distinctly,
-        # with the unconstrained LS point as a finite best effort
-        return finish(vt.T @ (proj / s), "degenerate",
-                      {"reason": "no multiplier root"})
+    One stacked SVD of the spherical systems and one stacked
+    diagonalization of the full-rank pencils; the multiplier root scan
+    and the fallbacks run per system.  Each result is bit for bit the
+    ``srd_ls`` result of its system.
+    """
+    _require(mics.shape[1], 4, _SRD_MINIMUM)
+    phi, b, origin = _spherical_stack(d, mics, ref)
+    u, s, vt = np.linalg.svd(phi, full_matrices=True)
+    rank = np.sum(s > RANK_TOL * s[:, :1], axis=-1).tolist()
+    pencil = []
+    if mics.shape[1] >= 5:
+        # every system of five or more microphones has a 4x4 pencil;
+        # only those of rank 4 use it
+        proj = _matvec(u[..., :4].mT, b)
+        pencil = list(zip(*_diagonal_pencil(s, vt, proj), proj))
+    results = []
+    for i, r in enumerate(rank):
+        if r < 3:
+            # collinear-style geometry: even the cone constraint cannot
+            # pin down a unique minimizer, so refuse rather than guess
+            results.append(
+                _degenerate("rank-deficient spherical system", rank=r))
+            continue
+        system = (phi[i], b[i], origin[i], r)
+        if r == 3:
+            # minimal (3-row) or exactly coplanar system: every point of
+            # the affine family c0 + t*v attains the LS optimum, and the
+            # cone constraint picks t — the closed-form route the full
+            # pencil search cannot take on a singular system
+            c0 = _svd_solve(u[i, :, :3], s[i, :3], vt[i, :3], b[i])
+            others = _other_indices(ref[i:i + 1], mics.shape[1])[0]
+            completed = _cone_line(c0, vt[i, 3], lambda c: _rd_misfit(
+                c[1:] + origin[i], mics[i], ref[i], others, d[i]))
+            if completed is None:
+                results.append(
+                    _degenerate("no feasible multiplier root", rank=r))
+                continue
+            c_hat, ambiguous = completed
+            extra = {"null_completed": True}
+            if ambiguous:
+                extra["ambiguous"] = True
+            results.append(_srd_result(system, c_hat, "closed_form", extra))
+            continue
+        basis, mu, h, p = pencil[i]
+        candidates = _gtrs_candidates(basis, mu, h)
+        if not candidates:
+            # no bracketed root anywhere: report the failure mode
+            # distinctly, with the unconstrained LS point as a finite
+            # best effort
+            results.append(_srd_result(system, vt[i].T @ (p / s[i]),
+                                       "degenerate",
+                                       {"reason": "no multiplier root"}))
+            continue
+        feasible = [c_hat for c_hat in candidates if c_hat[0] >= -1e-9]
+        if not feasible:
+            results.append(_degenerate("no feasible multiplier root", rank=r))
+            continue
+        gaps = [phi[i] @ c_hat - b[i] for c_hat in feasible]
+        # the first of equal costs wins
+        best = feasible[int(np.argmin([float(g @ g) for g in gaps]))]
+        results.append(_srd_result(system, best, "closed_form"))
+    return results
 
-    feasible = [c_hat for c_hat in candidates if c_hat[0] >= -1e-9]
-    if not feasible:
-        return LocalizationResult(
-            position=np.full(3, np.nan), residual=np.inf, status="degenerate",
-            info={"reason": "no feasible multiplier root", "rank": rank})
-    gaps = [system.phi @ c_hat - system.b for c_hat in feasible]
-    # the first of equal costs wins
-    return finish(feasible[int(np.argmin([float(g @ g) for g in gaps]))],
-                  "closed_form")
+
+def _srd_result(system, c_hat, status, extra=None):
+    phi, b, origin, rank = system
+    resid = phi @ c_hat - b
+    r_norm2 = float(c_hat[1:] @ c_hat[1:])
+    constraint = abs(c_hat[0] ** 2 - r_norm2)
+    info = {"c1": float(c_hat[0]),
+            "constraint_residual": constraint,
+            "constraint_rel": constraint / (1.0 + r_norm2),
+            "rank": rank}
+    if extra:
+        info.update(extra)
+    return LocalizationResult(position=c_hat[1:] + origin,
+                              residual=float(resid @ resid),
+                              status=status, info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -432,36 +543,53 @@ def build_conic_system(rd, mics, normalize=False):
     With ``normalize`` each row (and its rhs) is scaled to a unit
     normal, which equalizes the rows' noise influence.
     """
+    mics = _check_conic(rd, mics)
+    return _conic_system(rd.values, mics, normalize)
+
+
+def _conic_system(values, mics, normalize):
+    normal, f, scale = _plane_rows(values, mics)
+    kept = scale >= 1e-12
+    normal, f, scale = normal[kept], f[kept], scale[kept]
+    if normalize:
+        normal, f = normal / scale[:, None], f / scale
+    triplets = _triplet_index(mics.shape[0])
+    return ConicSystem(psi_matrix=normal, psi_rhs=f,
+                       triplets=triplets[kept], normalized=bool(normalize),
+                       dropped_triplets=triplets[~kept])
+
+
+def _check_conic(rd, mics):
     if not isinstance(rd, RdMatrix):
         raise TypeError("conic estimation needs the full RdMatrix")
     if not rd.is_valid():
         raise ValueError("RD matrix contains invalid pairs")
     mics = _as_points(mics, "mics")
-    m = mics.shape[0]
-    if rd.mic_count != m:
+    if rd.mic_count != mics.shape[0]:
         raise ValueError("mic count does not match RD matrix")
-    if m < 4:
-        raise ValueError(
-            "insufficient microphones: conic_ls needs at least 4")
-    d = rd.values
-    norms2 = np.sum(mics ** 2, axis=1)
-    triplets = _triplet_index(m)
-    p, q, r = triplets.T
-    d_qr, d_rp, d_pq = d[q, r], d[r, p], d[p, q]
-    normal = (d_qr[:, None] * mics[p] + d_rp[:, None] * mics[q]
-              + d_pq[:, None] * mics[r])
-    f = 0.5 * (d_pq * d_qr * d_rp + d_qr * norms2[p] + d_rp * norms2[q]
-               + d_pq * norms2[r])
+    _require(mics.shape[0], 4, _CONIC_MINIMUM)
+    return mics
+
+
+def _plane_rows(values, mics):
+    """Plane normals (..., K, 3), right-hand sides (..., K) and normal
+    norms (..., K) of all K = C(M, 3) triplets, from full RD matrices
+    ``values`` (..., M, M) of microphones ``mics`` (..., M, 3)."""
+    norms2 = np.sum(mics ** 2, axis=-1)
+    p, q, r = _triplet_index(mics.shape[-2]).T
+    d_qr, d_rp, d_pq = values[..., q, r], values[..., r, p], values[..., p, q]
+    normal = (d_qr[..., None] * mics[..., p, :]
+              + d_rp[..., None] * mics[..., q, :]
+              + d_pq[..., None] * mics[..., r, :])
+    f = 0.5 * (d_pq * d_qr * d_rp + d_qr * norms2[..., p]
+               + d_rp * norms2[..., q] + d_pq * norms2[..., r])
     # a row-by-row dot product, so that each scale equals the
     # np.linalg.norm of its row to the last bit
-    scale = np.sqrt((normal[:, None, :] @ normal[:, :, None])[:, 0, 0])
-    kept = scale >= 1e-12
-    normal, f, scale = normal[kept], f[kept], scale[kept]
-    if normalize:
-        normal, f = normal / scale[:, None], f / scale
-    return ConicSystem(psi_matrix=normal, psi_rhs=f,
-                       triplets=triplets[kept], normalized=bool(normalize),
-                       dropped_triplets=triplets[~kept])
+    return normal, f, np.sqrt(_sum_squares(normal))
+
+
+def _plane_residual(psi, rhs, x):
+    return _sum_squares(_matvec(psi, x) - rhs)
 
 
 def _complete_rank2(x0, direction, mics, d):
@@ -516,32 +644,79 @@ def conic_ls(rd, mics, normalize=False):
     data exactly, the near one is returned, and ``info["ambiguous"]``
     is set so callers can tell a convention from a proof.
     """
-    mics = _as_points(mics, "mics")
+    mics = _check_conic(rd, mics)
     centroid = mics.mean(axis=0)
     centered = mics - centroid
-    system = build_conic_system(rd, centered, normalize=normalize)
-    info = {"dropped_rows": len(system.dropped_triplets),
-            "normalized": system.normalized}
-    if system.psi_matrix.shape[0] == 0:
+    system = _conic_system(rd.values, centered, normalize)
+    return _conic_one(system.psi_matrix, system.psi_rhs, centered, centroid,
+                      rd.values, {"dropped_rows": len(system.dropped_triplets),
+                                  "normalized": system.normalized})
+
+
+def conic_stack(values, mics, normalize=False):
+    """``conic_ls`` of T systems at once.
+
+    ``values`` (T, M, M) are full RD matrices, taken as valid, of the
+    microphones ``mics`` (T, M, 3).  Systems whose planes are all kept
+    share one stacked SVD; a system that drops a plane or has rank
+    below 3 is solved on its own.  Each result is bit for bit the
+    ``conic_ls`` result of its system.
+    """
+    _require(mics.shape[1], 4, _CONIC_MINIMUM)
+    centroid = mics.mean(axis=1)
+    centered = mics - centroid[:, None, :]
+    normal, f, scale = _plane_rows(values, centered)
+    kept = scale >= 1e-12
+    if normalize:
+        # dropped rows are divided by 1 and never read
+        scale = np.where(kept, scale, 1.0)
+        normal, f = normal / scale[..., None], f / scale
+    fast = np.flatnonzero(kept.all(axis=-1))
+    u, s, vt = np.linalg.svd(normal[fast], full_matrices=False)
+    rank3 = np.sum(s > RANK_TOL * s[:, :1], axis=-1) == 3
+    fast, psi, rhs = fast[rank3], normal[fast[rank3]], f[fast[rank3]]
+    x0 = _svd_solve(u[rank3], s[rank3], vt[rank3], rhs)
+    solved = dict(zip(fast.tolist(), zip(
+        x0 + centroid[fast], _plane_residual(psi, rhs, x0).tolist())))
+    results = []
+    for i in range(len(mics)):
+        if i in solved:
+            position, residual = solved[i]
+            results.append(LocalizationResult(
+                position=position, residual=residual, status="closed_form",
+                info={"dropped_rows": 0, "normalized": bool(normalize),
+                      "rank": 3}))
+        else:
+            # a dropped plane or a rank below 3: solved on its own
+            results.append(_conic_one(normal[i][kept[i]], f[i][kept[i]],
+                                      centered[i], centroid[i], values[i],
+                                      {"dropped_rows": int(np.sum(~kept[i])),
+                                       "normalized": bool(normalize)}))
+    return results
+
+
+def _conic_one(psi, rhs, centered, centroid, values, info):
+    """The plane system of one array solved on its own, with the rank
+    fallbacks of ``conic_ls``."""
+    if psi.shape[0] == 0:
         return LocalizationResult(position=centroid, residual=0.0,
                                   status="degenerate",
                                   info=dict(info, rank=0,
                                             reason="no triplet planes"))
-    u, s, vt = np.linalg.svd(system.psi_matrix, full_matrices=False)
+    u, s, vt = np.linalg.svd(psi, full_matrices=False)
     rank = int(np.sum(s > RANK_TOL * s[0]))
     info["rank"] = rank
-    x0 = vt[:rank].T @ ((u[:, :rank].T @ system.psi_rhs) / s[:rank])
+    x0 = _svd_solve(u[:, :rank], s[:rank], vt[:rank], rhs)
 
     def result(x, status):
-        resid = system.psi_matrix @ x - system.psi_rhs
         return LocalizationResult(position=x + centroid,
-                                  residual=float(resid @ resid),
+                                  residual=float(_plane_residual(psi, rhs, x)),
                                   status=status, info=info)
 
     if rank >= 3:
         return result(x0, "closed_form")
     if rank == 2:
-        completed = _complete_rank2(x0, vt[2], centered, rd.values)
+        completed = _complete_rank2(x0, vt[2], centered, values)
         if completed is not None:
             point, ambiguous = completed
             info["line_completed"] = True
@@ -583,6 +758,71 @@ def _damped_step(hess, grad, mu):
     h2 = y2 / l22
     h1 = (y1 - l21 * h2) / l11
     return (y0 - l10 * h1 - l20 * h2) / l00, h1, h2
+
+
+def _small_step(step, x, origin, tol):
+    """The relative step stop: ||h|| <= tol (||x - r_ref|| + tol)."""
+    return math.hypot(*step) <= tol * (math.dist(x, origin) + tol)
+
+
+def _gain_update(mu, step, grad, cost, new_cost):
+    """Nielsen's damping after an accepted step: mu scaled by
+    max(1/3, 1 - (2 rho - 1)^3) for the gain ratio rho, in plain floats."""
+    predicted = sum(h * (mu * h - g) for h, g in zip(step, grad))
+    rho = (cost - new_cost) / predicted if predicted > 0 else 1.0
+    return mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+
+
+def _residuals(pos, pts, d):
+    """Offsets from the microphones ``pts`` (..., M, 3), reference first,
+    to the points ``pos`` (..., 3), their lengths, and the RD residuals
+    against ``d`` (..., M-1)."""
+    diff = pos[..., None, :] - pts
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    return diff, dist, (dist[..., 1:] - dist[..., :1]) - d
+
+
+def _off_mic(pos, center):
+    """``pos`` moved 1e-6 m towards the array centroid ``center``: the
+    Jacobian blows up on a microphone."""
+    away = center - pos
+    nrm = np.linalg.norm(away)
+    return pos + 1e-6 * (away / nrm if nrm > 1e-12
+                         else np.array([1.0, 0.0, 0.0]))
+
+
+def _jacobian(diff, dist):
+    unit = diff / dist[..., None]
+    return unit[..., 1:, :] - unit[..., :1, :]
+
+
+def _normal_equations(wjac, werr):
+    """J^T J and J^T e of one system or a stack, as nested lists of
+    floats."""
+    jt = wjac.mT
+    return (jt @ wjac).tolist(), _matvec(jt, werr).tolist()
+
+
+def _peak(hess):
+    """The largest diagonal entry of one 3x3 J^T J (nested lists)."""
+    return max(hess[0][0], hess[1][1], hess[2][2])
+
+
+def _lm_outcome(termination, iterations, singular_values):
+    """Status and info of a finished LM run; the Jacobian's singular
+    values are needed (and given) unless the damping overflowed."""
+    info = {"iterations": iterations, "termination": termination}
+    status = "max_iterations" if termination == "max_iterations" \
+        else "converged"
+    if termination == "damping":
+        status, info["reason"] = "degenerate", "damping overflow"
+    else:
+        s = singular_values
+        rank = int(np.sum(s > RANK_TOL * s[0]))
+        if rank < 3:
+            status = "degenerate"
+            info.update(reason="rank-deficient Jacobian", rank=rank)
+    return status, info
 
 
 def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
@@ -630,8 +870,7 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
     """
     _check_rd_vector(rd)
     mics = _as_points(mics, "mics")
-    if mics.shape[0] != rd.mic_count:
-        raise ValueError("mic count does not match RD vector")
+    _check_mic_count(mics, rd)
     d = rd.values
 
     if weights is None:
@@ -659,11 +898,8 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
         return scipy.linalg.solve_triangular(chol, arr, lower=True)
 
     if init is None:
-        init = mics.mean(axis=0)
-        if rd.mic_count >= 5:
-            guess = usrd_ls(rd, mics)
-            if guess.ok:
-                init = guess.position
+        init = _lm_start(mics, usrd_ls(rd, mics) if rd.mic_count >= 5
+                         else None)
     x = np.asarray(init, dtype=float).reshape(3).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("init must be finite")
@@ -674,26 +910,17 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
     center = pts.mean(axis=0)
 
     def evaluate(pos):
-        diff = pos[None, :] - pts
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        diff, dist, werr = _residuals(pos, pts, d)
         if dist.min() < 1e-9:
-            # keep the iterate off the microphones, where the Jacobian
-            # blows up
-            away = center - pos
-            nrm = np.linalg.norm(away)
-            pos = pos + 1e-6 * (away / nrm if nrm > 1e-12
-                                else np.array([1.0, 0.0, 0.0]))
-            diff = pos[None, :] - pts
-            dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        werr = whiten((dist[1:] - dist[0]) - d)
+            pos = _off_mic(pos, center)
+            diff, dist, werr = _residuals(pos, pts, d)
+        werr = whiten(werr)
         return pos, werr, float(werr @ werr), diff, dist
 
     def linearize(diff, dist, werr):
-        unit = diff / dist[:, None]
-        wjac = whiten(unit[1:] - unit[0])
-        hess = (wjac.T @ wjac).tolist()
-        return wjac, hess, (wjac.T @ werr).tolist(), max(
-            hess[0][0], hess[1][1], hess[2][2])
+        wjac = whiten(_jacobian(diff, dist))
+        hess, grad = _normal_equations(wjac, werr)
+        return wjac, hess, grad, _peak(hess)
 
     x, werr, cost, diff, dist = evaluate(x)
     wjac, hess, grad, peak = linearize(diff, dist, werr)
@@ -707,17 +934,15 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
             break
         step = _damped_step(hess, grad, mu)
         if step is not None:
-            if math.hypot(*step) <= tol * (math.dist(x, origin) + tol):
+            if _small_step(step, x, origin, tol):
                 termination = "step"
                 break
             cand, new_werr, new_cost, new_diff, new_dist = evaluate(x + step)
             if new_cost < cost:
-                predicted = sum(h * (mu * h - g) for h, g in zip(step, grad))
-                rho = (cost - new_cost) / predicted if predicted > 0 else 1.0
+                mu = _gain_update(mu, step, grad, cost, new_cost)
                 x, cost = cand, new_cost
                 wjac, hess, grad, peak = linearize(new_diff, new_dist,
                                                    new_werr)
-                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
                 continue
         # no positive-definite damped system, or a step that does not
@@ -727,16 +952,116 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
         if not 0.0 < mu <= DAMPING_LIMIT * peak:
             termination = "damping"
             break
-    info = {"iterations": iterations, "termination": termination}
-    status = "max_iterations" if termination == "max_iterations" \
-        else "converged"
-    if termination == "damping":
-        status, info["reason"] = "degenerate", "damping overflow"
-    else:
-        s = np.linalg.svd(wjac, compute_uv=False)
-        rank = int(np.sum(s > RANK_TOL * s[0]))
-        if rank < 3:
-            status = "degenerate"
-            info.update(reason="rank-deficient Jacobian", rank=rank)
+    status, info = _lm_outcome(
+        termination, iterations, None if termination == "damping"
+        else np.linalg.svd(wjac, compute_uv=False))
     return LocalizationResult(position=x, residual=cost / scale,
                               status=status, info=info)
+
+
+def _lm_start(mics, guess):
+    """The default LM start: the usrd_ls position ``guess`` when it is
+    ok, else the array barycenter."""
+    return guess.position if guess is not None and guess.ok \
+        else mics.mean(axis=0)
+
+
+def hyperbolic_stack(d, mics, ref, usrd=None, max_iter=100, tol=1e-10):
+    """``hyperbolic_ls`` of T systems at once, unweighted and from its
+    default start (arguments as for ``usrd_stack``).
+
+    ``usrd`` may hold the ``usrd_stack`` results of the same systems,
+    which are then not computed again for the start points.  The LM
+    loop runs over the whole stack: each system keeps its own damping
+    and stops on its own, its damped step and damping update are the
+    plain-float helpers of ``hyperbolic_ls``, and residuals, Jacobians
+    and normal equations are formed for all moving systems at once.
+    Each result is bit for bit the ``hyperbolic_ls`` result of its
+    system.
+    """
+    t, m = mics.shape[:2]
+    if usrd is None and m >= 5:
+        usrd = usrd_stack(d, mics, ref)
+    x = np.array([_lm_start(mics[i], None if usrd is None else usrd[i])
+                  for i in range(t)]).reshape(t, 3)
+    rows = np.arange(t)
+    pts = mics[rows[:, None],
+               np.concatenate([ref[:, None], _other_indices(ref, m)], axis=1)]
+    center = pts.mean(axis=1)
+    origin = mics[rows, ref].tolist()
+
+    def evaluate(idx, pos):
+        diff, dist, werr = _residuals(pos, pts[idx], d[idx])
+        near = np.flatnonzero(dist.min(axis=-1) < 1e-9)
+        if near.size:
+            for k in near:
+                pos[k] = _off_mic(pos[k], center[idx[k]])
+            diff[near], dist[near], werr[near] = _residuals(
+                pos[near], pts[idx[near]], d[idx[near]])
+        return pos, werr, _sum_squares(werr).tolist(), diff, dist
+
+    x, werr, cost, diff, dist = evaluate(rows, x)
+    wjac = _jacobian(diff, dist)
+    hess, grad = _normal_equations(wjac, werr)
+    peak = [_peak(h) for h in hess]
+    mu = [1e-3 * p for p in peak]
+    nu = [2.0] * t
+    termination = ["max_iterations"] * t
+    iterations = [0] * t
+    active = list(range(t))
+    for it in range(1, max_iter + 1):
+        if not active:
+            break
+        moving, steps, damped = [], [], []
+        for i in active:
+            iterations[i] = it
+            if max(map(abs, grad[i])) <= GRAD_TOL:
+                termination[i] = "gradient"
+                continue
+            step = _damped_step(hess[i], grad[i], mu[i])
+            if step is None:
+                damped.append(i)
+            elif _small_step(step, x[i].tolist(), origin[i], tol):
+                termination[i] = "step"
+            else:
+                moving.append(i)
+                steps.append(step)
+        active = []
+        if moving:
+            idx = np.array(moving)
+            cand, new_werr, new_cost, new_diff, new_dist = evaluate(
+                idx, x[idx] + np.array(steps))
+            better = []
+            for k, i in enumerate(moving):
+                if new_cost[k] < cost[i]:
+                    mu[i] = _gain_update(mu[i], steps[k], grad[i], cost[i],
+                                         new_cost[k])
+                    cost[i], nu[i] = new_cost[k], 2.0
+                    better.append(k)
+                else:
+                    damped.append(i)
+            if better:
+                accepted = idx[better]
+                x[accepted] = cand[better]
+                wjac[accepted] = _jacobian(new_diff[better], new_dist[better])
+                for i, h, g in zip(accepted.tolist(), *_normal_equations(
+                        wjac[accepted], new_werr[better])):
+                    hess[i], grad[i], peak[i] = h, g, _peak(h)
+                active.extend(accepted.tolist())
+        for i in damped:
+            mu[i] *= nu[i]
+            nu[i] *= 2.0
+            if not 0.0 < mu[i] <= DAMPING_LIMIT * peak[i]:
+                termination[i] = "damping"
+            else:
+                active.append(i)
+        active.sort()
+    live = [i for i in range(t) if termination[i] != "damping"]
+    singular = dict(zip(live, np.linalg.svd(wjac[live], compute_uv=False)))
+    results = []
+    for i in range(t):
+        status, info = _lm_outcome(termination[i], iterations[i],
+                                   singular.get(i))
+        results.append(LocalizationResult(position=x[i], residual=cost[i],
+                                          status=status, info=info))
+    return results

@@ -536,6 +536,22 @@ def test_perfbench_tracer_sees_the_lag_pass():
             "estimators.hyperbolic_ls.m8"} <= names
 
 
+def test_spread_check_matches_the_full_distance_matrix():
+    # the blocked check must decide as the whole distance matrix does,
+    # so that random scenes stay the same draws
+    rng = np.random.default_rng(41)
+    for count in (5, 8, 31, 32, 33, 70):
+        for _ in range(20):
+            mics = rng.uniform(-3.0, 3.0, size=(count, 3))
+            dist = np.linalg.norm(mics[:, None, :] - mics[None, :, :],
+                                  axis=-1)
+            np.fill_diagonal(dist, np.inf)
+            for least in (0.05, 0.15, dist.min(), np.nextafter(
+                    dist.min(), np.inf)):
+                assert bench._spread_out(mics, least) == (
+                    dist.min() >= least)
+
+
 @pytest.mark.parametrize("mic_count", [2, 3])
 def test_random_scene_needs_four_mics(mic_count):
     with pytest.raises(ConfigError, match="mic_count"):
@@ -641,3 +657,149 @@ def test_readme_yaml_matches_the_schema():
     for f in fields(BenchmarkConfig):
         if f.default is not MISSING:
             assert getattr(config, f.name) == f.default, f.name
+
+
+# ---------------------------------------------------------------------------
+# the per-system oracle: cells of several subsets are solved as stacks,
+# and must give what one localize call per (subset, feature, method) gives
+
+
+def oracle_records(config):
+    """The grid as plain loops over cells, subsets, features and methods,
+    one ``localize`` call per record."""
+    scenes = bench._scenes_for(config)
+    mic_count = scenes[0][0].mic_count
+    subsets = ([tuple(range(mic_count))] if config.subset_mode == "full"
+               else enumerate_subsets(mic_count, config.subset_k))
+    methods = [bench.parse_method(mid) for mid in config.methods]
+    records = []
+    for ni, level in enumerate(config.noise_levels):
+        for ti in range(config.trials):
+            scene, true_full = scenes[ti % len(scenes)]
+            observed, energies = bench._observations_for_cell(
+                config, scene, true_full, ni, ti)
+            for subset in subsets:
+                sub_true = true_full.subset(subset)
+                for feature in config.features:
+                    sub_rd = observed[feature]
+                    if sub_rd is not None:
+                        sub_rd = sub_rd.subset(subset)
+                    valid = sub_rd is not None and sub_rd.is_valid()
+                    rd_err = float("nan")
+                    if valid:
+                        iu = np.triu_indices(len(subset), k=1)
+                        rd_err = float(np.mean(np.abs(
+                            (sub_rd.values - sub_true.values)[iu])))
+                    for name, ref_policy in methods:
+                        status, pos_err, extra = ("invalid_pair",
+                                                  float("nan"), {})
+                        if valid:
+                            try:
+                                _, result = localize(
+                                    name, ref_policy, sub_rd,
+                                    scene.mics[list(subset)],
+                                    None if energies is None
+                                    else energies[list(subset)])
+                                status, extra = (result.status,
+                                                 dict(result.info))
+                                if np.all(np.isfinite(result.position)):
+                                    pos_err = float(np.linalg.norm(
+                                        result.position - scene.source))
+                            except (ValueError, IndexError) as exc:
+                                status, extra = ("degenerate",
+                                                 {"reason": str(exc)})
+                        records.append(TrialRecord(
+                            method=bench._method_id(name, ref_policy),
+                            feature=feature, subset=bench._subset_id(subset),
+                            noise_level=level, trial=ti, status=status,
+                            position_error_m=pos_err,
+                            mean_abs_rd_error_m=rd_err, extra=extra))
+    records.sort(key=TrialRecord.sort_key)
+    return records
+
+
+def exact(records):
+    """Records as comparable rows: floats by repr (NaN included), with
+    ``extra``, which TrialRecord equality leaves out."""
+    return [(r.method, r.feature, r.subset, repr(r.noise_level), r.trial,
+             r.status, repr(r.position_error_m), repr(r.mean_abs_rd_error_m),
+             r.extra) for r in records]
+
+
+ALL_METHODS = ["usrd-ls", "srd-ls", "conic", "conic-norm", "hyperbolic"]
+
+
+@pytest.mark.parametrize("overrides", [
+    # k = 4: usrd-ls refuses every subset, srd-ls and conic take their
+    # minimal-array fallbacks
+    dict(methods=ALL_METHODS, trials=2, scene={"kind": "paper_table1"},
+         subsets={"mode": "all_k_of_m", "k": 4},
+         noise={"domain": "rd", "kind": "gaussian", "levels": [0.0, 0.05]}),
+    dict(methods=ALL_METHODS + ["srd-ls:index:0", "hyperbolic:index:3"],
+         features=["vad_on:raw", "vad_on:denoised"], trials=2,
+         scene={"kind": "paper_table1"},
+         subsets={"mode": "all_k_of_m", "k": 5},
+         noise={"domain": "rd", "kind": "gaussian", "levels": [0.01, 0.2]}),
+    dict(methods=ALL_METHODS, features=["vad_on:raw", "vad_on:denoised"],
+         trials=3, scene={"kind": "random", "count": 3, "mic_count": 7},
+         subsets={"mode": "all_k_of_m", "k": 6},
+         noise={"domain": "rd", "kind": "outlier_mixture",
+                "levels": [0.02, 0.1]}),
+], ids=["k4", "gaussian", "outliers"])
+def test_stacked_cells_match_the_per_system_oracle(overrides):
+    config = base_config(**overrides)
+    records = run_benchmark(config)
+    assert exact(records) == exact(oracle_records(config))
+    if config.subset_k == 4:
+        usrd = [r for r in records if r.method == "usrd-ls"]
+        assert {r.status for r in usrd} == {"degenerate"}
+        assert {r.extra["reason"] for r in usrd} == {
+            "insufficient microphones: usrd_ls needs at least 5 in 3D"}
+
+
+def test_stacked_signal_cells_match_the_per_system_oracle(monkeypatch):
+    # energy and fixed references on captures where pair (2, 5) has no
+    # usable frames, so the subsets holding it are invalid_pair
+    original = bench.rd_from_signals
+
+    def without_pair(signals, scene):
+        per_vad = {}
+        for vad, rd in original(signals, scene).items():
+            values = rd.values.copy()
+            values[2, 5] = values[5, 2] = np.nan
+            per_vad[vad] = RdMatrix(values)
+        return per_vad
+
+    monkeypatch.setattr(bench, "rd_from_signals", without_pair)
+    config = base_config(
+        methods=["srd-ls:max-energy", "hyperbolic:index:1", "usrd-ls",
+                 "conic"],
+        features=["vad_on:raw", "vad_off:raw"], trials=2,
+        scene={"kind": "paper_table1"},
+        subsets={"mode": "all_k_of_m", "k": 5}, noise=SIGNAL)
+    records = run_benchmark(config)
+    assert exact(records) == exact(oracle_records(config))
+    statuses = {r.status for r in records}
+    assert "invalid_pair" in statuses and "closed_form" in statuses
+
+
+def test_perfbench_tracer_runs_on_stacked_cells():
+    # --trace 1 on rd_grid: the tracer wraps the per-system estimator
+    # names, which stacked cells do not call; the run must still finish
+    # and give the untraced records
+    config = base_config(
+        methods=ALL_METHODS, features=["vad_on:raw", "vad_on:denoised"],
+        trials=1, subsets={"mode": "all_k_of_m", "k": 5},
+        noise={"domain": "rd", "kind": "gaussian", "levels": [0.01, 0.05]})
+    untraced = run_benchmark(config)
+    tracer = _perfbench_tracing().Tracer()
+    tracer.install(bench, estimators)
+    try:
+        traced = bench.run_benchmark(config)
+    finally:
+        tracer.uninstall()
+    assert exact(traced) == exact(untraced)
+    assert len(traced) == 5 * 2 * 56 * 2
+    names = {span[4] for span in tracer.spans}
+    assert {"bench.run_benchmark", "simulate.perturb_rd",
+            "denoise.tdoa_average", "geometry.select_reference"} <= names

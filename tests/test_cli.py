@@ -257,6 +257,10 @@ def test_bench_unknown_key(tmp_path, capsys):
     ("frame length", {"scene": {"kind": "random", "count": 1,
                                 "mic_count": 5, "bounds": 30.0},
                       "noise": {"domain": "signal", "levels": [20.0]}}),
+    # 600 mics 5 % of the bounds apart: about one random draw in 100,000
+    # passes, so the scene draws give up instead of looping on
+    ("mic_count 600", {"scene": {"kind": "random", "count": 1,
+                                 "mic_count": 600}}),
 ])
 def test_bench_unrunnable_config_exits_before_running(tmp_path, capsys,
                                                      named, overrides):

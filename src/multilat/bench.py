@@ -51,9 +51,9 @@ import numpy as np
 import yaml
 
 from .denoise import tdoa_average
-from .estimators import (_other_indices, conic_ls, conic_stack,
-                         hyperbolic_ls, hyperbolic_stack, srd_ls, srd_stack,
-                         usrd_ls, usrd_stack)
+from .estimators import (TooFewMicrophones, _other_indices, conic_ls,
+                         conic_stack, hyperbolic_ls, hyperbolic_stack, srd_ls,
+                         srd_stack, usrd_ls, usrd_stack)
 from .geometry import (DEFAULT_SOUND_SPEED, LocalizationResult, Scene,
                        select_reference, tdoa_to_rd, true_rd_full, RdMatrix)
 from .simulate import RdNoiseModel, SignalModel, perturb_rd, synth_signals
@@ -565,36 +565,46 @@ def rd_from_signals(signals, scene):
                              ("off", tdoa_mat.with_vad("off")))}
 
 
-def _run_cell(config, scenes, subsets, methods, noise_idx, trial_idx):
+def _subset_layout(subsets, mic_count):
+    """What every cell of a run indexes its subsets with: the (S, k)
+    subset indices, the flat indices into an (M, M) RD matrix of each
+    subset's (k, k) block and of its k(k-1)/2 upper pairs, and the
+    subset ids."""
+    index = np.array(subsets)
+    pairs = index[:, :, None] * mic_count + index[:, None, :]
+    rows, cols = np.triu_indices(index.shape[1], k=1)
+    return (index, pairs, pairs[:, rows, cols],
+            [_subset_id(subset) for subset in subsets])
+
+
+def _run_cell(config, scenes, layout, methods, noise_idx, trial_idx):
     scene, true_full = scenes[trial_idx % len(scenes)]
     level = config.noise_levels[noise_idx]
     observed, energies = _observations_for_cell(
         config, scene, true_full, noise_idx, trial_idx)
-    index = np.array(subsets)
+    index, pairs, upper, subset_ids = layout
     mics = scene.mics[index]
     if energies is not None:
         energies = energies[index]
-    rows, cols = np.triu_indices(index.shape[1], k=1)
-    truth = true_full.values[index[:, rows], index[:, cols]]
+    truth = true_full.values.take(upper)
     # a stack pays for itself from a few systems on (the stacked LM loop
     # takes about 1.4x the scalar one on a stack of one), so one subset
     # (full arrays) keeps the per-system calls; one-mic subsets have no
     # RDs to stack and fail system by system
-    stacked = len(subsets) > 1 and index.shape[1] > 1
+    stacked = len(index) > 1 and index.shape[1] > 1
     references = {}  # reference policy -> index per subset, once per cell
-    subset_ids = [_subset_id(subset) for subset in subsets]
     records = []
     for feature in config.features:
         full = observed[feature]
         if full is None:
-            values = np.full(index.shape + index.shape[1:], np.nan)
-            rd_err = np.full(len(subsets), np.nan)
+            values = np.full(pairs.shape, np.nan)
+            rd_err = np.full(len(index), np.nan)
         else:
-            values = full.values[index[:, :, None], index[:, None, :]]
-            # C order, so that each row's mean sums its pairs in the
-            # order of a one-subset mean
-            rd_err = np.mean(np.abs(values[:, rows, cols] - truth,
-                                    order="C"), axis=-1)
+            values = full.values.take(pairs)
+            # take gives the (S, P) pairs in C order, so that each row's
+            # mean sums its pairs in the order of a one-subset mean
+            rd_err = np.mean(np.abs(full.values.take(upper) - truth),
+                             axis=-1)
         valid = np.isfinite(values).all(axis=(1, 2))
         outcomes = _solve(methods, values, mics, valid, energies, references,
                           stacked)
@@ -627,12 +637,13 @@ def _solve(methods, values, mics, valid, energies, references, stacked):
     (S, k, 3) their microphones and ``energies`` (S, k) or None their
     channel energies.  With ``stacked`` each method's valid systems go
     through its estimator kernel as one stack, ``references`` caching
-    each policy's reference per system across calls; a stack that the
-    kernel refuses, and every system otherwise, goes through
-    ``localize`` one system at a time, with the same outcomes.
+    each policy's reference per system across calls, and a kernel that
+    refuses its microphone count gives each system that refusal, as
+    ``localize`` does; without, each system goes through ``localize``.
     """
-    keep = np.flatnonzero(valid)
-    kept_values, kept_mics = values[keep], mics[keep]
+    keep = np.flatnonzero(valid).tolist()
+    if stacked:
+        kept_values, kept_mics = values[keep], mics[keep]
     stacks = {}  # reference policy -> [ref, RD rows, usrd results]
 
     def stack(ref_policy):
@@ -678,16 +689,16 @@ def _solve(methods, values, mics, valid, energies, references, stacked):
 
     outcomes = []
     for name, ref_policy in methods:
-        results = None
-        if stacked:
+        if not stacked:
+            results = solve_each(name, ref_policy)
+        else:
             try:
                 results = solve_stack(name, ref_policy)
-            except (ValueError, IndexError):
-                pass
-        if results is None:
-            results = solve_each(name, ref_policy)
+            except TooFewMicrophones as exc:
+                results = [exc] * len(keep)
         solved = iter(results)
-        outcomes.append([next(solved) if ok else None for ok in valid])
+        outcomes.append([next(solved) if ok else None
+                         for ok in valid.tolist()])
     return outcomes
 
 
@@ -704,10 +715,11 @@ def run_benchmark(config):
     else:
         subsets = enumerate_subsets(mic_count, config.subset_k)
     methods = [parse_method(mid) for mid in config.methods]
+    layout = _subset_layout(subsets, mic_count)
     records = [record
                for ni in range(len(config.noise_levels))
                for ti in range(config.trials)
-               for record in _run_cell(config, scenes, subsets, methods,
+               for record in _run_cell(config, scenes, layout, methods,
                                        ni, ti)]
     records.sort(key=TrialRecord.sort_key)
     return records

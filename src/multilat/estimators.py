@@ -67,6 +67,10 @@ GRAD_TOL = 1e-12
 #: hyperbolic_ls gives up once its damping exceeds this multiple of the
 #: largest diagonal entry of J^T J: J^T J + mu*I then rounds to mu*I
 DAMPING_LIMIT = 1e16
+#: hyperbolic_ls defaults, and what hyperbolic_stack always uses: the
+#: pass limit and the relative step stop
+MAX_ITER = 100
+STEP_TOL = 1e-10
 
 _D_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 _USRD_MINIMUM = "usrd_ls needs at least 5 in 3D"
@@ -130,9 +134,14 @@ def _check_mic_count(mics, rd):
         raise ValueError("mic count does not match RD vector")
 
 
+class TooFewMicrophones(ValueError):
+    """Raised by an estimator, or a kernel for its whole stack, given
+    fewer microphones than it needs."""
+
+
 def _require(mic_count, least, what):
     if mic_count < least:
-        raise ValueError(f"insufficient microphones: {what}")
+        raise TooFewMicrophones(f"insufficient microphones: {what}")
 
 
 def _stack_of_one(rd, mics):
@@ -578,11 +587,12 @@ def _plane_rows(values, mics):
     norms2 = np.sum(mics ** 2, axis=-1)
     p, q, r = _triplet_index(mics.shape[-2]).T
     d_qr, d_rp, d_pq = values[..., q, r], values[..., r, p], values[..., p, q]
-    normal = (d_qr[..., None] * mics[..., p, :]
-              + d_rp[..., None] * mics[..., q, :]
-              + d_pq[..., None] * mics[..., r, :])
-    f = 0.5 * (d_pq * d_qr * d_rp + d_qr * norms2[..., p]
-               + d_rp * norms2[..., q] + d_pq * norms2[..., r])
+    # take is the fastest gather here, on one array as on a stack
+    r_p, r_q, r_r = (mics.take(i, axis=-2) for i in (p, q, r))
+    n_p, n_q, n_r = (norms2.take(i, axis=-1) for i in (p, q, r))
+    normal = (d_qr[..., None] * r_p + d_rp[..., None] * r_q
+              + d_pq[..., None] * r_r)
+    f = 0.5 * (d_pq * d_qr * d_rp + d_qr * n_p + d_rp * n_q + d_pq * n_r)
     # a row-by-row dot product, so that each scale equals the
     # np.linalg.norm of its row to the last bit
     return normal, f, np.sqrt(_sum_squares(normal))
@@ -825,7 +835,8 @@ def _lm_outcome(termination, iterations, singular_values):
     return status, info
 
 
-def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
+def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
+                  tol=STEP_TOL):
     """Iterative weighted LS on the RD residuals (Levenberg-Marquardt).
 
     Minimizes the cost (d - d_hat(x))^T Sigma^-1 (d - d_hat(x)) where
@@ -909,18 +920,24 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=100, tol=1e-10):
     pts = mics[[rd.reference_index] + rd.other_indices()]
     center = pts.mean(axis=0)
 
+    # the formulas of _residuals, _jacobian and _normal_equations on one
+    # system, written out: helper calls cost this loop about 5 %
     def evaluate(pos):
-        diff, dist, werr = _residuals(pos, pts, d)
+        diff = pos[None, :] - pts
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
         if dist.min() < 1e-9:
             pos = _off_mic(pos, center)
-            diff, dist, werr = _residuals(pos, pts, d)
-        werr = whiten(werr)
+            diff = pos[None, :] - pts
+            dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        werr = whiten((dist[1:] - dist[0]) - d)
         return pos, werr, float(werr @ werr), diff, dist
 
     def linearize(diff, dist, werr):
-        wjac = whiten(_jacobian(diff, dist))
-        hess, grad = _normal_equations(wjac, werr)
-        return wjac, hess, grad, _peak(hess)
+        unit = diff / dist[:, None]
+        wjac = whiten(unit[1:] - unit[0])
+        hess = (wjac.T @ wjac).tolist()
+        return wjac, hess, (wjac.T @ werr).tolist(), max(
+            hess[0][0], hess[1][1], hess[2][2])
 
     x, werr, cost, diff, dist = evaluate(x)
     wjac, hess, grad, peak = linearize(diff, dist, werr)
@@ -966,9 +983,10 @@ def _lm_start(mics, guess):
         else mics.mean(axis=0)
 
 
-def hyperbolic_stack(d, mics, ref, usrd=None, max_iter=100, tol=1e-10):
-    """``hyperbolic_ls`` of T systems at once, unweighted and from its
-    default start (arguments as for ``usrd_stack``).
+def hyperbolic_stack(d, mics, ref, usrd=None):
+    """``hyperbolic_ls`` of T systems at once, unweighted, from its
+    default start and with its default ``max_iter`` and ``tol``
+    (arguments as for ``usrd_stack``).
 
     ``usrd`` may hold the ``usrd_stack`` results of the same systems,
     which are then not computed again for the start points.  The LM
@@ -1009,7 +1027,7 @@ def hyperbolic_stack(d, mics, ref, usrd=None, max_iter=100, tol=1e-10):
     termination = ["max_iterations"] * t
     iterations = [0] * t
     active = list(range(t))
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if not active:
             break
         moving, steps, damped = [], [], []
@@ -1021,7 +1039,7 @@ def hyperbolic_stack(d, mics, ref, usrd=None, max_iter=100, tol=1e-10):
             step = _damped_step(hess[i], grad[i], mu[i])
             if step is None:
                 damped.append(i)
-            elif _small_step(step, x[i].tolist(), origin[i], tol):
+            elif _small_step(step, x[i].tolist(), origin[i], STEP_TOL):
                 termination[i] = "step"
             else:
                 moving.append(i)

@@ -746,6 +746,7 @@ ALL_METHODS = ["usrd-ls", "srd-ls", "conic", "conic-norm", "hyperbolic"]
          noise={"domain": "rd", "kind": "outlier_mixture",
                 "levels": [0.02, 0.1]}),
 ], ids=["k4", "gaussian", "outliers"])
+@pytest.mark.usefixtures("stacked_linalg")
 def test_stacked_cells_match_the_per_system_oracle(overrides):
     config = base_config(**overrides)
     records = run_benchmark(config)
@@ -757,6 +758,20 @@ def test_stacked_cells_match_the_per_system_oracle(overrides):
             "insufficient microphones: usrd_ls needs at least 5 in 3D"}
 
 
+def test_stacked_cells_propagate_kernel_faults(monkeypatch):
+    # only a kernel's refusal of the microphone count becomes per-system
+    # outcomes; any other error is a fault and propagates
+    def broken(*args, **kwargs):
+        raise IndexError("kernel fault")
+
+    monkeypatch.setattr(bench, "srd_stack", broken)
+    config = base_config(methods=["srd-ls"], trials=1,
+                         subsets={"mode": "all_k_of_m", "k": 5})
+    with pytest.raises(IndexError, match="kernel fault"):
+        run_benchmark(config)
+
+
+@pytest.mark.usefixtures("stacked_linalg")
 def test_stacked_signal_cells_match_the_per_system_oracle(monkeypatch):
     # energy and fixed references on captures where pair (2, 5) has no
     # usable frames, so the subsets holding it are invalid_pair

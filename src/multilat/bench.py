@@ -18,13 +18,14 @@ methods, and the grid runs serially in one thread, so reruns produce
 identical records.  Records are sorted canonically before they are
 returned or persisted.
 
-A cell with several microphone subsets (``all_k_of_m``) picks each
-subset's reference once and solves each (feature, method) group as one
-stack through the estimator kernels (``usrd_stack``, ``srd_stack``,
-``conic_stack``, ``hyperbolic_stack``, looked up here at call time),
-seeding hyperbolic LS from the group's usrd stack.  A cell with one
-subset (``full``) calls ``localize`` per system.  Both give the same
-records bit for bit, ``extra`` included.
+A run draws every cell's observation first.  Then it solves each
+(feature, method) group as one stack over all its (cell, subset)
+systems, mixed geometries included, through the estimator kernels
+(``usrd_stack``, ``srd_stack``, ``conic_stack``, ``hyperbolic_stack``,
+looked up here at call time).  Each system's reference is picked once
+per run, and hyperbolic LS starts from the group's usrd stack.  A run
+with one system per group (one cell of one subset) calls ``localize``
+instead.  Both give the same records bit for bit, ``extra`` included.
 
 Multiple source positions are folded into the trial axis: trial t uses
 scene position ``t mod n_positions``, keeping the record count at
@@ -51,11 +52,13 @@ import numpy as np
 import yaml
 
 from .denoise import tdoa_average
-from .estimators import (TooFewMicrophones, _other_indices, conic_ls,
-                         conic_stack, hyperbolic_ls, hyperbolic_stack, srd_ls,
-                         srd_stack, usrd_ls, usrd_stack)
+from .estimators import (TooFewMicrophones, _other_indices, _sum_squares,
+                         conic_ls, conic_stack, hyperbolic_ls,
+                         hyperbolic_stack, srd_ls, srd_stack, usrd_ls,
+                         usrd_stack)
 from .geometry import (DEFAULT_SOUND_SPEED, LocalizationResult, Scene,
-                       select_reference, tdoa_to_rd, true_rd_full, RdMatrix)
+                       _upper_index, select_reference, tdoa_to_rd,
+                       true_rd_full, RdMatrix)
 from .simulate import RdNoiseModel, SignalModel, perturb_rd, synth_signals
 from .tdoa import FrameConfig, estimate_tdoa_matrix
 
@@ -565,77 +568,15 @@ def rd_from_signals(signals, scene):
                              ("off", tdoa_mat.with_vad("off")))}
 
 
-def _subset_layout(subsets, mic_count):
-    """What every cell of a run indexes its subsets with: the (S, k)
-    subset indices, the flat indices into an (M, M) RD matrix of each
-    subset's (k, k) block and of its k(k-1)/2 upper pairs, and the
-    subset ids."""
-    index = np.array(subsets)
-    pairs = index[:, :, None] * mic_count + index[:, None, :]
-    rows, cols = np.triu_indices(index.shape[1], k=1)
-    return (index, pairs, pairs[:, rows, cols],
-            [_subset_id(subset) for subset in subsets])
-
-
-def _run_cell(config, scenes, layout, methods, noise_idx, trial_idx):
-    scene, true_full = scenes[trial_idx % len(scenes)]
-    level = config.noise_levels[noise_idx]
-    observed, energies = _observations_for_cell(
-        config, scene, true_full, noise_idx, trial_idx)
-    index, pairs, upper, subset_ids = layout
-    mics = scene.mics[index]
-    if energies is not None:
-        energies = energies[index]
-    truth = true_full.values.take(upper)
-    # a stack pays for itself from a few systems on (the stacked LM loop
-    # takes about 1.4x the scalar one on a stack of one), so one subset
-    # (full arrays) keeps the per-system calls; one-mic subsets have no
-    # RDs to stack and fail system by system
-    stacked = len(index) > 1 and index.shape[1] > 1
-    references = {}  # reference policy -> index per subset, once per cell
-    records = []
-    for feature in config.features:
-        full = observed[feature]
-        if full is None:
-            values = np.full(pairs.shape, np.nan)
-            rd_err = np.full(len(index), np.nan)
-        else:
-            values = full.values.take(pairs)
-            # take gives the (S, P) pairs in C order, so that each row's
-            # mean sums its pairs in the order of a one-subset mean
-            rd_err = np.mean(np.abs(full.values.take(upper) - truth),
-                             axis=-1)
-        valid = np.isfinite(values).all(axis=(1, 2))
-        outcomes = _solve(methods, values, mics, valid, energies, references,
-                          stacked)
-        rd_err = np.where(valid, rd_err, np.nan).tolist()
-        for method, results in zip(methods, outcomes):
-            method_id = _method_id(*method)
-            for subset_id, err, result in zip(subset_ids, rd_err, results):
-                status, pos_err, extra = "invalid_pair", float("nan"), {}
-                if isinstance(result, Exception):
-                    status, extra = "degenerate", {"reason": str(result)}
-                elif result is not None:
-                    status, extra = result.status, dict(result.info)
-                    if np.all(np.isfinite(result.position)):
-                        pos_err = float(np.linalg.norm(
-                            result.position - scene.source))
-                records.append(TrialRecord(
-                    method=method_id, feature=feature, subset=subset_id,
-                    noise_level=level, trial=trial_idx, status=status,
-                    position_error_m=pos_err, mean_abs_rd_error_m=err,
-                    extra=extra))
-    return records
-
-
 def _solve(methods, values, mics, valid, energies, references, stacked):
     """Per method, one outcome per system: its LocalizationResult, the
     ValueError or IndexError that ``localize`` raised for it, or None
     for an invalid system.
 
-    ``values`` (S, k, k) are the systems' RD matrices, ``mics``
-    (S, k, 3) their microphones and ``energies`` (S, k) or None their
-    channel energies.  With ``stacked`` each method's valid systems go
+    ``values`` (N, k, k) are the systems' RD matrices, ``mics``
+    (N, k, 3) their microphones and ``energies`` (N, k) or None their
+    channel energies; ``run_benchmark`` passes every (cell, subset)
+    system of a run.  With ``stacked`` each method's valid systems go
     through its estimator kernel as one stack, ``references`` caching
     each policy's reference per system across calls, and a kernel that
     refuses its microphone count gives each system that refusal, as
@@ -672,16 +613,12 @@ def _solve(methods, values, mics, valid, energies, references, stacked):
             return srd_stack(d, kept_mics, ref)
         return hyperbolic_stack(d, kept_mics, ref, usrd=usrd)
 
-    matrices = {}  # system -> its RdMatrix, built once for all methods
-
     def solve_each(name, ref_policy):
         results = []
         for s in keep:
-            if s not in matrices:
-                matrices[s] = RdMatrix(values[s])
             try:
                 results.append(localize(
-                    name, ref_policy, matrices[s], mics[s],
+                    name, ref_policy, RdMatrix(values[s]), mics[s],
                     None if energies is None else energies[s])[1])
             except (ValueError, IndexError) as exc:
                 results.append(exc)
@@ -702,11 +639,28 @@ def _solve(methods, values, mics, valid, energies, references, stacked):
     return outcomes
 
 
+def _position_errors(results, sources):
+    """||position - source|| per system (NaN where no finite position),
+    over the whole stack at once: ``sqrt`` of a row-by-row dot product
+    is bit for bit the ``np.linalg.norm`` of each row."""
+    solved = [s for s, result in enumerate(results)
+              if isinstance(result, LocalizationResult)]
+    pos = np.array([results[s].position for s in solved]).reshape(-1, 3)
+    errors = np.full(len(results), np.nan)
+    errors[solved] = np.where(np.isfinite(pos).all(axis=1),
+                              np.sqrt(_sum_squares(pos - sources[solved])),
+                              np.nan)
+    return errors.tolist()
+
+
 def run_benchmark(config):
     """Execute the full benchmark grid; returns canonically sorted records.
 
-    Per-trial failures (degenerate geometry, invalid TDOA pairs,
-    estimator refusals) are recorded with their status — never dropped.
+    Every cell's observation is drawn first, in (noise level, trial)
+    order; then each feature's systems, one per (cell, subset), go
+    through ``_solve`` together.  Per-trial failures (degenerate
+    geometry, invalid TDOA pairs, estimator refusals) are recorded with
+    their status — never dropped.
     """
     scenes = _scenes_for(config)
     mic_count = scenes[0][0].mic_count
@@ -715,12 +669,67 @@ def run_benchmark(config):
     else:
         subsets = enumerate_subsets(mic_count, config.subset_k)
     methods = [parse_method(mid) for mid in config.methods]
-    layout = _subset_layout(subsets, mic_count)
-    records = [record
-               for ni in range(len(config.noise_levels))
-               for ti in range(config.trials)
-               for record in _run_cell(config, scenes, layout, methods,
-                                       ni, ti)]
+    cells = [(ni, ti, *scenes[ti % len(scenes)])
+             for ni in range(len(config.noise_levels))
+             for ti in range(config.trials)]
+    observations = [_observations_for_cell(config, scene, true_full, ni, ti)
+                    for ni, ti, scene, true_full in cells]
+    subset_ids = [_subset_id(subset) for subset in subsets]
+    labels = [(subset_id, config.noise_levels[ni], ti)
+              for ni, ti, _, _ in cells for subset_id in subset_ids]
+    # each subset's flat indices into an (M, M) RD matrix: its (k, k)
+    # block and its k(k-1)/2 upper pairs, in C order, so that each
+    # system's mean RD error sums its pairs as a one-subset mean does
+    index = np.array(subsets)
+    k = index.shape[1]
+    pairs = index[:, :, None] * mic_count + index[:, None, :]
+    rows, cols = _upper_index(k)
+    upper = pairs[:, rows, cols]
+
+    def per_system(per_cell, take):
+        return np.reshape(per_cell, (len(cells), -1)).take(take, axis=1)
+
+    truth = per_system([true_full.values for *_, true_full in cells], upper)
+    mics = np.array([scene.mics for _, _, scene, _ in cells])[:, index]
+    mics = mics.reshape(-1, k, 3)
+    sources = np.repeat([scene.source for _, _, scene, _ in cells],
+                        len(subsets), axis=0)
+    energies = None
+    if config.noise_domain == "signal":
+        energies = per_system([cell_energies for _, cell_energies
+                               in observations], index).reshape(-1, k)
+    # a stack pays for itself from a few systems on (the stacked LM loop
+    # takes about 1.4x the scalar one on a stack of one), so a run of
+    # one system per group keeps the per-system calls; one-mic subsets
+    # have no RDs to stack and fail system by system
+    stacked = len(labels) > 1 and k > 1
+    references = {}  # reference policy -> index per system, once per run
+    records = []
+    for feature in config.features:
+        full = [np.full((mic_count, mic_count), np.nan)
+                if observed[feature] is None else observed[feature].values
+                for observed, _ in observations]
+        values = per_system(full, pairs).reshape(-1, k, k)
+        valid = np.isfinite(values).all(axis=(1, 2))
+        rd_err = np.mean(np.abs(per_system(full, upper) - truth), axis=-1)
+        rd_err = np.where(valid, rd_err.ravel(), np.nan).tolist()
+        outcomes = _solve(methods, values, mics, valid, energies, references,
+                          stacked)
+        for method, results in zip(methods, outcomes):
+            method_id = _method_id(*method)
+            for (subset_id, level, trial), err, pos_err, result in zip(
+                    labels, rd_err, _position_errors(results, sources),
+                    results):
+                status, extra = "invalid_pair", {}
+                if isinstance(result, Exception):
+                    status, extra = "degenerate", {"reason": str(result)}
+                elif result is not None:
+                    status, extra = result.status, dict(result.info)
+                records.append(TrialRecord(
+                    method=method_id, feature=feature, subset=subset_id,
+                    noise_level=level, trial=trial, status=status,
+                    position_error_m=pos_err, mean_abs_rd_error_m=err,
+                    extra=extra))
     records.sort(key=TrialRecord.sort_key)
     return records
 

@@ -55,7 +55,8 @@ from itertools import combinations
 import numpy as np
 import scipy.linalg
 
-from .geometry import LocalizationResult, RdMatrix, RdVector, _as_points
+from .geometry import (LocalizationResult, RdMatrix, RdVector, _as_points,
+                       _upper_index)
 
 #: relative singular-value cutoff for rank decisions and pseudoinverses
 RANK_TOL = 1e-12
@@ -613,7 +614,7 @@ def _complete_rank2(x0, direction, mics, d):
     intersects with the cone ||x - r_i|| = D_i, ranking roots by the
     full signed-RD misfit.  Returns ``(point, ambiguous)`` or ``None``.
     """
-    upper = np.triu_indices(mics.shape[0], k=1)
+    upper = _upper_index(mics.shape[0])
     largest = np.argmax(np.abs(d[upper]))  # first of ties, as row-major
     i, j = upper[0][largest], upper[1][largest]
     dij = d[i, j]

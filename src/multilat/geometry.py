@@ -14,6 +14,7 @@ gives the non-redundant set of M-1 values (``RdVector``).
 
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +22,15 @@ import numpy as np
 DEFAULT_SOUND_SPEED = 343.0
 
 _MIN_MIC_SEPARATION = 1e-9
+
+
+@lru_cache(maxsize=32)
+def _upper_index(m):
+    """Read-only (rows, cols) of the pairs p < q of m microphones, in
+    the row-major order of ``np.triu_indices(m, k=1)``."""
+    rows, cols = np.triu_indices(m, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _as_points(x, name):

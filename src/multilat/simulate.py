@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RdMatrix, RdVector
+from .geometry import RdMatrix, RdVector, _upper_index
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def perturb_rd(rd, model, rng=None):
         rng = np.random.default_rng(model.rng_seed)
     if isinstance(rd, RdMatrix):
         m = rd.mic_count
-        iu = np.triu_indices(m, k=1)
+        iu = _upper_index(m)
         noise = model.draw(rng, len(iu[0]))
         upper = np.zeros((m, m))
         upper[iu] = noise

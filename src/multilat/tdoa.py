@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import DEFAULT_SOUND_SPEED
+from .geometry import DEFAULT_SOUND_SPEED, _upper_index
 
 _PHAT_FLOOR = 1e-12
 # frames per block in estimate_tdoa_matrix; a block frames its own
@@ -146,7 +146,7 @@ def _reduce(frame_lags, vad_keep, vad, mic_count, sample_rate):
     lo = ordered[pair, np.maximum(counts - 1, 0) // 2]
     hi = ordered[pair, counts // 2]
     tau = np.where(counts > 0, (lo + hi) / 2.0, np.nan) / sample_rate
-    iu = np.triu_indices(mic_count, k=1)
+    iu = _upper_index(mic_count)
     values = np.zeros((mic_count, mic_count))
     values[iu], values[iu[::-1]] = tau, -tau
     count_matrix = np.zeros((mic_count, mic_count), dtype=int)
@@ -279,7 +279,7 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
     if signals.length < flen:
         raise ValueError("channel shorter than one frame")
     n_frames = 1 + (signals.length - flen) // hop
-    rows, cols = np.triu_indices(m, k=1)
+    rows, cols = _upper_index(m)
     energy = np.empty((m, n_frames))
     frame_lags = np.empty((rows.size, n_frames))
 

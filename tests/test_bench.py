@@ -394,15 +394,18 @@ def test_localize_fixed_reference():
 
 
 def test_max_energy_through_the_harness(monkeypatch):
-    # inverse-distance gains make the nearest microphone the loudest
+    # inverse-distance gains make the nearest microphone the loudest;
+    # stacked and per-system runs both resolve references through
+    # bench._reference
     chosen = []
+    original = bench._reference
 
     def spy(*args):
-        reference, result = localize(*args)
+        reference = original(*args)
         chosen.append(reference)
-        return reference, result
+        return reference
 
-    monkeypatch.setattr(bench, "localize", spy)
+    monkeypatch.setattr(bench, "_reference", spy)
     records = run_benchmark(base_config(
         methods=["srd-ls:max-energy"], scene={"kind": "paper_table1"},
         noise={"domain": "signal", "levels": [20.0], "duration_s": 0.5,
@@ -660,8 +663,9 @@ def test_readme_yaml_matches_the_schema():
 
 
 # ---------------------------------------------------------------------------
-# the per-system oracle: cells of several subsets are solved as stacks,
-# and must give what one localize call per (subset, feature, method) gives
+# the per-system oracle: a run's (cell, subset) systems are solved as
+# stacks, and must give what one localize call per (cell, subset,
+# feature, method) gives
 
 
 def oracle_records(config):
@@ -745,17 +749,70 @@ ALL_METHODS = ["usrd-ls", "srd-ls", "conic", "conic-norm", "hyperbolic"]
          subsets={"mode": "all_k_of_m", "k": 6},
          noise={"domain": "rd", "kind": "outlier_mixture",
                 "levels": [0.02, 0.1]}),
-], ids=["k4", "gaussian", "outliers"])
+    # full arrays: one system per cell, stacked across the run's cells
+    dict(methods=ALL_METHODS, features=["vad_on:raw", "vad_on:denoised"],
+         trials=4, scene={"kind": "random", "count": 4, "mic_count": 8},
+         subsets={"mode": "full"},
+         noise={"domain": "rd", "kind": "outlier_mixture",
+                "levels": [0.02, 0.1]}),
+    # captures where pair (2, 5) has no usable frames in the trial-1 cell
+    # only, so invalid_pair and solved systems share the stacks
+    dict(methods=["srd-ls:max-energy", "hyperbolic:index:1"],
+         features=["vad_on:raw", "vad_off:denoised"], trials=3,
+         scene={"kind": "paper_table1"}, subsets={"mode": "full"},
+         noise=SIGNAL),
+], ids=["k4", "gaussian", "outliers", "full_outliers", "full_signal"])
 @pytest.mark.usefixtures("stacked_linalg")
-def test_stacked_cells_match_the_per_system_oracle(overrides):
+def test_stacked_cells_match_the_per_system_oracle(overrides, monkeypatch):
+    original = bench.rd_from_signals
+
+    def without_pair_in_trial_1(signals, scene):
+        per_vad = original(signals, scene)
+        if scene.source[0] != 0.0:  # trial 1 has the middle source
+            return per_vad
+        for vad, rd in per_vad.items():
+            values = rd.values.copy()
+            values[2, 5] = values[5, 2] = np.nan
+            per_vad[vad] = RdMatrix(values)
+        return per_vad
+
+    monkeypatch.setattr(bench, "rd_from_signals", without_pair_in_trial_1)
     config = base_config(**overrides)
     records = run_benchmark(config)
     assert exact(records) == exact(oracle_records(config))
+    if config.noise_domain == "signal":
+        trial_1 = {r.status for r in records if r.trial == 1}
+        others = {r.status for r in records if r.trial != 1}
+        assert trial_1 == {"invalid_pair"}
+        assert others <= set(LocalizationResult.SUCCESS_STATUSES)
     if config.subset_k == 4:
         usrd = [r for r in records if r.method == "usrd-ls"]
         assert {r.status for r in usrd} == {"degenerate"}
         assert {r.extra["reason"] for r in usrd} == {
             "insufficient microphones: usrd_ls needs at least 5 in 3D"}
+
+
+def test_one_system_runs_call_the_per_system_estimators(monkeypatch):
+    # a run of one cell with one subset has one system per group, so it
+    # keeps the per-system calls that the perfbench self-test patches
+    called = []
+
+    def spying(name):
+        original = getattr(bench, name)
+
+        def spy(*args):
+            called.append(name)
+            return original(*args)
+        return spy
+
+    for name in ("srd_ls", "hyperbolic_ls"):
+        monkeypatch.setattr(bench, name, spying(name))
+    records = run_benchmark(base_config(
+        methods=["srd-ls", "hyperbolic"], trials=1,
+        subsets={"mode": "full"}))
+    assert called == ["srd_ls", "hyperbolic_ls"]
+    assert all(r.status in LocalizationResult.SUCCESS_STATUSES
+               for r in records)
 
 
 def test_stacked_cells_propagate_kernel_faults(monkeypatch):

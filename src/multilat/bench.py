@@ -19,13 +19,13 @@ identical records.  Records are sorted canonically before they are
 returned or persisted.
 
 A run draws every cell's observation first.  Then it solves each
-(feature, method) group as one stack over all its (cell, subset)
-systems, mixed geometries included, through the estimator kernels
-(``usrd_stack``, ``srd_stack``, ``conic_stack``, ``hyperbolic_stack``,
-looked up here at call time).  Each system's reference is picked once
-per run, and hyperbolic LS starts from the group's usrd stack.  A run
-with one system per group (one cell of one subset) calls ``localize``
-instead.  Both give the same records bit for bit, ``extra`` included.
+method as one stack over all its (feature, cell, subset) systems, mixed
+geometries included, through the estimator kernels (``usrd_stack``,
+``srd_stack``, ``conic_stack``, ``hyperbolic_stack``, looked up here at
+call time).  Each system's reference is picked once per run, and
+hyperbolic LS starts from the usrd stack.  A run with one system per
+feature (one cell of one subset) calls ``localize`` instead.  Both give
+the same records bit for bit, ``extra`` included.
 
 Multiple source positions are folded into the trial axis: trial t uses
 scene position ``t mod n_positions``, keeping the record count at
@@ -44,7 +44,7 @@ Benchmark config files are YAML; ``_SCHEMA`` maps each key to its
 import csv
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
-from itertools import combinations
+from itertools import combinations, product
 from types import UnionType
 from typing import get_args, get_origin
 
@@ -568,33 +568,34 @@ def rd_from_signals(signals, scene):
                              ("off", tdoa_mat.with_vad("off")))}
 
 
-def _solve(methods, values, mics, valid, energies, references, stacked):
+def _solve(methods, values, mics, valid, energies, stacked):
     """Per method, one outcome per system: its LocalizationResult, the
     ValueError or IndexError that ``localize`` raised for it, or None
     for an invalid system.
 
-    ``values`` (N, k, k) are the systems' RD matrices, ``mics``
-    (N, k, 3) their microphones and ``energies`` (N, k) or None their
-    channel energies; ``run_benchmark`` passes every (cell, subset)
-    system of a run.  With ``stacked`` each method's valid systems go
-    through its estimator kernel as one stack, ``references`` caching
-    each policy's reference per system across calls, and a kernel that
-    refuses its microphone count gives each system that refusal, as
-    ``localize`` does; without, each system goes through ``localize``.
+    ``mics`` (N, k, 3) are the microphones of N systems and ``energies``
+    (N, k) or None their channel energies; ``values`` (F*N, k, k) are
+    the systems' RD matrices under each of F features in turn, and
+    ``run_benchmark`` passes every (feature, cell, subset) system of a
+    run.  With ``stacked`` each method's valid systems go through its
+    estimator kernel as one stack, each reference policy picking its
+    reference once per system, and a kernel that refuses its microphone
+    count gives each system that refusal, as ``localize`` does; without,
+    each system goes through ``localize``.
     """
-    keep = np.flatnonzero(valid).tolist()
+    n = len(mics)
+    keep = np.flatnonzero(valid)
+    base, keep = keep % n, keep.tolist()
     if stacked:
-        kept_values, kept_mics = values[keep], mics[keep]
+        kept_values, kept_mics = values[keep], mics[base]
     stacks = {}  # reference policy -> [ref, RD rows, usrd results]
 
     def stack(ref_policy):
-        if ref_policy not in references:
-            references[ref_policy] = np.array(
+        if ref_policy not in stacks:
+            ref = np.array(
                 [_reference(ref_policy, mics[s],
                             None if energies is None else energies[s])
-                 for s in range(len(mics))], dtype=int)
-        if ref_policy not in stacks:
-            ref = references[ref_policy][keep]
+                 for s in range(n)], dtype=int)[base]
             stacks[ref_policy] = [ref, kept_values[
                 np.arange(len(keep))[:, None], ref[:, None],
                 _other_indices(ref, mics.shape[1])], None]
@@ -618,8 +619,8 @@ def _solve(methods, values, mics, valid, energies, references, stacked):
         for s in keep:
             try:
                 results.append(localize(
-                    name, ref_policy, RdMatrix(values[s]), mics[s],
-                    None if energies is None else energies[s])[1])
+                    name, ref_policy, RdMatrix(values[s]), mics[s % n],
+                    None if energies is None else energies[s % n])[1])
             except (ValueError, IndexError) as exc:
                 results.append(exc)
         return results
@@ -657,7 +658,7 @@ def run_benchmark(config):
     """Execute the full benchmark grid; returns canonically sorted records.
 
     Every cell's observation is drawn first, in (noise level, trial)
-    order; then each feature's systems, one per (cell, subset), go
+    order; then every feature's systems, one per (cell, subset), go
     through ``_solve`` together.  Per-trial failures (degenerate
     geometry, invalid TDOA pairs, estimator refusals) are recorded with
     their status — never dropped.
@@ -698,38 +699,40 @@ def run_benchmark(config):
     if config.noise_domain == "signal":
         energies = per_system([cell_energies for _, cell_energies
                                in observations], index).reshape(-1, k)
-    # a stack pays for itself from a few systems on (the stacked LM loop
-    # takes about 1.4x the scalar one on a stack of one), so a run of
-    # one system per group keeps the per-system calls; one-mic subsets
-    # have no RDs to stack and fail system by system
+    # a run of one system per feature keeps the per-system calls, which
+    # the perfbench tracer and self-test wrap; one-mic subsets have no
+    # RDs to stack and fail system by system
     stacked = len(labels) > 1 and k > 1
-    references = {}  # reference policy -> index per system, once per run
-    records = []
+    values, rd_err = [], []
     for feature in config.features:
         full = [np.full((mic_count, mic_count), np.nan)
                 if observed[feature] is None else observed[feature].values
                 for observed, _ in observations]
-        values = per_system(full, pairs).reshape(-1, k, k)
-        valid = np.isfinite(values).all(axis=(1, 2))
-        rd_err = np.mean(np.abs(per_system(full, upper) - truth), axis=-1)
-        rd_err = np.where(valid, rd_err.ravel(), np.nan).tolist()
-        outcomes = _solve(methods, values, mics, valid, energies, references,
-                          stacked)
-        for method, results in zip(methods, outcomes):
-            method_id = _method_id(*method)
-            for (subset_id, level, trial), err, pos_err, result in zip(
-                    labels, rd_err, _position_errors(results, sources),
-                    results):
-                status, extra = "invalid_pair", {}
-                if isinstance(result, Exception):
-                    status, extra = "degenerate", {"reason": str(result)}
-                elif result is not None:
-                    status, extra = result.status, dict(result.info)
-                records.append(TrialRecord(
-                    method=method_id, feature=feature, subset=subset_id,
-                    noise_level=level, trial=trial, status=status,
-                    position_error_m=pos_err, mean_abs_rd_error_m=err,
-                    extra=extra))
+        values.append(per_system(full, pairs).reshape(-1, k, k))
+        rd_err.append(np.mean(np.abs(per_system(full, upper) - truth),
+                              axis=-1).ravel())
+    # one stack per method over every feature's systems
+    values = np.concatenate(values)
+    valid = np.isfinite(values).all(axis=(1, 2))
+    rd_err = np.where(valid, np.concatenate(rd_err), np.nan).tolist()
+    sources = np.tile(sources, (len(config.features), 1))
+    outcomes = _solve(methods, values, mics, valid, energies, stacked)
+    records = []
+    for method, results in zip(methods, outcomes):
+        method_id = _method_id(*method)
+        for (feature, (subset_id, level, trial)), err, pos_err, result in zip(
+                product(config.features, labels), rd_err,
+                _position_errors(results, sources), results):
+            status, extra = "invalid_pair", {}
+            if isinstance(result, Exception):
+                status, extra = "degenerate", {"reason": str(result)}
+            elif result is not None:
+                status, extra = result.status, dict(result.info)
+            records.append(TrialRecord(
+                method=method_id, feature=feature, subset=subset_id,
+                noise_level=level, trial=trial, status=status,
+                position_error_m=pos_err, mean_abs_rd_error_m=err,
+                extra=extra))
     records.sort(key=TrialRecord.sort_key)
     return records
 

@@ -41,10 +41,15 @@ microphone count at once, from inputs validated by the caller, and
 returns for each system bit for bit what the single-system call
 returns.  Stacked matrix products, solves and factorizations round as
 their per-system calls do (an elementwise sum over a row does not, so
-sums of squares are stacked matrix products too), and the scalar parts
--- the multiplier root scan, the Levenberg-Marquardt step and damping
--- run per system in the same plain-float code.  ``usrd_ls``,
-``srd_ls`` and ``conic_ls`` share their numerics with their kernels.
+sums of squares are stacked matrix products too).  The multiplier root
+scan and the Levenberg-Marquardt step, step test and damping run as
+elementwise arrays over the stack, in the order of the plain-float
+per-system code, which keeps a search over a few brackets and the last
+few LM systems; IEEE arithmetic rounds alike either way.  Powers stay
+libm's ``pow`` of plain floats (``np.power`` and ``x * x`` may round
+otherwise), and the LM step test's lengths stay ``math.hypot``.
+``usrd_ls``, ``srd_ls`` and ``conic_ls`` share their numerics with
+their kernels.
 """
 
 import math
@@ -74,6 +79,10 @@ MAX_ITER = 100
 STEP_TOL = 1e-10
 
 _D_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+#: srd multiplier brackets beyond which one Newton search runs as arrays,
+#: and the number of running systems down to which LM passes do
+_ARRAY_ROOTS = 48
+_ARRAY_LM = 8
 _USRD_MINIMUM = "usrd_ls needs at least 5 in 3D"
 _SRD_MINIMUM = "srd_ls needs at least 4 in 3D"
 _CONIC_MINIMUM = "conic_ls needs at least 4"
@@ -280,69 +289,127 @@ def _diagonal_pencil(s, vt, proj):
     return _D_SIGNS[:, None] * (scaled.mT @ p), mu, _matvec(p.mT, proj)
 
 
-def _phi(terms, lam):
-    """phi(lam) and phi'(lam) = -2 sum_i mu_i h_i^2 / (mu_i + lam)^3 in
-    plain floats, from the pairs (mu_i, mu_i h_i^2); NaN on a pole."""
-    val = der = 0.0
-    for m, mh2 in terms:
-        den = m + lam
-        if den == 0.0:
-            return math.nan, math.nan
-        term = mh2 / (den * den)
-        val += term
-        der += term / den
-    return val, -2.0 * der
+def _phi(mu, mh2, lam):
+    """phi(lam) and phi'(lam) = -2 sum_i mu_i h_i^2 / (mu_i + lam)^3,
+    elementwise over ``lam`` (...), from ``mu`` and ``mh2`` = mu h^2
+    (..., 4); both are non-finite on a pole.  The four terms are added
+    in order, as a plain-float loop adds them."""
+    den = mu + lam[..., None]
+    term = mh2 / (den * den)
+    slope = term / den
+    return (term[..., 0] + term[..., 1] + term[..., 2] + term[..., 3],
+            -2.0 * (slope[..., 0] + slope[..., 1] + slope[..., 2]
+                    + slope[..., 3]))
 
 
-def _gtrs_candidates(basis, mu, h):
+def _gtrs_roots(basis, mu, h):
     """Roots of phi(lam) = c(lam)^T D c(lam), c(lam) = (A + lam D)^-1 f.
 
-    On the diagonalized pencil ``(basis, mu, h)`` of one system
+    On the diagonalized pencils ``(basis, mu, h)`` of n systems
     (``_diagonal_pencil``) phi is a 4-term rational function, and the
-    real axis splits into intervals between its poles.  phi is
-    monotonically decreasing on the interval where A + lam*D is positive
-    definite, which contains the multiplier of the global constrained
-    minimizer; the remaining intervals are scanned for completeness and
-    the caller picks among feasible candidates.  Each bracketed root is
-    found by safeguarded Newton in plain floats (bisecting when Newton
-    leaves the bracket or stalls), and c is built once per root.
+    real axis splits into up to five intervals between its poles.  phi
+    is monotonically decreasing on the interval where A + lam*D is
+    positive definite, which contains the multiplier of the global
+    constrained minimizer; the remaining intervals are scanned for
+    completeness and the caller picks among feasible candidates.  Each
+    bracketed root is found by safeguarded Newton (bisecting when Newton
+    leaves the bracket or stalls), elementwise over every (system,
+    interval) at once, each stopping on its own.  Returns ``(sys, c)``:
+    the system of each root, ascending, and its c (k, 4), in interval
+    order within a system.
     """
-    terms = [(m, m * hi * hi) for m, hi in zip(mu.tolist(), h.tolist())]
-
-    # mu beyond 1e14 is a pole too far out to bracket (kappa below 1e-14)
-    bounds = sorted({-m for m, _ in terms if abs(m) < 1e14})
-    scale = max(1.0, max((abs(x) for x in bounds), default=1.0))
-    edges = [bounds[0] - 10 * scale] + bounds + [bounds[-1] + 10 * scale] \
-        if bounds else [-10 * scale, 10 * scale]
-
-    roots = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    rows = np.arange(len(mu))
+    mh2 = mu * h * h
+    # mu beyond 1e14 is a pole too far out to bracket (kappa below 1e-14);
+    # a repeated pole counts once; NaN sorts last
+    poles = np.sort(np.where(np.abs(mu) < 1e14, -mu, np.nan), axis=-1)
+    poles[:, 1:][poles[:, 1:] == poles[:, :-1]] = np.nan
+    poles = np.sort(poles, axis=-1)
+    count = np.sum(~np.isnan(poles), axis=-1)
+    scale = np.fmax(1.0, np.fmax.reduce(np.abs(poles), axis=-1))
+    # with no pole the interval is +-10 scale about 0
+    some = count > 0
+    edges = np.concatenate([(np.where(some, poles[:, 0], 0.0)
+                             - 10 * scale)[:, None], poles,
+                            np.full((len(mu), 1), np.nan)], axis=1)
+    edges[rows, count + 1] = np.where(
+        some, poles[rows, count - 1], 0.0) + 10 * scale
+    with np.errstate(all="ignore"):
         # a few dozen ulps inside the poles, so that roots next to a pole
         # are bracketed too; intervals narrower than that are skipped
-        margin = 1e-14 * (abs(lo) + abs(hi))
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        margin = 1e-14 * (np.abs(lo) + np.abs(hi))
         a, b = lo + margin, hi - margin
-        fa, fb = _phi(terms, a)[0], _phi(terms, b)[0]
-        if not (a < b and math.isfinite(fa) and math.isfinite(fb)) \
-                or fa * fb > 0:
-            continue
-        lam, step = 0.5 * (a + b), b - a
-        for _ in range(120):
-            val, der = _phi(terms, lam)
-            if not math.isfinite(val) or val == 0.0:
-                break
-            if (val > 0.0) == (fa > 0.0):
-                a = lam
-            else:
-                b = lam
-            last, step = step, val / der if der != 0.0 else math.inf
-            if not a < lam - step < b or abs(step) > 0.5 * abs(last):
-                step = lam - 0.5 * (a + b)
-            lam -= step
-            if abs(step) <= 1e-15 * (1.0 + abs(lam)) \
-                    or b - a <= 1e-15 * (1.0 + abs(a)):
-                break
-        roots.append(basis @ (h / (mu + lam)))
-    return roots
+        fa = _phi(mu[:, None], mh2[:, None], a)[0]
+        fb = _phi(mu[:, None], mh2[:, None], b)[0]
+        sys, k = np.nonzero((a < b) & np.isfinite(fa) & np.isfinite(fb)
+                            & ~(fa * fb > 0))
+        a, b, up = a[sys, k], b[sys, k], fa[sys, k] > 0.0
+        if len(sys) > _ARRAY_ROOTS:
+            root = _newton(mu[sys], mh2[sys], a, b, up)
+        else:
+            root = np.array(list(map(_newton_float, mu[sys].tolist(),
+                                     mh2[sys].tolist(), a.tolist(),
+                                     b.tolist(), up.tolist())))
+    return sys, _matvec(basis[sys], h[sys] / (mu[sys] + root[:, None]))
+
+
+def _newton(mu, mh2, a, b, up):
+    """The safeguarded Newton search of ``_gtrs_roots`` on brackets
+    (a, b) with phi(a) > 0 where ``up``, elementwise over every bracket,
+    each stopping on its own: the final multipliers."""
+    lam, step = 0.5 * (a + b), b - a
+    root, live = lam.copy(), np.arange(len(lam))
+    for _ in range(120):
+        if not live.size:
+            break
+        val, der = _phi(mu, mh2, lam)
+        below = (val > 0.0) == up
+        a, b = np.where(below, lam, a), np.where(below, b, lam)
+        newton = np.where(der != 0.0, val / der, np.inf)
+        trial = lam - newton
+        step = np.where((a < trial) & (trial < b)
+                        & ~(np.abs(newton) > 0.5 * np.abs(step)),
+                        newton, lam - 0.5 * (a + b))
+        go = np.isfinite(val) & (val != 0.0)
+        lam = np.where(go, lam - step, lam)
+        root[live] = lam
+        done = ~go | (np.abs(step) <= 1e-15 * (1.0 + np.abs(lam))) \
+            | (b - a <= 1e-15 * (1.0 + np.abs(a)))
+        if done.any():
+            keep = ~done
+            live, a, b, up, step, lam, mu, mh2 = (
+                v[keep] for v in (live, a, b, up, step, lam, mu, mh2))
+    return root
+
+
+def _newton_float(mu, mh2, a, b, up):
+    """``_newton`` of one bracket in plain floats, step for step: on a
+    few brackets a pass of array calls costs more than its work."""
+    lam, step = 0.5 * (a + b), b - a
+    for _ in range(120):
+        val = der = 0.0
+        for m, w in zip(mu, mh2):
+            den = m + lam
+            if den * den == 0.0:  # on a pole
+                return lam
+            term = w / (den * den)
+            val += term
+            der += term / den
+        if not math.isfinite(val) or val == 0.0:
+            break
+        if (val > 0.0) == up:
+            a = lam
+        else:
+            b = lam
+        last, step = step, val / (-2.0 * der) if der != 0.0 else math.inf
+        if not a < lam - step < b or abs(step) > 0.5 * abs(last):
+            step = lam - 0.5 * (a + b)
+        lam -= step
+        if abs(step) <= 1e-15 * (1.0 + abs(lam)) \
+                or b - a <= 1e-15 * (1.0 + abs(a)):
+            break
+    return lam
 
 
 def _rd_misfit(x, mics, rows, cols, d):
@@ -430,31 +497,70 @@ def srd_ls(rd, mics):
 def srd_stack(d, mics, ref):
     """``srd_ls`` of T systems at once (arguments as for ``usrd_stack``).
 
-    One stacked SVD of the spherical systems and one stacked
-    diagonalization of the full-rank pencils; the multiplier root scan
-    and the fallbacks run per system.  Each result is bit for bit the
-    ``srd_ls`` result of its system.
+    One stacked SVD of the spherical systems, one stacked
+    diagonalization of the pencils, one multiplier root scan over every
+    pole interval of the full-rank ones (``_gtrs_roots``), and the
+    choice of the first least-cost feasible root and its constraint
+    residual over the whole stack, the square ``c1**2`` a plain float;
+    the rank-3 and no-root fallbacks run per system.  Each result is bit
+    for bit the ``srd_ls`` result of its system.
     """
     _require(mics.shape[1], 4, _SRD_MINIMUM)
     phi, b, origin = _spherical_stack(d, mics, ref)
     u, s, vt = np.linalg.svd(phi, full_matrices=True)
     rank = np.sum(s > RANK_TOL * s[:, :1], axis=-1).tolist()
-    pencil = []
-    if mics.shape[1] >= 5:
+    results = [None] * len(rank)
+    full = np.flatnonzero(np.equal(rank, 4))
+    if full.size:
         # every system of five or more microphones has a 4x4 pencil;
         # only those of rank 4 use it
         proj = _matvec(u[..., :4].mT, b)
-        pencil = list(zip(*_diagonal_pencil(s, vt, proj), proj))
-    results = []
+        basis, mu, h = _diagonal_pencil(s, vt, proj)
+        sys, c = _gtrs_roots(basis[full], mu[full], h[full])
+        at = full[sys]
+        cost = _sum_squares(_matvec(phi[at], c) - b[at])
+        feasible = c[:, 0] >= -1e-9
+        # per system the first of the least costs among its feasible
+        # roots, a NaN cost first, as np.argmin takes them (the sort is
+        # stable)
+        order = np.lexsort((np.where(np.isnan(cost), -np.inf, cost),
+                            ~feasible, sys))
+        ranked = sys[order]
+        first = order[np.flatnonzero(
+            ranked != np.concatenate([[-1], ranked[:-1]]))]
+        best = first[feasible[first]]
+        c, cost, at = c[best], cost[best], at[best]
+        r_norm2 = _sum_squares(c[:, 1:])
+        ranges = c[:, 0].tolist()
+        constraint = np.abs(np.array([v ** 2 for v in ranges]) - r_norm2)
+        for i, pos, residual, c1, con, rel in zip(
+                at.tolist(), c[:, 1:] + origin[at], cost.tolist(), ranges,
+                constraint.tolist(), (constraint / (1.0 + r_norm2)).tolist()):
+            results[i] = LocalizationResult(
+                position=pos, residual=residual, status="closed_form",
+                info={"c1": c1, "constraint_residual": con,
+                      "constraint_rel": rel, "rank": 4})
+        rooted, solved = set(full[sys].tolist()), set(at.tolist())
+        for i in full.tolist():
+            if i in solved:
+                continue
+            if i in rooted:
+                results[i] = _degenerate("no feasible multiplier root",
+                                         rank=4)
+            else:
+                # no bracketed root anywhere: report the failure mode
+                # distinctly, with the unconstrained LS point as a
+                # finite best effort
+                results[i] = _srd_result(
+                    (phi[i], b[i], origin[i], 4), vt[i].T @ (proj[i] / s[i]),
+                    "degenerate", {"reason": "no multiplier root"})
     for i, r in enumerate(rank):
         if r < 3:
             # collinear-style geometry: even the cone constraint cannot
             # pin down a unique minimizer, so refuse rather than guess
-            results.append(
-                _degenerate("rank-deficient spherical system", rank=r))
-            continue
-        system = (phi[i], b[i], origin[i], r)
-        if r == 3:
+            results[i] = _degenerate("rank-deficient spherical system",
+                                     rank=r)
+        elif r == 3:
             # minimal (3-row) or exactly coplanar system: every point of
             # the affine family c0 + t*v attains the LS optimum, and the
             # cone constraint picks t — the closed-form route the full
@@ -464,42 +570,24 @@ def srd_stack(d, mics, ref):
             completed = _cone_line(c0, vt[i, 3], lambda c: _rd_misfit(
                 c[1:] + origin[i], mics[i], ref[i], others, d[i]))
             if completed is None:
-                results.append(
-                    _degenerate("no feasible multiplier root", rank=r))
+                results[i] = _degenerate("no feasible multiplier root",
+                                         rank=r)
                 continue
             c_hat, ambiguous = completed
             extra = {"null_completed": True}
             if ambiguous:
                 extra["ambiguous"] = True
-            results.append(_srd_result(system, c_hat, "closed_form", extra))
-            continue
-        basis, mu, h, p = pencil[i]
-        candidates = _gtrs_candidates(basis, mu, h)
-        if not candidates:
-            # no bracketed root anywhere: report the failure mode
-            # distinctly, with the unconstrained LS point as a finite
-            # best effort
-            results.append(_srd_result(system, vt[i].T @ (p / s[i]),
-                                       "degenerate",
-                                       {"reason": "no multiplier root"}))
-            continue
-        feasible = [c_hat for c_hat in candidates if c_hat[0] >= -1e-9]
-        if not feasible:
-            results.append(_degenerate("no feasible multiplier root", rank=r))
-            continue
-        gaps = [phi[i] @ c_hat - b[i] for c_hat in feasible]
-        # the first of equal costs wins
-        best = feasible[int(np.argmin([float(g @ g) for g in gaps]))]
-        results.append(_srd_result(system, best, "closed_form"))
+            results[i] = _srd_result((phi[i], b[i], origin[i], r), c_hat,
+                                     "closed_form", extra)
     return results
 
 
 def _srd_result(system, c_hat, status, extra=None):
     phi, b, origin, rank = system
     resid = phi @ c_hat - b
-    r_norm2 = float(c_hat[1:] @ c_hat[1:])
-    constraint = abs(c_hat[0] ** 2 - r_norm2)
-    info = {"c1": float(c_hat[0]),
+    c1, r_norm2 = float(c_hat[0]), float(c_hat[1:] @ c_hat[1:])
+    constraint = abs(c1 ** 2 - r_norm2)
+    info = {"c1": c1,
             "constraint_residual": constraint,
             "constraint_rel": constraint / (1.0 + r_norm2),
             "rank": rank}
@@ -776,12 +864,67 @@ def _small_step(step, x, origin, tol):
     return math.hypot(*step) <= tol * (math.dist(x, origin) + tol)
 
 
+def _damped_steps(hess, grad, mu):
+    """``_damped_step`` of n systems at once, elementwise in the same
+    order: the steps (n, 3), and which damped matrices are numerically
+    positive definite (n,)."""
+    a00, a01, a02, _, a11, a12, _, _, a22 = hess.reshape(-1, 9).T
+    g0, g1, g2 = (-grad).T
+    p0 = a00 + mu
+    l00 = np.sqrt(p0)
+    l10, l20 = a01 / l00, a02 / l00
+    p1 = a11 + mu - l10 * l10
+    l11 = np.sqrt(p1)
+    l21 = (a12 - l20 * l10) / l11
+    p2 = a22 + mu - l20 * l20 - l21 * l21
+    l22 = np.sqrt(p2)
+    y0 = g0 / l00
+    y1 = (g1 - l10 * y0) / l11
+    h2 = (g2 - l20 * y0 - l21 * y1) / l22 / l22
+    h1 = (y1 - l21 * h2) / l11
+    return (np.stack([(y0 - l10 * h1 - l20 * h2) / l00, h1, h2], axis=-1),
+            np.minimum(np.minimum(p0, p1), p2) > 0.0)
+
+
+def _small_steps(step, offset):
+    """``_small_step`` of n systems at once, from their steps and their
+    offsets x - r_ref (n, 3).  The lengths stay plain floats:
+    ``math.dist`` is ``math.hypot`` of the differences, and the ``sqrt``
+    of a row sum may round otherwise."""
+    def lengths(v):
+        return np.array(list(map(math.hypot, *v.T.tolist())))
+    return lengths(step) <= STEP_TOL * (lengths(offset) + STEP_TOL)
+
+
 def _gain_update(mu, step, grad, cost, new_cost):
     """Nielsen's damping after an accepted step: mu scaled by
-    max(1/3, 1 - (2 rho - 1)^3) for the gain ratio rho, in plain floats."""
-    predicted = sum(h * (mu * h - g) for h, g in zip(step, grad))
+    max(1/3, 1 - (2 rho - 1)^3) for the gain ratio rho, in plain floats.
+    The predicted decrease adds its three terms left to right (builtin
+    ``sum`` of floats is compensated from Python 3.12 on)."""
+    (h0, h1, h2), (g0, g1, g2) = step, grad
+    predicted = h0 * (mu * h0 - g0) + h1 * (mu * h1 - g1) \
+        + h2 * (mu * h2 - g2)
     rho = (cost - new_cost) / predicted if predicted > 0 else 1.0
     return mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+
+
+def _gain_updates(mu, step, grad, cost, new_cost):
+    """``_gain_update`` of n systems at once.  The cube stays a plain
+    float: ``np.power`` may round otherwise than libm's ``pow``."""
+    terms = step * (mu[:, None] * step - grad)
+    predicted = terms[:, 0] + terms[:, 1] + terms[:, 2]
+    rho = np.divide(cost - new_cost, predicted, out=np.ones_like(predicted),
+                    where=predicted > 0)
+    factor = 1.0 - np.array([r ** 3 for r in (2.0 * rho - 1.0).tolist()])
+    return mu * np.where(factor > 1.0 / 3.0, factor, 1.0 / 3.0)
+
+
+def _max3(v):
+    """The builtin ``max`` of the three columns of ``v`` (n, 3), row by
+    row: a NaN wins only in the first column."""
+    top = v[:, 0]
+    top = np.where(v[:, 1] > top, v[:, 1], top)
+    return np.where(v[:, 2] > top, v[:, 2], top)
 
 
 def _residuals(pos, pts, d):
@@ -807,32 +950,23 @@ def _jacobian(diff, dist):
     return unit[..., 1:, :] - unit[..., :1, :]
 
 
-def _normal_equations(wjac, werr):
-    """J^T J and J^T e of one system or a stack, as nested lists of
-    floats."""
-    jt = wjac.mT
-    return (jt @ wjac).tolist(), _matvec(jt, werr).tolist()
+def _jacobian_rank(wjac):
+    """Numerical rank of one Jacobian (M-1, 3) or of each of a stack."""
+    s = np.linalg.svd(wjac, compute_uv=False)
+    return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
 
 
-def _peak(hess):
-    """The largest diagonal entry of one 3x3 J^T J (nested lists)."""
-    return max(hess[0][0], hess[1][1], hess[2][2])
-
-
-def _lm_outcome(termination, iterations, singular_values):
-    """Status and info of a finished LM run; the Jacobian's singular
-    values are needed (and given) unless the damping overflowed."""
+def _lm_outcome(termination, iterations, rank):
+    """Status and info of a finished LM run; the Jacobian's rank is
+    needed (and given) unless the damping overflowed."""
     info = {"iterations": iterations, "termination": termination}
     status = "max_iterations" if termination == "max_iterations" \
         else "converged"
     if termination == "damping":
         status, info["reason"] = "degenerate", "damping overflow"
-    else:
-        s = singular_values
-        rank = int(np.sum(s > RANK_TOL * s[0]))
-        if rank < 3:
-            status = "degenerate"
-            info.update(reason="rank-deficient Jacobian", rank=rank)
+    elif rank < 3:
+        status = "degenerate"
+        info.update(reason="rank-deficient Jacobian", rank=rank)
     return status, info
 
 
@@ -904,25 +1038,42 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
             # unweighted path so scaled and unscaled runs coincide
             chol = None
 
-    def whiten(arr):
-        if chol is None:
-            return arr
-        return scipy.linalg.solve_triangular(chol, arr, lower=True)
-
     if init is None:
         init = _lm_start(mics, usrd_ls(rd, mics) if rd.mic_count >= 5
                          else None)
     x = np.asarray(init, dtype=float).reshape(3).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("init must be finite")
-
     # reference microphone first, so RDs and Jacobian rows are slices
-    origin = mics[rd.reference_index]
-    pts = mics[[rd.reference_index] + rd.other_indices()]
-    center = pts.mean(axis=0)
+    x, cost, wjac, termination, iterations = _lm_float(
+        mics[[rd.reference_index] + rd.other_indices()], d, x,
+        max_iter=max_iter, tol=tol, chol=chol)
+    status, info = _lm_outcome(
+        termination, iterations, None if termination == "damping"
+        else int(_jacobian_rank(wjac)))
+    return LocalizationResult(position=x, residual=cost / scale,
+                              status=status, info=info)
 
-    # the formulas of _residuals, _jacobian and _normal_equations on one
-    # system, written out: helper calls cost this loop about 5 %
+
+def _lm_float(pts, d, x, first=1, max_iter=MAX_ITER, tol=STEP_TOL,
+              chol=None, state=None):
+    """The LM passes ``first``..``max_iter`` of one system, microphones
+    ``pts`` reference first and RDs ``d``, in plain floats.
+
+    Without ``state`` the run starts at ``x``; ``state`` = (cost, J,
+    J^T J, J^T e, peak, mu, nu) carries on a run that
+    ``hyperbolic_stack`` left at ``x``.  ``chol`` whitens the residuals.
+    Returns ``(x, cost, J, termination, iterations)``.
+    """
+    origin, center = pts[0], pts.mean(axis=0)
+
+    def whiten(arr):
+        if chol is None:
+            return arr
+        return scipy.linalg.solve_triangular(chol, arr, lower=True)
+
+    # the formulas of _residuals and _jacobian on one system, written
+    # out: helper calls cost this loop about 5 %
     def evaluate(pos):
         diff = pos[None, :] - pts
         dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
@@ -940,13 +1091,14 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
         return wjac, hess, (wjac.T @ werr).tolist(), max(
             hess[0][0], hess[1][1], hess[2][2])
 
-    x, werr, cost, diff, dist = evaluate(x)
-    wjac, hess, grad, peak = linearize(diff, dist, werr)
-    mu = 1e-3 * peak
-    nu = 2.0
-    termination = "max_iterations"
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    if state is None:
+        x, werr, cost, diff, dist = evaluate(x)
+        wjac, hess, grad, peak = linearize(diff, dist, werr)
+        mu, nu = 1e-3 * peak, 2.0
+    else:
+        cost, wjac, hess, grad, peak, mu, nu = state
+    termination, iterations = "max_iterations", first - 1
+    for iterations in range(first, max_iter + 1):
         if max(map(abs, grad)) <= GRAD_TOL:
             termination = "gradient"
             break
@@ -970,11 +1122,10 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
         if not 0.0 < mu <= DAMPING_LIMIT * peak:
             termination = "damping"
             break
-    status, info = _lm_outcome(
-        termination, iterations, None if termination == "damping"
-        else np.linalg.svd(wjac, compute_uv=False))
-    return LocalizationResult(position=x, residual=cost / scale,
-                              status=status, info=info)
+    return x, cost, wjac, termination, iterations
+
+
+_TERMINATIONS = ("max_iterations", "gradient", "step", "damping")
 
 
 def _lm_start(mics, guess):
@@ -990,97 +1141,103 @@ def hyperbolic_stack(d, mics, ref, usrd=None):
     (arguments as for ``usrd_stack``).
 
     ``usrd`` may hold the ``usrd_stack`` results of the same systems,
-    which are then not computed again for the start points.  The LM
-    loop runs over the whole stack: each system keeps its own damping
-    and stops on its own, its damped step and damping update are the
-    plain-float helpers of ``hyperbolic_ls``, and residuals, Jacobians
-    and normal equations are formed for all moving systems at once.
-    Each result is bit for bit the ``hyperbolic_ls`` result of its
-    system.
+    which are then not computed again for the start points.  Each LM
+    pass works on the systems still running as arrays: the gradient
+    test, the damped step, the step test, the accept test and the
+    damping updates run elementwise in ``hyperbolic_ls``'s order, each
+    system keeping its own damping and stopping on its own.  Two
+    factors stay plain floats, mapped over the rows that need them:
+    the gain update's cube and the step test's lengths (``math.hypot``,
+    ``math.dist``), which numpy's ``power`` and a ``sqrt`` of a row sum
+    may round otherwise.  Once ``_ARRAY_LM`` or fewer systems run, each
+    finishes in ``hyperbolic_ls``'s plain-float loop.  Each result is
+    bit for bit the ``hyperbolic_ls`` result of its system.
     """
     t, m = mics.shape[:2]
     if usrd is None and m >= 5:
         usrd = usrd_stack(d, mics, ref)
-    x = np.array([_lm_start(mics[i], None if usrd is None else usrd[i])
-                  for i in range(t)]).reshape(t, 3)
-    rows = np.arange(t)
-    pts = mics[rows[:, None],
+    x = mics.mean(axis=1)
+    ok = [] if usrd is None else [i for i, r in enumerate(usrd) if r.ok]
+    if ok:
+        x[ok] = [usrd[i].position for i in ok]
+    ids = np.arange(t)
+    pts = mics[ids[:, None],
                np.concatenate([ref[:, None], _other_indices(ref, m)], axis=1)]
     center = pts.mean(axis=1)
-    origin = mics[rows, ref].tolist()
 
-    def evaluate(idx, pos):
-        diff, dist, werr = _residuals(pos, pts[idx], d[idx])
-        near = np.flatnonzero(dist.min(axis=-1) < 1e-9)
-        if near.size:
+    def evaluate(pos):
+        diff, dist, werr = _residuals(pos, pts, d)
+        close = dist < 1e-9
+        if close.any():
+            near = np.flatnonzero(close.any(axis=-1))
             for k in near:
-                pos[k] = _off_mic(pos[k], center[idx[k]])
+                pos[k] = _off_mic(pos[k], center[ids[k]])
             diff[near], dist[near], werr[near] = _residuals(
-                pos[near], pts[idx[near]], d[idx[near]])
-        return pos, werr, _sum_squares(werr).tolist(), diff, dist
+                pos[near], pts[near], d[near])
+        return pos, werr, _sum_squares(werr), diff, dist
 
-    x, werr, cost, diff, dist = evaluate(rows, x)
+    x, werr, cost, diff, dist = evaluate(x)
     wjac = _jacobian(diff, dist)
-    hess, grad = _normal_equations(wjac, werr)
-    peak = [_peak(h) for h in hess]
-    mu = [1e-3 * p for p in peak]
-    nu = [2.0] * t
-    termination = ["max_iterations"] * t
-    iterations = [0] * t
-    active = list(range(t))
-    for it in range(1, MAX_ITER + 1):
-        if not active:
-            break
-        moving, steps, damped = [], [], []
-        for i in active:
-            iterations[i] = it
-            if max(map(abs, grad[i])) <= GRAD_TOL:
-                termination[i] = "gradient"
-                continue
-            step = _damped_step(hess[i], grad[i], mu[i])
-            if step is None:
-                damped.append(i)
-            elif _small_step(step, x[i].tolist(), origin[i], STEP_TOL):
-                termination[i] = "step"
-            else:
-                moving.append(i)
-                steps.append(step)
-        active = []
-        if moving:
-            idx = np.array(moving)
-            cand, new_werr, new_cost, new_diff, new_dist = evaluate(
-                idx, x[idx] + np.array(steps))
-            better = []
-            for k, i in enumerate(moving):
-                if new_cost[k] < cost[i]:
-                    mu[i] = _gain_update(mu[i], steps[k], grad[i], cost[i],
-                                         new_cost[k])
-                    cost[i], nu[i] = new_cost[k], 2.0
-                    better.append(k)
-                else:
-                    damped.append(i)
-            if better:
-                accepted = idx[better]
-                x[accepted] = cand[better]
-                wjac[accepted] = _jacobian(new_diff[better], new_dist[better])
-                for i, h, g in zip(accepted.tolist(), *_normal_equations(
-                        wjac[accepted], new_werr[better])):
-                    hess[i], grad[i], peak[i] = h, g, _peak(h)
-                active.extend(accepted.tolist())
-        for i in damped:
-            mu[i] *= nu[i]
-            nu[i] *= 2.0
-            if not 0.0 < mu[i] <= DAMPING_LIMIT * peak[i]:
-                termination[i] = "damping"
-            else:
-                active.append(i)
-        active.sort()
-    live = [i for i in range(t) if termination[i] != "damping"]
-    singular = dict(zip(live, np.linalg.svd(wjac[live], compute_uv=False)))
+    hess, grad = wjac.mT @ wjac, _matvec(wjac.mT, werr)
+    peak = _max3(hess.diagonal(axis1=1, axis2=2))
+    mu, nu = 1e-3 * peak, np.full(t, 2.0)
+    # the systems still running hold the state arrays; a system that
+    # stops leaves its end (an index into _TERMINATIONS), pass count,
+    # point, cost and Jacobian behind
+    ends, iterations = np.zeros(t, dtype=int), np.full(t, MAX_ITER)
+    out_x, out_cost, out_jac = x.copy(), cost.copy(), wjac.copy()
+    it = 1
+    with np.errstate(all="ignore"):
+        while it <= MAX_ITER and ids.size > _ARRAY_LM:
+            flat = (np.abs(grad[:, 0]) <= GRAD_TOL) \
+                & ~(np.abs(grad[:, 1:]) > GRAD_TOL).any(axis=1)
+            step, solved = _damped_steps(hess, grad, mu)
+            small = solved & ~flat & _small_steps(step, x - pts[:, 0])
+            cand, new_werr, new_cost, new_diff, new_dist = evaluate(x + step)
+            better = solved & ~flat & ~small & (new_cost < cost)
+            acc = np.flatnonzero(better)
+            if acc.size:
+                mu[acc] = _gain_updates(mu[acc], step[acc], grad[acc],
+                                        cost[acc], new_cost[acc])
+                nu[acc], cost[acc], x[acc] = 2.0, new_cost[acc], cand[acc]
+                jac = _jacobian(new_diff[acc], new_dist[acc])
+                wjac[acc], hess[acc] = jac, jac.mT @ jac
+                grad[acc] = _matvec(jac.mT, new_werr[acc])
+                peak[acc] = _max3(hess.diagonal(axis1=1, axis2=2)[acc])
+            # no positive-definite damped system, or a step that does not
+            # lower the cost
+            damped = ~(flat | small | better)
+            np.multiply(mu, nu, out=mu, where=damped)
+            np.multiply(nu, 2.0, out=nu, where=damped)
+            over = damped & ~((0.0 < mu) & (mu <= DAMPING_LIMIT * peak))
+            end = flat | small | over
+            if end.any():
+                done = ids[end]
+                ends[done] = np.where(flat, 1, np.where(small, 2, 3))[end]
+                iterations[done] = it
+                out_x[done], out_cost[done], out_jac[done] = \
+                    x[end], cost[end], wjac[end]
+                keep = ~end
+                ids, x, cost, wjac, hess, grad, peak, mu, nu, pts, d = (
+                    v[keep] for v in (ids, x, cost, wjac, hess, grad, peak,
+                                      mu, nu, pts, d))
+            it += 1
+    # the last few systems carry on one at a time
+    for k, i in enumerate(ids.tolist()):
+        out_x[i], out_cost[i], out_jac[i], end, iterations[i] = _lm_float(
+            pts[k], d[k], x[k], it, state=(
+                cost[k].item(), wjac[k], hess[k].tolist(), grad[k].tolist(),
+                peak[k].item(), mu[k].item(), nu[k].item()))
+        ends[i] = _TERMINATIONS.index(end)
+    live = np.flatnonzero(ends != 3)
+    rank = np.zeros(t, dtype=int)
+    rank[live] = _jacobian_rank(out_jac[live])
     results = []
-    for i in range(t):
-        status, info = _lm_outcome(termination[i], iterations[i],
-                                   singular.get(i))
-        results.append(LocalizationResult(position=x[i], residual=cost[i],
-                                          status=status, info=info))
+    for i, (end, passes, r, residual) in enumerate(zip(
+            ends.tolist(), iterations.tolist(), rank.tolist(),
+            out_cost.tolist())):
+        status, info = _lm_outcome(_TERMINATIONS[end], passes, r)
+        results.append(LocalizationResult(position=out_x[i],
+                                          residual=residual, status=status,
+                                          info=info))
     return results

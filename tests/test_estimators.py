@@ -346,7 +346,7 @@ def test_rational_phi_matches_linear_solve():
         for lam in lams:
             if np.min(np.abs(lam + mu)) < 1e-3 * scale:
                 continue
-            val, der = _phi(terms, float(lam))
+            val, der = _phi(mu, mu * h * h, np.array(lam))
             ref_val, ref_der, ref_c = _solve_phi(system, lam)
             size = sum(abs(mh2) / (m + lam) ** 2 for m, mh2 in terms)
             assert abs(val - ref_val) <= 1e-9 * size

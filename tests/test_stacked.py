@@ -7,6 +7,7 @@ rounding as their 2-D calls do, a property of the numpy/BLAS build
 operation, on a build where it does not hold.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -15,7 +16,10 @@ import pytest
 from multilat import (RdMatrix, RdVector, conic_ls, estimators,
                       hyperbolic_ls, srd_ls, usrd_ls)
 from multilat.bench import paper_table1_scenes
-from multilat.estimators import (TooFewMicrophones, conic_stack,
+from multilat.estimators import (STEP_TOL, TooFewMicrophones,
+                                 _diagonal_pencil, _gain_update,
+                                 _gain_updates, _gtrs_roots, _small_step,
+                                 _small_steps, _spherical_stack, conic_stack,
                                  hyperbolic_stack, srd_stack, usrd_stack)
 
 
@@ -180,3 +184,206 @@ def test_stacks_refuse_what_the_public_call_refuses(kernel, least, public):
     assert str(stacked.value) == str(single.value)
     with pytest.raises(TooFewMicrophones, match="conic_ls needs at least 4"):
         conic_stack(values[:, :3, :3], mics[:, :3])
+
+
+# ---------------------------------------------------------------------------
+# the srd multiplier scan against the plain-float scan it replaced
+
+
+def _phi_oracle(terms, lam):
+    val = der = 0.0
+    for m, mh2 in terms:
+        den = m + lam
+        if den == 0.0:
+            return math.nan, math.nan
+        term = mh2 / (den * den)
+        val += term
+        der += term / den
+    return val, -2.0 * der
+
+
+def _gtrs_candidates_oracle(basis, mu, h):
+    """The per-system multiplier scan that ``_gtrs_roots`` replaced, in
+    plain floats, one pole interval and one Newton step at a time."""
+    terms = [(m, m * hi * hi) for m, hi in zip(mu.tolist(), h.tolist())]
+    bounds = sorted({-m for m, _ in terms if abs(m) < 1e14})
+    scale = max(1.0, max((abs(x) for x in bounds), default=1.0))
+    edges = [bounds[0] - 10 * scale] + bounds + [bounds[-1] + 10 * scale] \
+        if bounds else [-10 * scale, 10 * scale]
+    roots = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        margin = 1e-14 * (abs(lo) + abs(hi))
+        a, b = lo + margin, hi - margin
+        fa, fb = _phi_oracle(terms, a)[0], _phi_oracle(terms, b)[0]
+        if not (a < b and math.isfinite(fa) and math.isfinite(fb)) \
+                or fa * fb > 0:
+            continue
+        lam, step = 0.5 * (a + b), b - a
+        for _ in range(120):
+            val, der = _phi_oracle(terms, lam)
+            if not math.isfinite(val) or val == 0.0:
+                break
+            if (val > 0.0) == (fa > 0.0):
+                a = lam
+            else:
+                b = lam
+            last, step = step, val / der if der != 0.0 else math.inf
+            if not a < lam - step < b or abs(step) > 0.5 * abs(last):
+                step = lam - 0.5 * (a + b)
+            lam -= step
+            if abs(step) <= 1e-15 * (1.0 + abs(lam)) \
+                    or b - a <= 1e-15 * (1.0 + abs(a)):
+                break
+        roots.append(basis @ (h / (mu + lam)))
+    return roots
+
+
+def _outlier_systems(rng, m, count):
+    """(RD rows, mics, reference indices) of random m-mic arrays whose
+    RDs carry outlier noise: one pair in five is off by up to a metre."""
+    systems = []
+    for _ in range(count):
+        mics = rng.uniform(-3.0, 3.0, size=(m, 3))
+        source = rng.dirichlet(np.ones(m)) @ mics
+        noise = rng.normal(0.0, 0.02, (m, m))
+        noise[rng.random((m, m)) < 0.2] += rng.uniform(-1.0, 1.0)
+        systems.append((_full(np.linalg.norm(mics - source, axis=1), noise),
+                        mics))
+    values = np.array([v for v, _ in systems])
+    mics = np.array([mic for _, mic in systems])
+    ref = rng.integers(0, m, size=count)
+    return rows_of(values, ref), mics, ref
+
+
+def _table1_systems(rng, sigmas):
+    """RD rows, mics and reference indices of every C(8, 5) subset of
+    the three Table-1 scenes at each noise level in ``sigmas``."""
+    rows, mics = [], []
+    for sigma in sigmas:
+        for scene in paper_table1_scenes():
+            for subset in combinations(range(8), 5):
+                sub = scene.mics[list(subset)]
+                ranges = np.linalg.norm(sub - scene.source, axis=1)
+                noisy = _full(ranges, rng.normal(0.0, sigma, (5, 5)))
+                rows.append(noisy[0, 1:])
+                mics.append(sub)
+    return np.array(rows), np.array(mics), np.zeros(len(rows), dtype=int)
+
+
+def _pencils(d, mics, ref):
+    phi, b, _ = _spherical_stack(d, mics, ref)
+    u, s, vt = np.linalg.svd(phi, full_matrices=True)
+    return _diagonal_pencil(s, vt, (u[..., :4].mT @ b[..., None])[..., 0])
+
+
+def _edge_pencils(rng):
+    """Pencils (basis, mu, h) built to reach the scan's corner cases."""
+    cases = []
+    for _ in range(6):
+        basis = rng.normal(size=(4, 4))
+        h = rng.normal(size=4)
+        # a repeated pole, which counts once
+        cases.append((basis, np.array([-2.0, 0.5, 0.5, 3.0]), h))
+        # a pole beyond 1e14, which is not bracketed
+        cases.append((basis, np.array([-1.5, 0.3, 2.0, 3e14]), h))
+        # the hard case: only the positive eigenvalue carries weight, so
+        # no interval brackets a root
+        cases.append((basis, np.array([-3.0, -2.0, -0.5, 2.0]),
+                      np.array([0.0, 0.0, 0.0, h[3]])))
+        # a weight of 1e-9 puts a root about 1e-9 relative from its pole:
+        # inside a 1e-9 margin, outside the scan's 1e-14 one
+        cases.append((basis, np.array([-2.5, -1.0, 0.7, 1.6]),
+                      np.array([h[0], 1e-9, h[2], h[3]])))
+    return [tuple(np.array(c) for c in zip(*cases))]
+
+
+@pytest.mark.usefixtures("stacked_linalg")
+def test_multiplier_scan_matches_the_plain_float_scan():
+    rng = np.random.default_rng(1501)
+    pencils = [_pencils(*_table1_systems(rng, [0.01, 0.05]))]
+    for m in (5, 6, 7, 8):
+        pencils.append(_pencils(*_outlier_systems(rng, m, 60)))
+    pencils += _edge_pencils(rng)
+    basis, mu, h = (np.concatenate(part) for part in zip(*pencils))
+    assert len(mu) >= 500
+    want = [_gtrs_candidates_oracle(*pencil) for pencil in zip(basis, mu, h)]
+    assert sum(len(roots) for roots in want) > estimators._ARRAY_ROOTS
+    # the hard cases bracket no root
+    assert not any(want[-24 + 2::4])
+    # one stack, whose brackets take the array search, and each pencil
+    # alone, whose few brackets take the plain-float search
+    sys, roots = _gtrs_roots(basis, mu, h)
+    for i, expected in enumerate(want):
+        np.testing.assert_array_equal(roots[sys == i],
+                                      np.array(expected).reshape(-1, 4))
+        alone = _gtrs_roots(basis[i:i + 1], mu[i:i + 1], h[i:i + 1])[1]
+        np.testing.assert_array_equal(alone,
+                                      np.array(expected).reshape(-1, 4))
+
+
+# ---------------------------------------------------------------------------
+# the stacked Levenberg-Marquardt loop against the per-system one
+
+
+def test_gain_update_adds_its_terms_left_to_right():
+    # the predicted decrease is 1e16 + 1 - 1e16: 0.0 left to right, 1.0
+    # compensated (builtin sum() on Python 3.12 and later); at 0.0 the
+    # gain ratio is taken as 1 and mu shrinks threefold
+    mu, step, grad = 1e-300, (1.0, 1.0, 1.0), (-1e16, -1.0, 1e16)
+    assert _gain_update(mu, step, grad, 1.0, 0.5) == mu * (1.0 / 3.0)
+    stacked = _gain_updates(np.array([mu]), np.array([step]),
+                            np.array([grad]), np.array([1.0]),
+                            np.array([0.5]))
+    assert stacked.tolist() == [mu * (1.0 / 3.0)]
+
+
+def _boundary_steps(rng, count):
+    """Steps and offsets x - r_ref whose step test sits on its boundary:
+    ||h|| by ``math.hypot`` equals the threshold, and the ``sqrt`` of
+    the row sum lies one ulp to the other side."""
+    found = []
+    while len(found) < count:
+        h = rng.normal(size=3) * 1e-9
+        exact, summed = math.hypot(*h), float(np.sqrt(np.sum(h * h)))
+        if exact == summed:
+            continue
+        # the threshold STEP_TOL (D + STEP_TOL) of an offset (D, 0, 0)
+        # hits the exact length for some D near exact / STEP_TOL
+        dist = exact / STEP_TOL - STEP_TOL
+        for _ in range(64):
+            threshold = STEP_TOL * (dist + STEP_TOL)
+            if threshold == exact:
+                found.append((h, np.array([dist, 0.0, 0.0])))
+                break
+            dist = np.nextafter(dist, np.inf if threshold < exact
+                                else -np.inf)
+    return np.array([h for h, _ in found]), np.array([o for _, o in found])
+
+
+def test_step_test_takes_math_hypot_lengths():
+    # on the boundary only the rounding of the lengths decides
+    steps, offsets = _boundary_steps(np.random.default_rng(77), 40)
+    want = [_small_step(h.tolist(), o.tolist(), [0.0, 0.0, 0.0], STEP_TOL)
+            for h, o in zip(steps, offsets)]
+    assert _small_steps(steps, offsets).tolist() == want
+    summed = np.sqrt(np.sum(steps * steps, axis=1)) \
+        <= STEP_TOL * (offsets[:, 0] + STEP_TOL)
+    assert summed.tolist() != want
+
+
+@pytest.mark.usefixtures("stacked_linalg")
+def test_large_hyperbolic_stack_matches_per_system_calls():
+    # every C(8, 5) subset of the three Table-1 scenes at 1 and 5 cm,
+    # and random outlier arrays: more than 300 systems in one stack
+    rng = np.random.default_rng(4321)
+    table = _table1_systems(rng, [0.01, 0.05])
+    outliers = _outlier_systems(rng, 5, 48)
+    d, mics, ref = (np.concatenate(part) for part in zip(table, outliers))
+    assert len(d) >= 300
+    stacked = hyperbolic_stack(d, mics, ref)
+    single = [hyperbolic_ls(RdVector(values=row, reference_index=int(r)), m)
+              for row, m, r in zip(d, mics, ref)]
+    for got, want in zip(stacked, single):
+        assert_same(got, want)
+    ends = {r.info["termination"] for r in stacked}
+    assert {"gradient", "step"} <= ends

@@ -22,10 +22,13 @@ A run draws every cell's observation first.  Then it solves each
 method as one stack over all its (feature, cell, subset) systems, mixed
 geometries included, through the estimator kernels (``usrd_stack``,
 ``srd_stack``, ``conic_stack``, ``hyperbolic_stack``, looked up here at
-call time).  Each system's reference is picked once per run, and
-hyperbolic LS starts from the usrd stack.  A run with one system per
-feature (one cell of one subset) calls ``localize`` instead.  Both give
-the same records bit for bit, ``extra`` included.
+call time), each returning a ``ResultStack`` of columns.  The
+nearest-barycenter references of all systems come from one
+``select_reference`` call per run, and hyperbolic LS starts from the
+usrd stack's positions.  A run with one system per feature (one cell of
+one subset) calls ``localize`` instead.  Both give the same records bit
+for bit, ``extra`` included, as a ``RecordTable`` of columns, which
+``summarize`` and the CSV writers read.
 
 Multiple source positions are folded into the trial axis: trial t uses
 scene position ``t mod n_positions``, keeping the record count at
@@ -42,9 +45,10 @@ Benchmark config files are YAML; ``_SCHEMA`` maps each key to its
 """
 
 import csv
+import io
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
-from itertools import combinations, product
+from itertools import combinations
 from types import UnionType
 from typing import get_args, get_origin
 
@@ -56,8 +60,8 @@ from .estimators import (TooFewMicrophones, _other_indices, _sum_squares,
                          conic_ls, conic_stack, hyperbolic_ls,
                          hyperbolic_stack, srd_ls, srd_stack, usrd_ls,
                          usrd_stack)
-from .geometry import (DEFAULT_SOUND_SPEED, LocalizationResult, Scene,
-                       _upper_index, select_reference, tdoa_to_rd,
+from .geometry import (DEFAULT_SOUND_SPEED, LocalizationResult, ResultStack,
+                       Scene, _upper_index, select_reference, tdoa_to_rd,
                        true_rd_full, RdMatrix)
 from .simulate import RdNoiseModel, SignalModel, perturb_rd, synth_signals
 from .tdoa import FrameConfig, estimate_tdoa_matrix
@@ -469,7 +473,8 @@ def config_from_dict(raw):
 @dataclass(frozen=True)
 class TrialRecord:
     """One localization outcome; ``extra`` carries estimator diagnostics
-    (not persisted to CSV)."""
+    (not persisted to CSV).  Records are equal when every field but
+    ``extra`` is, a NaN equalling a NaN, so that reruns compare equal."""
 
     method: str
     feature: str
@@ -484,6 +489,83 @@ class TrialRecord:
     def sort_key(self):
         return (self.method, self.feature, self.subset,
                 self.noise_level, self.trial)
+
+    def _key(self):
+        return tuple(None if v != v else v
+                     for v in map(self.__getattribute__, _FIELDS))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+#: the fields of a TrialRecord but ``extra``, in order
+_FIELDS = tuple(f.name for f in fields(TrialRecord))[:-1]
+#: the status names of a run's records
+_RECORD_STATUSES = LocalizationResult._STATUSES + ("invalid_pair",)
+
+
+def _coded(values):
+    """The distinct strings of ``values``, sorted, and each value's index
+    among them."""
+    unique, codes = np.unique(np.array(values, dtype=str),
+                              return_inverse=True)
+    return tuple(unique.tolist()), codes
+
+
+class RecordTable:
+    """Trial records as columns: one array per field of ``TrialRecord``
+    but ``extra``, the string fields as codes into ``names[field]``
+    (sorted, so that codes order as names do; ``status`` names need not
+    be), and ``extra(i)``, record i's diagnostics.  It indexes and
+    iterates as ``TrialRecord``s, built as they are asked for, and
+    equals a table or list of the same records."""
+
+    def __init__(self, names, columns, extra):
+        self.names, self.columns, self.extra = names, columns, extra
+
+    @classmethod
+    def of(cls, records):
+        """``records`` as a table: a table as it is, a sequence of
+        ``TrialRecord``s in columns, sorted as ``run_benchmark`` sorts."""
+        if isinstance(records, cls):
+            return records
+        records = sorted(records, key=TrialRecord.sort_key)
+        names, columns = {}, {}
+        for f in fields(TrialRecord)[:-1]:
+            values = [getattr(record, f.name) for record in records]
+            if f.type is str:
+                names[f.name], columns[f.name] = _coded(values)
+            else:
+                columns[f.name] = np.array(values, dtype=f.type)
+        return cls(names, columns, lambda i: records[i].extra)
+
+    def solved(self):
+        """Which records succeeded with a finite position error."""
+        success = np.isin(self.names["status"],
+                          LocalizationResult.SUCCESS_STATUSES)
+        return success[self.columns["status"]] \
+            & np.isfinite(self.columns["position_error_m"])
+
+    def __len__(self):
+        return len(self.columns["trial"])
+
+    def __getitem__(self, i):
+        return TrialRecord(*(
+            self.names[name][self.columns[name][i]] if name in self.names
+            else self.columns[name][i].item() for name in _FIELDS),
+            extra=self.extra(i))
+
+    def __eq__(self, other):
+        if isinstance(other, (RecordTable, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 def enumerate_subsets(m, k):
@@ -569,33 +651,35 @@ def rd_from_signals(signals, scene):
 
 
 def _solve(methods, values, mics, valid, energies, stacked):
-    """Per method, one outcome per system: its LocalizationResult, the
-    ValueError or IndexError that ``localize`` raised for it, or None
-    for an invalid system.
+    """Per method, the ``ResultStack`` of its valid systems, in order.
 
     ``mics`` (N, k, 3) are the microphones of N systems and ``energies``
     (N, k) or None their channel energies; ``values`` (F*N, k, k) are
-    the systems' RD matrices under each of F features in turn, and
-    ``run_benchmark`` passes every (feature, cell, subset) system of a
-    run.  With ``stacked`` each method's valid systems go through its
-    estimator kernel as one stack, each reference policy picking its
-    reference once per system, and a kernel that refuses its microphone
-    count gives each system that refusal, as ``localize`` does; without,
-    each system goes through ``localize``.
+    the systems' RD matrices under each of F features in turn.  With
+    ``stacked`` each method's valid systems go through its estimator
+    kernel as one stack, each reference policy picking its references
+    once; without, each system goes through ``localize``.  An error
+    that ``localize`` raises for a system, or a kernel's refusal of the
+    microphone count, makes ``degenerate`` rows with its message as
+    reason.
     """
     n = len(mics)
     keep = np.flatnonzero(valid)
-    base, keep = keep % n, keep.tolist()
+    base = keep % n
     if stacked:
         kept_values, kept_mics = values[keep], mics[base]
-    stacks = {}  # reference policy -> [ref, RD rows, usrd results]
+    stacks = {}  # reference policy -> [ref, RD rows, usrd stack]
 
     def stack(ref_policy):
         if ref_policy not in stacks:
-            ref = np.array(
-                [_reference(ref_policy, mics[s],
-                            None if energies is None else energies[s])
-                 for s in range(n)], dtype=int)[base]
+            if ref_policy == "nearest-barycenter":
+                ref = select_reference(mics)
+            else:
+                ref = np.array(
+                    [_reference(ref_policy, mics[s],
+                                None if energies is None else energies[s])
+                     for s in range(n)], dtype=int)
+            ref = ref[base]
             stacks[ref_policy] = [ref, kept_values[
                 np.arange(len(keep))[:, None], ref[:, None],
                 _other_indices(ref, mics.shape[1])], None]
@@ -615,47 +699,36 @@ def _solve(methods, values, mics, valid, energies, stacked):
         return hyperbolic_stack(d, kept_mics, ref, usrd=usrd)
 
     def solve_each(name, ref_policy):
-        results = []
-        for s in keep:
+        out = ResultStack(len(keep))
+        for row, s in enumerate(keep.tolist()):
             try:
-                results.append(localize(
+                result = localize(
                     name, ref_policy, RdMatrix(values[s]), mics[s % n],
-                    None if energies is None else energies[s % n])[1])
+                    None if energies is None else energies[s % n])[1]
             except (ValueError, IndexError) as exc:
-                results.append(exc)
-        return results
+                out.put(row, "degenerate", reason=str(exc))
+            else:
+                out.put(row, result.status, result.position,
+                        result.residual, **result.info)
+        return out
 
     outcomes = []
     for name, ref_policy in methods:
         if not stacked:
-            results = solve_each(name, ref_policy)
-        else:
-            try:
-                results = solve_stack(name, ref_policy)
-            except TooFewMicrophones as exc:
-                results = [exc] * len(keep)
-        solved = iter(results)
-        outcomes.append([next(solved) if ok else None
-                         for ok in valid.tolist()])
+            outcomes.append(solve_each(name, ref_policy))
+            continue
+        try:
+            outcomes.append(solve_stack(name, ref_policy))
+        except TooFewMicrophones as exc:
+            refused = ResultStack(len(keep))
+            refused.put(slice(None), "degenerate", reason=str(exc))
+            outcomes.append(refused)
     return outcomes
 
 
-def _position_errors(results, sources):
-    """||position - source|| per system (NaN where no finite position),
-    over the whole stack at once: ``sqrt`` of a row-by-row dot product
-    is bit for bit the ``np.linalg.norm`` of each row."""
-    solved = [s for s, result in enumerate(results)
-              if isinstance(result, LocalizationResult)]
-    pos = np.array([results[s].position for s in solved]).reshape(-1, 3)
-    errors = np.full(len(results), np.nan)
-    errors[solved] = np.where(np.isfinite(pos).all(axis=1),
-                              np.sqrt(_sum_squares(pos - sources[solved])),
-                              np.nan)
-    return errors.tolist()
-
-
 def run_benchmark(config):
-    """Execute the full benchmark grid; returns canonically sorted records.
+    """Execute the full benchmark grid; returns the ``RecordTable`` of
+    its records, sorted as ``TrialRecord.sort_key`` sorts them.
 
     Every cell's observation is drawn first, in (noise level, trial)
     order; then every feature's systems, one per (cell, subset), go
@@ -676,8 +749,6 @@ def run_benchmark(config):
     observations = [_observations_for_cell(config, scene, true_full, ni, ti)
                     for ni, ti, scene, true_full in cells]
     subset_ids = [_subset_id(subset) for subset in subsets]
-    labels = [(subset_id, config.noise_levels[ni], ti)
-              for ni, ti, _, _ in cells for subset_id in subset_ids]
     # each subset's flat indices into an (M, M) RD matrix: its (k, k)
     # block and its k(k-1)/2 upper pairs, in C order, so that each
     # system's mean RD error sums its pairs as a one-subset mean does
@@ -702,7 +773,7 @@ def run_benchmark(config):
     # a run of one system per feature keeps the per-system calls, which
     # the perfbench tracer and self-test wrap; one-mic subsets have no
     # RDs to stack and fail system by system
-    stacked = len(labels) > 1 and k > 1
+    stacked = len(mics) > 1 and k > 1
     values, rd_err = [], []
     for feature in config.features:
         full = [np.full((mic_count, mic_count), np.nan)
@@ -714,31 +785,66 @@ def run_benchmark(config):
     # one stack per method over every feature's systems
     values = np.concatenate(values)
     valid = np.isfinite(values).all(axis=(1, 2))
-    rd_err = np.where(valid, np.concatenate(rd_err), np.nan).tolist()
+    rd_err = np.where(valid, np.concatenate(rd_err), np.nan)
     sources = np.tile(sources, (len(config.features), 1))
     outcomes = _solve(methods, values, mics, valid, energies, stacked)
-    records = []
-    for method, results in zip(methods, outcomes):
-        method_id = _method_id(*method)
-        for (feature, (subset_id, level, trial)), err, pos_err, result in zip(
-                product(config.features, labels), rd_err,
-                _position_errors(results, sources), results):
-            status, extra = "invalid_pair", {}
-            if isinstance(result, Exception):
-                status, extra = "degenerate", {"reason": str(result)}
-            elif result is not None:
-                status, extra = result.status, dict(result.info)
-            records.append(TrialRecord(
-                method=method_id, feature=feature, subset=subset_id,
-                noise_level=level, trial=trial, status=status,
-                position_error_m=pos_err, mean_abs_rd_error_m=err,
-                extra=extra))
-    records.sort(key=TrialRecord.sort_key)
-    return records
+    keep = np.flatnonzero(valid)
+    status = np.full((len(methods), len(valid)),
+                     _RECORD_STATUSES.index("invalid_pair"))
+    errors = np.full(status.shape, np.nan)
+    for row, result in enumerate(outcomes):
+        status[row, keep] = result.status
+        # sqrt of a row-by-row dot product is bit for bit the
+        # np.linalg.norm of each row
+        errors[row, keep] = np.where(
+            np.isfinite(result.position).all(axis=1),
+            np.sqrt(_sum_squares(result.position - sources[keep])), np.nan)
+    # record ((method * F + feature) * C + cell) * S + subset holds the
+    # system at row (feature * C + cell) * S + subset of ``values``
+    method, feature, cell, subset = np.indices(
+        (len(methods), len(config.features), len(cells), len(subsets)))
+    names, codes = {"status": _RECORD_STATUSES}, {}
+    for name, ids in (("method", [_method_id(*m) for m in methods]),
+                      ("feature", config.features), ("subset", subset_ids)):
+        names[name], codes[name] = _coded(ids)
+    columns = {
+        "method": codes["method"][method],
+        "feature": codes["feature"][feature],
+        "subset": codes["subset"][subset],
+        "noise_level": np.array([config.noise_levels[ni]
+                                 for ni, *_ in cells])[cell],
+        "trial": np.array([ti for _, ti, *_ in cells])[cell],
+        "status": status, "position_error_m": errors,
+        "mean_abs_rd_error_m": np.tile(rd_err, len(methods))}
+    # one stable sort in TrialRecord.sort_key order: codes order as the
+    # names do
+    columns = {name: column.ravel() for name, column in columns.items()}
+    order = np.lexsort([columns[name] for name in _FIELDS[4::-1]])
+    slot = np.cumsum(valid) - 1  # each valid system's row in its stacks
+
+    def extra(i):
+        method, system = divmod(int(order[i]), len(valid))
+        return outcomes[method].row_info(slot[system]) if valid[system] \
+            else {}
+
+    return RecordTable(names, {name: column[order] for name, column
+                               in columns.items()}, extra)
 
 
 # ---------------------------------------------------------------------------
 # aggregation and persistence
+
+
+def _groups(*keys):
+    """Index arrays of the records that share each combination of the
+    key columns, in key order (the first key major), each in record
+    order."""
+    order = np.lexsort(keys[::-1])
+    change = np.zeros(len(order), dtype=bool)
+    for key in keys:
+        ordered = key[order]
+        change[1:] |= ordered[1:] != ordered[:-1]
+    return np.split(order, np.flatnonzero(change)) if len(order) else []
 
 
 def summarize(records):
@@ -746,64 +852,70 @@ def summarize(records):
 
     Median and quartiles (linear interpolation) of the position error
     over successful trials, plus the failure rate and the cell count.
-    Invariant under record permutation.
+    Invariant under record permutation.  ``records`` is a
+    ``RecordTable`` or a sequence of ``TrialRecord``s.
     """
-    if not records:
+    table = RecordTable.of(records)
+    if not len(table):
         raise ValueError("no records to summarize")
-    groups = {}
-    for rec in records:
-        groups.setdefault((rec.method, rec.feature, rec.noise_level),
-                          []).append(rec)
+    cols, solved = table.columns, table.solved()
     rows = []
-    for key in sorted(groups):
-        cell = groups[key]
-        errors = [r.position_error_m for r in cell
-                  if r.status in LocalizationResult.SUCCESS_STATUSES
-                  and np.isfinite(r.position_error_m)]
-        if errors:
+    for group in _groups(cols["method"], cols["feature"], cols["noise_level"]):
+        errors = cols["position_error_m"][group[solved[group]]]
+        if errors.size:
             q1, med, q3 = np.percentile(errors, [25.0, 50.0, 75.0])
         else:
             q1 = med = q3 = float("nan")
+        first = group[0]
         rows.append({
-            "method": key[0], "feature": key[1], "noise_level": key[2],
+            "method": table.names["method"][cols["method"][first]],
+            "feature": table.names["feature"][cols["feature"][first]],
+            "noise_level": cols["noise_level"][first].item(),
             "median_m": float(med), "q1_m": float(q1), "q3_m": float(q3),
-            "failure_rate": 1.0 - len(errors) / len(cell),
-            "n": len(cell),
+            "failure_rate": 1.0 - errors.size / group.size,
+            "n": group.size,
         })
     return rows
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return f"{x:.9g}"
-    return str(x)
+def _csv_field(text):
+    """``text`` as ``csv.writer`` writes it among a row's fields."""
+    if not any(c in text for c in ',"\r\n'):
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[:-2]
+
+
+def _write_lines(path, lines):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_records_csv(records, path):
     """Persist records with the pinned schema, 9 significant digits, LF.
 
+    ``records`` is a ``RecordTable`` or a sequence of ``TrialRecord``s.
     The last column, ``wall_time_s``, is always 0 so reruns stay
     byte-identical.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORDS_HEADER.split(","))
-        for r in records:
-            writer.writerow([r.method, r.feature, r.subset,
-                             _fmt(r.noise_level), r.trial, r.status,
-                             _fmt(r.position_error_m),
-                             _fmt(r.mean_abs_rd_error_m), 0])
+    table = RecordTable.of(records)
+    cols = table.columns
+    text = {name: [_csv_field(v) for v in values]
+            for name, values in table.names.items()}
+    values = [np.array(text[name], dtype=object)[cols[name]].tolist()
+              if name in text else cols[name].tolist() for name in _FIELDS]
+    _write_lines(path, [RECORDS_HEADER] + [
+        f"{m},{f},{s},{n:.9g},{t},{st},{p:.9g},{r:.9g},0"
+        for m, f, s, n, t, st, p, r in zip(*values)])
 
 
 def write_summary_csv(rows, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER.split(","))
-        for row in rows:
-            writer.writerow([row["method"], row["feature"],
-                             _fmt(row["noise_level"]), _fmt(row["median_m"]),
-                             _fmt(row["q1_m"]), _fmt(row["q3_m"]),
-                             _fmt(row["failure_rate"]), row["n"]])
+    _write_lines(path, [SUMMARY_HEADER] + [
+        f"{_csv_field(row['method'])},{_csv_field(row['feature'])},"
+        f"{row['noise_level']:.9g},{row['median_m']:.9g},{row['q1_m']:.9g},"
+        f"{row['q3_m']:.9g},{row['failure_rate']:.9g},{row['n']}"
+        for row in rows])
 
 
 def write_histogram_csv(records, path, bins=30):
@@ -811,39 +923,32 @@ def write_histogram_csv(records, path, bins=30):
 
     Bin edges are shared across groups (global successful-data range) so
     the heatmaps are comparable; only non-empty bins are written.
+    ``records`` is a ``RecordTable`` or a sequence of ``TrialRecord``s.
     """
-    ok = [r for r in records
-          if r.status in LocalizationResult.SUCCESS_STATUSES
-          and np.isfinite(r.position_error_m)
-          and np.isfinite(r.mean_abs_rd_error_m)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "feature",
-                         "rd_error_lo", "rd_error_hi",
-                         "pos_error_lo", "pos_error_hi", "count"])
-        if not ok:
-            return
-        rd_all = np.array([r.mean_abs_rd_error_m for r in ok])
-        pos_all = np.array([r.position_error_m for r in ok])
+    table = RecordTable.of(records)
+    cols = table.columns
+    rd_all, pos_all = cols["mean_abs_rd_error_m"], cols["position_error_m"]
+    ok = np.flatnonzero(table.solved() & np.isfinite(rd_all))
+    lines = ["method,feature,rd_error_lo,rd_error_hi,"
+             "pos_error_lo,pos_error_hi,count"]
 
-        def edges(values):
-            lo, hi = float(values.min()), float(values.max())
-            if hi <= lo:
-                hi = lo + 1e-12
-            return np.linspace(lo, hi, bins + 1)
+    def edges(values):
+        lo, hi = float(values.min()), float(values.max())
+        if hi <= lo:
+            hi = lo + 1e-12
+        edge = np.linspace(lo, hi, bins + 1)
+        return edge, [f"{e:.9g}" for e in edge.tolist()]
 
-        rd_edges, pos_edges = edges(rd_all), edges(pos_all)
-        groups = {}
-        for r in ok:
-            groups.setdefault((r.method, r.feature), []).append(r)
-        for key in sorted(groups):
-            cell = groups[key]
-            hist, _, _ = np.histogram2d(
-                [r.mean_abs_rd_error_m for r in cell],
-                [r.position_error_m for r in cell],
-                bins=[rd_edges, pos_edges])
-            for i, j in zip(*np.nonzero(hist)):
-                writer.writerow([key[0], key[1],
-                                 _fmt(rd_edges[i]), _fmt(rd_edges[i + 1]),
-                                 _fmt(pos_edges[j]), _fmt(pos_edges[j + 1]),
-                                 int(hist[i, j])])
+    if ok.size:
+        (rd_edges, rd_text), (pos_edges, pos_text) = (edges(rd_all[ok]),
+                                                      edges(pos_all[ok]))
+    for group in _groups(cols["method"][ok], cols["feature"][ok]):
+        rows = ok[group]
+        hist, _, _ = np.histogram2d(rd_all[rows], pos_all[rows],
+                                    bins=[rd_edges, pos_edges])
+        prefix = ",".join(_csv_field(table.names[name][cols[name][rows[0]]])
+                          for name in ("method", "feature"))
+        lines += [f"{prefix},{rd_text[i]},{rd_text[i + 1]},"
+                  f"{pos_text[j]},{pos_text[j + 1]},{int(hist[i, j])}"
+                  for i, j in zip(*np.nonzero(hist))]
+    _write_lines(path, lines)

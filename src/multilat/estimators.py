@@ -1,35 +1,11 @@
 """Least-squares multilateration estimators.
 
-Four solvers for the source position from range differences:
-
-``usrd_ls``
-    Unconstrained spherical LS: the squared-range formulation decouples
-    the source position from its distance to the reference microphone,
-    giving a linear system in c = [D_ref; r] solved in closed form.
-``srd_ls``
-    Constrained spherical LS: the same system solved *subject to* the
-    coupling constraint c1^2 = ||r||^2, c1 >= 0, via the generalized
-    trust-region subproblem (Beck, Stoica & Li, 2008) — a closed-form
-    global solution up to a 1D root search in the Lagrange multiplier,
-    run on a 4-term rational function after one simultaneous
-    diagonalization of the pencil (A^T A, diag(1, -1, -1, -1)).
-``conic_ls``
-    Plane intersection (Schmidt, 1972): every microphone triplet's RDs
-    define a plane containing the source; stacking all C(M, 3) planes
-    gives a linear system solved by pseudoinverse.  With exactly four
-    microphones the planes provably meet in a *line*, and the solver
-    finishes the job with a range-consistency quadratic along it (the
-    same final step as the classic exact 4-receiver solvers).
-``hyperbolic_ls``
-    Direct (weighted) nonlinear LS on the RD residuals, minimized by
-    Levenberg-Marquardt with Nielsen's gain-ratio damping (Madsen,
-    Nielsen & Tingleff, *Methods for Non-Linear Least Squares Problems*,
-    2004, section 3.2); equals ML for Gaussian noise when the supplied
-    covariance matches.  It stops on a vanishing gradient or on a step
-    that is small relative to the estimate, records which in
-    ``info["termination"]``, and reports ``degenerate`` when the damping
-    overflows or the Jacobian at the solution has rank below 3 (the
-    source is then not identifiable, e.g. on a collinear array).
+Four solvers for the source position from range differences, each
+documented with its method and fallbacks: ``usrd_ls`` (unconstrained
+spherical LS, closed form), ``srd_ls`` (spherical LS constrained to the
+range-coupling cone), ``conic_ls`` (intersection of the microphone
+triplets' planes) and ``hyperbolic_ls`` (Levenberg-Marquardt on the RD
+residuals).
 
 All estimators accept arbitrary arrays: coordinates are translated so
 the reference microphone sits at the origin internally, and estimates
@@ -38,18 +14,17 @@ are translated back before returning.
 Each estimator also has a stacked kernel (``usrd_stack``, ``srd_stack``,
 ``conic_stack``, ``hyperbolic_stack``) that solves T systems of one
 microphone count at once, from inputs validated by the caller, and
-returns for each system bit for bit what the single-system call
-returns.  Stacked matrix products, solves and factorizations round as
-their per-system calls do (an elementwise sum over a row does not, so
-sums of squares are stacked matrix products too).  The multiplier root
-scan and the Levenberg-Marquardt step, step test and damping run as
-elementwise arrays over the stack, in the order of the plain-float
-per-system code, which keeps a search over a few brackets and the last
-few LM systems; IEEE arithmetic rounds alike either way.  Powers stay
-libm's ``pow`` of plain floats (``np.power`` and ``x * x`` may round
-otherwise), and the LM step test's lengths stay ``math.hypot``.
-``usrd_ls``, ``srd_ls`` and ``conic_ls`` share their numerics with
-their kernels.
+returns one ``ResultStack`` whose rows are bit for bit the
+single-system results; ``usrd_ls``, ``srd_ls`` and ``conic_ls`` are
+their kernels on a stack of one.  Stacked matrix products, solves and
+factorizations round as their per-system calls do (an elementwise sum
+over a row does not, so sums of squares are stacked matrix products
+too).  The multiplier root scan and the LM step, step test and damping
+run as elementwise arrays in the order of the plain-float per-system
+code, which keeps a search over a few brackets and the last few LM
+systems.  Powers stay libm's ``pow`` of plain floats and the LM step
+test's lengths ``math.hypot``, which ``np.power``, ``x * x`` and the
+``sqrt`` of a row sum may round otherwise.
 """
 
 import math
@@ -60,7 +35,7 @@ from itertools import combinations
 import numpy as np
 import scipy.linalg
 
-from .geometry import (LocalizationResult, RdMatrix, RdVector, _as_points,
+from .geometry import (RdMatrix, RdVector, ResultStack, _as_points,
                        _upper_index)
 
 #: relative singular-value cutoff for rank decisions and pseudoinverses
@@ -132,18 +107,6 @@ class NoiseCovariance:
         object.__setattr__(self, "sigma", s)
 
 
-def _check_rd_vector(rd):
-    if not isinstance(rd, RdVector):
-        raise TypeError("expected an RdVector")
-    if not np.all(np.isfinite(rd.values)):
-        raise ValueError("RD vector contains invalid entries")
-
-
-def _check_mic_count(mics, rd):
-    if mics.shape[0] != rd.mic_count:
-        raise ValueError("mic count does not match RD vector")
-
-
 class TooFewMicrophones(ValueError):
     """Raised by an estimator, or a kernel for its whole stack, given
     fewer microphones than it needs."""
@@ -154,8 +117,17 @@ def _require(mic_count, least, what):
         raise TooFewMicrophones(f"insufficient microphones: {what}")
 
 
-def _stack_of_one(rd, mics):
-    """(d, mics, ref) of one reference-based system as a stack of one."""
+def _stack_of_one(rd, mics, least=2, what=None):
+    """(d, mics, ref) of one reference-based system, checked, as a stack
+    of one; below ``least`` microphones ``what`` is refused."""
+    if not isinstance(rd, RdVector):
+        raise TypeError("expected an RdVector")
+    if not np.all(np.isfinite(rd.values)):
+        raise ValueError("RD vector contains invalid entries")
+    mics = _as_points(mics, "mics")
+    _require(rd.mic_count, least, what)
+    if mics.shape[0] != rd.mic_count:
+        raise ValueError("mic count does not match RD vector")
     return rd.values[None], mics[None], np.array([rd.reference_index])
 
 
@@ -200,21 +172,12 @@ def _svd_solve(u, s, vt, rhs):
     return _matvec(vt.mT, _matvec(u.mT, rhs) / s)
 
 
-def _degenerate(reason, **info):
-    return LocalizationResult(position=np.full(3, np.nan), residual=np.inf,
-                              status="degenerate",
-                              info={"reason": reason, **info})
-
-
 def build_spherical_system(rd, mics):
     """Assemble the spherical LS system for a reference-based RD vector.
 
     ``mics`` includes the reference microphone; coordinates are
     translated internally so the reference is at the origin.
     """
-    _check_rd_vector(rd)
-    mics = _as_points(mics, "mics")
-    _check_mic_count(mics, rd)
     phi, b, _ = _spherical_stack(*_stack_of_one(rd, mics))
     return SphericalSystem(phi=phi[0], b=b[0])
 
@@ -222,15 +185,13 @@ def build_spherical_system(rd, mics):
 def usrd_ls(rd, mics):
     """Unconstrained spherical LS (closed form).
 
-    Requires M >= 5 (the 4-unknown system needs at least four rows);
-    the c1^2 = ||r||^2 coupling is *not* enforced, which is what makes
-    the solution sensitive to noise.
+    The squared-range formulation decouples the source position from
+    its distance to the reference microphone, giving a linear system in
+    c = [D_ref; r].  Requires M >= 5 (the 4-unknown system needs at
+    least four rows); the c1^2 = ||r||^2 coupling is *not* enforced,
+    which is what makes the solution sensitive to noise.
     """
-    _check_rd_vector(rd)
-    mics = _as_points(mics, "mics")
-    _require(rd.mic_count, 5, _USRD_MINIMUM)
-    _check_mic_count(mics, rd)
-    return usrd_stack(*_stack_of_one(rd, mics))[0]
+    return usrd_stack(*_stack_of_one(rd, mics, 5, _USRD_MINIMUM))[0]
 
 
 def usrd_stack(d, mics, ref):
@@ -239,29 +200,22 @@ def usrd_stack(d, mics, ref):
     ``d`` (T, M-1) holds each system's RDs against its reference
     microphone ``ref`` (T,) in ascending order of the other microphones,
     as ``RdVector.values`` does, and ``mics`` (T, M, 3) its positions.
-    Inputs are taken as valid (finite, matching shapes).  Returns T
-    results, each bit for bit the ``usrd_ls`` result of its system.
+    Inputs are taken as valid (finite, matching shapes).  Returns the
+    ``ResultStack`` of the T systems, each row bit for bit the
+    ``usrd_ls`` result of its system.
     """
     _require(mics.shape[1], 5, _USRD_MINIMUM)
     phi, b, origin = _spherical_stack(d, mics, ref)
     gram = phi.mT @ phi
     good = ~(np.linalg.cond(gram) > COND_LIMIT)
+    out = ResultStack(len(good))
     if not good.all():
         phi, b, gram, origin = phi[good], b[good], gram[good], origin[good]
+        out.put(~good, "degenerate", reason="ill-conditioned spherical system")
     c_hat = np.linalg.solve(gram, phi.mT @ b[..., None])[..., 0]
-    cost = _sum_squares(_matvec(phi, c_hat) - b).tolist()
-    position = c_hat[:, 1:] + origin
-    solved = iter(zip(position, cost, c_hat[:, 0].tolist()))
-    results = []
-    for ok in good.tolist():
-        if not ok:
-            results.append(_degenerate("ill-conditioned spherical system"))
-            continue
-        pos, residual, c1 = next(solved)
-        results.append(LocalizationResult(position=pos, residual=residual,
-                                          status="closed_form",
-                                          info={"c1": c1}))
-    return results
+    out.put(good, "closed_form", c_hat[:, 1:] + origin,
+            _sum_squares(_matvec(phi, c_hat) - b), c1=c_hat[:, 0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +421,8 @@ def srd_ls(rd, mics):
     """Constrained spherical LS: global minimizer with c1^2 = ||r||^2.
 
     Solves min ||phi c - b||^2 s.t. c^T diag(1, -1, -1, -1) c = 0 and
-    c1 >= 0, by root-finding the Lagrange-multiplier equation between
+    c1 >= 0 as a generalized trust-region subproblem (Beck, Stoica & Li,
+    2008), by root-finding the Lagrange-multiplier equation between
     the poles of the matrix pencil, diagonalized once from the SVD of
     phi so that no step of the search solves a linear system.  Feasible
     roots are ranked by data residual; the result's ``info`` records the
@@ -487,11 +442,7 @@ def srd_ls(rd, mics):
     ``info["ambiguous"]`` is set.  Rank below 3 is reported as
     degenerate.
     """
-    _check_rd_vector(rd)
-    mics = _as_points(mics, "mics")
-    _require(rd.mic_count, 4, _SRD_MINIMUM)
-    _check_mic_count(mics, rd)
-    return srd_stack(*_stack_of_one(rd, mics))[0]
+    return srd_stack(*_stack_of_one(rd, mics, 4, _SRD_MINIMUM))[0]
 
 
 def srd_stack(d, mics, ref):
@@ -502,15 +453,16 @@ def srd_stack(d, mics, ref):
     pole interval of the full-rank ones (``_gtrs_roots``), and the
     choice of the first least-cost feasible root and its constraint
     residual over the whole stack, the square ``c1**2`` a plain float;
-    the rank-3 and no-root fallbacks run per system.  Each result is bit
-    for bit the ``srd_ls`` result of its system.
+    the rank-3 and no-root fallbacks run per system.  Each row of the
+    returned ``ResultStack`` is bit for bit the ``srd_ls`` result of its
+    system.
     """
     _require(mics.shape[1], 4, _SRD_MINIMUM)
     phi, b, origin = _spherical_stack(d, mics, ref)
     u, s, vt = np.linalg.svd(phi, full_matrices=True)
-    rank = np.sum(s > RANK_TOL * s[:, :1], axis=-1).tolist()
-    results = [None] * len(rank)
-    full = np.flatnonzero(np.equal(rank, 4))
+    rank = np.sum(s > RANK_TOL * s[:, :1], axis=-1)
+    out = ResultStack(len(rank))
+    full = np.flatnonzero(rank == 4)
     if full.size:
         # every system of five or more microphones has a 4x4 pencil;
         # only those of rank 4 use it
@@ -518,6 +470,8 @@ def srd_stack(d, mics, ref):
         basis, mu, h = _diagonal_pencil(s, vt, proj)
         sys, c = _gtrs_roots(basis[full], mu[full], h[full])
         at = full[sys]
+        rooted = np.zeros(len(rank), dtype=bool)
+        rooted[at] = True
         cost = _sum_squares(_matvec(phi[at], c) - b[at])
         feasible = c[:, 0] >= -1e-9
         # per system the first of the least costs among its feasible
@@ -531,71 +485,56 @@ def srd_stack(d, mics, ref):
         best = first[feasible[first]]
         c, cost, at = c[best], cost[best], at[best]
         r_norm2 = _sum_squares(c[:, 1:])
-        ranges = c[:, 0].tolist()
-        constraint = np.abs(np.array([v ** 2 for v in ranges]) - r_norm2)
-        for i, pos, residual, c1, con, rel in zip(
-                at.tolist(), c[:, 1:] + origin[at], cost.tolist(), ranges,
-                constraint.tolist(), (constraint / (1.0 + r_norm2)).tolist()):
-            results[i] = LocalizationResult(
-                position=pos, residual=residual, status="closed_form",
-                info={"c1": c1, "constraint_residual": con,
-                      "constraint_rel": rel, "rank": 4})
-        rooted, solved = set(full[sys].tolist()), set(at.tolist())
-        for i in full.tolist():
-            if i in solved:
-                continue
-            if i in rooted:
-                results[i] = _degenerate("no feasible multiplier root",
-                                         rank=4)
-            else:
-                # no bracketed root anywhere: report the failure mode
-                # distinctly, with the unconstrained LS point as a
-                # finite best effort
-                results[i] = _srd_result(
-                    (phi[i], b[i], origin[i], 4), vt[i].T @ (proj[i] / s[i]),
-                    "degenerate", {"reason": "no multiplier root"})
-    for i, r in enumerate(rank):
-        if r < 3:
-            # collinear-style geometry: even the cone constraint cannot
-            # pin down a unique minimizer, so refuse rather than guess
-            results[i] = _degenerate("rank-deficient spherical system",
-                                     rank=r)
-        elif r == 3:
-            # minimal (3-row) or exactly coplanar system: every point of
-            # the affine family c0 + t*v attains the LS optimum, and the
-            # cone constraint picks t — the closed-form route the full
-            # pencil search cannot take on a singular system
-            c0 = _svd_solve(u[i, :, :3], s[i, :3], vt[i, :3], b[i])
-            others = _other_indices(ref[i:i + 1], mics.shape[1])[0]
-            completed = _cone_line(c0, vt[i, 3], lambda c: _rd_misfit(
-                c[1:] + origin[i], mics[i], ref[i], others, d[i]))
-            if completed is None:
-                results[i] = _degenerate("no feasible multiplier root",
-                                         rank=r)
-                continue
-            c_hat, ambiguous = completed
-            extra = {"null_completed": True}
-            if ambiguous:
-                extra["ambiguous"] = True
-            results[i] = _srd_result((phi[i], b[i], origin[i], r), c_hat,
-                                     "closed_form", extra)
-    return results
+        constraint = np.abs(np.array([v ** 2 for v in c[:, 0].tolist()])
+                            - r_norm2)
+        out.put(at, "closed_form", c[:, 1:] + origin[at], cost, c1=c[:, 0],
+                constraint_residual=constraint,
+                constraint_rel=constraint / (1.0 + r_norm2), rank=4)
+        infeasible = rooted.copy()
+        infeasible[at] = False
+        out.put(infeasible, "degenerate", reason="no feasible multiplier root",
+                rank=4)
+        for i in np.flatnonzero((rank == 4) & ~rooted).tolist():
+            # no bracketed root anywhere: report the failure mode
+            # distinctly, with the unconstrained LS point as a finite
+            # best effort
+            _put_srd(out, i, (phi[i], b[i], origin[i], 4),
+                     vt[i].T @ (proj[i] / s[i]), "degenerate",
+                     reason="no multiplier root")
+    # collinear-style geometry: even the cone constraint cannot pin down
+    # a unique minimizer, so refuse rather than guess
+    low = rank < 3
+    out.put(low, "degenerate", reason="rank-deficient spherical system",
+            rank=rank[low])
+    for i in np.flatnonzero(rank == 3).tolist():
+        # minimal (3-row) or exactly coplanar system: every point of the
+        # affine family c0 + t*v attains the LS optimum, and the cone
+        # constraint picks t — the closed-form route the full pencil
+        # search cannot take on a singular system
+        c0 = _svd_solve(u[i, :, :3], s[i, :3], vt[i, :3], b[i])
+        others = _other_indices(ref[i:i + 1], mics.shape[1])[0]
+        completed = _cone_line(c0, vt[i, 3], lambda c: _rd_misfit(
+            c[1:] + origin[i], mics[i], ref[i], others, d[i]))
+        if completed is None:
+            out.put(i, "degenerate", reason="no feasible multiplier root",
+                    rank=3)
+            continue
+        c_hat, ambiguous = completed
+        extra = {"ambiguous": True} if ambiguous else {}
+        _put_srd(out, i, (phi[i], b[i], origin[i], 3), c_hat, "closed_form",
+                 null_completed=True, **extra)
+    return out
 
 
-def _srd_result(system, c_hat, status, extra=None):
+def _put_srd(out, i, system, c_hat, status, **extra):
+    """Row i of ``out``: the srd result ``c_hat`` of one system."""
     phi, b, origin, rank = system
     resid = phi @ c_hat - b
     c1, r_norm2 = float(c_hat[0]), float(c_hat[1:] @ c_hat[1:])
     constraint = abs(c1 ** 2 - r_norm2)
-    info = {"c1": c1,
-            "constraint_residual": constraint,
-            "constraint_rel": constraint / (1.0 + r_norm2),
-            "rank": rank}
-    if extra:
-        info.update(extra)
-    return LocalizationResult(position=c_hat[1:] + origin,
-                              residual=float(resid @ resid),
-                              status=status, info=info)
+    out.put(i, status, c_hat[1:] + origin, float(resid @ resid), c1=c1,
+            constraint_residual=constraint,
+            constraint_rel=constraint / (1.0 + r_norm2), rank=rank, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -642,11 +581,7 @@ def build_conic_system(rd, mics, normalize=False):
     normal, which equalizes the rows' noise influence.
     """
     mics = _check_conic(rd, mics)
-    return _conic_system(rd.values, mics, normalize)
-
-
-def _conic_system(values, mics, normalize):
-    normal, f, scale = _plane_rows(values, mics)
+    normal, f, scale = _plane_rows(rd.values, mics)
     kept = scale >= 1e-12
     normal, f, scale = normal[kept], f[kept], scale[kept]
     if normalize:
@@ -721,7 +656,7 @@ def _complete_rank2(x0, direction, mics, d):
 
 
 def conic_ls(rd, mics, normalize=False):
-    """Plane-intersection LS over all microphone triplets.
+    """Plane-intersection LS over all microphone triplets (Schmidt, 1972).
 
     Solves the stacked plane system by pseudoinverse (singular values
     below ``RANK_TOL`` relative are treated as zero).  The system is
@@ -744,12 +679,7 @@ def conic_ls(rd, mics, normalize=False):
     is set so callers can tell a convention from a proof.
     """
     mics = _check_conic(rd, mics)
-    centroid = mics.mean(axis=0)
-    centered = mics - centroid
-    system = _conic_system(rd.values, centered, normalize)
-    return _conic_one(system.psi_matrix, system.psi_rhs, centered, centroid,
-                      rd.values, {"dropped_rows": len(system.dropped_triplets),
-                                  "normalized": system.normalized})
+    return conic_stack(rd.values[None], mics[None], normalize)[0]
 
 
 def conic_stack(values, mics, normalize=False):
@@ -758,8 +688,8 @@ def conic_stack(values, mics, normalize=False):
     ``values`` (T, M, M) are full RD matrices, taken as valid, of the
     microphones ``mics`` (T, M, 3).  Systems whose planes are all kept
     share one stacked SVD; a system that drops a plane or has rank
-    below 3 is solved on its own.  Each result is bit for bit the
-    ``conic_ls`` result of its system.
+    below 3 is solved on its own.  Each row of the returned
+    ``ResultStack`` is bit for bit the ``conic_ls`` result of its system.
     """
     _require(mics.shape[1], 4, _CONIC_MINIMUM)
     centroid = mics.mean(axis=1)
@@ -775,57 +705,45 @@ def conic_stack(values, mics, normalize=False):
     rank3 = np.sum(s > RANK_TOL * s[:, :1], axis=-1) == 3
     fast, psi, rhs = fast[rank3], normal[fast[rank3]], f[fast[rank3]]
     x0 = _svd_solve(u[rank3], s[rank3], vt[rank3], rhs)
-    solved = dict(zip(fast.tolist(), zip(
-        x0 + centroid[fast], _plane_residual(psi, rhs, x0).tolist())))
-    results = []
-    for i in range(len(mics)):
-        if i in solved:
-            position, residual = solved[i]
-            results.append(LocalizationResult(
-                position=position, residual=residual, status="closed_form",
-                info={"dropped_rows": 0, "normalized": bool(normalize),
-                      "rank": 3}))
-        else:
-            # a dropped plane or a rank below 3: solved on its own
-            results.append(_conic_one(normal[i][kept[i]], f[i][kept[i]],
-                                      centered[i], centroid[i], values[i],
-                                      {"dropped_rows": int(np.sum(~kept[i])),
-                                       "normalized": bool(normalize)}))
-    return results
+    out = ResultStack(len(mics))
+    out.put(fast, "closed_form", x0 + centroid[fast],
+            _plane_residual(psi, rhs, x0), dropped_rows=0,
+            normalized=bool(normalize), rank=3)
+    for i in np.setdiff1d(np.arange(len(mics)), fast).tolist():
+        # a dropped plane or a rank below 3: solved on its own
+        _conic_one(out, i, normal[i][kept[i]], f[i][kept[i]], centered[i],
+                   centroid[i], values[i],
+                   dropped_rows=int(np.sum(~kept[i])),
+                   normalized=bool(normalize))
+    return out
 
 
-def _conic_one(psi, rhs, centered, centroid, values, info):
-    """The plane system of one array solved on its own, with the rank
-    fallbacks of ``conic_ls``."""
+def _conic_one(out, i, psi, rhs, centered, centroid, values, **info):
+    """Row i of ``out``: the plane system of one array solved on its
+    own, with the rank fallbacks of ``conic_ls``."""
     if psi.shape[0] == 0:
-        return LocalizationResult(position=centroid, residual=0.0,
-                                  status="degenerate",
-                                  info=dict(info, rank=0,
-                                            reason="no triplet planes"))
+        out.put(i, "degenerate", centroid, 0.0, rank=0,
+                reason="no triplet planes", **info)
+        return
     u, s, vt = np.linalg.svd(psi, full_matrices=False)
     rank = int(np.sum(s > RANK_TOL * s[0]))
-    info["rank"] = rank
-    x0 = _svd_solve(u[:, :rank], s[:rank], vt[:rank], rhs)
-
-    def result(x, status):
-        return LocalizationResult(position=x + centroid,
-                                  residual=float(_plane_residual(psi, rhs, x)),
-                                  status=status, info=info)
-
+    x = _svd_solve(u[:, :rank], s[:rank], vt[:rank], rhs)
+    status = "degenerate"
     if rank >= 3:
-        return result(x0, "closed_form")
-    if rank == 2:
-        completed = _complete_rank2(x0, vt[2], centered, values)
+        status = "closed_form"
+    elif rank == 2:
+        completed = _complete_rank2(x, vt[2], centered, values)
         if completed is not None:
-            point, ambiguous = completed
-            info["line_completed"] = True
+            x, ambiguous = completed
+            status, info["line_completed"] = "closed_form", True
             if ambiguous:
                 info["ambiguous"] = True
-            return result(point, "closed_form")
-        info["reason"] = "no feasible line root"
+        else:
+            info["reason"] = "no feasible line root"
     else:
         info["reason"] = "rank-deficient plane system"
-    return result(x0, "degenerate")
+    out.put(i, status, x + centroid, float(_plane_residual(psi, rhs, x)),
+            rank=rank, **info)
 
 
 # ---------------------------------------------------------------------------
@@ -956,23 +874,26 @@ def _jacobian_rank(wjac):
     return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
 
 
-def _lm_outcome(termination, iterations, rank):
-    """Status and info of a finished LM run; the Jacobian's rank is
-    needed (and given) unless the damping overflowed."""
-    info = {"iterations": iterations, "termination": termination}
-    status = "max_iterations" if termination == "max_iterations" \
-        else "converged"
-    if termination == "damping":
-        status, info["reason"] = "degenerate", "damping overflow"
-    elif rank < 3:
-        status = "degenerate"
-        info.update(reason="rank-deficient Jacobian", rank=rank)
-    return status, info
+def _lm_results(x, cost, ends, iterations, rank):
+    """The ``ResultStack`` of finished LM runs: end points ``x`` (T, 3),
+    costs, ends (indices into ``_TERMINATIONS``), pass counts, and the
+    ranks of the Jacobians at the ends, which are not read where the
+    damping overflowed."""
+    out = ResultStack(len(ends))
+    out.put(slice(None), "converged", x, cost, iterations=iterations,
+            termination=[_TERMINATIONS[end] for end in ends.tolist()])
+    out.put(ends == 0, "max_iterations")
+    out.put(ends == 3, "degenerate", reason="damping overflow")
+    deficient = (ends != 3) & (rank < 3)
+    out.put(deficient, "degenerate", reason="rank-deficient Jacobian",
+            rank=rank[deficient])
+    return out
 
 
 def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
                   tol=STEP_TOL):
-    """Iterative weighted LS on the RD residuals (Levenberg-Marquardt).
+    """Iterative weighted LS on the RD residuals (Levenberg-Marquardt),
+    which is ML for Gaussian noise of the given covariance.
 
     Minimizes the cost (d - d_hat(x))^T Sigma^-1 (d - d_hat(x)) where
     d_hat predicts the reference-based RDs from a candidate position x.
@@ -1014,11 +935,8 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
     microphone, where the Jacobian blows up, are moved 1e-6 m towards
     the array centroid.
     """
-    _check_rd_vector(rd)
-    mics = _as_points(mics, "mics")
-    _check_mic_count(mics, rd)
-    d = rd.values
-
+    d, mics, _ = _stack_of_one(rd, mics)
+    d, mics = d[0], mics[0]
     if weights is None:
         chol = None
         scale = 1.0
@@ -1039,8 +957,9 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
             chol = None
 
     if init is None:
-        init = _lm_start(mics, usrd_ls(rd, mics) if rd.mic_count >= 5
-                         else None)
+        guess = usrd_ls(rd, mics) if rd.mic_count >= 5 else None
+        init = guess.position if guess is not None and guess.ok \
+            else mics.mean(axis=0)
     x = np.asarray(init, dtype=float).reshape(3).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("init must be finite")
@@ -1048,11 +967,10 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
     x, cost, wjac, termination, iterations = _lm_float(
         mics[[rd.reference_index] + rd.other_indices()], d, x,
         max_iter=max_iter, tol=tol, chol=chol)
-    status, info = _lm_outcome(
-        termination, iterations, None if termination == "damping"
-        else int(_jacobian_rank(wjac)))
-    return LocalizationResult(position=x, residual=cost / scale,
-                              status=status, info=info)
+    rank = 0 if termination == "damping" else _jacobian_rank(wjac)
+    return _lm_results(x[None], cost / scale,
+                       np.array([_TERMINATIONS.index(termination)]),
+                       np.array([iterations]), np.array([rank]))[0]
 
 
 def _lm_float(pts, d, x, first=1, max_iter=MAX_ITER, tol=STEP_TOL,
@@ -1128,38 +1046,23 @@ def _lm_float(pts, d, x, first=1, max_iter=MAX_ITER, tol=STEP_TOL,
 _TERMINATIONS = ("max_iterations", "gradient", "step", "damping")
 
 
-def _lm_start(mics, guess):
-    """The default LM start: the usrd_ls position ``guess`` when it is
-    ok, else the array barycenter."""
-    return guess.position if guess is not None and guess.ok \
-        else mics.mean(axis=0)
-
-
 def hyperbolic_stack(d, mics, ref, usrd=None):
     """``hyperbolic_ls`` of T systems at once, unweighted, from its
     default start and with its default ``max_iter`` and ``tol``
-    (arguments as for ``usrd_stack``).
-
-    ``usrd`` may hold the ``usrd_stack`` results of the same systems,
-    which are then not computed again for the start points.  Each LM
-    pass works on the systems still running as arrays: the gradient
-    test, the damped step, the step test, the accept test and the
-    damping updates run elementwise in ``hyperbolic_ls``'s order, each
-    system keeping its own damping and stopping on its own.  Two
-    factors stay plain floats, mapped over the rows that need them:
-    the gain update's cube and the step test's lengths (``math.hypot``,
-    ``math.dist``), which numpy's ``power`` and a ``sqrt`` of a row sum
-    may round otherwise.  Once ``_ARRAY_LM`` or fewer systems run, each
-    finishes in ``hyperbolic_ls``'s plain-float loop.  Each result is
-    bit for bit the ``hyperbolic_ls`` result of its system.
+    (arguments as for ``usrd_stack``); ``usrd`` may hold the
+    ``usrd_stack`` result of the same systems, whose positions then
+    start them.  Each LM pass runs the systems still running as arrays,
+    in ``hyperbolic_ls``'s order, each keeping its own damping and
+    stopping on its own; once ``_ARRAY_LM`` or fewer run, each finishes
+    in ``hyperbolic_ls``'s plain-float loop.
     """
     t, m = mics.shape[:2]
     if usrd is None and m >= 5:
         usrd = usrd_stack(d, mics, ref)
     x = mics.mean(axis=1)
-    ok = [] if usrd is None else [i for i, r in enumerate(usrd) if r.ok]
-    if ok:
-        x[ok] = [usrd[i].position for i in ok]
+    if usrd is not None:
+        ok = usrd.ok
+        x[ok] = usrd.position[ok]
     ids = np.arange(t)
     pts = mics[ids[:, None],
                np.concatenate([ref[:, None], _other_indices(ref, m)], axis=1)]
@@ -1232,12 +1135,4 @@ def hyperbolic_stack(d, mics, ref, usrd=None):
     live = np.flatnonzero(ends != 3)
     rank = np.zeros(t, dtype=int)
     rank[live] = _jacobian_rank(out_jac[live])
-    results = []
-    for i, (end, passes, r, residual) in enumerate(zip(
-            ends.tolist(), iterations.tolist(), rank.tolist(),
-            out_cost.tolist())):
-        status, info = _lm_outcome(_TERMINATIONS[end], passes, r)
-        results.append(LocalizationResult(position=out_x[i],
-                                          residual=residual, status=status,
-                                          info=info))
-    return results
+    return _lm_results(out_x, out_cost, ends, iterations, rank)

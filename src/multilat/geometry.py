@@ -212,6 +212,58 @@ class LocalizationResult:
         return self.status in self.SUCCESS_STATUSES
 
 
+class ResultStack:
+    """T estimator results as columns, as a stacked kernel returns them:
+    ``position`` (T, 3), ``residual`` (T,), ``status`` (T,) codes into
+    ``LocalizationResult._STATUSES``, and ``info``, one object column
+    (T,) per diagnostic key, None where a row lacks the key.  Rows start
+    ``degenerate`` with a NaN position and an infinite residual.
+    Indexing or iterating builds each row's ``LocalizationResult``."""
+
+    def __init__(self, count):
+        self.position = np.full((count, 3), np.nan)
+        self.residual = np.full(count, np.inf)
+        self.status = np.full(count, _DEGENERATE)
+        self.info = {}
+
+    def put(self, rows, status, position=None, residual=None, **info):
+        """Fill ``rows`` (an index, index array, mask or slice) with a
+        status and values given once or row by row, info scalars as plain
+        Python ones; a position or residual of None is left as it is."""
+        self.status[rows] = LocalizationResult._STATUSES.index(status)
+        if position is not None:
+            self.position[rows] = position
+        if residual is not None:
+            self.residual[rows] = residual
+        for key, value in info.items():
+            if key not in self.info:
+                self.info[key] = np.full(len(self), None, dtype=object)
+            self.info[key][rows] = value
+
+    @property
+    def ok(self):
+        return _SUCCESS[self.status]
+
+    def row_info(self, i):
+        return {key: column[i] for key, column in self.info.items()
+                if column[i] is not None}
+
+    def __len__(self):
+        return len(self.status)
+
+    def __getitem__(self, i):
+        return LocalizationResult(
+            position=self.position[i].copy(), residual=self.residual[i].item(),
+            status=LocalizationResult._STATUSES[self.status[i]],
+            info=self.row_info(i))
+
+
+#: which status codes are successes
+_SUCCESS = np.isin(LocalizationResult._STATUSES,
+                   LocalizationResult.SUCCESS_STATUSES)
+_DEGENERATE = LocalizationResult._STATUSES.index("degenerate")
+
+
 def true_rd_full(scene):
     """Ground-truth full RD matrix of a scene, d[m, m'] = D_m' - D_m.
 
@@ -243,15 +295,22 @@ def tdoa_to_rd(tdoa_seconds, sound_speed=DEFAULT_SOUND_SPEED):
 
 def select_reference(mics):
     """The microphone closest to the mean of all ``(M, 3)`` positions,
-    ties broken by lowest index.
+    ties broken by lowest index; of an ``(N, M, 3)`` stack of arrays,
+    each array's, as an index array ``(N,)`` (bit for bit the per-array
+    choices: the means and distances round alike either way).
 
     The other reference policies are resolved by
     :func:`multilat.bench.localize`.
     """
-    pts = _as_points(mics, "mics")
-    if pts.shape[0] < 1:
+    pts = np.asarray(mics, dtype=float)
+    if pts.ndim != 3:
+        pts = _as_points(pts, "mics")
+    elif pts.shape[-1] != 3 or not np.all(np.isfinite(pts)):
+        raise ValueError("mics must be an (N, M, 3) stack of finite points")
+    if pts.shape[-2] < 1:
         raise ValueError("need at least one microphone")
-    barycenter = pts.mean(axis=0)
-    dist = np.linalg.norm(pts - barycenter[None, :], axis=1)
+    barycenter = pts.mean(axis=-2)
+    dist = np.linalg.norm(pts - barycenter[..., None, :], axis=-1)
     # np.argmin returns the first minimum, which is the tie-break we want
-    return int(np.argmin(dist))
+    pick = np.argmin(dist, axis=-1)
+    return int(pick) if pts.ndim == 2 else pick

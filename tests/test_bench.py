@@ -131,8 +131,37 @@ def test_hyperbolic_rarely_exhausts_its_iterations():
 
 
 def test_rerun_is_identical():
-    cfg = base_config()
-    assert run_benchmark(cfg) == run_benchmark(cfg)
+    # the second config's runs hold failed trials, whose NaN errors must
+    # compare equal too
+    for cfg in (base_config(),
+                base_config(methods=["usrd-ls", "srd-ls"], seed=3, trials=2,
+                            scene={"kind": "paper_table1"},
+                            subsets={"mode": "all_k_of_m", "k": 4})):
+        first, second = run_benchmark(cfg), run_benchmark(cfg)
+        assert first == second
+        assert list(first) == list(second)
+
+
+def test_records_with_nan_fields_are_equal():
+    a, b = (record(float("nan"), status="degenerate") for _ in range(2))
+    assert a == b and hash(a) == hash(b)
+    assert a != record(1.0)
+
+
+def test_record_table_reads_as_its_records():
+    table = run_benchmark(base_config(trials=2))
+    records = list(table)
+    assert len(table) == len(records) == 4
+    assert all(isinstance(r, TrialRecord) for r in records)
+    assert [table[i] for i in range(-4, 4)] == records + records
+    assert [r.extra for r in records] == [table[i].extra for i in range(4)]
+    assert all(r.extra["c1"] > 0 for r in records)
+    assert records == sorted(records, key=TrialRecord.sort_key)
+    assert table == records and records == table
+    assert table == run_benchmark(base_config(trials=2))
+    assert table != records[::-1]
+    with pytest.raises(IndexError):
+        table[4]
 
 
 def test_failures_are_recorded_not_dropped():
@@ -265,6 +294,42 @@ def test_summary_csv_header(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "method,feature,noise_level,median_m,q1_m,q3_m,failure_rate,n"
     assert len(lines) == len(rows) + 1
+
+
+def test_writers_read_tables_and_record_lists_alike(tmp_path, monkeypatch):
+    # pair (2, 5) is lost in the trial-1 cells, so the subsets holding it
+    # are invalid_pair there; at k = 4 usrd-ls refuses every subset and
+    # srd-ls and conic take their minimal-array fallbacks
+    original = bench.perturb_rd
+    trial_1 = true_rd_full(paper_table1_scenes()[1]).values
+
+    def losing_a_pair(true_full, model):
+        values = original(true_full, model).values.copy()
+        if np.array_equal(true_full.values, trial_1):
+            values[2, 5] = values[5, 2] = np.nan
+        return RdMatrix(values)
+
+    monkeypatch.setattr(bench, "perturb_rd", losing_a_pair)
+    table = run_benchmark(base_config(
+        methods=["usrd-ls", "srd-ls", "conic", "hyperbolic"], trials=3,
+        scene={"kind": "paper_table1"}, subsets={"mode": "all_k_of_m", "k": 4},
+        noise={"domain": "rd", "kind": "gaussian", "levels": [0.01, 0.2]}))
+    records = list(table)
+    np.random.default_rng(5).shuffle(records)
+    statuses = {r.status for r in records}
+    assert {"invalid_pair", "degenerate", "closed_form",
+            "converged"} <= statuses
+    assert {r.trial for r in records if r.status == "invalid_pair"} == {1}
+    # equal rows, NaN medians included
+    assert repr(summarize(table)) == repr(summarize(records))
+    for source, name in ((table, "table"), (records, "list")):
+        (tmp_path / name).mkdir()
+        write_records_csv(source, tmp_path / name / "records.csv")
+        write_summary_csv(summarize(source), tmp_path / name / "summary.csv")
+        write_histogram_csv(source, tmp_path / name / "histogram.csv")
+    for csv_name in ("records.csv", "summary.csv", "histogram.csv"):
+        assert (tmp_path / "table" / csv_name).read_bytes() == (
+            tmp_path / "list" / csv_name).read_bytes()
 
 
 def test_histogram_csv_counts(tmp_path):

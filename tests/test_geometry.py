@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from multilat import (
     true_rd_full,
     true_rd_ref,
 )
+from multilat.bench import paper_table1_scenes
 
 from conftest import make_scene
 
@@ -252,3 +255,25 @@ def test_select_reference_prefers_actual_nearest(rng):
         idx = select_reference(mics)
         d = np.linalg.norm(mics - mics.mean(axis=0), axis=1)
         assert idx == int(np.argmin(d))
+
+
+def test_select_reference_on_a_stack_matches_each_array(rng):
+    # every C(8, 5) subset of the Table-1 array, random arrays of 4-8
+    # mics, and rings whose mics are all equally far from the barycenter
+    # up to rounding, so that the last bits of the distances decide
+    table1 = paper_table1_scenes()[0].mics
+    stacks = [np.array([table1[list(s)] for s in combinations(range(8), 5)])]
+    for m in range(4, 9):
+        stacks.append(rng.uniform(-3.0, 3.0, size=(100, m, 3)))
+        angles = (rng.uniform(0.0, 2.0 * np.pi, size=(100, 1))
+                  + 2.0 * np.pi * np.arange(m) / m)
+        ring = np.stack([np.cos(angles), np.sin(angles),
+                         np.zeros_like(angles)], axis=-1)
+        stacks.append(ring * rng.uniform(0.5, 3.0, size=(100, 1, 1))
+                      + rng.uniform(-3.0, 3.0, size=(100, 1, 3)))
+    for stack in stacks:
+        picks = select_reference(stack)
+        assert picks.shape == (len(stack),)
+        assert picks.tolist() == [select_reference(a) for a in stack]
+    with pytest.raises(ValueError, match="finite"):
+        select_reference(np.full((2, 4, 3), np.nan))

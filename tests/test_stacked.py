@@ -12,6 +12,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multilat import (RdMatrix, RdVector, conic_ls, estimators,
                       hyperbolic_ls, srd_ls, usrd_ls)
@@ -168,6 +170,60 @@ def test_hyperbolic_stack_rows_match(m, seeded, guard_hits):
         assert_same(got, want)
     assert "rank-deficient Jacobian" in {r.info.get("reason")
                                          for r in stacked}
+
+
+_KINDS = ("ordinary", "coplanar", "collinear", "on a mic", "far field")
+
+
+def _random_system(rng, m, kind, outliers):
+    """(full RD matrix, mics) of one random m-mic system of ``kind``;
+    with ``outliers`` one pair in five is off by up to a metre."""
+    mics = rng.uniform(-3.0, 3.0, size=(m, 3))
+    source = rng.dirichlet(np.ones(m)) @ mics
+    if kind == "coplanar":
+        mics[:, 2] = 0.7
+    elif kind == "collinear":
+        direction = rng.normal(size=3)
+        mics = (rng.uniform(-3.0, 3.0, size=m)[:, None] * direction
+                / np.linalg.norm(direction) + mics[0])
+    elif kind == "on a mic":
+        source = mics[rng.integers(m)]
+    elif kind == "far field":
+        direction = rng.normal(size=3)
+        source = 10.0 ** rng.uniform(3.0, 6.0) * direction / np.linalg.norm(
+            direction)
+    noise = rng.normal(0.0, 0.02, (m, m))
+    if outliers:
+        noise[rng.random((m, m)) < 0.2] += rng.uniform(-1.0, 1.0)
+    return _full(np.linalg.norm(mics - source, axis=1), noise), mics
+
+
+@pytest.mark.usefixtures("stacked_linalg")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(4, 8),
+       systems=st.lists(st.tuples(st.sampled_from(_KINDS), st.booleans()),
+                        min_size=1, max_size=30))
+def test_every_row_of_a_mixed_stack_is_its_public_call(seed, m, systems):
+    rng = np.random.default_rng(seed)
+    values, mics = (np.array(part) for part in zip(*(
+        _random_system(rng, m, kind, outliers) for kind, outliers in systems)))
+    ref = rng.integers(0, m, size=len(systems))
+    d = rows_of(values, ref)
+    pairs = [(srd_stack(d, mics, ref),
+              spherical_calls(values, mics, ref, srd_ls)),
+             (hyperbolic_stack(d, mics, ref),
+              spherical_calls(values, mics, ref, hyperbolic_ls))]
+    for normalize in (False, True):
+        pairs.append((conic_stack(values, mics, normalize=normalize),
+                      [conic_ls(RdMatrix(v), mic, normalize=normalize)
+                       for v, mic in zip(values, mics)]))
+    if m >= 5:
+        pairs.append((usrd_stack(d, mics, ref),
+                      spherical_calls(values, mics, ref, usrd_ls)))
+    for stacked, single in pairs:
+        assert len(stacked) == len(single)
+        for got, want in zip(stacked, single):
+            assert_same(got, want)
 
 
 @pytest.mark.parametrize("kernel, least, public", [

@@ -18,17 +18,17 @@ methods, and the grid runs serially in one thread, so reruns produce
 identical records.  Records are sorted canonically before they are
 returned or persisted.
 
-A run draws every cell's observation first.  Then it solves each
-method as one stack over all its (feature, cell, subset) systems, mixed
+A run draws every cell's observation first.  Then it solves each method
+as one stack over all its (feature, cell, subset) systems, mixed
 geometries included, through the estimator kernels (``usrd_stack``,
 ``srd_stack``, ``conic_stack``, ``hyperbolic_stack``, looked up here at
-call time), each returning a ``ResultStack`` of columns.  The
-nearest-barycenter references of all systems come from one
-``select_reference`` call per run, and hyperbolic LS starts from the
-usrd stack's positions.  A run with one system per feature (one cell of
-one subset) calls ``localize`` instead.  Both give the same records bit
-for bit, ``extra`` included, as a ``RecordTable`` of columns, which
-``summarize`` and the CSV writers read.
+call time), each returning a ``ResultStack`` of columns.  Each reference
+policy picks the references of all systems at once (one
+``select_reference`` call for nearest-barycenter), and hyperbolic LS
+starts from the usrd stack's positions.  A run with one system per
+feature (one cell of one subset) calls ``localize`` instead.  Both give
+the same records bit for bit, ``extra`` included, as a ``RecordTable``
+of columns, which ``summarize`` and the CSV writers read.
 
 Multiple source positions are folded into the trial axis: trial t uses
 scene position ``t mod n_positions``, keeping the record count at
@@ -158,16 +158,22 @@ def localize(method, ref_policy, rd_full, mics, energies=None):
 
 
 def _reference(ref_policy, mics, energies):
+    """The reference index of one array ``mics`` (M, 3) with energies
+    (M,) or None, or the index array (N,) of a stack (N, M, 3) with
+    energies (N, M) or None."""
+    shape = np.shape(mics)[:-1]
     if ref_policy == "nearest-barycenter":
         return select_reference(mics)
     if ref_policy in _ENERGY_POLICIES:
         if energies is None:
             raise ConfigError("energy reference policies need signals")
-        if np.shape(energies) != (len(mics),):
+        if np.shape(energies) != shape:
             raise ValueError("need exactly one energy per microphone")
         pick = np.argmax if ref_policy == "max-energy" else np.argmin
-        return int(pick(energies))
-    return int(ref_policy.removeprefix("index:"))
+        index = pick(energies, axis=-1)
+    else:
+        index = np.full(shape[:-1], int(ref_policy.removeprefix("index:")))
+    return index if len(shape) > 1 else int(index)
 
 
 def _method_id(name, ref_policy):
@@ -565,8 +571,6 @@ class RecordTable:
             return list(self) == list(other)
         return NotImplemented
 
-    __hash__ = None
-
 
 def enumerate_subsets(m, k):
     """All C(m, k) index subsets in lexicographic order."""
@@ -654,14 +658,14 @@ def _solve(methods, values, mics, valid, energies, stacked):
     """Per method, the ``ResultStack`` of its valid systems, in order.
 
     ``mics`` (N, k, 3) are the microphones of N systems and ``energies``
-    (N, k) or None their channel energies; ``values`` (F*N, k, k) are
-    the systems' RD matrices under each of F features in turn.  With
+    (N, k) or None their channel energies; ``values`` (F*N, k, k) are the
+    systems' RD matrices under each of F features in turn.  With
     ``stacked`` each method's valid systems go through its estimator
-    kernel as one stack, each reference policy picking its references
-    once; without, each system goes through ``localize``.  An error
-    that ``localize`` raises for a system, or a kernel's refusal of the
-    microphone count, makes ``degenerate`` rows with its message as
-    reason.
+    kernel as one stack, each reference policy picking the references of
+    all systems in one ``_reference`` call; without, each system goes
+    through ``localize``.  An error that ``localize`` raises for a
+    system, or a kernel's refusal of the microphone count, makes
+    ``degenerate`` rows with its message as reason.
     """
     n = len(mics)
     keep = np.flatnonzero(valid)
@@ -672,14 +676,7 @@ def _solve(methods, values, mics, valid, energies, stacked):
 
     def stack(ref_policy):
         if ref_policy not in stacks:
-            if ref_policy == "nearest-barycenter":
-                ref = select_reference(mics)
-            else:
-                ref = np.array(
-                    [_reference(ref_policy, mics[s],
-                                None if energies is None else energies[s])
-                     for s in range(n)], dtype=int)
-            ref = ref[base]
+            ref = _reference(ref_policy, mics, energies)[base]
             stacks[ref_policy] = [ref, kept_values[
                 np.arange(len(keep))[:, None], ref[:, None],
                 _other_indices(ref, mics.shape[1])], None]

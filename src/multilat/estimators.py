@@ -14,17 +14,17 @@ are translated back before returning.
 Each estimator also has a stacked kernel (``usrd_stack``, ``srd_stack``,
 ``conic_stack``, ``hyperbolic_stack``) that solves T systems of one
 microphone count at once, from inputs validated by the caller, and
-returns one ``ResultStack`` whose rows are bit for bit the
-single-system results; ``usrd_ls``, ``srd_ls`` and ``conic_ls`` are
-their kernels on a stack of one.  Stacked matrix products, solves and
-factorizations round as their per-system calls do (an elementwise sum
-over a row does not, so sums of squares are stacked matrix products
-too).  The multiplier root scan and the LM step, step test and damping
-run as elementwise arrays in the order of the plain-float per-system
-code, which keeps a search over a few brackets and the last few LM
-systems.  Powers stay libm's ``pow`` of plain floats and the LM step
-test's lengths ``math.hypot``, which ``np.power``, ``x * x`` and the
-``sqrt`` of a row sum may round otherwise.
+returns one ``ResultStack`` whose rows are bit for bit the single-system
+results; ``usrd_ls`` and ``srd_ls`` are their kernels on a stack of one,
+while ``conic_ls`` solves its one system on its own.  Stacked matrix
+products, solves and factorizations round as their per-system calls do
+(an elementwise sum over a row does not, so sums of squares are stacked
+matrix products too).  The multiplier root scan and the LM step, step
+test and damping run as elementwise arrays in the order of the
+plain-float per-system code, which keeps a search over a few brackets
+and the last few LM systems.  Powers stay libm's ``pow`` of plain floats
+and the LM step test's lengths ``math.hypot``, which ``np.power``,
+``x * x`` and the ``sqrt`` of a row sum may round otherwise.
 """
 
 import math
@@ -581,13 +581,9 @@ def build_conic_system(rd, mics, normalize=False):
     normal, which equalizes the rows' noise influence.
     """
     mics = _check_conic(rd, mics)
-    normal, f, scale = _plane_rows(rd.values, mics)
-    kept = scale >= 1e-12
-    normal, f, scale = normal[kept], f[kept], scale[kept]
-    if normalize:
-        normal, f = normal / scale[:, None], f / scale
+    normal, f, kept = _plane_rows(rd.values, mics, normalize)
     triplets = _triplet_index(mics.shape[0])
-    return ConicSystem(psi_matrix=normal, psi_rhs=f,
+    return ConicSystem(psi_matrix=normal[kept], psi_rhs=f[kept],
                        triplets=triplets[kept], normalized=bool(normalize),
                        dropped_triplets=triplets[~kept])
 
@@ -604,10 +600,11 @@ def _check_conic(rd, mics):
     return mics
 
 
-def _plane_rows(values, mics):
-    """Plane normals (..., K, 3), right-hand sides (..., K) and normal
-    norms (..., K) of all K = C(M, 3) triplets, from full RD matrices
-    ``values`` (..., M, M) of microphones ``mics`` (..., M, 3)."""
+def _plane_rows(values, mics, normalize):
+    """Plane normals (..., K, 3), right-hand sides (..., K) and which
+    planes are kept (..., K) of all K = C(M, 3) triplets, from full RD
+    matrices ``values`` (..., M, M) of microphones ``mics`` (..., M, 3);
+    with ``normalize`` the kept rows are scaled to unit normals."""
     norms2 = np.sum(mics ** 2, axis=-1)
     p, q, r = _triplet_index(mics.shape[-2]).T
     d_qr, d_rp, d_pq = values[..., q, r], values[..., r, p], values[..., p, q]
@@ -619,7 +616,13 @@ def _plane_rows(values, mics):
     f = 0.5 * (d_pq * d_qr * d_rp + d_qr * n_p + d_rp * n_q + d_pq * n_r)
     # a row-by-row dot product, so that each scale equals the
     # np.linalg.norm of its row to the last bit
-    return normal, f, np.sqrt(_sum_squares(normal))
+    scale = np.sqrt(_sum_squares(normal))
+    kept = scale >= 1e-12
+    if normalize:
+        # dropped rows are divided by 1 and never read
+        scale = np.where(kept, scale, 1.0)
+        normal, f = normal / scale[..., None], f / scale
+    return normal, f, kept
 
 
 def _plane_residual(psi, rhs, x):
@@ -679,7 +682,14 @@ def conic_ls(rd, mics, normalize=False):
     is set so callers can tell a convention from a proof.
     """
     mics = _check_conic(rd, mics)
-    return conic_stack(rd.values[None], mics[None], normalize)[0]
+    centroid = mics.mean(axis=0)
+    centered = mics - centroid
+    system = build_conic_system(rd, centered, normalize)
+    out = ResultStack(1)
+    _conic_one(out, 0, system.psi_matrix, system.psi_rhs, centered, centroid,
+               rd.values, dropped_rows=len(system.dropped_triplets),
+               normalized=system.normalized)
+    return out[0]
 
 
 def conic_stack(values, mics, normalize=False):
@@ -694,12 +704,7 @@ def conic_stack(values, mics, normalize=False):
     _require(mics.shape[1], 4, _CONIC_MINIMUM)
     centroid = mics.mean(axis=1)
     centered = mics - centroid[:, None, :]
-    normal, f, scale = _plane_rows(values, centered)
-    kept = scale >= 1e-12
-    if normalize:
-        # dropped rows are divided by 1 and never read
-        scale = np.where(kept, scale, 1.0)
-        normal, f = normal / scale[..., None], f / scale
+    normal, f, kept = _plane_rows(values, centered, normalize)
     fast = np.flatnonzero(kept.all(axis=-1))
     u, s, vt = np.linalg.svd(normal[fast], full_matrices=False)
     rank3 = np.sum(s > RANK_TOL * s[:, :1], axis=-1) == 3

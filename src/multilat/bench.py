@@ -11,42 +11,31 @@ domains are supported:
 * ``signal`` — full pipeline: synthesize microphone signals at a given
   SNR, run GCC-PHAT (+ optional VAD), aggregate, then localize.
 
-Determinism: every (noise level, trial) cell derives its RNG from
-``SeedSequence((seed, salt, noise_idx, trial_idx))`` and all cells
-share that one perturbed observation across subsets, features and
-methods, and the grid runs serially in one thread, so reruns produce
-identical records.  Records are sorted canonically before they are
-returned or persisted.
-
-A run draws every cell's observation first.  Then it solves each method
-as one stack over all its (feature, cell, subset) systems, mixed
-geometries included, through the estimator kernels (``usrd_stack``,
-``srd_stack``, ``conic_stack``, ``hyperbolic_stack``, looked up here at
-call time), each returning a ``ResultStack`` of columns.  Each reference
-policy picks the references of all systems at once (one
-``select_reference`` call for nearest-barycenter), and hyperbolic LS
-starts from the usrd stack's positions.  A run with one system per
-feature (one cell of one subset) calls ``localize`` instead.  Both give
-the same records bit for bit, ``extra`` included, as a ``RecordTable``
-of columns, which ``summarize`` and the CSV writers read.
+Determinism: every (noise level, trial) cell draws from its own
+``SeedSequence((seed, salt, noise_idx, trial_idx))`` one observation,
+which all its subsets, features and methods share: an RD run perturbs
+each noise level's cells as one ``perturb_rd`` stack, and a denoised
+feature averages all cells in one ``tdoa_average`` call.  Each method
+then solves all its (feature, cell, subset) systems as one stack
+through its kernel (``usrd_stack``, ``srd_stack``, ``conic_stack``,
+``hyperbolic_stack``), or through ``localize`` in a run of one system
+per feature, all looked up here at call time, with the same records
+bit for bit.  The grid runs serially, so reruns give the same
+``RecordTable``, sorted canonically.
 
 Multiple source positions are folded into the trial axis: trial t uses
 scene position ``t mod n_positions``, keeping the record count at
 |methods| x |features| x |subsets| x |levels| x trials.
 
-Scene files are YAML::
-
-    mics: [[x, y, z], ...]     # meters
-    source: [x, y, z]          # optional ground truth
-    sound_speed: 343.0         # optional, m/s
-
-Benchmark config files are YAML; ``_SCHEMA`` maps each key to its
-``BenchmarkConfig`` field, and the README shows the defaults.
+Scene files are YAML with the keys ``mics`` ([[x, y, z], ...] in
+meters), ``source`` (optional ground truth) and ``sound_speed``
+(optional, m/s).  Benchmark config files are YAML; ``_SCHEMA`` maps
+each key to its ``BenchmarkConfig`` field, and the README shows the
+defaults.
 """
 
-import csv
-import io
 import os
+import re
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import combinations
 from types import UnionType
@@ -60,9 +49,9 @@ from .estimators import (TooFewMicrophones, _other_indices, _sum_squares,
                          conic_ls, conic_stack, hyperbolic_ls,
                          hyperbolic_stack, srd_ls, srd_stack, usrd_ls,
                          usrd_stack)
-from .geometry import (DEFAULT_SOUND_SPEED, LocalizationResult, ResultStack,
-                       Scene, _upper_index, select_reference, tdoa_to_rd,
-                       true_rd_full, RdMatrix)
+from .geometry import (DEFAULT_SOUND_SPEED, LocalizationResult, RdMatrix,
+                       ResultStack, Scene, _upper_index, select_reference,
+                       tdoa_to_rd)
 from .simulate import RdNoiseModel, SignalModel, perturb_rd, synth_signals
 from .tdoa import FrameConfig, estimate_tdoa_matrix
 
@@ -93,23 +82,26 @@ _CONIC_METHODS = ("conic", "conic-norm")
 _ENERGY_POLICIES = ("max-energy", "min-energy")
 
 
-def check_reference(ref_policy, mic_count=None):
-    """Validate a reference policy: one of REF_POLICIES or 'index:N'.
+#: a fixed reference; a minus sign is read only to refuse the index
+_FIXED_REFERENCE = re.compile(r"index:(0|-?[1-9][0-9]*)")
 
-    With ``mic_count`` given, a fixed index must satisfy
-    0 <= N < mic_count.  Returns the policy unchanged.
-    """
+
+def check_reference(ref_policy, mic_count=None):
+    """Validate a reference policy: one of REF_POLICIES or 'index:N', N
+    in plain decimal digits, so that each policy has one id, and with
+    ``mic_count`` given N < mic_count.  Returns the policy unchanged."""
     if ref_policy in REF_POLICIES:
         return ref_policy
-    if not ref_policy.startswith("index:"):
-        raise ConfigError(f"unknown reference policy {ref_policy!r}")
-    try:
-        index = int(ref_policy.removeprefix("index:"))
-    except ValueError:
-        raise ConfigError(f"bad fixed reference {ref_policy!r}") from None
-    if mic_count is not None and not 0 <= index < mic_count:
-        raise ConfigError(f"fixed reference {ref_policy!r} out of range "
-                          f"for {mic_count} microphones")
+    match = _FIXED_REFERENCE.fullmatch(ref_policy)
+    if match is None:
+        raise ConfigError(
+            f"unknown reference policy {ref_policy!r}; valid: "
+            f"{', '.join(REF_POLICIES)} or index:N, N in plain decimal "
+            f"digits (no sign, leading zero, '_' or whitespace)")
+    index = int(match[1])
+    if index < 0 or mic_count is not None and index >= mic_count:
+        raise ConfigError(f"fixed reference {ref_policy!r} out of range" + (
+            "" if mic_count is None else f" for {mic_count} microphones"))
     return ref_policy
 
 
@@ -431,11 +423,6 @@ def _noise_model(config, level, seed=None):
     return SignalModel(gain_law=config.gain_law, snr_db=level, rng_seed=seed)
 
 
-def _feature_parts(feature_id):
-    vad, _, processing = feature_id.partition(":")
-    return vad.removeprefix("vad_"), processing == "denoised"
-
-
 def load_config(path):
     """Read a benchmark YAML file into a validated BenchmarkConfig."""
     try:
@@ -589,50 +576,54 @@ def _worker_count():
 
 
 def _scenes_for(config):
+    """Each trial's scene, with the config's speed of sound."""
     if config.scene_kind == "paper_table1":
         scenes = paper_table1_scenes(position=config.scene_position)
     else:
         scenes = random_scenes(config.scene_count, config.scene_mic_count,
                                config.scene_bounds, config.seed)
-    scenes = [replace(scene, sound_speed=config.sound_speed)
+    scenes = [scene if scene.sound_speed == config.sound_speed
+              else replace(scene, sound_speed=config.sound_speed)
               for scene in scenes]
-    return [(scene, true_rd_full(scene)) for scene in scenes]
+    return [scenes[ti % len(scenes)] for ti in range(config.trials)]
 
 
-def _observations_for_cell(config, scene, true_full, noise_idx, trial_idx):
-    """Observed full RD matrix per feature id, shared by all methods.
-
-    Returns (dict feature -> RdMatrix or None, per-microphone channel
-    energies or None).  The
-    denoised variants project the *full* observed matrix before any
-    subset is taken (estimation -> averaging -> multilateration order).
-    """
-    cell_seed = np.random.SeedSequence(
-        (config.seed, _TRIAL_SALT, noise_idx, trial_idx))
-    model = _noise_model(config, config.noise_levels[noise_idx], cell_seed)
-    observed = {}
-    energies = None
+def _observations(config, scenes, truth):
+    """The observed full RD matrices (F, C, M, M) of the F features and
+    C cells in (noise level, trial) order, NaN where a cell has none
+    (a denoised feature averages the *full* matrix of each cell that has
+    every pair), and the cells' channel energies (C, M) or None, given
+    the T trials' scenes and true RD matrices ``truth`` (T, M, M)."""
+    seeds = [[np.random.SeedSequence((config.seed, _TRIAL_SALT, ni, ti))
+              for ti in range(config.trials)]
+             for ni in range(len(config.noise_levels))]
     if config.noise_domain == "rd":
-        raw = perturb_rd(true_full, model)
-        averaged = None
-        for feature in config.features:
-            _, denoised = _feature_parts(feature)
-            if denoised and averaged is None:
-                averaged = tdoa_average(raw)
-            observed[feature] = averaged if denoised else raw
+        raw = np.concatenate([
+            perturb_rd(truth, _noise_model(config, level),
+                       rng=[np.random.default_rng(seed) for seed in row])
+            for level, row in zip(config.noise_levels, seeds)])
+        per_vad, energies = {"on": raw, "off": raw}, None
     else:
-        signals = synth_signals(scene, model, config.duration_s,
-                                config.sample_rate)
-        energies = signals.energies
-        per_vad = rd_from_signals(signals, scene)
-        for feature in config.features:
-            vad, denoised = _feature_parts(feature)
-            raw = per_vad[vad]
-            if denoised:
-                observed[feature] = tdoa_average(raw) if raw.is_valid() else None
-            else:
-                observed[feature] = raw
-    return observed, energies
+        per_vad, energies = {"on": [], "off": []}, []
+        for level, row in zip(config.noise_levels, seeds):
+            for scene, seed in zip(scenes, row):
+                signals = synth_signals(
+                    scene, _noise_model(config, level, seed),
+                    config.duration_s, config.sample_rate)
+                energies.append(signals.energies)
+                for vad, rd in rd_from_signals(signals, scene).items():
+                    per_vad[vad].append(rd.values)
+        energies = np.array(energies)
+    observed = []
+    for feature in config.features:
+        vad, _, processing = feature.partition(":")
+        observed.append(np.asarray(per_vad[vad.removeprefix("vad_")]))
+        if processing == "denoised":
+            raw = observed[-1]
+            valid = np.isfinite(raw).all(axis=(1, 2))
+            observed[-1] = np.full(raw.shape, np.nan)
+            observed[-1][valid] = tdoa_average(raw[valid])
+    return np.array(observed), energies
 
 
 def array_diameter(mics):
@@ -727,24 +718,30 @@ def run_benchmark(config):
     """Execute the full benchmark grid; returns the ``RecordTable`` of
     its records, sorted as ``TrialRecord.sort_key`` sorts them.
 
-    Every cell's observation is drawn first, in (noise level, trial)
-    order; then every feature's systems, one per (cell, subset), go
-    through ``_solve`` together.  Per-trial failures (degenerate
-    geometry, invalid TDOA pairs, estimator refusals) are recorded with
-    their status — never dropped.
+    Every cell's observation is drawn first, as one stack per feature
+    (``_observations``); then every feature's systems, one per (cell,
+    subset), go through ``_solve`` together.  Per-trial failures
+    (degenerate geometry, invalid TDOA pairs, estimator refusals) are
+    recorded with their status — never dropped.
     """
     scenes = _scenes_for(config)
-    mic_count = scenes[0][0].mic_count
+    trial_mics = np.array([scene.mics for scene in scenes])
+    trial_sources = np.array([scene.source for scene in scenes])
+    # each trial's true RD matrix, d[m, m'] = D_m' - D_m, from one norm
+    # over the stack, bit for bit its scene's true_rd_full
+    dist = np.linalg.norm(trial_mics - trial_sources[:, None, :], axis=-1)
+    true_full = dist[:, None, :] - dist[:, :, None]
+    mic_count = true_full.shape[-1]
     if config.subset_mode == "full":
         subsets = [tuple(range(mic_count))]
     else:
         subsets = enumerate_subsets(mic_count, config.subset_k)
     methods = [parse_method(mid) for mid in config.methods]
-    cells = [(ni, ti, *scenes[ti % len(scenes)])
-             for ni in range(len(config.noise_levels))
-             for ti in range(config.trials)]
-    observations = [_observations_for_cell(config, scene, true_full, ni, ti)
-                    for ni, ti, scene, true_full in cells]
+    # cell ni * trials + ti is trial ti at noise level ni
+    cell_level, cell_trial = np.indices(
+        (len(config.noise_levels), config.trials)).reshape(2, -1)
+    cells = len(cell_trial)
+    observed, energies = _observations(config, scenes, true_full)
     subset_ids = [_subset_id(subset) for subset in subsets]
     # each subset's flat indices into an (M, M) RD matrix: its (k, k)
     # block and its k(k-1)/2 upper pairs, in C order, so that each
@@ -754,35 +751,20 @@ def run_benchmark(config):
     pairs = index[:, :, None] * mic_count + index[:, None, :]
     rows, cols = _upper_index(k)
     upper = pairs[:, rows, cols]
-
-    def per_system(per_cell, take):
-        return np.reshape(per_cell, (len(cells), -1)).take(take, axis=1)
-
-    truth = per_system([true_full.values for *_, true_full in cells], upper)
-    mics = np.array([scene.mics for _, _, scene, _ in cells])[:, index]
-    mics = mics.reshape(-1, k, 3)
-    sources = np.repeat([scene.source for _, _, scene, _ in cells],
-                        len(subsets), axis=0)
-    energies = None
-    if config.noise_domain == "signal":
-        energies = per_system([cell_energies for _, cell_energies
-                               in observations], index).reshape(-1, k)
+    observed = observed.reshape(len(config.features), cells, -1)
+    values = observed.take(pairs, axis=2).reshape(-1, k, k)
+    truth = true_full[cell_trial].reshape(cells, -1).take(upper, axis=1)
+    valid = np.isfinite(values).all(axis=(1, 2))
+    rd_err = np.where(valid, np.mean(np.abs(
+        observed.take(upper, axis=2) - truth), axis=-1).ravel(), np.nan)
+    mics = trial_mics[cell_trial][:, index].reshape(-1, k, 3)
+    sources = np.repeat(trial_sources[cell_trial], len(subsets), axis=0)
+    if energies is not None:
+        energies = energies[:, index].reshape(-1, k)
     # a run of one system per feature keeps the per-system calls, which
     # the perfbench tracer and self-test wrap; one-mic subsets have no
     # RDs to stack and fail system by system
     stacked = len(mics) > 1 and k > 1
-    values, rd_err = [], []
-    for feature in config.features:
-        full = [np.full((mic_count, mic_count), np.nan)
-                if observed[feature] is None else observed[feature].values
-                for observed, _ in observations]
-        values.append(per_system(full, pairs).reshape(-1, k, k))
-        rd_err.append(np.mean(np.abs(per_system(full, upper) - truth),
-                              axis=-1).ravel())
-    # one stack per method over every feature's systems
-    values = np.concatenate(values)
-    valid = np.isfinite(values).all(axis=(1, 2))
-    rd_err = np.where(valid, np.concatenate(rd_err), np.nan)
     sources = np.tile(sources, (len(config.features), 1))
     outcomes = _solve(methods, values, mics, valid, energies, stacked)
     keep = np.flatnonzero(valid)
@@ -799,7 +781,7 @@ def run_benchmark(config):
     # record ((method * F + feature) * C + cell) * S + subset holds the
     # system at row (feature * C + cell) * S + subset of ``values``
     method, feature, cell, subset = np.indices(
-        (len(methods), len(config.features), len(cells), len(subsets)))
+        (len(methods), len(config.features), cells, len(subsets)))
     names, codes = {"status": _RECORD_STATUSES}, {}
     for name, ids in (("method", [_method_id(*m) for m in methods]),
                       ("feature", config.features), ("subset", subset_ids)):
@@ -808,9 +790,8 @@ def run_benchmark(config):
         "method": codes["method"][method],
         "feature": codes["feature"][feature],
         "subset": codes["subset"][subset],
-        "noise_level": np.array([config.noise_levels[ni]
-                                 for ni, *_ in cells])[cell],
-        "trial": np.array([ti for _, ti, *_ in cells])[cell],
+        "noise_level": np.array(config.noise_levels)[cell_level[cell]],
+        "trial": cell_trial[cell],
         "status": status, "position_error_m": errors,
         "mean_abs_rd_error_m": np.tile(rd_err, len(methods))}
     # one stable sort in TrialRecord.sort_key order: codes order as the
@@ -832,16 +813,29 @@ def run_benchmark(config):
 # aggregation and persistence
 
 
-def _groups(*keys):
-    """Index arrays of the records that share each combination of the
-    key columns, in key order (the first key major), each in record
-    order."""
-    order = np.lexsort(keys[::-1])
-    change = np.zeros(len(order), dtype=bool)
-    for key in keys:
-        ordered = key[order]
-        change[1:] |= ordered[1:] != ordered[:-1]
-    return np.split(order, np.flatnonzero(change)) if len(order) else []
+#: the fractions at which ``summarize`` takes its quartiles
+_QUARTILES = np.array([0.25, 0.5, 0.75])
+
+
+def _quartiles(group, values, count):
+    """The (count, 3) quartiles of the ``values`` of each group 0 ..
+    count - 1 (NaN if empty) from one sort, bit for bit what
+    ``np.percentile(values of the group, [25, 50, 75])`` gives: quartile
+    q of n sorted values at the virtual index (n - 1) q, its neighbours
+    a and b interpolated as numpy's ``_lerp`` does."""
+    # the sorted values, then a NaN that every empty group reads
+    ordered = np.append(values[np.lexsort((values, group))], np.nan)
+    n = np.bincount(group, minlength=count)[:, None]
+    virtual = (n - 1) * _QUARTILES
+    # from index n - 1 on, numpy reads the last value and counts t from -1
+    last = virtual >= n - 1
+    below = np.where(last, -1.0, np.floor(virtual))
+    lower = np.where(n > 0, np.cumsum(n, axis=0) - n
+                     + np.where(last, n - 1, below), len(values))
+    a = ordered[lower.astype(np.intp)]
+    b = ordered[(lower + ~last).astype(np.intp)]
+    t = virtual - below
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 def summarize(records):
@@ -856,32 +850,24 @@ def summarize(records):
     if not len(table):
         raise ValueError("no records to summarize")
     cols, solved = table.columns, table.solved()
-    rows = []
-    for group in _groups(cols["method"], cols["feature"], cols["noise_level"]):
-        errors = cols["position_error_m"][group[solved[group]]]
-        if errors.size:
-            q1, med, q3 = np.percentile(errors, [25.0, 50.0, 75.0])
-        else:
-            q1 = med = q3 = float("nan")
-        first = group[0]
-        rows.append({
-            "method": table.names["method"][cols["method"][first]],
-            "feature": table.names["feature"][cols["feature"][first]],
-            "noise_level": cols["noise_level"][first].item(),
-            "median_m": float(med), "q1_m": float(q1), "q3_m": float(q3),
-            "failure_rate": 1.0 - errors.size / group.size,
-            "n": group.size,
-        })
-    return rows
-
-
-def _csv_field(text):
-    """``text`` as ``csv.writer`` writes it among a row's fields."""
-    if not any(c in text for c in ',"\r\n'):
-        return text
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
-    return buffer.getvalue()[:-2]
+    # groups in (method, feature, noise level) order, as the codes order
+    levels, level = np.unique(cols["noise_level"], return_inverse=True)
+    _, first, group = np.unique(
+        (cols["method"] * len(table.names["feature"]) + cols["feature"])
+        * len(levels) + level, return_index=True, return_inverse=True)
+    quartiles = _quartiles(group[solved], cols["position_error_m"][solved],
+                           len(first))
+    n = np.bincount(group)
+    failure = 1.0 - np.bincount(group[solved], minlength=len(first)) / n
+    return [{
+        "method": table.names["method"][method],
+        "feature": table.names["feature"][feature],
+        "noise_level": level, "median_m": med, "q1_m": q1, "q3_m": q3,
+        "failure_rate": rate, "n": size,
+    } for method, feature, level, (q1, med, q3), rate, size in zip(
+        cols["method"][first].tolist(), cols["feature"][first].tolist(),
+        cols["noise_level"][first].tolist(), quartiles.tolist(),
+        failure.tolist(), n.tolist())]
 
 
 def _write_lines(path, lines):
@@ -894,14 +880,13 @@ def write_records_csv(records, path):
 
     ``records`` is a ``RecordTable`` or a sequence of ``TrialRecord``s.
     The last column, ``wall_time_s``, is always 0 so reruns stay
-    byte-identical.
+    byte-identical.  No id holds a character that CSV would quote.
     """
     table = RecordTable.of(records)
     cols = table.columns
-    text = {name: [_csv_field(v) for v in values]
-            for name, values in table.names.items()}
-    values = [np.array(text[name], dtype=object)[cols[name]].tolist()
-              if name in text else cols[name].tolist() for name in _FIELDS]
+    values = [np.array(table.names[name], dtype=object)[cols[name]].tolist()
+              if name in table.names else cols[name].tolist()
+              for name in _FIELDS]
     _write_lines(path, [RECORDS_HEADER] + [
         f"{m},{f},{s},{n:.9g},{t},{st},{p:.9g},{r:.9g},0"
         for m, f, s, n, t, st, p, r in zip(*values)])
@@ -909,7 +894,7 @@ def write_records_csv(records, path):
 
 def write_summary_csv(rows, path):
     _write_lines(path, [SUMMARY_HEADER] + [
-        f"{_csv_field(row['method'])},{_csv_field(row['feature'])},"
+        f"{row['method']},{row['feature']},"
         f"{row['noise_level']:.9g},{row['median_m']:.9g},{row['q1_m']:.9g},"
         f"{row['q3_m']:.9g},{row['failure_rate']:.9g},{row['n']}"
         for row in rows])
@@ -929,23 +914,27 @@ def write_histogram_csv(records, path, bins=30):
     lines = ["method,feature,rd_error_lo,rd_error_hi,"
              "pos_error_lo,pos_error_hi,count"]
 
-    def edges(values):
-        lo, hi = float(values.min()), float(values.max())
-        if hi <= lo:
-            hi = lo + 1e-12
-        edge = np.linspace(lo, hi, bins + 1)
-        return edge, [f"{e:.9g}" for e in edge.tolist()]
-
     if ok.size:
-        (rd_edges, rd_text), (pos_edges, pos_text) = (edges(rd_all[ok]),
-                                                      edges(pos_all[ok]))
-    for group in _groups(cols["method"][ok], cols["feature"][ok]):
-        rows = ok[group]
-        hist, _, _ = np.histogram2d(rd_all[rows], pos_all[rows],
-                                    bins=[rd_edges, pos_edges])
-        prefix = ",".join(_csv_field(table.names[name][cols[name][rows[0]]])
-                          for name in ("method", "feature"))
-        lines += [f"{prefix},{rd_text[i]},{rd_text[i + 1]},"
-                  f"{pos_text[j]},{pos_text[j + 1]},{int(hist[i, j])}"
-                  for i, j in zip(*np.nonzero(hist))]
+        edges = []
+        for values in (rd_all[ok], pos_all[ok]):
+            lo, hi = float(values.min()), float(values.max())
+            edges.append(np.linspace(lo, hi if hi > lo else lo + 1e-12,
+                                     bins + 1))
+        rd_text, pos_text = ([f"{e:.9g}" for e in edge.tolist()]
+                             for edge in edges)
+        # one histogram over (group, rd, pos): group g = method * F +
+        # feature is the bin between the edges g - 1/2 and g + 1/2, and
+        # each record falls in the rd and pos bins it has alone
+        prefix = [f"{method},{feature}" for method in table.names["method"]
+                  for feature in table.names["feature"]]
+        group = cols["method"][ok] * len(table.names["feature"]) \
+            + cols["feature"][ok]
+        hist, _ = np.histogramdd(
+            np.column_stack((group, rd_all[ok], pos_all[ok])),
+            bins=[np.arange(len(prefix) + 1) - 0.5, *edges])
+        counts = hist[hist > 0].astype(int).tolist()
+        lines += [f"{prefix[g]},{rd_text[i]},{rd_text[i + 1]},"
+                  f"{pos_text[j]},{pos_text[j + 1]},{count}"
+                  for (g, i, j), count in zip(np.argwhere(hist).tolist(),
+                                              counts)]
     _write_lines(path, lines)

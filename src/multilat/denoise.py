@@ -14,7 +14,7 @@ which is what :func:`tdoa_average` evaluates in O(M^2).
 
 import numpy as np
 
-from .geometry import RdMatrix
+from .geometry import RdMatrix, _checked_rd
 
 
 def tdoa_average(rd):
@@ -22,15 +22,16 @@ def tdoa_average(rd):
 
     Parameters
     ----------
-    rd : RdMatrix
-        Full antisymmetric pairwise RD matrix (meters).
+    rd : RdMatrix, (M, M) array_like or (C, M, M) ndarray
+        Full antisymmetric pairwise RD matrix (meters), or a stack of C.
 
     Returns
     -------
-    RdMatrix
+    RdMatrix, or a read-only (C, M, M) ndarray for a stack
         The closest consistent matrix: every triple identity
         d'[i, k] = d'[i, j] + d'[j, k] holds to numerical precision,
-        and the operation is idempotent.
+        and the operation is idempotent.  Each matrix of a stack is
+        checked and averaged bit for bit as it is alone.
 
     Notes
     -----
@@ -40,12 +41,11 @@ def tdoa_average(rd):
     subspace.  Being a projection, it spreads any single-entry error
     over all pairs that share a microphone with it.
     """
-    rd = rd if isinstance(rd, RdMatrix) else RdMatrix(rd)
-    v = rd.values
+    v = rd.values if isinstance(rd, RdMatrix) else _checked_rd(
+        rd, ndim=3 if np.ndim(rd) == 3 else 2)
     if not np.all(np.isfinite(v)):
         raise ValueError("tdoa_average needs a fully valid RD matrix")
-    m = rd.mic_count
     # sum_k (d[m, k] + d[k, m']) = rowsum[m] - rowsum[m'] by antisymmetry
-    rowsum = v.sum(axis=1)
-    out = (rowsum[:, None] - rowsum[None, :]) / m
-    return RdMatrix(out)
+    rowsum = v.sum(axis=-1)
+    out = (rowsum[..., :, None] - rowsum[..., None, :]) / v.shape[-1]
+    return RdMatrix(out) if out.ndim == 2 else _checked_rd(out, ndim=3)

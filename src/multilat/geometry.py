@@ -92,6 +92,25 @@ class Scene:
         return np.linalg.norm(self.mics - self.source[None, :], axis=1)
 
 
+def _checked_rd(values, ndim):
+    """``values``, an (M, M) RD matrix or a (C, M, M) stack, as a checked
+    read-only ``ndim``-D float copy with exactly 0 on each diagonal."""
+    v = np.array(values, dtype=float)
+    if v.ndim != ndim or v.shape[-1] != v.shape[-2]:
+        raise ValueError("RdMatrix values must be square")
+    # NaN entries are allowed only as explicit invalid-pair marks
+    if np.isinf(v).any():
+        raise ValueError("RdMatrix values must be finite or NaN")
+    nan = np.isnan(v)
+    tol = RdMatrix._ANTISYM_TOL  # a diagonal entry d counts 2d against it
+    if np.max(np.abs((v + v.mT)[~(nan | nan.mT)]), initial=0.0) > tol:
+        raise ValueError("RdMatrix must be antisymmetric")
+    diagonal = np.arange(v.shape[-1])
+    v[..., diagonal, diagonal] = 0.0
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True)
 class RdMatrix:
     """Full pairwise range differences, antisymmetric, zero diagonal.
@@ -104,22 +123,7 @@ class RdMatrix:
     _ANTISYM_TOL = 1e-9
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError("RdMatrix values must be square")
-        if not np.all(np.isfinite(v)):
-            # NaN entries are allowed only as explicit invalid-pair marks
-            if not np.all(np.isnan(v[~np.isfinite(v)])):
-                raise ValueError("RdMatrix values must be finite or NaN")
-        finite = np.isfinite(v) & np.isfinite(v.T)
-        if np.max(np.abs((v + v.T)[finite]), initial=0.0) > self._ANTISYM_TOL:
-            raise ValueError("RdMatrix must be antisymmetric")
-        if np.max(np.abs(np.diag(v)), initial=0.0) > self._ANTISYM_TOL:
-            raise ValueError("RdMatrix must have a zero diagonal")
-        v = v.copy()
-        np.fill_diagonal(v, 0.0)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _checked_rd(self.values, ndim=2))
 
     @property
     def mic_count(self):

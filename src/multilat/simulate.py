@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RdMatrix, RdVector, _upper_index
+from .geometry import RdMatrix, RdVector, _checked_rd, _upper_index
 
 
 @dataclass(frozen=True)
@@ -82,23 +82,29 @@ def perturb_rd(rd, model, rng=None):
     """Add noise to an RD matrix or vector per the noise model.
 
     Matrix input gets independent noise on the upper triangle, mirrored
-    to preserve antisymmetry; vector input gets one draw per entry.
-    Deterministic for a fixed ``model.rng_seed`` (or explicit ``rng``).
+    to preserve antisymmetry; vector input gets one draw per entry.  A
+    (C, M, M) stack draws each matrix as one, from ``rng[c]`` for a
+    sequence of C generators, else from the one generator in turn, and
+    comes back read-only, checked as an ``RdMatrix`` is.  Deterministic
+    for a fixed ``model.rng_seed`` (or explicit ``rng``).
     """
     if rng is None:
         rng = np.random.default_rng(model.rng_seed)
-    if isinstance(rd, RdMatrix):
-        m = rd.mic_count
-        iu = _upper_index(m)
-        noise = model.draw(rng, len(iu[0]))
-        upper = np.zeros((m, m))
-        upper[iu] = noise
-        return RdMatrix(rd.values + upper - upper.T)
     if isinstance(rd, RdVector):
         noise = model.draw(rng, rd.values.size)
         return RdVector(reference_index=rd.reference_index,
                         values=rd.values + noise)
-    raise TypeError("perturb_rd expects an RdMatrix or RdVector")
+    stacked = isinstance(rd, np.ndarray) and rd.ndim == 3
+    if not (stacked or isinstance(rd, RdMatrix)):
+        raise TypeError("perturb_rd expects an RdMatrix, RdVector or stack")
+    values = rd if stacked else rd.values[None]
+    rngs = rng if isinstance(rng, (list, tuple)) else [rng] * len(values)
+    rows, cols = _upper_index(values.shape[-1])
+    upper = np.zeros(values.shape)
+    for one, generator in zip(upper, rngs, strict=True):
+        one[rows, cols] = model.draw(generator, len(rows))
+    noisy = values + upper - upper.mT
+    return _checked_rd(noisy, ndim=3) if stacked else RdMatrix(noisy[0])
 
 
 # ---------------------------------------------------------------------------

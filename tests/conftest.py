@@ -34,10 +34,24 @@ def _stacked_linalg_mismatch():
     """The first numpy operation whose stacked call rounds differently
     from its per-matrix 2-D calls on this numpy/BLAS build, or None.
 
-    The stacked estimator kernels return bit for bit what their
-    single-system calls return only while every one of these agrees,
-    as it does with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64)."""
+    The stacked estimator kernels, and a benchmark run's stacked inputs
+    (true RDs, noisy and averaged RD matrices), return bit for bit what
+    their single-system calls return only while every one of these
+    agrees, as it does with numpy 2.4.6 on scipy-openblas 0.3.31
+    (x86-64)."""
     rng = np.random.default_rng(4242)
+    # the input side: each matrix's row sums (tdoa_average) and each
+    # scene's mic-to-source distances (true_rd_full)
+    for m in (4, 8, 13):
+        rd = rng.normal(size=(32, m, m))
+        points = rng.normal(size=(16, m, 3))
+        for name, stacked, single in (
+                ("last-axis row sum", rd.sum(axis=-1),
+                 [x.sum(axis=1) for x in rd]),
+                ("norm(axis=-1)", np.linalg.norm(points, axis=-1),
+                 [np.linalg.norm(x, axis=1) for x in points])):
+            if not np.array_equal(stacked, np.array(single)):
+                return name
     for n, k in ((4, 4), (7, 4), (56, 3)):
         a = rng.normal(size=(16, n, k))
         v = rng.normal(size=(16, n))

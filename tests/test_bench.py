@@ -9,9 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multilat import (LocalizationResult, MicSignals, RdMatrix, Scene,
-                      SignalModel, synth_signals, true_rd_full)
+from multilat import (LocalizationResult, MicSignals, RdMatrix,
+                      RdNoiseModel, Scene, SignalModel, perturb_rd,
+                      synth_signals, tdoa_average, true_rd_full)
 import multilat.tdoa
 from multilat import bench, estimators
 from multilat.bench import (
@@ -300,14 +303,13 @@ def test_writers_read_tables_and_record_lists_alike(tmp_path, monkeypatch):
     # pair (2, 5) is lost in the trial-1 cells, so the subsets holding it
     # are invalid_pair there; at k = 4 usrd-ls refuses every subset and
     # srd-ls and conic take their minimal-array fallbacks
+    # (the harness perturbs each noise level's trials as one stack)
     original = bench.perturb_rd
-    trial_1 = true_rd_full(paper_table1_scenes()[1]).values
 
-    def losing_a_pair(true_full, model):
-        values = original(true_full, model).values.copy()
-        if np.array_equal(true_full.values, trial_1):
-            values[2, 5] = values[5, 2] = np.nan
-        return RdMatrix(values)
+    def losing_a_pair(truth, model, rng):
+        values = original(truth, model, rng).copy()
+        values[1, 2, 5] = values[1, 5, 2] = np.nan
+        return values
 
     monkeypatch.setattr(bench, "perturb_rd", losing_a_pair)
     table = run_benchmark(base_config(
@@ -406,6 +408,17 @@ def test_fixed_reference_parses():
 def test_fixed_reference_out_of_range(method, subsets):
     with pytest.raises(ConfigError, match="out of range"):
         base_config(methods=[method], subsets=subsets)
+
+
+@pytest.mark.parametrize("spelling", [
+    "01", "+1", "1_0", " 1\n", "1 ", "-0", "00", "\u0661", "0x1", "1.0", ""])
+def test_fixed_reference_has_one_spelling(spelling):
+    # int() reads all of these, or they would name index 0 or 1 twice;
+    # only plain decimal digits make a method id
+    with pytest.raises(ConfigError, match="index:N, N in plain decimal"):
+        base_config(methods=[f"srd-ls:index:{spelling}"])
+    assert base_config(methods=["srd-ls:index:1"]).methods == (
+        "srd-ls:index:1",)
 
 
 # ---------------------------------------------------------------------------
@@ -738,16 +751,17 @@ def oracle_records(config):
     """The grid as plain loops over cells, subsets, features and methods,
     one ``localize`` call per record."""
     scenes = bench._scenes_for(config)
-    mic_count = scenes[0][0].mic_count
+    mic_count = scenes[0].mic_count
     subsets = ([tuple(range(mic_count))] if config.subset_mode == "full"
                else enumerate_subsets(mic_count, config.subset_k))
     methods = [bench.parse_method(mid) for mid in config.methods]
     records = []
     for ni, level in enumerate(config.noise_levels):
         for ti in range(config.trials):
-            scene, true_full = scenes[ti % len(scenes)]
-            observed, energies = bench._observations_for_cell(
-                config, scene, true_full, ni, ti)
+            scene = scenes[ti % len(scenes)]
+            true_full = true_rd_full(scene)
+            observed, energies = cell_observations(config, scene, true_full,
+                                                   level, ni, ti)
             for subset in subsets:
                 sub_true = true_full.subset(subset)
                 for feature in config.features:
@@ -786,6 +800,32 @@ def oracle_records(config):
                             mean_abs_rd_error_m=rd_err, extra=extra))
     records.sort(key=TrialRecord.sort_key)
     return records
+
+
+def cell_observations(config, scene, true_full, level, ni, ti):
+    """One cell's observed RdMatrix (or None) per feature and its channel
+    energies (or None), drawn on its own from the cell's SeedSequence
+    through the public per-matrix calls."""
+    seed = np.random.SeedSequence((config.seed, bench._TRIAL_SALT, ni, ti))
+    if config.noise_domain == "rd":
+        raw = perturb_rd(true_full, RdNoiseModel(
+            kind=config.noise_kind, sigma=level,
+            outlier_fraction=config.outlier_fraction,
+            outlier_scale=config.outlier_scale, rng_seed=seed))
+        per_vad, energies = {"on": raw, "off": raw}, None
+    else:
+        signals = synth_signals(scene, SignalModel(
+            gain_law=config.gain_law, snr_db=level, rng_seed=seed),
+            config.duration_s, config.sample_rate)
+        per_vad, energies = bench.rd_from_signals(signals, scene), \
+            signals.energies
+    observed = {}
+    for feature in config.features:
+        vad, _, processing = feature.partition(":")
+        raw = per_vad[vad.removeprefix("vad_")]
+        observed[feature] = raw if processing == "raw" else (
+            tdoa_average(raw) if raw.is_valid() else None)
+    return observed, energies
 
 
 def exact(records):
@@ -941,3 +981,191 @@ def test_perfbench_tracer_runs_on_stacked_cells():
     names = {span[4] for span in tracer.spans}
     assert {"bench.run_benchmark", "simulate.perturb_rd",
             "denoise.tdoa_average", "geometry.select_reference"} <= names
+
+
+# ---------------------------------------------------------------------------
+# the columnar run: stacked observations and one-pass reductions against
+# their per-cell and per-group calls
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["gaussian", "laplacian", "outlier_mixture"]),
+       levels=st.lists(st.sampled_from([0.0, 0.01, 0.2, 1.5]), min_size=1,
+                       max_size=3),
+       trials=st.integers(1, 6), scenes=st.integers(1, 3),
+       mic_count=st.integers(4, 8),
+       features=st.sets(st.sampled_from(VALID_FEATURES), min_size=1))
+@pytest.mark.usefixtures("stacked_linalg")
+def test_stacked_observations_are_the_per_cell_calls(
+        seed, kind, levels, trials, scenes, mic_count, features):
+    config = base_config(
+        seed=seed, trials=trials, features=sorted(features),
+        scene={"kind": "random", "count": scenes, "mic_count": mic_count},
+        noise={"domain": "rd", "kind": kind, "levels": levels})
+    trial_scenes = bench._scenes_for(config)
+    truth = np.array([true_rd_full(scene).values for scene in trial_scenes])
+    observed, energies = bench._observations(config, trial_scenes, truth)
+    assert energies is None
+    assert observed.shape == (len(features), len(levels) * trials,
+                              mic_count, mic_count)
+    for ni, level in enumerate(levels):
+        for ti, scene in enumerate(trial_scenes):
+            cell, _ = cell_observations(config, scene, true_rd_full(scene),
+                                        level, ni, ti)
+            for fi, feature in enumerate(config.features):
+                assert same_bits(observed[fi, ni * trials + ti],
+                                 cell[feature].values)
+
+
+def test_perturb_rd_stack_draws_each_matrix_alone():
+    scenes = bench.random_scenes(3, 6, 3.0, seed=11)
+    truth = np.array([true_rd_full(scene).values for scene in scenes])
+    model = RdNoiseModel(kind="outlier_mixture", sigma=0.1)
+    seeds = [np.random.SeedSequence((5, i)) for i in range(3)]
+    stack = perturb_rd(truth, model,
+                       rng=[np.random.default_rng(s) for s in seeds])
+    assert not stack.flags.writeable
+    for one, scene, s in zip(stack, scenes, seeds):
+        alone = perturb_rd(true_rd_full(scene), RdNoiseModel(
+            kind="outlier_mixture", sigma=0.1, rng_seed=s))
+        assert same_bits(one, alone.values)
+    # one generator serves the matrices in turn
+    rng = np.random.default_rng(3)
+    turn = perturb_rd(truth, model, rng=rng)
+    rng = np.random.default_rng(3)
+    assert all(same_bits(one, perturb_rd(RdMatrix(t), model, rng=rng).values)
+               for one, t in zip(turn, truth))
+    with pytest.raises(ValueError):
+        perturb_rd(truth, model, rng=[np.random.default_rng(0)] * 2)
+    bent = truth.copy()
+    bent[1, 0, 2] += 1.0
+    with pytest.raises(ValueError, match="antisymmetric"):
+        perturb_rd(bent, model)
+
+
+def test_tdoa_average_stack_checks_as_rd_matrix_does():
+    noisy = perturb_rd(np.array([true_rd_full(scene).values for scene
+                                 in paper_table1_scenes()]),
+                       RdNoiseModel(sigma=0.3), rng=np.random.default_rng(2))
+    averaged = tdoa_average(noisy)
+    assert not averaged.flags.writeable
+    assert all(same_bits(one, tdoa_average(RdMatrix(m)).values)
+               for one, m in zip(averaged, noisy))
+    for broken, message in ((np.where(np.eye(8, dtype=bool), 1.0, noisy),
+                             "antisymmetric"),
+                            (noisy + 1.0, "antisymmetric"),
+                            (np.where(np.eye(8, dtype=bool), np.inf, noisy),
+                             "finite or NaN"),
+                            (np.full((2, 3, 4), 0.0), "square")):
+        with pytest.raises(ValueError, match=message):
+            tdoa_average(broken)
+    with pytest.raises(ValueError, match="fully valid"):
+        tdoa_average(np.full((1, 3, 3), np.nan))
+
+
+ERROR = st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.5]),
+                  st.floats(0.0, 1e3, allow_nan=False).map(abs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(groups=st.lists(st.lists(ERROR, max_size=9), min_size=1, max_size=6),
+       large=st.lists(ERROR, min_size=10, max_size=60),
+       order=st.randoms(use_true_random=False))
+def test_quartile_pass_is_np_percentile(groups, large, order):
+    groups = groups + [large]
+    group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    values = np.array([v for g in groups for v in g], dtype=float)
+    shuffle = list(range(len(values)))
+    order.shuffle(shuffle)
+    quartiles = bench._quartiles(group[shuffle], values[shuffle],
+                                 len(groups))
+    for row, errors in zip(quartiles, groups):
+        expected = (np.percentile(errors, [25.0, 50.0, 75.0]) if errors
+                    else np.full(3, np.nan))
+        assert same_bits(row, expected)
+
+
+def test_summary_quartiles_for_every_small_group_size():
+    # groups of 0 to 6 successes with ties, each beside failures whose
+    # errors are NaN; np.percentile of the successes is the reference
+    records = []
+    for size in range(7):
+        errors = [0.5, 0.5, 1.25, 0.125, 2.0, 2.0, 9.75][:size]
+        records += [record(e, trial=t, noise=float(size))
+                    for t, e in enumerate(errors)]
+        records += [record(float("nan"), status="degenerate", trial=10 + t,
+                           noise=float(size)) for t in range(size % 3 + 1)]
+    rows = summarize(records)
+    assert [row["noise_level"] for row in rows] == list(map(float, range(7)))
+    for size, row in enumerate(rows):
+        errors = [0.5, 0.5, 1.25, 0.125, 2.0, 2.0, 9.75][:size]
+        expected = (np.percentile(errors, [25.0, 50.0, 75.0]) if errors
+                    else np.full(3, np.nan))
+        assert same_bits([row["q1_m"], row["median_m"], row["q3_m"]],
+                         expected)
+        assert row["n"] == size + size % 3 + 1
+
+
+def histogram_per_group(records, path, bins=30):
+    """The histogram CSV as one ``histogram2d`` call per (method,
+    feature) group writes it."""
+    ok = [r for r in records
+          if r.status in LocalizationResult.SUCCESS_STATUSES
+          and np.isfinite(r.position_error_m)
+          and np.isfinite(r.mean_abs_rd_error_m)]
+    lines = ["method,feature,rd_error_lo,rd_error_hi,"
+             "pos_error_lo,pos_error_hi,count"]
+    edges = []
+    for name in ("mean_abs_rd_error_m", "position_error_m"):
+        values = [getattr(r, name) for r in ok]
+        lo, hi = (min(values), max(values)) if values else (0.0, 0.0)
+        edges.append(np.linspace(lo, hi if hi > lo else lo + 1e-12,
+                                 bins + 1))
+    for method, feature in sorted({(r.method, r.feature) for r in ok}):
+        rows = [r for r in ok if (r.method, r.feature) == (method, feature)]
+        hist, _, _ = np.histogram2d(
+            [r.mean_abs_rd_error_m for r in rows],
+            [r.position_error_m for r in rows], bins=edges)
+        lines += [f"{method},{feature},{edges[0][i]:.9g},"
+                  f"{edges[0][i + 1]:.9g},{edges[1][j]:.9g},"
+                  f"{edges[1][j + 1]:.9g},{int(hist[i, j])}"
+                  for i, j in zip(*np.nonzero(hist))]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(
+    st.sampled_from(["conic", "srd-ls", "usrd-ls:index:0"]),
+    st.sampled_from(["vad_on:raw", "vad_off:denoised"]),
+    st.sampled_from(["closed_form", "converged", "degenerate"]),
+    ERROR, ERROR), max_size=40))
+def test_one_histogramdd_is_a_histogram2d_per_group(rows, tmp_path_factory):
+    # ERROR puts values on every edge the data span, the top one
+    # included, and a single distinct value takes the hi <= lo path
+    records = [TrialRecord(method=m, feature=f, subset="0-1-2-3-4",
+                           noise_level=0.1, trial=t, status=status,
+                           position_error_m=pos,
+                           mean_abs_rd_error_m=rd)
+               for t, (m, f, status, rd, pos) in enumerate(rows)]
+    out = tmp_path_factory.mktemp("hist")
+    write_histogram_csv(records, out / "one.csv")
+    histogram_per_group(records, out / "each.csv")
+    assert (out / "one.csv").read_bytes() == (out / "each.csv").read_bytes()
+
+
+def test_histogram_of_one_value_takes_the_tiny_range(tmp_path):
+    records = [record(0.5, trial=t, method=m) for t, m in
+               enumerate(["a", "b", "b"])]
+    write_histogram_csv(records, tmp_path / "one.csv")
+    histogram_per_group(records, tmp_path / "each.csv")
+    lines = (tmp_path / "one.csv").read_text().splitlines()
+    assert lines[1:] == ["a,vad_on:raw,0.166666667,0.166666667,0.5,0.5,1",
+                         "b,vad_on:raw,0.166666667,0.166666667,0.5,0.5,2"]
+    assert (tmp_path / "one.csv").read_bytes() == (
+        tmp_path / "each.csv").read_bytes()

@@ -118,6 +118,16 @@ def test_localize_bad_reference_is_config_error(paper_scene, capsys,
     assert last_error(capsys)["code"] == 2
 
 
+@pytest.mark.parametrize("ref", ["index:01", "index:+1", "index:1_0",
+                                 "index: 1\n"])
+def test_localize_reference_needs_its_canonical_spelling(paper_scene, capsys,
+                                                         ref):
+    scene_path, rd_path, _ = paper_scene
+    assert main(["localize", scene_path, "--rd", rd_path,
+                 "--method", "srd-ls", "--ref", ref]) == 2
+    assert "index:N, N in plain decimal digits" in last_error(capsys)["error"]
+
+
 @pytest.mark.parametrize("ref", ["index:2", "max-energy"])
 def test_localize_conic_ignores_valid_reference(paper_scene, capsys, ref):
     scene_path, rd_path, _ = paper_scene

@@ -42,7 +42,6 @@ from types import UnionType
 from typing import get_args, get_origin
 
 import numpy as np
-import yaml
 
 from .denoise import tdoa_average
 from .estimators import (TooFewMicrophones, _other_indices, _sum_squares,
@@ -260,6 +259,8 @@ def _spread_out(mics, least):
 
 def load_scene(path):
     """Read a scene YAML file (keys: mics, source, sound_speed)."""
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -425,6 +426,8 @@ def _noise_model(config, level, seed=None):
 
 def load_config(path):
     """Read a benchmark YAML file into a validated BenchmarkConfig."""
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)

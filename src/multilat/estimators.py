@@ -33,7 +33,8 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
+# bare: scipy.linalg loads on first use, in the weighted LM only
+import scipy
 
 from .geometry import (RdMatrix, RdVector, ResultStack, _as_points,
                        _upper_index)

@@ -233,7 +233,10 @@ class ResultStack:
     def put(self, rows, status, position=None, residual=None, **info):
         """Fill ``rows`` (an index, index array, mask or slice) with a
         status and values given once or row by row, info scalars as plain
-        Python ones; a position or residual of None is left as it is."""
+        Python ones; a position or residual of None is left as it is.
+        A put that selects no row adds no info column."""
+        if not self.status[rows].size:
+            return
         self.status[rows] = LocalizationResult._STATUSES.index(status)
         if position is not None:
             self.position[rows] = position

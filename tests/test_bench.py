@@ -27,6 +27,7 @@ from multilat.bench import (
     check_reference,
     config_from_dict,
     enumerate_subsets,
+    load_config,
     load_scene,
     localize,
     paper_table1_scenes,
@@ -701,6 +702,18 @@ def test_scene_file_integers_widen(tmp_path):
     scene = load_scene(path)
     assert scene.sound_speed == 340.0 and type(scene.sound_speed) is float
     np.testing.assert_array_equal(scene.mics, np.array(SCENE_MICS, float))
+
+
+@pytest.mark.parametrize("loader", [load_scene, load_config],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("text", [None, "mics: [1, 2"],
+                         ids=["missing", "unparsable"])
+def test_unreadable_yaml_file_is_a_config_error(tmp_path, loader, text):
+    path = tmp_path / "input.yaml"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match="cannot read"):
+        loader(path)
 
 
 def test_integers_widen_to_float_only():

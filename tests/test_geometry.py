@@ -14,6 +14,7 @@ from multilat import (
     true_rd_ref,
 )
 from multilat.bench import paper_table1_scenes
+from multilat.geometry import ResultStack
 
 from conftest import make_scene
 
@@ -277,3 +278,20 @@ def test_select_reference_on_a_stack_matches_each_array(rng):
         assert picks.tolist() == [select_reference(a) for a in stack]
     with pytest.raises(ValueError, match="finite"):
         select_reference(np.full((2, 4, 3), np.nan))
+
+
+# ---------------------------------------------------------------------------
+# ResultStack
+
+
+@pytest.mark.parametrize("rows", [np.zeros(3, dtype=bool),
+                                  np.array([], dtype=int), slice(0, 0)],
+                         ids=["mask", "indices", "slice"])
+def test_result_stack_put_of_no_row_adds_no_info_column(rows):
+    out = ResultStack(3)
+    out.put(rows, "closed_form", np.zeros(3), 0.0, reason="none", rank=3)
+    out.put(1, "converged", np.ones(3), 2.0, rank=3)
+    assert list(out.info) == ["rank"]
+    assert [out[i].status for i in range(3)] == \
+        ["degenerate", "converged", "degenerate"]
+    assert [out[i].info for i in range(3)] == [{}, {"rank": 3}, {}]

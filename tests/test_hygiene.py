@@ -6,7 +6,10 @@ tree, so a mention in a comment or a string does not count as a use.
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +113,44 @@ def test_readme_library_tour_names_exist():
     missing = [f"{module}.{name}" for module, names in rows for name in names
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"README library tour names missing code: {missing}"
+
+
+def test_runs_load_only_the_modules_they_use():
+    # scipy.linalg serves only the weighted LM and yaml only YAML files;
+    # a fresh interpreter is needed, as this one has imported both
+    code = """
+import sys
+import numpy as np
+from multilat import NoiseCovariance, hyperbolic_ls, true_rd_ref
+from multilat.bench import (METHOD_NAMES, config_from_dict,
+                            paper_table1_scenes, run_benchmark)
+base = {"methods": list(METHOD_NAMES), "trials": 1, "seed": 3,
+        "scene": {"kind": "paper_table1", "position": 1}}
+grid = run_benchmark(config_from_dict({
+    **base, "features": ["vad_on:raw", "vad_on:denoised"],
+    "subsets": {"mode": "all_k_of_m", "k": 5},
+    "noise": {"domain": "rd", "levels": [0.01]}}))
+signal = run_benchmark(config_from_dict({
+    **base, "features": ["vad_on:raw", "vad_off:denoised"],
+    "subsets": {"mode": "full"},
+    "noise": {"domain": "signal", "levels": [20.0], "duration_s": 0.5}}))
+assert len(grid) == 2 * 56 * len(METHOD_NAMES), len(grid)
+assert len(signal) == 2 * len(METHOD_NAMES), len(signal)
+print(" ".join(name for name in ("scipy.linalg", "yaml")
+               if name in sys.modules))
+# the weighted LM loads scipy.linalg on first use
+scene = paper_table1_scenes(1)[0]
+rd = true_rd_ref(scene, 0)
+weights = NoiseCovariance(np.diag(np.arange(1.0, rd.values.size + 1)))
+result = hyperbolic_ls(rd, scene.mics, weights=weights)
+assert result.status == "converged", result
+assert np.linalg.norm(result.position - scene.source) < 1e-6
+assert "scipy.linalg" in sys.modules
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

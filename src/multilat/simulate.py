@@ -10,6 +10,7 @@ Two levels of realism, both deterministic under a seed:
   pipeline tests.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,8 @@ def _load_source(model, n_samples, rng):
     _, data = wavfile.read(model.source_path)
     if data.ndim > 1:
         data = data[:, 0]
+    if data.size == 0:
+        raise ValueError(f"source WAV {model.source_path!r} has no samples")
     data = np.asarray(data, dtype=float)
     peak = np.max(np.abs(data))
     if peak > 0:
@@ -154,6 +157,9 @@ def synth_signals(scene, model, duration_s, sample_rate):
     using a 32-tap Kaiser-windowed sinc (so sub-sample TDOAs survive),
     scaled by the gain law, and mixed with white Gaussian noise scaled
     to ``model.snr_db`` per channel.  Bit-identical for a fixed seed.
+    The filters run on a helper thread while the calling thread draws
+    the noise; neither touches what the other reads, so the bits cannot
+    depend on the threads.
 
     Returns
     -------
@@ -182,20 +188,32 @@ def synth_signals(scene, model, duration_s, sample_rate):
     else:
         gains = np.ones(scene.mic_count)
 
-    snr_lin = 10.0 ** (model.snr_db / 10.0)
-    channels = np.empty((scene.mic_count, n_samples))
-    for m in range(scene.mic_count):
-        n0 = int(np.floor(delay_samples[m]))
-        mu = delay_samples[m] - n0
-        taps = _fractional_delay_filter(mu)
-        delayed = np.convolve(source, taps)
-        # the filter itself delays by (half - 1) + mu; add n0 and slice a
-        # window at constant offset `lead` so all channels share the same
-        # base latency and only the geometric delay differs
-        start = lead - n0 - (half - 1)
-        clean = gains[m] * delayed[start:start + n_samples]
-        power = float(np.mean(clean ** 2))
-        noise_std = np.sqrt(power / snr_lin) if power > 0 else 0.0
-        channels[m] = clean + rng.normal(0.0, noise_std, size=n_samples)
+    def render_clean():
+        clean = np.empty((scene.mic_count, n_samples))
+        for m in range(scene.mic_count):
+            n0 = int(np.floor(delay_samples[m]))
+            mu = delay_samples[m] - n0
+            taps = _fractional_delay_filter(mu)
+            delayed = np.convolve(source, taps)
+            # the filter itself delays by (half - 1) + mu; add n0 and
+            # slice a window at constant offset `lead` so all channels
+            # share the same base latency and only the geometric delay
+            # differs
+            start = lead - n0 - (half - 1)
+            clean[m] = gains[m] * delayed[start:start + n_samples]
+        return clean
 
+    # both the convolutions and the draw release the GIL; the noise is
+    # the stream rng.normal(0.0, std_m, n) per channel would draw
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        filtering = pool.submit(render_clean)
+        noise = rng.standard_normal((scene.mic_count, n_samples))
+        channels = filtering.result()
+
+    snr_lin = 10.0 ** (model.snr_db / 10.0)
+    for channel, z in zip(channels, noise):
+        power = float(np.mean(channel ** 2))
+        noise_std = np.sqrt(power / snr_lin) if power > 0 else 0.0
+        z *= noise_std
+        channel += z
     return MicSignals(channels=channels, sample_rate=sample_rate)

@@ -7,29 +7,32 @@ optionally discard low-energy frames (a simple energy VAD), and
 aggregate the surviving per-frame delays with a median.  Peak positions
 are refined to sub-sample precision by parabolic interpolation, since
 the plain sample grid quantizes range differences to ~2 cm at 16 kHz.
-The capture is framed and transformed one block of frames at a time,
-each channel once per block with all pairs sharing those spectra, and
-the blocks run on up to two worker threads.
+The frames are windowed views of the capture, transformed one block
+of frames at a time, each channel once per block with all pairs
+sharing those spectra.  The blocks run on up to two worker threads,
+each filling one set of work arrays block after block.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import DEFAULT_SOUND_SPEED, _upper_index
 
 _PHAT_FLOOR = 1e-12
-# frames per block in estimate_tdoa_matrix; a block frames its own
-# samples, so with one block in flight an 8 ch x 2 s call peaks at
-# 4.1 MB under tracemalloc (framing the whole capture took 8.0 MB).
-# With two workers, 2 frames took 53 ms per call, 1 frame 63 ms and
-# 4 frames 87 ms at a 15.4 MB peak
+# frames per block in estimate_tdoa_matrix; a worker's work arrays
+# hold one block, so with one worker an 8 ch x 2 s call peaks at
+# 3.1 MB under tracemalloc.  With two workers, 2 frames took 41-46 ms
+# per call at a 6.0 MB peak, 1 frame 46-54 ms at 3.1 MB and 4 frames
+# 41-45 ms at 11.8 MB (medians of 15, 2 cores)
 _BLOCK_FRAMES = 2
 # threads the blocks run on: pocketfft and the elementwise steps release
-# the GIL, so on 2 cores two workers take that call from 91 to 53 ms
-# (medians of 15) and peak at 8.1 MB with two blocks in flight
+# the GIL, so on 2 cores two workers take that call from 65-67 to
+# 41-46 ms
 _WORKERS = min(2, os.cpu_count() or 1)
 
 
@@ -61,6 +64,14 @@ class FrameConfig:
 def periodic_hann(length):
     """DFT-even Hann window; its energy is exactly 3/8 of its length."""
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
+
+
+@lru_cache(maxsize=32)
+def _hann(length):
+    """``periodic_hann(length)``, computed once and read-only."""
+    window = periodic_hann(length)
+    window.flags.writeable = False
+    return window
 
 
 @dataclass(frozen=True)
@@ -162,14 +173,16 @@ def frame_signal(channels, config):
     discarded.  Raises if the channels are shorter than one frame.
     """
     x = np.asarray(channels, dtype=float)
-    flen, hop = config.frame_length, config.hop_length
+    flen = config.frame_length
     if x.ndim == 0 or x.shape[-1] < flen:
         raise ValueError("channel shorter than one frame")
-    n_frames = 1 + (x.shape[-1] - flen) // hop
-    idx = np.arange(flen)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = x[..., idx]
-    frames *= periodic_hann(flen)
-    return frames
+    return _frame_views(x, config) * _hann(flen)
+
+
+def _frame_views(x, config):
+    """Read-only ``(..., n_frames, frame_length)`` views of the frames."""
+    return sliding_window_view(x, config.frame_length,
+                               axis=-1)[..., ::config.hop_length, :]
 
 
 def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
@@ -203,13 +216,23 @@ def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
     return float(lag)
 
 
-def _phat_lags(cross, max_lag, refine):
+def _phat_lags(cross, max_lag, refine, mag=None, corr=None):
     """Lags in samples from cross-power spectra ``(..., L + 1)`` of frame
-    pairs zero-padded to 2L; NaN where a spectrum has no live bin."""
-    mag = np.abs(cross)
+    pairs zero-padded to 2L; NaN where a spectrum has no live bin.
+
+    Whitens ``cross`` in place.  ``mag`` (the shape of ``cross``, real)
+    and ``corr`` (``(..., 2L)``) are work arrays to fill, if given."""
+    mag = np.abs(cross, out=mag)
     live = mag > _PHAT_FLOOR
-    weighted = np.divide(cross, mag, out=np.zeros_like(cross), where=live)
-    corr = np.fft.irfft(weighted, 2 * (cross.shape[-1] - 1))
+    # X * (1/|X|) costs a complex division less per bin than X / |X|,
+    # which numpy takes as (re + im*0) * (1/|X|).  The two agree bit for
+    # bit except in the sign of a zero part: the imaginary part of the
+    # DC and Nyquist bins, which irfft ignores, and bins at the floor,
+    # which are zero either way; the lags keep their bits
+    np.divide(1.0, mag, out=mag, where=live)
+    mag[~live] = 0.0
+    cross *= mag
+    corr = np.fft.irfft(cross, 2 * (cross.shape[-1] - 1), out=corr)
     # peak by magnitude: PHAT keeps the delay information in the phase,
     # so an inverted channel must still locate the same |peak|
     window = np.concatenate([corr[..., -max_lag:], corr[..., :max_lag + 1]],
@@ -251,14 +274,15 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
 
     For each pair: GCC-PHAT lags of all its frame pairs (restricted to
     the lags physically reachable within ``max_distance_m``) and an
-    energy-VAD decision per frame pair.  Blocks of frames are framed
-    from their own samples and run on ``_WORKERS`` threads; each channel
-    is transformed once per block and the pairs share those spectra.  The
-    lags that are not silent and are VAD-kept are median-aggregated
-    (even counts average the middle two) and converted to seconds.  A
-    pair with no surviving frames is marked invalid (NaN value, zero
-    count) — callers decide policy.  The result keeps the lags and the
-    VAD mask, so ``with_vad("off")`` gives the matrix without the VAD.
+    energy-VAD decision per frame pair.  Blocks of frames, windowed from
+    views of the channels, run on ``_WORKERS`` threads, each reusing one
+    set of work arrays; each channel is transformed once per block and
+    the pairs share those spectra.  The lags that are not silent and are
+    VAD-kept are median-aggregated (even counts average the middle two)
+    and converted to seconds.  A pair with no surviving frames is marked
+    invalid (NaN value, zero count) — callers decide policy.  The result
+    keeps the lags and the VAD mask, so ``with_vad("off")`` gives the
+    matrix without the VAD.
 
     ``max_distance_m`` is the largest inter-mic distance (the array
     diameter), which the signals alone cannot know.  It and
@@ -274,30 +298,52 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
     if max_lag >= config.frame_length:
         raise ValueError("max lag exceeds the frame length; "
                          "use longer frames or a smaller max distance")
-    m = signals.mic_count
-    flen, hop = config.frame_length, config.hop_length
+    m, flen = signals.mic_count, config.frame_length
     if signals.length < flen:
         raise ValueError("channel shorter than one frame")
-    n_frames = 1 + (signals.length - flen) // hop
+    windows = _frame_views(signals.channels, config)
+    n_frames = windows.shape[1]
     rows, cols = _upper_index(m)
     energy = np.empty((m, n_frames))
     frame_lags = np.empty((rows.size, n_frames))
+    starts = range(0, n_frames, _BLOCK_FRAMES)
+    workers = min(_WORKERS, len(starts))
+    # the pairs (i, i + 1 .. m - 1) are rows bounds[i]:bounds[i + 1]
+    bounds = np.searchsorted(rows, np.arange(m))
 
-    def run_block(start):
-        # the samples of frames start .. start + _BLOCK_FRAMES - 1; at
-        # the end of the capture both slices clip to the frames left
-        block = slice(start, start + _BLOCK_FRAMES)
-        frames = frame_signal(signals.channels[
-            :, start * hop:(start + _BLOCK_FRAMES - 1) * hop + flen], config)
-        energy[:, block] = np.sum(frames ** 2, axis=-1)
-        spectra = np.fft.rfft(frames, 2 * flen)
-        frame_lags[:, block] = _phat_lags(np.conj(spectra)[rows]
-                                          * spectra[cols], max_lag, refine)
+    def work_arrays():
+        return (np.empty((m, _BLOCK_FRAMES, flen)),
+                np.empty((m, _BLOCK_FRAMES, flen + 1), complex),
+                np.empty((rows.size, _BLOCK_FRAMES, flen + 1), complex),
+                np.empty((rows.size, _BLOCK_FRAMES, flen + 1)),
+                np.empty((rows.size, _BLOCK_FRAMES, 2 * flen)))
 
-    # blocks write disjoint columns, so the result does not depend on
-    # how they are scheduled; list() reads every result, re-raising errors
-    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        list(pool.map(run_block, range(0, n_frames, _BLOCK_FRAMES)))
+    # each worker's work arrays, filled block after block; allocated on
+    # this thread, which kept peak RSS lower than allocating in each worker
+    arrays = [work_arrays() for _ in range(workers)]
+
+    def run_worker(first):
+        frames, spectra, cross, mag, corr = arrays[first]
+        for start in starts[first::workers]:
+            # the last block may hold fewer frames: work on [:, :nb]
+            block = slice(start, start + _BLOCK_FRAMES)
+            nb = min(_BLOCK_FRAMES, n_frames - start)
+            f = np.multiply(windows[:, block], _hann(flen), out=frames[:, :nb])
+            s = np.fft.rfft(f, 2 * flen, out=spectra[:, :nb])
+            # the frames are spent once transformed: square them in place
+            energy[:, block] = np.sum(np.square(f, out=f), axis=-1)
+            c = cross[:, :nb]
+            for i in range(m - 1):
+                np.multiply(np.conj(s[i]), s[i + 1:],
+                            out=c[bounds[i]:bounds[i + 1]])
+            frame_lags[:, block] = _phat_lags(c, max_lag, refine,
+                                              mag[:, :nb], corr[:, :nb])
+
+    # worker k takes blocks k, k + workers, ...; blocks write disjoint
+    # columns, so the result does not depend on the worker count or the
+    # schedule; list() reads every result, re-raising errors
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run_worker, range(workers)))
     vad_keep = energy_vad(energy[rows], energy[cols])
     values, counts = _reduce(frame_lags, vad_keep, "on", m,
                              signals.sample_rate)

@@ -1,5 +1,7 @@
 """RD-domain noise injection and free-field signal synthesis."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -16,6 +18,7 @@ from multilat import (
     true_rd_full,
     true_rd_ref,
 )
+from multilat import simulate
 from multilat.bench import paper_table1_scenes
 from multilat.geometry import RdVector
 
@@ -164,6 +167,77 @@ def test_file_source_scale_free(tmp_path):
                       duration_s=0.5, sample_rate=16000)
         for path in (pcm, flt))
     np.testing.assert_array_equal(pcm_sig.channels, flt_sig.channels)
+
+
+def test_empty_wav_source_rejected(tmp_path):
+    # an empty file names itself; a silent one still renders (all zeros)
+    empty, silent = tmp_path / "empty.wav", tmp_path / "silent.wav"
+    wavfile.write(empty, 16000, np.zeros(0, dtype=np.int16))
+    wavfile.write(silent, 16000, np.zeros(800, dtype=np.int16))
+    scene = paper_table1_scenes()[0]
+    with pytest.raises(ValueError, match=r"empty\.wav.*no samples"):
+        synth_signals(scene, SignalModel(source_path=str(empty), rng_seed=1),
+                      duration_s=0.5, sample_rate=16000)
+    sig = synth_signals(scene, SignalModel(source_path=str(silent),
+                                           rng_seed=1),
+                        duration_s=0.5, sample_rate=16000)
+    assert not np.any(sig.channels)
+
+
+def per_channel_synth(scene, model, duration_s, sample_rate):
+    """Synthesis one channel at a time: filter, then draw that channel's
+    noise as rng.normal(0.0, std, n)."""
+    n_samples = int(round(duration_s * sample_rate))
+    delay_samples = scene.source_distances() / scene.sound_speed * sample_rate
+    rng = np.random.default_rng(model.rng_seed)
+    taps_count = simulate._FIR_TAPS
+    lead = int(np.floor(np.max(delay_samples))) + taps_count
+    source = simulate._load_source(model, n_samples + lead + taps_count, rng)
+    if model.gain_law == "inverse_distance":
+        gains = 1.0 / np.maximum(scene.source_distances(), 0.1)
+    else:
+        gains = np.ones(scene.mic_count)
+    snr_lin = 10.0 ** (model.snr_db / 10.0)
+    channels = np.empty((scene.mic_count, n_samples))
+    for m in range(scene.mic_count):
+        n0 = int(np.floor(delay_samples[m]))
+        delayed = np.convolve(
+            source, simulate._fractional_delay_filter(delay_samples[m] - n0))
+        start = lead - n0 - (taps_count // 2 - 1)
+        clean = gains[m] * delayed[start:start + n_samples]
+        power = float(np.mean(clean ** 2))
+        noise_std = np.sqrt(power / snr_lin) if power > 0 else 0.0
+        channels[m] = clean + rng.normal(0.0, noise_std, size=n_samples)
+    return channels
+
+
+@pytest.mark.parametrize("case", ["unit", "inverse_distance", "wav",
+                                  "silent_wav", "switch_interval"])
+def test_synthesis_matches_per_channel_loop(case, tmp_path):
+    # one noise draw for all channels, filtered on a helper thread, gives
+    # the per-channel loop's channels byte for byte
+    source = None
+    if case in ("wav", "silent_wav"):
+        samples = np.random.default_rng(4).integers(-20000, 20000, 3000,
+                                                    dtype=np.int16)
+        source = tmp_path / "source.wav"
+        wavfile.write(source, 16000, samples * (case == "wav"))
+        source = str(source)
+    gain_law = "inverse_distance" if case == "inverse_distance" else "unit"
+    model = SignalModel(gain_law=gain_law, snr_db=10.0, source_path=source,
+                        rng_seed=21)
+    scene = paper_table1_scenes()[2]
+    expected = per_channel_synth(scene, model, 1.0, 16000)
+    interval = sys.getswitchinterval()
+    if case == "switch_interval":
+        sys.setswitchinterval(1e-6)
+    try:
+        sig = synth_signals(scene, model, duration_s=1.0, sample_rate=16000)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sig.channels.tobytes() == expected.tobytes()
+    if case == "silent_wav":
+        assert not np.any(np.signbit(sig.channels))
 
 
 def test_delay_beyond_duration_rejected():

@@ -1,6 +1,7 @@
 """Framing, GCC-PHAT, VAD, and TDOA matrix aggregation."""
 
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -386,22 +387,67 @@ def table1_capture(snr_db, mics=8):
     return MicSignals(channels=sig.channels[:mics], sample_rate=FS)
 
 
+def assert_frame_lags_match_per_pair_calls(sig, config, refine, frames):
+    # the shared per-channel spectra give every frame pair the lag a
+    # single gcc_phat_pair call on its frames gives, bit for bit
+    td = estimate_tdoa_matrix(sig, config, max_distance_m=4.0,
+                              sound_speed=343.0, refine=refine)
+    framed = [frame_signal(ch, config) for ch in sig.channels]
+    max_lag = int(np.ceil(4.0 / 343.0 * FS))
+    rows, cols = np.triu_indices(sig.mic_count, k=1)
+    expected = np.array([gcc_phat_pair(framed[i], framed[j], max_lag,
+                                       refine=refine)
+                         for i, j in zip(rows, cols)])
+    assert td.frame_lags.shape == (rows.size, frames)
+    assert np.array_equal(td.frame_lags, expected, equal_nan=True)
+
+
 @pytest.mark.parametrize("snr_db, mics", [(20.0, 8), (-5.0, 8), (20.0, 2)])
 @pytest.mark.parametrize("refine", [True, False])
 def test_frame_lags_match_per_pair_calls(snr_db, mics, refine):
-    # the shared per-channel spectra give every frame pair the lag a
-    # single gcc_phat_pair call on its frames gives, bit for bit
-    sig = table1_capture(snr_db, mics)
-    td = estimate_tdoa_matrix(sig, default_config(), max_distance_m=4.0,
-                              sound_speed=343.0, refine=refine)
-    frames = [frame_signal(ch, default_config()) for ch in sig.channels]
-    max_lag = int(np.ceil(4.0 / 343.0 * FS))
-    rows, cols = np.triu_indices(mics, k=1)
-    expected = np.array([gcc_phat_pair(frames[i], frames[j], max_lag,
-                                       refine=refine)
-                         for i, j in zip(rows, cols)])
-    assert td.frame_lags.shape == (mics * (mics - 1) // 2, 61)
-    assert np.array_equal(td.frame_lags, expected, equal_nan=True)
+    assert_frame_lags_match_per_pair_calls(table1_capture(snr_db, mics),
+                                           default_config(), refine, 61)
+
+
+@pytest.mark.parametrize("overlap, frames", [(0.0, 31), (0.75, 122)])
+@pytest.mark.parametrize("refine", [True, False])
+def test_frame_lags_match_per_pair_calls_at_overlap(overlap, frames, refine):
+    # the frame views step by the hop, whatever it is
+    config = FrameConfig(sample_rate=FS, overlap=overlap)
+    assert_frame_lags_match_per_pair_calls(table1_capture(-5.0, 4), config,
+                                           refine, frames)
+
+
+@pytest.mark.parametrize("capture", ["noisy", "silent_stretch",
+                                     "near_floor"])
+def test_phat_weighting_is_the_complex_division(capture, monkeypatch):
+    # the lags of X * (1 / |X|) are those of X / |X| (0 where |X| is
+    # at the floor), bit for bit, also on frame pairs with no live bin
+    # and on pairs whose bins straddle the floor; the whitened spectra
+    # are equal in value, so bit for bit up to the sign of zero parts
+    sig = silent_stretch_capture() if capture == "silent_stretch" else \
+        table1_capture(-5.0)
+    framed = frame_signal(sig.channels[:4], default_config())
+    rows, cols = np.triu_indices(4, k=1)
+    a, b = framed[rows], framed[cols]
+    if capture == "near_floor":
+        b = 1e-15 * b
+    cross = np.conj(np.fft.rfft(a, 2048)) * np.fft.rfft(b, 2048)
+    mag = np.abs(cross)
+    live = mag > 1e-12
+    divided = np.divide(cross, mag, out=np.zeros_like(cross), where=live)
+    assert np.all(live) == (capture == "noisy")
+    lags = gcc_phat_pair(a, b, 187)
+    assert np.any(np.isnan(lags)) == (capture == "silent_stretch")
+    irfft, whitened = np.fft.irfft, []
+
+    def divided_irfft(spectra, n, out=None):
+        whitened.append(spectra.copy())
+        return irfft(divided, n, out=out)
+
+    monkeypatch.setattr(np.fft, "irfft", divided_irfft)
+    assert gcc_phat_pair(a, b, 187).tobytes() == lags.tobytes()
+    assert np.array_equal(whitened[0], divided)
 
 
 def test_matrix_memory_peak():
@@ -463,6 +509,49 @@ def test_worker_count_does_not_change_the_matrix(capture, frames,
         for field in ("values", "frame_count_used", "frame_lags", "vad_keep"):
             assert np.array_equal(getattr(td, field), getattr(serial, field),
                                   equal_nan=True), field
+
+
+def test_periodic_hann_is_a_fresh_writable_array():
+    # the framing reads a cached read-only window; writing into what
+    # periodic_hann returns changes no later frames or lags
+    sig = table1_capture(20.0, mics=3)
+    config = default_config()
+    frames = frame_signal(sig.channels, config)
+    td = estimate_tdoa_matrix(sig, config, max_distance_m=4.0,
+                              sound_speed=343.0)
+    window = tdoa.periodic_hann(config.frame_length)
+    assert window.flags.writeable
+    window[:] = 0.0
+    assert np.array_equal(tdoa.periodic_hann(config.frame_length),
+                          periodic_hann(config.frame_length))
+    assert np.array_equal(frame_signal(sig.channels, config), frames)
+    again = estimate_tdoa_matrix(sig, config, max_distance_m=4.0,
+                                 sound_speed=343.0)
+    assert np.array_equal(again.frame_lags, td.frame_lags, equal_nan=True)
+    with pytest.raises(ValueError, match="read-only"):
+        tdoa._hann(config.frame_length)[0] = 1.0
+
+
+def test_no_thread_outlives_a_call(monkeypatch):
+    # the TDOA workers and the synthesis helper are joined before each
+    # call returns, also when a block raises
+    started = threading.active_count()
+    sig = synth_signals(paper_table1_scenes()[1],
+                        SignalModel(snr_db=20.0, rng_seed=3),
+                        duration_s=0.5, sample_rate=FS)
+    assert threading.active_count() == started
+    estimate_tdoa_matrix(sig, default_config(), max_distance_m=4.0,
+                         sound_speed=343.0)
+    assert threading.active_count() == started
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("irfft failed")
+
+    monkeypatch.setattr(np.fft, "irfft", broken)
+    with pytest.raises(RuntimeError, match="irfft failed"):
+        estimate_tdoa_matrix(sig, default_config(), max_distance_m=4.0,
+                             sound_speed=343.0)
+    assert threading.active_count() == started
 
 
 @pytest.mark.parametrize("seed", range(5))

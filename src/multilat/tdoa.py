@@ -9,8 +9,10 @@ are refined to sub-sample precision by parabolic interpolation, since
 the plain sample grid quantizes range differences to ~2 cm at 16 kHz.
 The frames are windowed views of the capture, transformed one block
 of frames at a time, each channel once per block with all pairs
-sharing those spectra.  The blocks run on up to two worker threads,
-each filling one set of work arrays block after block.
+sharing those spectra.  Each frame is zero-padded to the shortest fast
+length that keeps the searched lags free of circular aliases.  The
+blocks run on up to two worker threads, each filling one set of work
+arrays block after block.
 """
 
 import os
@@ -25,14 +27,17 @@ from .geometry import DEFAULT_SOUND_SPEED, _upper_index
 
 _PHAT_FLOOR = 1e-12
 # frames per block in estimate_tdoa_matrix; a worker's work arrays
-# hold one block, so with one worker an 8 ch x 2 s call peaks at
-# 3.1 MB under tracemalloc.  With two workers, 2 frames took 41-46 ms
-# per call at a 6.0 MB peak, 1 frame 46-54 ms at 3.1 MB and 4 frames
-# 41-45 ms at 11.8 MB (medians of 15, 2 cores)
+# hold one block, so with one worker an 8 ch x 2 s call at 1,280-point
+# transforms peaks at 2.2 MB under tracemalloc.  With two workers,
+# 2 frames took 26-30 ms per call at a 4.2-4.4 MB peak, 1 frame
+# 35-44 ms at 2.2 MB, 3 frames 25-29 ms at 6.1-6.3 MB and 4 frames
+# 25-28 ms at 8.0 MB (medians of 15 calls, 7 rounds, 2 cores).  In
+# signal_capture, 3 frames ran 1.11x the records/s of 2 but at 2.5 MB
+# more peak RSS (8 alternated pairs), so it stays 2
 _BLOCK_FRAMES = 2
 # threads the blocks run on: pocketfft and the elementwise steps release
-# the GIL, so on 2 cores two workers take that call from 65-67 to
-# 41-46 ms
+# the GIL, so on 2 cores two workers take that call from 34-48 to
+# 26-30 ms
 _WORKERS = min(2, os.cpu_count() or 1)
 
 
@@ -72,6 +77,26 @@ def _hann(length):
     window = periodic_hann(length)
     window.flags.writeable = False
     return window
+
+
+@lru_cache(maxsize=32)
+def _fft_length(frame_length, max_lag):
+    """The transform length for GCC-PHAT on frames of ``frame_length``
+    searched within +/- ``max_lag``: the smallest of 2^k, 3 * 2^k and
+    5 * 2^k that is at least ``frame_length + max_lag``, capped at
+    ``2 * frame_length``.  Always even.
+
+    The circular correlation at lag k holds the linear ones at k and
+    k -/+ N; for |k| <= max_lag those sit at |k -/+ N| >= frame_length,
+    where the linear correlation is zero, so no alias reaches a searched
+    lag."""
+    need = frame_length + max_lag
+    lengths = [2 * frame_length]
+    for n in (2, 3 * 2, 5 * 2):
+        while n < need:
+            n *= 2
+        lengths.append(n)
+    return min(lengths)
 
 
 @dataclass(frozen=True)
@@ -189,8 +214,10 @@ def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
     """GCC-PHAT delay estimate between two frames, in samples.
 
     The cross-power spectrum is whitened bin-by-bin (PHAT), inverse
-    transformed at double length (zero-padding keeps the correlation
-    linear), and the peak is searched within +/- ``max_lag_samples``.
+    transformed at the shortest length 2^k, 3 * 2^k or 5 * 2^k (at most
+    twice the frame length) that holds the frame length plus the lag
+    bound, so no circular alias reaches a searched lag, and the peak is
+    searched within +/- ``max_lag_samples``.
     Positive lag means ``frame_b`` is delayed relative to ``frame_a``.
     With ``refine`` a three-point parabola around the integer peak adds
     sub-sample resolution.
@@ -206,7 +233,7 @@ def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
     max_lag = int(max_lag_samples)
     if not 0 < max_lag < a.shape[-1]:
         raise ValueError("max_lag must be in (0, frame length)")
-    nfft = 2 * a.shape[-1]
+    nfft = _fft_length(a.shape[-1], max_lag)
     lag = _phat_lags(np.conj(np.fft.rfft(a, nfft)) * np.fft.rfft(b, nfft),
                      max_lag, refine)
     if a.ndim > 1:
@@ -217,11 +244,12 @@ def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
 
 
 def _phat_lags(cross, max_lag, refine, mag=None, corr=None):
-    """Lags in samples from cross-power spectra ``(..., L + 1)`` of frame
-    pairs zero-padded to 2L; NaN where a spectrum has no live bin.
+    """Lags in samples from cross-power spectra ``(..., N/2 + 1)`` of
+    frame pairs zero-padded to an even length N of at least L +
+    ``max_lag``; NaN where a spectrum has no live bin.
 
     Whitens ``cross`` in place.  ``mag`` (the shape of ``cross``, real)
-    and ``corr`` (``(..., 2L)``) are work arrays to fill, if given."""
+    and ``corr`` (``(..., N)``) are work arrays to fill, if given."""
     mag = np.abs(cross, out=mag)
     live = mag > _PHAT_FLOOR
     # X * (1/|X|) costs a complex division less per bin than X / |X|,
@@ -301,6 +329,7 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
     m, flen = signals.mic_count, config.frame_length
     if signals.length < flen:
         raise ValueError("channel shorter than one frame")
+    nfft = _fft_length(flen, max_lag)
     windows = _frame_views(signals.channels, config)
     n_frames = windows.shape[1]
     rows, cols = _upper_index(m)
@@ -312,11 +341,12 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
     bounds = np.searchsorted(rows, np.arange(m))
 
     def work_arrays():
+        bins = nfft // 2 + 1
         return (np.empty((m, _BLOCK_FRAMES, flen)),
-                np.empty((m, _BLOCK_FRAMES, flen + 1), complex),
-                np.empty((rows.size, _BLOCK_FRAMES, flen + 1), complex),
-                np.empty((rows.size, _BLOCK_FRAMES, flen + 1)),
-                np.empty((rows.size, _BLOCK_FRAMES, 2 * flen)))
+                np.empty((m, _BLOCK_FRAMES, bins), complex),
+                np.empty((rows.size, _BLOCK_FRAMES, bins), complex),
+                np.empty((rows.size, _BLOCK_FRAMES, bins)),
+                np.empty((rows.size, _BLOCK_FRAMES, nfft)))
 
     # each worker's work arrays, filled block after block; allocated on
     # this thread, which kept peak RSS lower than allocating in each worker
@@ -329,7 +359,7 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
             block = slice(start, start + _BLOCK_FRAMES)
             nb = min(_BLOCK_FRAMES, n_frames - start)
             f = np.multiply(windows[:, block], _hann(flen), out=frames[:, :nb])
-            s = np.fft.rfft(f, 2 * flen, out=spectra[:, :nb])
+            s = np.fft.rfft(f, nfft, out=spectra[:, :nb])
             # the frames are spent once transformed: square them in place
             energy[:, block] = np.sum(np.square(f, out=f), axis=-1)
             c = cross[:, :nb]

@@ -116,8 +116,9 @@ def test_readme_library_tour_names_exist():
 
 
 def test_runs_load_only_the_modules_they_use():
-    # scipy.linalg serves only the weighted LM and yaml only YAML files;
-    # a fresh interpreter is needed, as this one has imported both
+    # scipy.linalg serves only the weighted LM, yaml only YAML files,
+    # and no run needs scipy.fft (GCC-PHAT picks its own FFT lengths);
+    # a fresh interpreter is needed, as this one has imported them
     code = """
 import sys
 import numpy as np
@@ -136,7 +137,7 @@ signal = run_benchmark(config_from_dict({
     "noise": {"domain": "signal", "levels": [20.0], "duration_s": 0.5}}))
 assert len(grid) == 2 * 56 * len(METHOD_NAMES), len(grid)
 assert len(signal) == 2 * len(METHOD_NAMES), len(signal)
-print(" ".join(name for name in ("scipy.linalg", "yaml")
+print(" ".join(name for name in ("scipy.linalg", "yaml", "scipy.fft")
                if name in sys.modules))
 # the weighted LM loads scipy.linalg on first use
 scene = paper_table1_scenes(1)[0]

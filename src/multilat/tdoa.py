@@ -8,9 +8,11 @@ aggregate the surviving per-frame delays with a median.  Peak positions
 are refined to sub-sample precision by parabolic interpolation, since
 the plain sample grid quantizes range differences to ~2 cm at 16 kHz.
 The frames are windowed views of the capture, transformed one block
-of frames at a time, each channel once per block with all pairs
-sharing those spectra.  Each frame is zero-padded to the shortest fast
-length that keeps the searched lags free of circular aliases.  The
+of frames at a time, each channel once per block.  The PHAT weight
+1/|X_i X_j| factors into (1/|X_i|)(1/|X_j|), so each channel's spectrum
+is whitened once per block and every pair's whitened cross-spectrum is
+the product of two of them.  Each frame is zero-padded to the shortest
+fast length that keeps the searched lags free of circular aliases.  The
 blocks run on up to two worker threads, each filling one set of work
 arrays block after block.
 """
@@ -28,16 +30,16 @@ from .geometry import DEFAULT_SOUND_SPEED, _upper_index
 _PHAT_FLOOR = 1e-12
 # frames per block in estimate_tdoa_matrix; a worker's work arrays
 # hold one block, so with one worker an 8 ch x 2 s call at 1,280-point
-# transforms peaks at 2.2 MB under tracemalloc.  With two workers,
-# 2 frames took 26-30 ms per call at a 4.2-4.4 MB peak, 1 frame
-# 35-44 ms at 2.2 MB, 3 frames 25-29 ms at 6.1-6.3 MB and 4 frames
-# 25-28 ms at 8.0 MB (medians of 15 calls, 7 rounds, 2 cores).  In
-# signal_capture, 3 frames ran 1.11x the records/s of 2 but at 2.5 MB
-# more peak RSS (8 alternated pairs), so it stays 2
-_BLOCK_FRAMES = 2
+# transforms peaks at 1.6 MB under tracemalloc.  With two workers,
+# 3 frames took 25 ms per call (quartiles 25-26) at a 3.0 MB peak,
+# 2 frames 30 ms at 2.1 MB, 1 frame 46 ms at 1.2 MB and 4 frames 23 ms
+# at 3.9 MB (medians of 15 calls, 7 rounds, 2 cores).  In
+# signal_capture, 3 frames ran 1.12x the records/s of the former
+# 2-frame front end with per-pair whitening, at 0.5 MB less peak RSS,
+# and 4 frames 1.17x but at 0.3 MB more (4 alternated pairs), so it is 3
+_BLOCK_FRAMES = 3
 # threads the blocks run on: pocketfft and the elementwise steps release
-# the GIL, so on 2 cores two workers take that call from 34-48 to
-# 26-30 ms
+# the GIL, so on 2 cores two workers take that call from 39 to 25 ms
 _WORKERS = min(2, os.cpu_count() or 1)
 
 
@@ -213,11 +215,13 @@ def _frame_views(x, config):
 def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
     """GCC-PHAT delay estimate between two frames, in samples.
 
-    The cross-power spectrum is whitened bin-by-bin (PHAT), inverse
-    transformed at the shortest length 2^k, 3 * 2^k or 5 * 2^k (at most
-    twice the frame length) that holds the frame length plus the lag
-    bound, so no circular alias reaches a searched lag, and the peak is
-    searched within +/- ``max_lag_samples``.
+    The cross-power spectrum is whitened bin-by-bin (PHAT) as the
+    product of the two frames' unit-modulus spectra, X / |X|; a bin
+    whose magnitudes multiply to no more than ``_PHAT_FLOOR`` is zero.
+    It is inverse transformed at the shortest length 2^k, 3 * 2^k or
+    5 * 2^k (at most twice the frame length) that holds the frame length
+    plus the lag bound, so no circular alias reaches a searched lag, and
+    the peak is searched within +/- ``max_lag_samples``.
     Positive lag means ``frame_b`` is delayed relative to ``frame_a``.
     With ``refine`` a three-point parabola around the integer peak adds
     sub-sample resolution.
@@ -234,8 +238,11 @@ def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
     if not 0 < max_lag < a.shape[-1]:
         raise ValueError("max_lag must be in (0, frame length)")
     nfft = _fft_length(a.shape[-1], max_lag)
-    lag = _phat_lags(np.conj(np.fft.rfft(a, nfft)) * np.fft.rfft(b, nfft),
-                     max_lag, refine)
+    frames, spectra, *work = _work_arrays(2, a.shape[:-1], a.shape[-1], nfft,
+                                          max_lag)
+    frames[0], frames[1] = a, b
+    lag = _phat_lags(np.fft.rfft(frames, nfft, out=spectra), max_lag, refine,
+                     *work)[0]
     if a.ndim > 1:
         return lag
     if np.isnan(lag):
@@ -243,36 +250,97 @@ def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
     return float(lag)
 
 
-def _phat_lags(cross, max_lag, refine, mag=None, corr=None):
-    """Lags in samples from cross-power spectra ``(..., N/2 + 1)`` of
-    frame pairs zero-padded to an even length N of at least L +
-    ``max_lag``; NaN where a spectrum has no live bin.
+def _work_arrays(m, shape, flen, nfft, max_lag):
+    """Work arrays for the GCC-PHAT of ``m`` channels' frame stacks of
+    ``shape``, views into one buffer: frames ``(m, *shape, flen)``, their
+    spectra and weights ``(m, *shape, nfft/2 + 1)``, and for the channel
+    pairs their cross-spectra ``(pairs, *shape, nfft/2 + 1)``,
+    correlations ``(pairs, *shape, nfft)`` and peak-search magnitudes
+    ``(pairs, *shape, 2 max_lag + 1)``.
 
-    Whitens ``cross`` in place.  ``mag`` (the shape of ``cross``, real)
-    and ``corr`` (``(..., N)``) are work arrays to fill, if given."""
-    mag = np.abs(cross, out=mag)
-    live = mag > _PHAT_FLOOR
-    # X * (1/|X|) costs a complex division less per bin than X / |X|,
-    # which numpy takes as (re + im*0) * (1/|X|).  The two agree bit for
-    # bit except in the sign of a zero part: the imaginary part of the
-    # DC and Nyquist bins, which irfft ignores, and bins at the floor,
-    # which are zero either way; the lags keep their bits
-    np.divide(1.0, mag, out=mag, where=live)
-    mag[~live] = 0.0
-    cross *= mag
-    corr = np.fft.irfft(cross, 2 * (cross.shape[-1] - 1), out=corr)
+    Each part is written only once what lies under it is spent: the
+    weights over the transformed frames; the correlations over the
+    buffer's head, where the per-channel arrays were, the pairs' second
+    half over the first half's cross-spectra; and the magnitudes after
+    them, over the second half's."""
+    n, pairs, bins = int(np.prod(shape)), m * (m - 1) // 2, nfft // 2 + 1
+    row = max(flen, bins)
+    corr_end, width = pairs * n * nfft, 2 * max_lag + 1
+    head = max(m * n * (row + 2 * bins), (pairs - pairs // 2) * n * nfft)
+    cross_end = head + 2 * pairs * n * bins
+    work = np.empty(max(cross_end, corr_end + pairs * n * width))
+
+    def part(start, stop, count, last, dtype=float):
+        return work[start:stop].view(dtype).reshape((count,) + shape
+                                                    + (last,))
+
+    frames_then_weights = part(0, m * n * row, m, row)
+    return (frames_then_weights[..., :flen],
+            part(m * n * row, m * n * (row + 2 * bins), m, bins, complex),
+            frames_then_weights[..., :bins],
+            part(head, cross_end, pairs, bins, complex),
+            part(0, corr_end, pairs, nfft),
+            part(corr_end, corr_end + pairs * n * width, pairs, width))
+
+
+def _phat_lags(spectra, max_lag, refine, weights, cross, corr, window):
+    """Lags in samples of every channel pair (i, j), i < j, in row-major
+    order, from channel spectra ``(M, ..., N/2 + 1)`` of frames
+    zero-padded to an even length N of at least L + ``max_lag``; NaN
+    where a pair has no live bin, a bin being live where
+    |X_i| |X_j| > ``_PHAT_FLOOR``.
+
+    Whitens ``spectra`` in place; the other arguments are the work
+    arrays of ``_work_arrays`` that follow the spectra."""
+    m, nfft = spectra.shape[0], 2 * (spectra.shape[-1] - 1)
+    rows, cols = _upper_index(m)
+    mag = np.abs(spectra, out=weights)
+    # rounding keeps order, so a pair whose bin minima multiply above the
+    # floor has every bin live and one whose maxima do not has none; only
+    # the pairs in between need a mask per bin
+    low = mag.min(axis=-1)
+    live = low[rows] * low[cols] > _PHAT_FLOOR
+    mixed = ()
+    if not live.all():
+        high = mag.max(axis=-1)
+        mixed = np.nonzero(~live & (high[rows] * high[cols] > _PHAT_FLOOR))
+        alive = mag[(rows[mixed[0]],) + mixed[1:]] \
+            * mag[(cols[mixed[0]],) + mixed[1:]] > _PHAT_FLOOR
+        live[mixed] = np.any(alive, axis=-1)
+    # the PHAT weight 1/|X_i X_j| is (1/|X_i|)(1/|X_j|): whiten each
+    # channel once, X * (1/|X|).  A zero or subnormal bin is divided by
+    # the smallest normal number instead, so every bin stays finite
+    np.maximum(mag, np.finfo(float).tiny, out=mag)
+    spectra *= np.reciprocal(mag, out=mag)
+    # the pairs (i, i + 1 .. m - 1) are rows start:stop
+    start = 0
+    for i in range(m - 1):
+        stop = start + m - 1 - i
+        np.multiply(np.conj(spectra[i]), spectra[i + 1:],
+                    out=cross[start:stop])
+        start = stop
+    if mixed:
+        cross[mixed] *= alive
+    # in two halves of the pairs, as the second half's correlations
+    # overwrite the first half's cross-spectra
+    half = rows.size // 2
+    np.fft.irfft(cross[:half], nfft, out=corr[:half])
+    np.fft.irfft(cross[half:], nfft, out=corr[half:])
     # peak by magnitude: PHAT keeps the delay information in the phase,
     # so an inverted channel must still locate the same |peak|
-    window = np.concatenate([corr[..., -max_lag:], corr[..., :max_lag + 1]],
-                            axis=-1)
-    peak = np.argmax(np.abs(window), axis=-1)
+    width = window.shape[-1]
+    np.abs(corr[..., -max_lag:], out=window[..., :max_lag])
+    np.abs(corr[..., :max_lag + 1], out=window[..., max_lag:])
+    peak = np.argmax(window, axis=-1)
     lag = (peak - max_lag).astype(float)
     if refine:
         # fit on the sign-normalized correlation: folding with abs()
-        # would bend the parabola whenever a neighbor crosses zero
-        edge = window.shape[-1] - 1
-        around = np.clip(peak, 1, edge - 1)[..., None] + np.arange(-1, 2)
-        near = np.take_along_axis(window, around, axis=-1)
+        # would bend the parabola whenever a neighbor crosses zero; a
+        # negative index reads a negative lag
+        edge = width - 1
+        around = (np.clip(peak, 1, edge - 1) - max_lag)[..., None] \
+            + np.arange(-1, 2)
+        near = np.take_along_axis(corr, around, axis=-1)
         near = near * np.where(near[..., 1:2] >= 0.0, 1.0, -1.0)
         left, mid, right = np.moveaxis(near, -1, 0)
         denom = left - 2.0 * mid + right
@@ -280,7 +348,7 @@ def _phat_lags(cross, max_lag, refine, mag=None, corr=None):
         fit = (0 < peak) & (peak < edge) & (denom < 0)
         lag = np.where(fit, lag + 0.5 * (left - right)
                        / np.where(fit, denom, -1.0), lag)
-    return np.where(np.any(live, axis=-1), lag, np.nan)
+    return np.where(live, lag, np.nan)
 
 
 def energy_vad(energy_a, energy_b):
@@ -304,13 +372,13 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
     the lags physically reachable within ``max_distance_m``) and an
     energy-VAD decision per frame pair.  Blocks of frames, windowed from
     views of the channels, run on ``_WORKERS`` threads, each reusing one
-    set of work arrays; each channel is transformed once per block and
-    the pairs share those spectra.  The lags that are not silent and are
-    VAD-kept are median-aggregated (even counts average the middle two)
-    and converted to seconds.  A pair with no surviving frames is marked
-    invalid (NaN value, zero count) — callers decide policy.  The result
-    keeps the lags and the VAD mask, so ``with_vad("off")`` gives the
-    matrix without the VAD.
+    buffer of work arrays; each channel is transformed and whitened once
+    per block and the pairs share those spectra.  The lags that are not
+    silent and are VAD-kept are median-aggregated (even counts average
+    the middle two) and converted to seconds.  A pair with no surviving
+    frames is marked invalid (NaN value, zero count) — callers decide
+    policy.  The result keeps the lags and the VAD mask, so
+    ``with_vad("off")`` gives the matrix without the VAD.
 
     ``max_distance_m`` is the largest inter-mic distance (the array
     diameter), which the signals alone cannot know.  It and
@@ -337,37 +405,24 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
     frame_lags = np.empty((rows.size, n_frames))
     starts = range(0, n_frames, _BLOCK_FRAMES)
     workers = min(_WORKERS, len(starts))
-    # the pairs (i, i + 1 .. m - 1) are rows bounds[i]:bounds[i + 1]
-    bounds = np.searchsorted(rows, np.arange(m))
-
-    def work_arrays():
-        bins = nfft // 2 + 1
-        return (np.empty((m, _BLOCK_FRAMES, flen)),
-                np.empty((m, _BLOCK_FRAMES, bins), complex),
-                np.empty((rows.size, _BLOCK_FRAMES, bins), complex),
-                np.empty((rows.size, _BLOCK_FRAMES, bins)),
-                np.empty((rows.size, _BLOCK_FRAMES, nfft)))
 
     # each worker's work arrays, filled block after block; allocated on
     # this thread, which kept peak RSS lower than allocating in each worker
-    arrays = [work_arrays() for _ in range(workers)]
+    arrays = [_work_arrays(m, (_BLOCK_FRAMES,), flen, nfft, max_lag)
+              for _ in range(workers)]
 
     def run_worker(first):
-        frames, spectra, cross, mag, corr = arrays[first]
         for start in starts[first::workers]:
             # the last block may hold fewer frames: work on [:, :nb]
             block = slice(start, start + _BLOCK_FRAMES)
             nb = min(_BLOCK_FRAMES, n_frames - start)
-            f = np.multiply(windows[:, block], _hann(flen), out=frames[:, :nb])
-            s = np.fft.rfft(f, nfft, out=spectra[:, :nb])
-            # the frames are spent once transformed: square them in place
+            frames, spectra, *work = (a[:, :nb] for a in arrays[first])
+            f = np.multiply(windows[:, block], _hann(flen), out=frames)
+            s = np.fft.rfft(f, nfft, out=spectra)
+            # the frames are spent once transformed: square them in place,
+            # before the weights are written over them
             energy[:, block] = np.sum(np.square(f, out=f), axis=-1)
-            c = cross[:, :nb]
-            for i in range(m - 1):
-                np.multiply(np.conj(s[i]), s[i + 1:],
-                            out=c[bounds[i]:bounds[i + 1]])
-            frame_lags[:, block] = _phat_lags(c, max_lag, refine,
-                                              mag[:, :nb], corr[:, :nb])
+            frame_lags[:, block] = _phat_lags(s, max_lag, refine, *work)
 
     # worker k takes blocks k, k + workers, ...; blocks write disjoint
     # columns, so the result does not depend on the worker count or the

@@ -115,6 +115,22 @@ def test_readme_library_tour_names_exist():
     assert not missing, f"README library tour names missing code: {missing}"
 
 
+def test_sources_parse_at_the_python_floor():
+    # the oldest interpreter requires-python admits must read every
+    # source; tomllib is 3.11+, so the floor is read with a pattern
+    floor = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"',
+                      (ROOT / "pyproject.toml").read_text(encoding="utf-8"),
+                      re.MULTILINE)
+    assert floor, "requires-python has no >= X.Y floor"
+    version = (int(floor[1]), int(floor[2]))
+    paths = [path for top in ("src", "tests", "demos")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(paths) >= 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=version)
+
+
 def test_runs_load_only_the_modules_they_use():
     # scipy.linalg serves only the weighted LM, yaml only YAML files,
     # and no run needs scipy.fft (GCC-PHAT picks its own FFT lengths);

@@ -455,13 +455,44 @@ def test_frame_lags_match_per_pair_calls_at_overlap(overlap, frames, refine):
                                            refine, frames)
 
 
+def reference_phat_lags(cross, max_lag, refine=True):
+    """GCC-PHAT lags of frame pairs from their cross spectra
+    ``(..., N/2 + 1)``: each spectrum whitened by the complex division
+    X / |X| (0 where |X| is at the 1e-12 floor), inverse transformed at
+    N, the peak of |correlation| picked within +/- ``max_lag`` and, with
+    ``refine``, moved to the vertex of the parabola through the
+    sign-normalized peak and its neighbors when that is a proper inner
+    maximum; NaN where no bin is live."""
+    mag = np.abs(cross)
+    live = mag > 1e-12
+    whitened = np.divide(cross, mag, out=np.zeros_like(cross), where=live)
+    corr = np.fft.irfft(whitened, 2 * (cross.shape[-1] - 1))
+    window = corr[..., np.arange(-max_lag, max_lag + 1)]
+    peak = np.argmax(np.abs(window), axis=-1)
+    lag = peak - float(max_lag)
+    if refine:
+        inner = np.clip(peak, 1, 2 * max_lag - 1)
+        y = [np.take_along_axis(window, (inner + k)[..., None],
+                                axis=-1)[..., 0] for k in (-1, 0, 1)]
+        sign = np.sign(y[1]) + (y[1] == 0)
+        y0, y1, y2 = (v * sign for v in y)
+        curvature = y0 - 2.0 * y1 + y2
+        vertex = (peak > 0) & (peak < 2 * max_lag) & (curvature < 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lag = np.where(vertex, lag + 0.5 * (y0 - y2) / curvature, lag)
+    return np.where(live.any(axis=-1), lag, np.nan)
+
+
+def cross_spectra(frame_a, frame_b, nfft):
+    return np.conj(np.fft.rfft(frame_a, nfft)) * np.fft.rfft(frame_b, nfft)
+
+
 def gcc_phat_double_length(frame_a, frame_b, max_lag):
     """GCC-PHAT with every frame zero-padded to twice its length, the
     definition before the shortest alias-free length: lags of frame
     stacks ``(..., L)``, refined."""
-    nfft = 2 * frame_a.shape[-1]
-    cross = np.conj(np.fft.rfft(frame_a, nfft)) * np.fft.rfft(frame_b, nfft)
-    return tdoa._phat_lags(cross, max_lag, refine=True)
+    return reference_phat_lags(cross_spectra(frame_a, frame_b,
+                                             2 * frame_a.shape[-1]), max_lag)
 
 
 @pytest.mark.parametrize("snr_db", [20.0, -5.0])
@@ -496,11 +527,11 @@ def test_lags_match_the_double_length_transform(snr_db, position):
 
 @pytest.mark.parametrize("capture", ["noisy", "silent_stretch",
                                      "near_floor"])
-def test_phat_weighting_is_the_complex_division(capture, monkeypatch):
-    # the lags of X * (1 / |X|) are those of X / |X| (0 where |X| is
-    # at the floor), bit for bit, also on frame pairs with no live bin
-    # and on pairs whose bins straddle the floor; the whitened spectra
-    # are equal in value, so bit for bit up to the sign of zero parts
+def test_phat_weighting_is_the_complex_division(capture):
+    # whitening each channel, X / |X|, and multiplying the pair gives the
+    # lags of the per-pair complex division (0 where |X_a X_b| is at the
+    # floor) within rounding, also on frame pairs with no live bin and on
+    # pairs whose bins straddle the floor
     sig = silent_stretch_capture() if capture == "silent_stretch" else \
         table1_capture(-5.0)
     framed = frame_signal(sig.channels[:4], default_config())
@@ -508,23 +539,38 @@ def test_phat_weighting_is_the_complex_division(capture, monkeypatch):
     a, b = framed[rows], framed[cols]
     if capture == "near_floor":
         b = 1e-15 * b
-    nfft = tdoa._fft_length(a.shape[-1], 187)
-    cross = np.conj(np.fft.rfft(a, nfft)) * np.fft.rfft(b, nfft)
-    mag = np.abs(cross)
-    live = mag > 1e-12
-    divided = np.divide(cross, mag, out=np.zeros_like(cross), where=live)
+    cross = cross_spectra(a, b, tdoa._fft_length(1024, 187))
+    live = np.abs(cross) > 1e-12
     assert np.all(live) == (capture == "noisy")
+    straddling = np.any(live, axis=-1) & ~np.all(live, axis=-1)
+    assert np.any(straddling) == (capture == "near_floor")
     lags = gcc_phat_pair(a, b, 187)
+    expected = reference_phat_lags(cross, 187)
     assert np.any(np.isnan(lags)) == (capture == "silent_stretch")
-    irfft, whitened = np.fft.irfft, []
+    assert np.array_equal(np.isnan(lags), np.isnan(expected))
+    assert np.nanmax(np.abs(lags - expected)) <= 1e-9
 
-    def divided_irfft(spectra, n, out=None):
-        whitened.append(spectra.copy())
-        return irfft(divided, n, out=out)
 
-    monkeypatch.setattr(np.fft, "irfft", divided_irfft)
-    assert gcc_phat_pair(a, b, 187).tobytes() == lags.tobytes()
-    assert np.array_equal(whitened[0], divided)
+@pytest.mark.parametrize("snr_db", [20.0, -5.0])
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("max_distance_m", [4.0, 20.0])
+def test_matrix_matches_per_pair_whitening(snr_db, refine, max_distance_m):
+    # per-channel whitening is the per-pair PHAT weight factored: every
+    # frame lag of the matrix is the complex division's within rounding,
+    # and no frame pair changes liveness; at 20 m the transforms take 2L
+    # points
+    sig = table1_capture(snr_db)
+    td = estimate_tdoa_matrix(sig, default_config(),
+                              max_distance_m=max_distance_m,
+                              sound_speed=343.0, refine=refine)
+    framed = frame_signal(sig.channels, default_config())
+    rows, cols = np.triu_indices(sig.mic_count, k=1)
+    max_lag = int(np.ceil(max_distance_m / 343.0 * FS))
+    expected = reference_phat_lags(
+        cross_spectra(framed[rows], framed[cols],
+                      tdoa._fft_length(1024, max_lag)), max_lag, refine)
+    assert np.array_equal(np.isnan(td.frame_lags), np.isnan(expected))
+    assert np.nanmax(np.abs(td.frame_lags - expected)) <= 1e-9
 
 
 def test_matrix_memory_peak():

@@ -886,13 +886,17 @@ def write_records_csv(records, path):
     byte-identical.  No id holds a character that CSV would quote.
     """
     table = RecordTable.of(records)
-    cols = table.columns
-    values = [np.array(table.names[name], dtype=object)[cols[name]].tolist()
-              if name in table.names else cols[name].tolist()
+    values = [np.array(table.names[name], dtype=object)[table.columns[name]]
+              if name in table.names else table.columns[name]
               for name in _FIELDS]
+    for i, column in enumerate(values):
+        if column.dtype.kind == "f":  # each distinct float (bits) once
+            bits, at = np.unique(column.view(np.int64), return_inverse=True)
+            values[i] = np.array([f"{v:.9g}" for v in
+                                  bits.view(float).tolist()], dtype=object)[at]
     _write_lines(path, [RECORDS_HEADER] + [
-        f"{m},{f},{s},{n:.9g},{t},{st},{p:.9g},{r:.9g},0"
-        for m, f, s, n, t, st, p, r in zip(*values)])
+        f"{m},{f},{s},{n},{t},{st},{p},{r},0"
+        for m, f, s, n, t, st, p, r in zip(*(v.tolist() for v in values))])
 
 
 def write_summary_csv(rows, path):

@@ -22,9 +22,10 @@ products, solves and factorizations round as their per-system calls do
 matrix products too).  The multiplier root scan and the LM step, step
 test and damping run as elementwise arrays in the order of the
 plain-float per-system code, which keeps a search over a few brackets
-and the last few LM systems.  Powers stay libm's ``pow`` of plain floats
-and the LM step test's lengths ``math.hypot``, which ``np.power``,
-``x * x`` and the ``sqrt`` of a row sum may round otherwise.
+and the last few LM systems (``_gtrs_roots`` says when the root search
+stops).  Powers stay libm's ``pow`` of plain floats, which ``np.power``
+and ``x * x`` may round otherwise; the LM step test takes ``math.hypot``
+lengths where the ``sqrt`` of a row sum is near its threshold.
 """
 
 import math
@@ -245,16 +246,17 @@ def _diagonal_pencil(s, vt, proj):
 
 
 def _phi(mu, mh2, lam):
-    """phi(lam) and phi'(lam) = -2 sum_i mu_i h_i^2 / (mu_i + lam)^3,
-    elementwise over ``lam`` (...), from ``mu`` and ``mh2`` = mu h^2
-    (..., 4); both are non-finite on a pole.  The four terms are added
-    in order, as a plain-float loop adds them."""
+    """phi(lam), phi'(lam) = -2 sum_i mu_i h_i^2 / (mu_i + lam)^3 and the
+    sum of the terms' magnitudes, elementwise over ``lam`` (...), from
+    ``mu`` and ``mh2`` = mu h^2 (..., 4); all are non-finite on a pole.
+    The four terms are added in order, as a plain-float loop adds them."""
     den = mu + lam[..., None]
     term = mh2 / (den * den)
-    slope = term / den
+    slope, size = term / den, np.abs(term)
     return (term[..., 0] + term[..., 1] + term[..., 2] + term[..., 3],
             -2.0 * (slope[..., 0] + slope[..., 1] + slope[..., 2]
-                    + slope[..., 3]))
+                    + slope[..., 3]),
+            size[..., 0] + size[..., 1] + size[..., 2] + size[..., 3])
 
 
 def _gtrs_roots(basis, mu, h):
@@ -268,10 +270,13 @@ def _gtrs_roots(basis, mu, h):
     constrained minimizer; the remaining intervals are scanned for
     completeness and the caller picks among feasible candidates.  Each
     bracketed root is found by safeguarded Newton (bisecting when Newton
-    leaves the bracket or stalls), elementwise over every (system,
-    interval) at once, each stopping on its own.  Returns ``(sys, c)``:
-    the system of each root, ascending, and its c (k, 4), in interval
-    order within a system.
+    leaves the bracket or stalls, geometrically about the pole on the two
+    outer intervals), elementwise over every (system, interval) at once,
+    each stopping on its own: on a Newton step within 1e-15 (1 + |lam|),
+    even one that rounding puts on the bracket's edge, on a phi within
+    its rounding error (1e-15 of its terms' magnitudes) or on a bracket
+    that narrow.  Returns ``(sys, c)``: the system of each root,
+    ascending, and its c (k, 4), in interval order within a system.
     """
     rows = np.arange(len(mu))
     mh2 = mu * h * h
@@ -299,17 +304,20 @@ def _gtrs_roots(basis, mu, h):
         fb = _phi(mu[:, None], mh2[:, None], b)[0]
         sys, k = np.nonzero((a < b) & np.isfinite(fa) & np.isfinite(fb)
                             & ~(fa * fb > 0))
+        # the pole of an outer interval, about which it is bisected
+        pole = np.where(some[sys] & ((k == 0) | (k == count[sys])),
+                        np.where(k == 0, hi[sys, k], lo[sys, k]), np.nan)
         a, b, up = a[sys, k], b[sys, k], fa[sys, k] > 0.0
         if len(sys) > _ARRAY_ROOTS:
-            root = _newton(mu[sys], mh2[sys], a, b, up)
+            root = _newton(mu[sys], mh2[sys], a, b, up, pole)
         else:
             root = np.array(list(map(_newton_float, mu[sys].tolist(),
                                      mh2[sys].tolist(), a.tolist(),
-                                     b.tolist(), up.tolist())))
+                                     b.tolist(), up.tolist(), pole.tolist())))
     return sys, _matvec(basis[sys], h[sys] / (mu[sys] + root[:, None]))
 
 
-def _newton(mu, mh2, a, b, up):
+def _newton(mu, mh2, a, b, up, pole):
     """The safeguarded Newton search of ``_gtrs_roots`` on brackets
     (a, b) with phi(a) > 0 where ``up``, elementwise over every bracket,
     each stopping on its own: the final multipliers."""
@@ -318,32 +326,35 @@ def _newton(mu, mh2, a, b, up):
     for _ in range(120):
         if not live.size:
             break
-        val, der = _phi(mu, mh2, lam)
+        val, der, size = _phi(mu, mh2, lam)
         below = (val > 0.0) == up
         a, b = np.where(below, lam, a), np.where(below, b, lam)
         newton = np.where(der != 0.0, val / der, np.inf)
         trial = lam - newton
-        step = np.where((a < trial) & (trial < b)
+        mid = np.where(np.isnan(pole), 0.5 * (a + b), pole + np.copysign(
+            np.sqrt((a - pole) * (b - pole)), a - pole))
+        step = np.where((np.abs(newton) <= 1e-15 * (1.0 + np.abs(trial)))
+                        | (a < trial) & (trial < b)
                         & ~(np.abs(newton) > 0.5 * np.abs(step)),
-                        newton, lam - 0.5 * (a + b))
-        go = np.isfinite(val) & (val != 0.0)
+                        newton, lam - mid)
+        go = np.isfinite(val) & (np.abs(val) > 1e-15 * size)
         lam = np.where(go, lam - step, lam)
         root[live] = lam
         done = ~go | (np.abs(step) <= 1e-15 * (1.0 + np.abs(lam))) \
             | (b - a <= 1e-15 * (1.0 + np.abs(a)))
         if done.any():
             keep = ~done
-            live, a, b, up, step, lam, mu, mh2 = (
-                v[keep] for v in (live, a, b, up, step, lam, mu, mh2))
+            live, a, b, up, pole, step, lam, mu, mh2 = (
+                v[keep] for v in (live, a, b, up, pole, step, lam, mu, mh2))
     return root
 
 
-def _newton_float(mu, mh2, a, b, up):
+def _newton_float(mu, mh2, a, b, up, pole):
     """``_newton`` of one bracket in plain floats, step for step: on a
     few brackets a pass of array calls costs more than its work."""
     lam, step = 0.5 * (a + b), b - a
     for _ in range(120):
-        val = der = 0.0
+        val = der = size = 0.0
         for m, w in zip(mu, mh2):
             den = m + lam
             if den * den == 0.0:  # on a pole
@@ -351,15 +362,19 @@ def _newton_float(mu, mh2, a, b, up):
             term = w / (den * den)
             val += term
             der += term / den
-        if not math.isfinite(val) or val == 0.0:
+            size += abs(term)
+        if not (math.isfinite(val) and abs(val) > 1e-15 * size):
             break
         if (val > 0.0) == up:
             a = lam
         else:
             b = lam
         last, step = step, val / (-2.0 * der) if der != 0.0 else math.inf
-        if not a < lam - step < b or abs(step) > 0.5 * abs(last):
-            step = lam - 0.5 * (a + b)
+        if not (abs(step) <= 1e-15 * (1.0 + abs(lam - step))
+                or a < lam - step < b and not abs(step) > 0.5 * abs(last)):
+            step = lam - (0.5 * (a + b) if math.isnan(pole) else pole
+                          + math.copysign(math.sqrt((a - pole) * (b - pole)),
+                                          a - pole))
         lam -= step
         if abs(step) <= 1e-15 * (1.0 + abs(lam)) \
                 or b - a <= 1e-15 * (1.0 + abs(a)):
@@ -812,12 +827,18 @@ def _damped_steps(hess, grad, mu):
 
 def _small_steps(step, offset):
     """``_small_step`` of n systems at once, from their steps and their
-    offsets x - r_ref (n, 3).  The lengths stay plain floats:
-    ``math.dist`` is ``math.hypot`` of the differences, and the ``sqrt``
-    of a row sum may round otherwise."""
-    def lengths(v):
-        return np.array(list(map(math.hypot, *v.T.tolist())))
-    return lengths(step) <= STEP_TOL * (lengths(offset) + STEP_TOL)
+    offsets x - r_ref (n, 3).  The ``sqrt`` of a row sum is within a few
+    ulps of ``math.hypot`` where finite, so only rows within 1e-12
+    relative of the threshold, or not finite, take ``_small_step``."""
+    size, limit = (np.sqrt(np.add.reduce(v * v, axis=1))
+                   for v in (step, offset))
+    limit = STEP_TOL * (limit + STEP_TOL)
+    small = size <= limit
+    for i in np.flatnonzero(~np.isfinite(size + limit)
+                            | (np.abs(size - limit) <= 1e-12 * limit)):
+        small[i] = _small_step(step[i].tolist(), offset[i].tolist(),
+                               (0.0, 0.0, 0.0), STEP_TOL)
+    return small
 
 
 def _gain_update(mu, step, grad, cost, new_cost):

@@ -247,26 +247,31 @@ def test_stacks_refuse_what_the_public_call_refuses(kernel, least, public):
 
 
 def _phi_oracle(terms, lam):
-    val = der = 0.0
+    """phi(lam), phi'(lam) and the sum of the terms' magnitudes."""
+    val = der = size = 0.0
     for m, mh2 in terms:
         den = m + lam
         if den == 0.0:
-            return math.nan, math.nan
+            return math.nan, math.nan, math.nan
         term = mh2 / (den * den)
         val += term
         der += term / den
-    return val, -2.0 * der
+        size += abs(term)
+    return val, -2.0 * der, size
 
 
 def _gtrs_candidates_oracle(basis, mu, h):
     """The per-system multiplier scan that ``_gtrs_roots`` replaced, in
-    plain floats, one pole interval and one Newton step at a time."""
+    plain floats, one pole interval and one Newton step at a time: its
+    multipliers and their c.  It bisects the outer intervals from their
+    far edge, and after a Newton step that rounding puts on the
+    bracket's edge it bisects on to the bracket's width."""
     terms = [(m, m * hi * hi) for m, hi in zip(mu.tolist(), h.tolist())]
     bounds = sorted({-m for m, _ in terms if abs(m) < 1e14})
     scale = max(1.0, max((abs(x) for x in bounds), default=1.0))
     edges = [bounds[0] - 10 * scale] + bounds + [bounds[-1] + 10 * scale] \
         if bounds else [-10 * scale, 10 * scale]
-    roots = []
+    lams = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         margin = 1e-14 * (abs(lo) + abs(hi))
         a, b = lo + margin, hi - margin
@@ -276,7 +281,7 @@ def _gtrs_candidates_oracle(basis, mu, h):
             continue
         lam, step = 0.5 * (a + b), b - a
         for _ in range(120):
-            val, der = _phi_oracle(terms, lam)
+            val, der, _ = _phi_oracle(terms, lam)
             if not math.isfinite(val) or val == 0.0:
                 break
             if (val > 0.0) == (fa > 0.0):
@@ -290,8 +295,8 @@ def _gtrs_candidates_oracle(basis, mu, h):
             if abs(step) <= 1e-15 * (1.0 + abs(lam)) \
                     or b - a <= 1e-15 * (1.0 + abs(a)):
                 break
-        roots.append(basis @ (h / (mu + lam)))
-    return roots
+        lams.append(lam)
+    return lams, [basis @ (h / (mu + lam)) for lam in lams]
 
 
 def _outlier_systems(rng, m, count):
@@ -353,8 +358,23 @@ def _edge_pencils(rng):
     return [tuple(np.array(c) for c in zip(*cases))]
 
 
+@pytest.fixture
+def multipliers(monkeypatch):
+    """(mu, mu h^2, multiplier) of every bracket of the array searches."""
+    found = []
+    newton = estimators._newton
+
+    def keep(mu, mh2, *args):
+        root = newton(mu, mh2, *args)
+        found.extend(zip(mu.tolist(), mh2.tolist(), root.tolist()))
+        return root
+
+    monkeypatch.setattr(estimators, "_newton", keep)
+    return found
+
+
 @pytest.mark.usefixtures("stacked_linalg")
-def test_multiplier_scan_matches_the_plain_float_scan():
+def test_multiplier_scan_matches_the_plain_float_scan(multipliers):
     rng = np.random.default_rng(1501)
     pencils = [_pencils(*_table1_systems(rng, [0.01, 0.05]))]
     for m in (5, 6, 7, 8):
@@ -363,18 +383,58 @@ def test_multiplier_scan_matches_the_plain_float_scan():
     basis, mu, h = (np.concatenate(part) for part in zip(*pencils))
     assert len(mu) >= 500
     want = [_gtrs_candidates_oracle(*pencil) for pencil in zip(basis, mu, h)]
-    assert sum(len(roots) for roots in want) > estimators._ARRAY_ROOTS
+    assert sum(len(lams) for lams, _ in want) > estimators._ARRAY_ROOTS
     # the hard cases bracket no root
-    assert not any(want[-24 + 2::4])
+    assert not any(lams for lams, _ in want[-24 + 2::4])
     # one stack, whose brackets take the array search, and each pencil
     # alone, whose few brackets take the plain-float search
     sys, roots = _gtrs_roots(basis, mu, h)
-    for i, expected in enumerate(want):
-        np.testing.assert_array_equal(roots[sys == i],
-                                      np.array(expected).reshape(-1, 4))
+    lams = np.array([lam for _, _, lam in multipliers])
+    for i, (old_lams, old_roots) in enumerate(want):
         alone = _gtrs_roots(basis[i:i + 1], mu[i:i + 1], h[i:i + 1])[1]
-        np.testing.assert_array_equal(alone,
-                                      np.array(expected).reshape(-1, 4))
+        np.testing.assert_array_equal(roots[sys == i], alone)
+        # the replaced scan is a tolerance reference: no multiplier
+        # solves phi worse than its, beyond phi's rounding error, and
+        # where it solved phi to 1e-12 of the terms' magnitudes, c agrees
+        # to 1e-9
+        assert len(alone) == len(old_lams)
+        terms = list(zip(mu[i].tolist(), (mu[i] * h[i] * h[i]).tolist()))
+        for lam, c, old_lam, old_c in zip(lams[sys == i].tolist(), alone,
+                                          old_lams, old_roots):
+            val, _, size = _phi_oracle(terms, lam)
+            old_val, _, old_size = _phi_oracle(terms, old_lam)
+            assert abs(val) <= max(abs(old_val), 1e-15 * size)
+            if abs(old_val) <= 1e-12 * old_size:
+                assert np.linalg.norm(c - old_c) \
+                    <= 1e-9 * np.linalg.norm(old_c)
+
+
+def test_multiplier_search_stops_once_newton_has_converged(monkeypatch,
+                                                            multipliers):
+    calls = []
+    phi = estimators._phi
+    monkeypatch.setattr(estimators, "_phi",
+                        lambda *args: calls.append(None) or phi(*args))
+
+    def passes(pencils):
+        # two calls of _phi evaluate the interval ends, then one per pass
+        calls.clear()
+        assert len(_gtrs_roots(*pencils)[0]) > estimators._ARRAY_ROOTS
+        return len(calls) - 2
+
+    # the Table-1 C(8, 5) pencils at 1 and 5 cm
+    assert passes(_pencils(*_table1_systems(np.random.default_rng(7),
+                                            [0.01, 0.05]))) <= 25
+    # random outlier arrays: at m = 8 one bracket reaches phi's rounding
+    # error while Newton's steps are still above the tolerance
+    rng = np.random.default_rng(43)
+    for m in (5, 8):
+        assert passes(_pencils(*_outlier_systems(rng, m, 60))) <= 25
+    # every multiplier solves phi to 1e-12 of its terms' magnitudes
+    assert len(multipliers) > 800
+    for mu, mh2, lam in multipliers:
+        val, _, size = _phi_oracle(list(zip(mu, mh2)), lam)
+        assert abs(val) <= 1e-12 * size
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +456,9 @@ def test_gain_update_adds_its_terms_left_to_right():
 def _boundary_steps(rng, count):
     """Steps and offsets x - r_ref whose step test sits on its boundary:
     ||h|| by ``math.hypot`` equals the threshold, and the ``sqrt`` of
-    the row sum lies one ulp to the other side."""
+    the row sum lies one ulp to the other side.  Rows that are not
+    finite follow: ``math.hypot`` of an infinity is infinite, even beside
+    a NaN, where the ``sqrt`` of the row sum is NaN."""
     found = []
     while len(found) < count:
         h = rng.normal(size=3) * 1e-9
@@ -413,6 +475,14 @@ def _boundary_steps(rng, count):
                 break
             dist = np.nextafter(dist, np.inf if threshold < exact
                                 else -np.inf)
+    inf, nan = math.inf, math.nan
+    found += [(np.array(h), np.array(o)) for h, o in [
+        ([1e-9, 0.0, 0.0], [inf, nan, 0.0]),
+        ([1e-9, 0.0, 0.0], [nan, 1.0, 0.0]),
+        ([1e-9, 0.0, 0.0], [0.0, inf, 0.0]),
+        ([inf, nan, 0.0], [1.0, 0.0, 0.0]),
+        ([nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([0.0, -inf, 0.0], [2.0, 0.0, 0.0])]]
     return np.array([h for h, _ in found]), np.array([o for _, o in found])
 
 

@@ -44,10 +44,10 @@ from typing import get_args, get_origin
 import numpy as np
 
 from .denoise import tdoa_average
-from .estimators import (TooFewMicrophones, _other_indices, _sum_squares,
-                         conic_ls, conic_stack, hyperbolic_ls,
-                         hyperbolic_stack, srd_ls, srd_stack, usrd_ls,
-                         usrd_stack)
+from .estimators import (TooFewMicrophones, _conic_planes, _conic_solve,
+                         _other_indices, _sum_squares, conic_ls, conic_stack,
+                         hyperbolic_ls, hyperbolic_stack, srd_ls, srd_stack,
+                         usrd_ls, usrd_stack)
 from .geometry import (DEFAULT_SOUND_SPEED, LocalizationResult, RdMatrix,
                        ResultStack, Scene, _upper_index, select_reference,
                        tdoa_to_rd)
@@ -234,7 +234,7 @@ def random_scenes(count, mic_count, bounds, seed):
             if not _spread_out(mics, 0.05 * bounds):
                 continue
             weights = rng.dirichlet(np.ones(mic_count))
-            scenes.append(Scene(mics=mics, source=weights @ mics))
+            scenes.append(Scene._spaced(mics, weights @ mics, 0.05 * bounds))
             break
         else:
             raise ConfigError(
@@ -667,6 +667,8 @@ def _solve(methods, values, mics, valid, energies, stacked):
     if stacked:
         kept_values, kept_mics = values[keep], mics[base]
     stacks = {}  # reference policy -> [ref, RD rows, usrd stack]
+    conic = {name for name, _ in methods} & set(_CONIC_METHODS)
+    planes = []  # the plane system of a run of both conic methods
 
     def stack(ref_policy):
         if ref_policy not in stacks:
@@ -678,8 +680,12 @@ def _solve(methods, values, mics, valid, energies, stacked):
 
     def solve_stack(name, ref_policy):
         if name in _CONIC_METHODS:
-            return conic_stack(kept_values, kept_mics,
-                               normalize=name == "conic-norm")
+            normalize = name == "conic-norm"
+            if len(conic) == 1:
+                return conic_stack(kept_values, kept_mics, normalize=normalize)
+            if not planes:
+                planes.extend(_conic_planes(kept_values, kept_mics))
+            return _conic_solve(*planes, normalize)
         entry = stack(ref_policy)
         ref, d, usrd = entry
         if name == "usrd-ls":

@@ -25,13 +25,15 @@ plain-float per-system code, which keeps a search over a few brackets
 and the last few LM systems (``_gtrs_roots`` says when the root search
 stops).  Powers stay libm's ``pow`` of plain floats, which ``np.power``
 and ``x * x`` may round otherwise; the LM step test takes ``math.hypot``
-lengths where the ``sqrt`` of a row sum is near its threshold.
+lengths where the ``sqrt`` of a row sum is near its threshold.  LAPACK
+decides usrd's ``COND_LIMIT`` test and the LM's rank test only on rows
+that ``_certified`` leaves open.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 # bare: scipy.linalg loads on first use, in the weighted LM only
@@ -168,6 +170,25 @@ def _matvec(a, v):
     return (a @ v[..., None])[..., 0]
 
 
+#: n -> flat indices (n!, n) of the Leibniz terms' factors, their signs
+_LEIBNIZ = {n: (np.array(p) + n * np.arange(n), np.linalg.det(np.eye(n)[p]))
+            for n in (3, 4) for p in [list(permutations(range(n)))]}
+
+
+def _certified(gram, floor):
+    """Which Gram matrices ``gram`` (T, n, n), n = 3 or 4, certainly have
+    lambda_min / lambda_max >= ``floor``: det G >= floor (tr G)^n, since
+    det G <= lambda_min lambda_max^(n-1) and tr G >= lambda_max.  G and the
+    Leibniz sum of det (G / tr G) round by below 1e-12, so by Weyl's theorem
+    LAPACK decides a row certified 100 times inside its cutoff alike."""
+    n = gram.shape[-1]
+    idx, sign = _LEIBNIZ[n]
+    g = gram.reshape(-1, n * n)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g = g / (g @ np.eye(n).ravel())[:, None]
+    return g[:, idx].prod(axis=-1) @ sign >= floor
+
+
 def _svd_solve(u, s, vt, rhs):
     """The least-squares solution V S^-1 U^T rhs of one system or a
     stack, from its leading singular triplets ``u``, ``s``, ``vt``."""
@@ -209,7 +230,10 @@ def usrd_stack(d, mics, ref):
     _require(mics.shape[1], 5, _USRD_MINIMUM)
     phi, b, origin = _spherical_stack(d, mics, ref)
     gram = phi.mT @ phi
-    good = ~(np.linalg.cond(gram) > COND_LIMIT)
+    good = _certified(gram, 1e-10)  # cond within 1e10, else LAPACK's
+    if not good.all():
+        check = np.flatnonzero(~good)
+        good[check] = ~(np.linalg.cond(gram[check]) > COND_LIMIT)
     out = ResultStack(len(good))
     if not good.all():
         phi, b, gram, origin = phi[good], b[good], gram[good], origin[good]
@@ -300,8 +324,9 @@ def _gtrs_roots(basis, mu, h):
         lo, hi = edges[:, :-1], edges[:, 1:]
         margin = 1e-14 * (np.abs(lo) + np.abs(hi))
         a, b = lo + margin, hi - margin
-        fa = _phi(mu[:, None], mh2[:, None], a)[0]
-        fb = _phi(mu[:, None], mh2[:, None], b)[0]
+        den = mu[:, None] + np.stack([a, b])[..., None]  # phi's value
+        term = mh2[:, None] / (den * den)
+        fa, fb = term[..., 0] + term[..., 1] + term[..., 2] + term[..., 3]
         sys, k = np.nonzero((a < b) & np.isfinite(fa) & np.isfinite(fb)
                             & ~(fa * fb > 0))
         # the pole of an outer interval, about which it is bisected
@@ -597,7 +622,7 @@ def build_conic_system(rd, mics, normalize=False):
     normal, which equalizes the rows' noise influence.
     """
     mics = _check_conic(rd, mics)
-    normal, f, kept = _plane_rows(rd.values, mics, normalize)
+    normal, f, kept = _plane_rows(rd.values, mics)[bool(normalize)]
     triplets = _triplet_index(mics.shape[0])
     return ConicSystem(psi_matrix=normal[kept], psi_rhs=f[kept],
                        triplets=triplets[kept], normalized=bool(normalize),
@@ -616,11 +641,11 @@ def _check_conic(rd, mics):
     return mics
 
 
-def _plane_rows(values, mics, normalize):
+def _plane_rows(values, mics):
     """Plane normals (..., K, 3), right-hand sides (..., K) and which
     planes are kept (..., K) of all K = C(M, 3) triplets, from full RD
-    matrices ``values`` (..., M, M) of microphones ``mics`` (..., M, 3);
-    with ``normalize`` the kept rows are scaled to unit normals."""
+    matrices ``values`` (..., M, M) of microphones ``mics`` (..., M, 3):
+    as they are, and with the kept rows scaled to unit normals."""
     norms2 = np.sum(mics ** 2, axis=-1)
     p, q, r = _triplet_index(mics.shape[-2]).T
     d_qr, d_rp, d_pq = values[..., q, r], values[..., r, p], values[..., p, q]
@@ -634,11 +659,9 @@ def _plane_rows(values, mics, normalize):
     # np.linalg.norm of its row to the last bit
     scale = np.sqrt(_sum_squares(normal))
     kept = scale >= 1e-12
-    if normalize:
-        # dropped rows are divided by 1 and never read
-        scale = np.where(kept, scale, 1.0)
-        normal, f = normal / scale[..., None], f / scale
-    return normal, f, kept
+    # dropped rows are divided by 1 and never read
+    scale = np.where(kept, scale, 1.0)
+    return (normal, f, kept), (normal / scale[..., None], f / scale, kept)
 
 
 def _plane_residual(psi, rhs, x):
@@ -717,20 +740,30 @@ def conic_stack(values, mics, normalize=False):
     below 3 is solved on its own.  Each row of the returned
     ``ResultStack`` is bit for bit the ``conic_ls`` result of its system.
     """
+    return _conic_solve(*_conic_planes(values, mics), normalize)
+
+
+def _conic_planes(values, mics):
+    """The systems ``conic_stack`` solves, for either normalization."""
     _require(mics.shape[1], 4, _CONIC_MINIMUM)
     centroid = mics.mean(axis=1)
     centered = mics - centroid[:, None, :]
-    normal, f, kept = _plane_rows(values, centered, normalize)
+    return values, centroid, centered, _plane_rows(values, centered)
+
+
+def _conic_solve(values, centroid, centered, rows, normalize):
+    """``conic_stack`` of the systems of ``_conic_planes``."""
+    normal, f, kept = rows[bool(normalize)]
     fast = np.flatnonzero(kept.all(axis=-1))
     u, s, vt = np.linalg.svd(normal[fast], full_matrices=False)
     rank3 = np.sum(s > RANK_TOL * s[:, :1], axis=-1) == 3
     fast, psi, rhs = fast[rank3], normal[fast[rank3]], f[fast[rank3]]
     x0 = _svd_solve(u[rank3], s[rank3], vt[rank3], rhs)
-    out = ResultStack(len(mics))
+    out = ResultStack(len(values))
     out.put(fast, "closed_form", x0 + centroid[fast],
             _plane_residual(psi, rhs, x0), dropped_rows=0,
             normalized=bool(normalize), rank=3)
-    for i in np.setdiff1d(np.arange(len(mics)), fast).tolist():
+    for i in np.setdiff1d(np.arange(len(values)), fast).tolist():
         # a dropped plane or a rank below 3: solved on its own
         _conic_one(out, i, normal[i][kept[i]], f[i][kept[i]], centered[i],
                    centroid[i], values[i],
@@ -850,17 +883,21 @@ def _gain_update(mu, step, grad, cost, new_cost):
     predicted = h0 * (mu * h0 - g0) + h1 * (mu * h1 - g1) \
         + h2 * (mu * h2 - g2)
     rho = (cost - new_cost) / predicted if predicted > 0 else 1.0
-    return mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+    twice = 2.0 * rho - 1.0  # from 7/8 on the cube is 0.6699 or more
+    return mu * (1 / 3 if twice >= 0.875 else max(1 / 3, 1 - twice ** 3))
 
 
 def _gain_updates(mu, step, grad, cost, new_cost):
     """``_gain_update`` of n systems at once.  The cube stays a plain
-    float: ``np.power`` may round otherwise than libm's ``pow``."""
+    float (``np.power`` may round otherwise than libm's ``pow``)."""
     terms = step * (mu[:, None] * step - grad)
     predicted = terms[:, 0] + terms[:, 1] + terms[:, 2]
     rho = np.divide(cost - new_cost, predicted, out=np.ones_like(predicted),
                     where=predicted > 0)
-    factor = 1.0 - np.array([r ** 3 for r in (2.0 * rho - 1.0).tolist()])
+    twice = 2.0 * rho - 1.0
+    factor = np.full_like(twice, 1.0 / 3.0)  # the clip, see _gain_update
+    cube = np.flatnonzero(~(twice >= 0.875))
+    factor[cube] = 1.0 - np.array([r ** 3 for r in twice[cube].tolist()])
     return mu * np.where(factor > 1.0 / 3.0, factor, 1.0 / 3.0)
 
 
@@ -896,9 +933,14 @@ def _jacobian(diff, dist):
 
 
 def _jacobian_rank(wjac):
-    """Numerical rank of one Jacobian (M-1, 3) or of each of a stack."""
-    s = np.linalg.svd(wjac, compute_uv=False)
-    return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
+    """Ranks of Jacobians (T, M-1, 3): 3 where s_3 / s_1 >= 1e-3 is
+    certified, else from their SVD."""
+    rank = np.full(len(wjac), 3)
+    check = np.flatnonzero(~_certified(wjac.mT @ wjac, 1e-6))
+    if check.size:
+        s = np.linalg.svd(wjac[check], compute_uv=False)
+        rank[check] = np.sum(s > RANK_TOL * s[:, :1], axis=-1)
+    return rank
 
 
 def _lm_results(x, cost, ends, iterations, rank):
@@ -994,7 +1036,7 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
     x, cost, wjac, termination, iterations = _lm_float(
         mics[[rd.reference_index] + rd.other_indices()], d, x,
         max_iter=max_iter, tol=tol, chol=chol)
-    rank = 0 if termination == "damping" else _jacobian_rank(wjac)
+    rank = 0 if termination == "damping" else _jacobian_rank(wjac[None])[0]
     return _lm_results(x[None], cost / scale,
                        np.array([_TERMINATIONS.index(termination)]),
                        np.array([iterations]), np.array([rank]))[0]
@@ -1111,20 +1153,21 @@ def hyperbolic_stack(d, mics, ref, usrd=None):
     hess, grad = wjac.mT @ wjac, _matvec(wjac.mT, werr)
     peak = _max3(hess.diagonal(axis1=1, axis2=2))
     mu, nu = 1e-3 * peak, np.full(t, 2.0)
-    # the systems still running hold the state arrays; a system that
-    # stops leaves its end (an index into _TERMINATIONS), pass count,
-    # point, cost and Jacobian behind
+    # a system that stops leaves its end (an index into _TERMINATIONS),
+    # pass count, point, cost and Jacobian behind, and its state row
+    # idles under ``run`` until a quarter of the rows do
     ends, iterations = np.zeros(t, dtype=int), np.full(t, MAX_ITER)
     out_x, out_cost, out_jac = x.copy(), cost.copy(), wjac.copy()
-    it = 1
+    run, running, it = np.ones(t, dtype=bool), t, 1
     with np.errstate(all="ignore"):
-        while it <= MAX_ITER and ids.size > _ARRAY_LM:
-            flat = (np.abs(grad[:, 0]) <= GRAD_TOL) \
+        while it <= MAX_ITER and running > _ARRAY_LM:
+            flat = run & (np.abs(grad[:, 0]) <= GRAD_TOL) \
                 & ~(np.abs(grad[:, 1:]) > GRAD_TOL).any(axis=1)
             step, solved = _damped_steps(hess, grad, mu)
-            small = solved & ~flat & _small_steps(step, x - pts[:, 0])
+            solved &= run & ~flat
+            small = solved & _small_steps(step, x - pts[:, 0])
             cand, new_werr, new_cost, new_diff, new_dist = evaluate(x + step)
-            better = solved & ~flat & ~small & (new_cost < cost)
+            better = solved & ~small & (new_cost < cost)
             acc = np.flatnonzero(better)
             if acc.size:
                 mu[acc] = _gain_updates(mu[acc], step[acc], grad[acc],
@@ -1136,7 +1179,7 @@ def hyperbolic_stack(d, mics, ref, usrd=None):
                 peak[acc] = _max3(hess.diagonal(axis1=1, axis2=2)[acc])
             # no positive-definite damped system, or a step that does not
             # lower the cost
-            damped = ~(flat | small | better)
+            damped = run & ~(flat | small | better)
             np.multiply(mu, nu, out=mu, where=damped)
             np.multiply(nu, 2.0, out=nu, where=damped)
             over = damped & ~((0.0 < mu) & (mu <= DAMPING_LIMIT * peak))
@@ -1147,13 +1190,15 @@ def hyperbolic_stack(d, mics, ref, usrd=None):
                 iterations[done] = it
                 out_x[done], out_cost[done], out_jac[done] = \
                     x[end], cost[end], wjac[end]
-                keep = ~end
-                ids, x, cost, wjac, hess, grad, peak, mu, nu, pts, d = (
-                    v[keep] for v in (ids, x, cost, wjac, hess, grad, peak,
-                                      mu, nu, pts, d))
+                run &= ~end
+                running = np.count_nonzero(run)
+            if 4 * running <= 3 * run.size:
+                ids, x, cost, wjac, hess, grad, peak, mu, nu, pts, d, run = (
+                    v[run] for v in (ids, x, cost, wjac, hess, grad, peak,
+                                     mu, nu, pts, d, run))
             it += 1
     # the last few systems carry on one at a time
-    for k, i in enumerate(ids.tolist()):
+    for k, i in zip(np.flatnonzero(run).tolist(), ids[run].tolist()):
         out_x[i], out_cost[i], out_jac[i], end, iterations[i] = _lm_float(
             pts[k], d[k], x[k], it, state=(
                 cost[k].item(), wjac[k], hess[k].tolist(), grad[k].tolist(),

@@ -81,6 +81,19 @@ class Scene:
         if not (np.isfinite(self.sound_speed) and self.sound_speed > 0):
             raise ValueError("sound_speed must be positive")
 
+    @classmethod
+    def _spaced(cls, mics, source, least):
+        """``Scene(mics=mics, source=source)`` of finite floats, ``mics``
+        (M >= 2, 3) found ``least`` apart: beyond 1e-9 m, unchecked."""
+        if not least > _MIN_MIC_SEPARATION:
+            return cls(mics=mics, source=source)
+        scene = object.__new__(cls)
+        vars(scene).update(mics=mics, source=source,
+                           sound_speed=DEFAULT_SOUND_SPEED)
+        mics.setflags(write=False)
+        source.setflags(write=False)
+        return scene
+
     @property
     def mic_count(self):
         return self.mics.shape[0]

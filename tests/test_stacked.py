@@ -8,6 +8,7 @@ operation, on a build where it does not hold.
 """
 
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -17,12 +18,15 @@ from hypothesis import strategies as st
 
 from multilat import (RdMatrix, RdVector, conic_ls, estimators,
                       hyperbolic_ls, srd_ls, usrd_ls)
-from multilat.bench import paper_table1_scenes
-from multilat.estimators import (STEP_TOL, TooFewMicrophones,
+from multilat.bench import (config_from_dict, paper_table1_scenes,
+                            run_benchmark)
+from multilat.estimators import (COND_LIMIT, RANK_TOL, STEP_TOL,
+                                 TooFewMicrophones, _certified,
                                  _diagonal_pencil, _gain_update,
-                                 _gain_updates, _gtrs_roots, _small_step,
-                                 _small_steps, _spherical_stack, conic_stack,
-                                 hyperbolic_stack, srd_stack, usrd_stack)
+                                 _gain_updates, _gtrs_roots, _jacobian_rank,
+                                 _small_step, _small_steps, _spherical_stack,
+                                 conic_stack, hyperbolic_stack, srd_stack,
+                                 usrd_stack)
 
 
 def _full(ranges, noise=None):
@@ -417,10 +421,11 @@ def test_multiplier_search_stops_once_newton_has_converged(monkeypatch,
                         lambda *args: calls.append(None) or phi(*args))
 
     def passes(pencils):
-        # two calls of _phi evaluate the interval ends, then one per pass
+        # one call of _phi per pass (the interval ends take phi's value
+        # without it)
         calls.clear()
         assert len(_gtrs_roots(*pencils)[0]) > estimators._ARRAY_ROOTS
-        return len(calls) - 2
+        return len(calls)
 
     # the Table-1 C(8, 5) pencils at 1 and 5 cm
     assert passes(_pencils(*_table1_systems(np.random.default_rng(7),
@@ -513,3 +518,136 @@ def test_large_hyperbolic_stack_matches_per_system_calls():
         assert_same(got, want)
     ends = {r.info["termination"] for r in stacked}
     assert {"gradient", "step"} <= ends
+
+
+def test_gain_updates_clip_where_the_cube_would():
+    # gain ratios about the clip's edge, (2 rho - 1)^3 = 2/3, and across
+    # the rest of the line: the clip taken without the cube is the clip
+    # the cube gives, and a huge ratio overflows no cube
+    rho = np.concatenate([np.linspace(0.9, 0.96, 601), [0.9375, 0.9368],
+                          np.linspace(-3.0, 3.0, 61), [1e300]])
+    n = len(rho)
+    mu, step = np.full(n, 0.5), np.tile([1.0, 0.0, 0.0], (n, 1))
+    grad = np.tile([-1.5, 0.0, 0.0], (n, 1))
+    cost = np.full(n, 10.0)
+    new_cost = cost - 2.0 * rho  # the predicted decrease is 2
+    stacked = _gain_updates(mu, step, grad, cost, new_cost)
+    assert stacked.tolist() == [
+        _gain_update(0.5, (1.0, 0.0, 0.0), (-1.5, 0.0, 0.0), 10.0, c)
+        for c in new_cost.tolist()]
+    assert 0.5 / 3.0 in stacked.tolist()
+
+
+def _spectra(rng, rows, n, scale):
+    """Random (rows, n) matrices times ``scale``: singular values 1 (an
+    orthonormal basis), ratios s_n / s_1 from 1 down to 1e-16, and
+    ranks n - 1, n - 2 and 0 last."""
+    lows = np.concatenate([[1.0], 10.0 ** -rng.uniform(0.0, 16.0, 40)])
+    spectra = [np.concatenate([[1.0], rng.uniform(low, 1.0, n - 2), [low]])
+               for low in lows]
+    spectra[0][:] = 1.0
+    spectra += [np.concatenate([[1.0], rng.uniform(0.0, 1.0, n - 2), [0.0]]),
+                np.concatenate([[1.0], rng.uniform(0.0, 1.0, n - 3),
+                                [0.0, 0.0]]), np.zeros(n)]
+    out = []
+    for s in spectra:
+        u = np.linalg.qr(rng.normal(size=(rows, n)))[0]
+        v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        out.append((u * s) @ v.T * scale)
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(4, 8),
+       scale=st.sampled_from([1e-100, 1e-3, 1.0, 1e4, 1e100]))
+def test_certified_decisions_are_lapacks(seed, rows, scale):
+    # condition numbers about COND_LIMIT (s_4 / s_1 about 1e-6) and ranks
+    # about RANK_TOL, with singular and zero matrices: what the certificate
+    # settles, LAPACK decides alike, so that with LAPACK on the rest both
+    # tests decide as LAPACK alone does
+    rng = np.random.default_rng(seed)
+    phi = _spectra(rng, rows, 4, scale)
+    gram = phi.mT @ phi
+    certified = _certified(gram, 1e-10)
+    assert not (certified & (np.linalg.cond(gram) > COND_LIMIT)).any()
+    # usrd_stack's systems phi / scale: the reference microphone at the
+    # origin and the others at the rows' last three entries
+    phi = phi / scale
+    mics = np.concatenate([np.zeros((len(phi), 1, 3)), phi[:, :, 1:]], axis=1)
+    usrd = usrd_stack(phi[:, :, 0], mics, np.zeros(len(phi), dtype=int))
+    assert [r.info.get("reason") == "ill-conditioned spherical system"
+            for r in usrd] == (np.linalg.cond(phi.mT @ phi) > COND_LIMIT
+                               ).tolist()
+    jac = _spectra(rng, rows - 1, 3, scale)
+    s = np.linalg.svd(jac, compute_uv=False)
+    assert _jacobian_rank(jac).tolist() == \
+        np.sum(s > RANK_TOL * s[:, :1], axis=-1).tolist()
+    # it settles an orthonormal basis, and no singular matrix
+    for certified in (certified, _certified(jac.mT @ jac, 1e-6)):
+        assert certified[0] and not certified[-3:].any()
+
+
+def test_certificates_spare_lapack_on_the_table1_grid(monkeypatch):
+    # 18 requests of the Table-1 C(8, 5) grid at 1 and 5 cm, raw and
+    # denoised (the benchmark's rd_grid at seed 7): the usrd condition
+    # test and the LM rank test leave few systems to LAPACK
+    cond, svd = np.linalg.cond, np.linalg.svd
+    seen = {"cond": 0, "rank": 0}
+
+    def counted_cond(a, *args, **kwargs):
+        seen["cond"] += len(a)
+        return cond(a, *args, **kwargs)
+
+    def counted_svd(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_jacobian_rank":
+            seen["rank"] += len(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counted_cond)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    systems = 0
+    for index in range(18):
+        records = run_benchmark(config_from_dict({
+            "methods": ["usrd-ls", "srd-ls", "conic", "conic-norm",
+                        "hyperbolic"],
+            "features": ["vad_on:raw", "vad_on:denoised"], "trials": 1,
+            "seed": 70000 + index,
+            "scene": {"kind": "paper_table1", "position": index % 3},
+            "subsets": {"mode": "all_k_of_m", "k": 5},
+            "noise": {"domain": "rd", "kind": "gaussian",
+                      "levels": [0.01, 0.05]}}))
+        systems += sum(r.method == "hyperbolic" for r in records)
+    assert systems == 18 * 224
+    assert 0 < seen["cond"] <= 0.15 * systems
+    assert 0 < seen["rank"] <= 0.10 * systems
+
+
+@pytest.mark.usefixtures("stacked_linalg")
+def test_lm_rows_that_end_early_stay_their_public_calls():
+    # Table-1 subsets without noise, which end on the first pass, and at
+    # 5 and 10 cm, with collinear and coplanar arrays among them: rows end
+    # at staggered passes, the first ones a dozen passes before a quarter
+    # of the stack has ended, and each row is its public call
+    rng = np.random.default_rng(5150)
+    d, mics, ref = (np.concatenate(part) for part in zip(
+        (part[::21] for part in _table1_systems(rng, [0.0])),
+        (part[::3] for part in _table1_systems(rng, [0.05, 0.1]))))
+    for at, kind in enumerate(["collinear", "coplanar"] * 6):
+        values, array = _random_system(rng, 5, kind, at % 3 == 0)
+        d = np.insert(d, 9 * at, values[0, 1:], axis=0)
+        mics = np.insert(mics, 9 * at, array, axis=0)
+        ref = np.insert(ref, 9 * at, 0)
+    usrd = usrd_stack(d, mics, ref)
+    stacked = hyperbolic_stack(d, mics, ref, usrd=usrd)
+    rds = [RdVector(values=row, reference_index=int(r)) for row, r in
+           zip(d, ref)]
+    for got, rd, m in zip(usrd, rds, mics):
+        assert_same(got, usrd_ls(rd, m))
+    for got, rd, m in zip(stacked, rds, mics):
+        assert_same(got, hyperbolic_ls(rd, m))
+    passes = [r.info["iterations"] for r in stacked]
+    assert passes.count(1) >= 6 and len(set(passes)) >= 20
+    assert max(passes) >= 40
+    reasons = {r.info.get("reason") for r in (*usrd, *stacked)}
+    assert {"ill-conditioned spherical system",
+            "rank-deficient Jacobian"} <= reasons

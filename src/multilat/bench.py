@@ -17,11 +17,11 @@ which all its subsets, features and methods share: an RD run perturbs
 each noise level's cells as one ``perturb_rd`` stack, and a denoised
 feature averages all cells in one ``tdoa_average`` call.  Each method
 then solves all its (feature, cell, subset) systems as one stack
-through its kernel (``usrd_stack``, ``srd_stack``, ``conic_stack``,
-``hyperbolic_stack``), or through ``localize`` in a run of one system
-per feature, all looked up here at call time, with the same records
-bit for bit.  The grid runs serially, so reruns give the same
-``RecordTable``, sorted canonically.
+through its kernel (``usrd_stack``, ``srd_stack``, ``hyperbolic_stack``,
+``_conic_solve`` on one ``_conic_planes`` for both conic methods), or
+through ``localize`` in a run of one system per feature, all looked up
+here at call time, with the same records bit for bit.  The grid runs
+serially, so reruns give the same ``RecordTable``, sorted canonically.
 
 Multiple source positions are folded into the trial axis: trial t uses
 scene position ``t mod n_positions``, keeping the record count at
@@ -45,9 +45,9 @@ import numpy as np
 
 from .denoise import tdoa_average
 from .estimators import (TooFewMicrophones, _conic_planes, _conic_solve,
-                         _other_indices, _sum_squares, conic_ls, conic_stack,
-                         hyperbolic_ls, hyperbolic_stack, srd_ls, srd_stack,
-                         usrd_ls, usrd_stack)
+                         _other_indices, _sum_squares, conic_ls, hyperbolic_ls,
+                         hyperbolic_stack, srd_ls, srd_stack, usrd_ls,
+                         usrd_stack)
 from .geometry import (DEFAULT_SOUND_SPEED, LocalizationResult, RdMatrix,
                        ResultStack, Scene, _upper_index, select_reference,
                        tdoa_to_rd)
@@ -234,7 +234,7 @@ def random_scenes(count, mic_count, bounds, seed):
             if not _spread_out(mics, 0.05 * bounds):
                 continue
             weights = rng.dirichlet(np.ones(mic_count))
-            scenes.append(Scene._spaced(mics, weights @ mics, 0.05 * bounds))
+            scenes.append(Scene(mics=mics, source=weights @ mics))
             break
         else:
             raise ConfigError(
@@ -667,8 +667,7 @@ def _solve(methods, values, mics, valid, energies, stacked):
     if stacked:
         kept_values, kept_mics = values[keep], mics[base]
     stacks = {}  # reference policy -> [ref, RD rows, usrd stack]
-    conic = {name for name, _ in methods} & set(_CONIC_METHODS)
-    planes = []  # the plane system of a run of both conic methods
+    planes = []  # the plane system that both conic methods solve
 
     def stack(ref_policy):
         if ref_policy not in stacks:
@@ -680,12 +679,9 @@ def _solve(methods, values, mics, valid, energies, stacked):
 
     def solve_stack(name, ref_policy):
         if name in _CONIC_METHODS:
-            normalize = name == "conic-norm"
-            if len(conic) == 1:
-                return conic_stack(kept_values, kept_mics, normalize=normalize)
             if not planes:
                 planes.extend(_conic_planes(kept_values, kept_mics))
-            return _conic_solve(*planes, normalize)
+            return _conic_solve(*planes, name == "conic-norm")
         entry = stack(ref_policy)
         ref, d, usrd = entry
         if name == "usrd-ls":

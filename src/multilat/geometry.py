@@ -37,7 +37,7 @@ def _as_points(x, name):
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"{name} must be an (M, 3) array of 3D points")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError(f"{name} must be finite")
     return pts
 
@@ -65,34 +65,20 @@ class Scene:
         mics = _as_points(self.mics, "mics")
         if mics.shape[0] < 2:
             raise ValueError("a scene needs at least two microphones")
-        diff = mics[:, None, :] - mics[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        np.fill_diagonal(dist, np.inf)
+        rows, cols = _upper_index(mics.shape[0])
+        dist = np.linalg.norm(mics[rows] - mics[cols], axis=-1)
         if dist.min() <= _MIN_MIC_SEPARATION:
             raise ValueError("microphone positions must be pairwise distinct")
         mics.setflags(write=False)
         object.__setattr__(self, "mics", mics)
         if self.source is not None:
             src = np.asarray(self.source, dtype=float).reshape(3)
-            if not np.all(np.isfinite(src)):
+            if not np.isfinite(src).all():
                 raise ValueError("source position must be finite")
             src.setflags(write=False)
             object.__setattr__(self, "source", src)
         if not (np.isfinite(self.sound_speed) and self.sound_speed > 0):
             raise ValueError("sound_speed must be positive")
-
-    @classmethod
-    def _spaced(cls, mics, source, least):
-        """``Scene(mics=mics, source=source)`` of finite floats, ``mics``
-        (M >= 2, 3) found ``least`` apart: beyond 1e-9 m, unchecked."""
-        if not least > _MIN_MIC_SEPARATION:
-            return cls(mics=mics, source=source)
-        scene = object.__new__(cls)
-        vars(scene).update(mics=mics, source=source,
-                           sound_speed=DEFAULT_SOUND_SPEED)
-        mics.setflags(write=False)
-        source.setflags(write=False)
-        return scene
 
     @property
     def mic_count(self):

@@ -22,11 +22,11 @@ from multilat.bench import (config_from_dict, paper_table1_scenes,
                             run_benchmark)
 from multilat.estimators import (COND_LIMIT, RANK_TOL, STEP_TOL,
                                  TooFewMicrophones, _certified,
+                                 _conic_planes, _conic_solve,
                                  _diagonal_pencil, _gain_update,
                                  _gain_updates, _gtrs_roots, _jacobian_rank,
                                  _small_step, _small_steps, _spherical_stack,
-                                 conic_stack, hyperbolic_stack, srd_stack,
-                                 usrd_stack)
+                                 hyperbolic_stack, srd_stack, usrd_stack)
 
 
 def _full(ranges, noise=None):
@@ -150,7 +150,7 @@ def test_srd_stack_rows_match(m):
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
 def test_conic_stack_rows_match(m, normalize):
     values, mics, _ = mixed_stack(m)
-    stacked = conic_stack(values, mics, normalize=normalize)
+    stacked = _conic_solve(*_conic_planes(values, mics), normalize)
     single = [conic_ls(RdMatrix(v), mic, normalize=normalize)
               for v, mic in zip(values, mics)]
     for got, want in zip(stacked, single):
@@ -217,8 +217,9 @@ def test_every_row_of_a_mixed_stack_is_its_public_call(seed, m, systems):
               spherical_calls(values, mics, ref, srd_ls)),
              (hyperbolic_stack(d, mics, ref),
               spherical_calls(values, mics, ref, hyperbolic_ls))]
+    planes = _conic_planes(values, mics)  # both conic methods solve it
     for normalize in (False, True):
-        pairs.append((conic_stack(values, mics, normalize=normalize),
+        pairs.append((_conic_solve(*planes, normalize),
                       [conic_ls(RdMatrix(v), mic, normalize=normalize)
                        for v, mic in zip(values, mics)]))
     if m >= 5:
@@ -243,7 +244,7 @@ def test_stacks_refuse_what_the_public_call_refuses(kernel, least, public):
         public(RdVector(values=values[0, 0, 1:], reference_index=0), mics[0])
     assert str(stacked.value) == str(single.value)
     with pytest.raises(TooFewMicrophones, match="conic_ls needs at least 4"):
-        conic_stack(values[:, :3, :3], mics[:, :3])
+        _conic_planes(values[:, :3, :3], mics[:, :3])
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +422,7 @@ def test_multiplier_search_stops_once_newton_has_converged(monkeypatch,
                         lambda *args: calls.append(None) or phi(*args))
 
     def passes(pencils):
-        # one call of _phi per pass (the interval ends take phi's value
-        # without it)
+        # one call of _phi per pass (the interval ends take _phi_value)
         calls.clear()
         assert len(_gtrs_roots(*pencils)[0]) > estimators._ARRAY_ROOTS
         return len(calls)
@@ -626,8 +626,7 @@ def test_certificates_spare_lapack_on_the_table1_grid(monkeypatch):
 def test_lm_rows_that_end_early_stay_their_public_calls():
     # Table-1 subsets without noise, which end on the first pass, and at
     # 5 and 10 cm, with collinear and coplanar arrays among them: rows end
-    # at staggered passes, the first ones a dozen passes before a quarter
-    # of the stack has ended, and each row is its public call
+    # at staggered passes, and each row is its public call
     rng = np.random.default_rng(5150)
     d, mics, ref = (np.concatenate(part) for part in zip(
         (part[::21] for part in _table1_systems(rng, [0.0])),

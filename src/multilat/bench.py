@@ -49,8 +49,8 @@ from .estimators import (TooFewMicrophones, _conic_planes, _conic_solve,
                          hyperbolic_stack, srd_ls, srd_stack, usrd_ls,
                          usrd_stack)
 from .geometry import (DEFAULT_SOUND_SPEED, LocalizationResult, RdMatrix,
-                       ResultStack, Scene, _upper_index, select_reference,
-                       tdoa_to_rd)
+                       ResultStack, Scene, _MIN_MIC_SEPARATION, _upper_index,
+                       select_reference, tdoa_to_rd)
 from .simulate import RdNoiseModel, SignalModel, perturb_rd, synth_signals
 from .tdoa import FrameConfig, estimate_tdoa_matrix
 
@@ -220,8 +220,10 @@ def random_scenes(count, mic_count, bounds, seed):
 
     A draw is rejected when the array is nearly coplanar or two of its
     mics are closer than 5 % of ``bounds``; a scene that takes more
-    than ``_SCENE_DRAWS`` draws raises ConfigError.
+    than ``_SCENE_DRAWS`` draws raises ConfigError, and so do bounds
+    whose 5 % is not above the mic spacing ``Scene`` requires.
     """
+    _check_bounds(bounds)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SCENE_SALT)))
     scenes = []
     for _ in range(count):
@@ -242,6 +244,12 @@ def random_scenes(count, mic_count, bounds, seed):
                 f"scene.bounds {bounds:g} in {_SCENE_DRAWS} draws: its "
                 f"mics must be 5 % of the bounds apart and not coplanar")
     return scenes
+
+
+def _check_bounds(bounds):
+    if not (np.isfinite(bounds) and 0.05 * bounds > _MIN_MIC_SEPARATION):
+        raise ConfigError(f"scene.bounds must be finite and above "
+                          f"{_MIN_MIC_SEPARATION / 0.05:g} m, got {bounds:g}")
 
 
 def _spread_out(mics, least):
@@ -377,8 +385,7 @@ class BenchmarkConfig:
                 # fewer than four points are always coplanar, and
                 # random_scenes rejects every coplanar draw
                 raise ConfigError("scene mic_count must be >= 4")
-            if not (np.isfinite(self.scene_bounds) and self.scene_bounds > 0):
-                raise ConfigError("scene bounds must be finite and positive")
+            _check_bounds(self.scene_bounds)
         try:
             for level in self.noise_levels:
                 _noise_model(self, level)

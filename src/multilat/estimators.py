@@ -15,17 +15,19 @@ Each estimator also has a stacked kernel (``usrd_stack``, ``srd_stack``,
 ``hyperbolic_stack``, and ``_conic_solve`` on the plane systems of
 ``_conic_planes``) that solves T systems of one microphone count at
 once, from inputs validated by the caller, and returns one
-``ResultStack`` whose rows are bit for bit the single-system results;
-``usrd_ls`` and ``srd_ls`` are their kernels on a stack of one,
-while ``conic_ls`` solves its one system on its own.  Stacked matrix
-products, solves and factorizations round as their per-system calls do
-(an elementwise sum over a row does not, so sums of squares are stacked
-matrix products too).  The multiplier root scan and the LM step, step
-test and damping run as elementwise arrays in the order of the
-plain-float per-system code, which keeps a search over a few brackets
-and the last few LM systems (``_gtrs_roots`` says when the root search
-stops).  Powers stay libm's ``pow`` of plain floats, which ``np.power``
-and ``x * x`` may round otherwise; the LM step test takes ``math.hypot``
+``ResultStack`` whose rows are bit for bit the single-system results.
+``usrd_ls``, ``srd_ls`` and ``hyperbolic_ls`` are their kernels on a
+stack of one (``hyperbolic_ls`` through the LM driver ``_hyperbolic``,
+which takes its start, ``max_iter``, ``tol`` and whitening); only the
+``conic_ls`` reference solves its one system on its own.  Stacked
+matrix products, solves and factorizations round as their per-system
+calls do (an elementwise sum over a row does not, so sums of squares
+are stacked matrix products too).  The multiplier root scan and the LM
+step, step test and damping run as elementwise arrays in the order of
+the plain-float code, which keeps a search over a few brackets and the
+last few LM systems (``_gtrs_roots`` says when the root search stops).
+Powers stay libm's ``pow`` of plain floats, which ``np.power`` and
+``x * x`` may round otherwise; the LM step test takes ``math.hypot``
 lengths where the ``sqrt`` of a row sum is near its threshold.  LAPACK
 decides usrd's ``COND_LIMIT`` test and the LM's rank test only on rows
 that ``_certified`` leaves open.
@@ -498,17 +500,18 @@ def srd_stack(d, mics, ref):
     One stacked SVD of the spherical systems, one stacked
     diagonalization of the pencils, one multiplier root scan over every
     pole interval of the full-rank ones (``_gtrs_roots``), and the
-    choice of the first least-cost feasible root and its constraint
-    residual over the whole stack, the square ``c1**2`` a plain float;
-    the rank-3 and no-root fallbacks run per system.  Each row of the
-    returned ``ResultStack`` is bit for bit the ``srd_ls`` result of its
-    system.
+    choice of the first least-cost feasible root over the whole stack;
+    the no-root fallback runs over the stack too, the rank-3 one per
+    system, and ``_put_srd`` writes the rows of all three.  Each row of
+    the returned ``ResultStack`` is bit for bit the ``srd_ls`` result of
+    its system.
     """
     _require(mics.shape[1], 4, _SRD_MINIMUM)
     phi, b, origin = _spherical_stack(d, mics, ref)
     u, s, vt = np.linalg.svd(phi, full_matrices=True)
     rank = np.sum(s > RANK_TOL * s[:, :1], axis=-1)
     out = ResultStack(len(rank))
+    system = phi, b, origin
     full = np.flatnonzero(rank == 4)
     if full.size:
         # every system of five or more microphones has a 4x4 pencil;
@@ -530,24 +533,16 @@ def srd_stack(d, mics, ref):
         first = order[np.flatnonzero(
             ranked != np.concatenate([[-1], ranked[:-1]]))]
         best = first[feasible[first]]
-        c, cost, at = c[best], cost[best], at[best]
-        r_norm2 = _sum_squares(c[:, 1:])
-        constraint = np.abs(np.array([v ** 2 for v in c[:, 0].tolist()])
-                            - r_norm2)
-        out.put(at, "closed_form", c[:, 1:] + origin[at], cost, c1=c[:, 0],
-                constraint_residual=constraint,
-                constraint_rel=constraint / (1.0 + r_norm2), rank=4)
+        _put_srd(out, at[best], c[best], system, "closed_form", 4)
         infeasible = rooted.copy()
-        infeasible[at] = False
+        infeasible[at[best]] = False
         out.put(infeasible, "degenerate", reason="no feasible multiplier root",
                 rank=4)
-        for i in np.flatnonzero((rank == 4) & ~rooted).tolist():
-            # no bracketed root anywhere: report the failure mode
-            # distinctly, with the unconstrained LS point as a finite
-            # best effort
-            _put_srd(out, i, (phi[i], b[i], origin[i], 4),
-                     vt[i].T @ (proj[i] / s[i]), "degenerate",
-                     reason="no multiplier root")
+        # no bracketed root anywhere: report the failure mode distinctly,
+        # with the unconstrained LS point as a finite best effort
+        bare = np.flatnonzero((rank == 4) & ~rooted)
+        _put_srd(out, bare, _matvec(vt[bare].mT, proj[bare] / s[bare]),
+                 system, "degenerate", 4, reason="no multiplier root")
     # collinear-style geometry: even the cone constraint cannot pin down
     # a unique minimizer, so refuse rather than guess
     low = rank < 3
@@ -568,18 +563,21 @@ def srd_stack(d, mics, ref):
             continue
         c_hat, ambiguous = completed
         extra = {"ambiguous": True} if ambiguous else {}
-        _put_srd(out, i, (phi[i], b[i], origin[i], 3), c_hat, "closed_form",
+        _put_srd(out, [i], c_hat[None], system, "closed_form", 3,
                  null_completed=True, **extra)
     return out
 
 
-def _put_srd(out, i, system, c_hat, status, **extra):
-    """Row i of ``out``: the srd result ``c_hat`` of one system."""
-    phi, b, origin, rank = system
-    resid = phi @ c_hat - b
-    c1, r_norm2 = float(c_hat[0]), float(c_hat[1:] @ c_hat[1:])
-    constraint = abs(c1 ** 2 - r_norm2)
-    out.put(i, status, c_hat[1:] + origin, float(resid @ resid), c1=c1,
+def _put_srd(out, at, c, system, status, rank, **extra):
+    """Rows ``at`` of ``out``: the srd results ``c`` (n, 4) of those
+    systems of ``system`` = (phi, b, origin), the square ``c1**2`` of the
+    constraint residual a plain float."""
+    phi, b, origin = system
+    r_norm2 = _sum_squares(c[:, 1:])
+    constraint = np.abs(np.array([v ** 2 for v in c[:, 0].tolist()])
+                        - r_norm2)
+    out.put(at, status, c[:, 1:] + origin[at],
+            _sum_squares(_matvec(phi[at], c) - b[at]), c1=c[:, 0],
             constraint_residual=constraint,
             constraint_rel=constraint / (1.0 + r_norm2), rank=rank, **extra)
 
@@ -860,19 +858,19 @@ def _damped_steps(hess, grad, mu):
             np.minimum(np.minimum(p0, p1), p2) > 0.0)
 
 
-def _small_steps(step, offset):
+def _small_steps(step, offset, tol=STEP_TOL):
     """``_small_step`` of n systems at once, from their steps and their
     offsets x - r_ref (n, 3).  The ``sqrt`` of a row sum is within a few
     ulps of ``math.hypot`` where finite, so only rows within 1e-12
     relative of the threshold, or not finite, take ``_small_step``."""
     size, limit = (np.sqrt(np.add.reduce(v * v, axis=1))
                    for v in (step, offset))
-    limit = STEP_TOL * (limit + STEP_TOL)
+    limit = tol * (limit + tol)
     small = size <= limit
     for i in np.flatnonzero(~np.isfinite(size + limit)
                             | (np.abs(size - limit) <= 1e-12 * limit)):
         small[i] = _small_step(step[i].tolist(), offset[i].tolist(),
-                               (0.0, 0.0, 0.0), STEP_TOL)
+                               (0.0, 0.0, 0.0), tol)
     return small
 
 
@@ -920,10 +918,10 @@ def _residuals(pos, pts, d):
     return diff, dist, (dist[..., 1:] - dist[..., :1]) - d
 
 
-def _off_mic(pos, center):
-    """``pos`` moved 1e-6 m towards the array centroid ``center``: the
-    Jacobian blows up on a microphone."""
-    away = center - pos
+def _off_mic(pos, pts):
+    """``pos`` moved 1e-6 m towards the centroid of the microphones
+    ``pts`` (M, 3): the Jacobian blows up on a microphone."""
+    away = pts.mean(axis=0) - pos
     nrm = np.linalg.norm(away)
     return pos + 1e-6 * (away / nrm if nrm > 1e-12
                          else np.array([1.0, 0.0, 0.0]))
@@ -1006,15 +1004,12 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
     microphone, where the Jacobian blows up, are moved 1e-6 m towards
     the array centroid.
     """
-    d, mics, _ = _stack_of_one(rd, mics)
-    d, mics = d[0], mics[0]
-    if weights is None:
-        chol = None
-        scale = 1.0
-    else:
+    d, mics, ref = _stack_of_one(rd, mics)
+    scale, chol = 1.0, None
+    if weights is not None:
         if not isinstance(weights, NoiseCovariance):
             weights = NoiseCovariance(np.asarray(weights, dtype=float))
-        if weights.sigma.shape[0] != d.size:
+        if weights.sigma.shape[0] != d.shape[1]:
             raise ValueError("covariance size does not match RD vector")
         # factor out the overall scale of Sigma: the minimizer is
         # invariant under Sigma -> s*Sigma, and normalizing keeps the
@@ -1028,64 +1023,41 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
             chol = None
 
     if init is None:
-        guess = usrd_ls(rd, mics) if rd.mic_count >= 5 else None
+        guess = usrd_ls(rd, mics[0]) if rd.mic_count >= 5 else None
         init = guess.position if guess is not None and guess.ok \
-            else mics.mean(axis=0)
-    x = np.asarray(init, dtype=float).reshape(3).copy()
+            else mics[0].mean(axis=0)
+    x = np.asarray(init, dtype=float).reshape(1, 3).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("init must be finite")
-    # reference microphone first, so RDs and Jacobian rows are slices
-    x, cost, wjac, termination, iterations = _lm_float(
-        mics[[rd.reference_index] + rd.other_indices()], d, x,
-        max_iter=max_iter, tol=tol, chol=chol)
-    rank = 0 if termination == "damping" else _jacobian_rank(wjac[None])[0]
-    return _lm_results(x[None], cost / scale,
-                       np.array([_TERMINATIONS.index(termination)]),
-                       np.array([iterations]), np.array([rank]))[0]
+    out = _hyperbolic(d, mics, ref, x, max_iter, tol, chol)
+    out.residual /= scale
+    return out[0]
 
 
-def _lm_float(pts, d, x, first=1, max_iter=MAX_ITER, tol=STEP_TOL,
-              chol=None, state=None):
+def _lm_float(pts, d, x, state, first, max_iter, tol, whiten):
     """The LM passes ``first``..``max_iter`` of one system, microphones
-    ``pts`` reference first and RDs ``d``, in plain floats.
-
-    Without ``state`` the run starts at ``x``; ``state`` = (cost, J,
-    J^T J, J^T e, peak, mu, nu) carries on a run that
-    ``hyperbolic_stack`` left at ``x``.  ``chol`` whitens the residuals.
+    ``pts`` reference first and RDs ``d``, in plain floats, carrying on
+    from ``x`` and ``state`` = (cost, J, J^T J, J^T e, peak, mu, nu) as
+    ``_hyperbolic`` left them; ``whiten`` whitens the residuals and J.
     Returns ``(x, cost, J, termination, iterations)``.
     """
-    origin, center = pts[0], pts.mean(axis=0)
+    origin = pts[0].tolist()  # math.dist reads lists fastest
 
-    def whiten(arr):
-        if chol is None:
-            return arr
-        return scipy.linalg.solve_triangular(chol, arr, lower=True)
-
-    # the formulas of _residuals and _jacobian on one system, written
-    # out: helper calls cost this loop about 5 %
     def evaluate(pos):
-        diff = pos[None, :] - pts
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        diff, dist, werr = _residuals(pos, pts, d)
         if dist.min() < 1e-9:
-            pos = _off_mic(pos, center)
-            diff = pos[None, :] - pts
-            dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        werr = whiten((dist[1:] - dist[0]) - d)
+            pos = _off_mic(pos, pts)
+            diff, dist, werr = _residuals(pos, pts, d)
+        werr = whiten(werr)
         return pos, werr, float(werr @ werr), diff, dist
 
     def linearize(diff, dist, werr):
-        unit = diff / dist[:, None]
-        wjac = whiten(unit[1:] - unit[0])
+        wjac = whiten(_jacobian(diff, dist))
         hess = (wjac.T @ wjac).tolist()
         return wjac, hess, (wjac.T @ werr).tolist(), max(
             hess[0][0], hess[1][1], hess[2][2])
 
-    if state is None:
-        x, werr, cost, diff, dist = evaluate(x)
-        wjac, hess, grad, peak = linearize(diff, dist, werr)
-        mu, nu = 1e-3 * peak, 2.0
-    else:
-        cost, wjac, hess, grad, peak, mu, nu = state
+    cost, wjac, hess, grad, peak, mu, nu = state
     termination, iterations = "max_iterations", first - 1
     for iterations in range(first, max_iter + 1):
         if max(map(abs, grad)) <= GRAD_TOL:
@@ -1093,7 +1065,7 @@ def _lm_float(pts, d, x, first=1, max_iter=MAX_ITER, tol=STEP_TOL,
             break
         step = _damped_step(hess, grad, mu)
         if step is not None:
-            if _small_step(step, x, origin, tol):
+            if _small_step(step, x.tolist(), origin, tol):
                 termination = "step"
                 break
             cand, new_werr, new_cost, new_diff, new_dist = evaluate(x + step)
@@ -1122,22 +1094,31 @@ def hyperbolic_stack(d, mics, ref, usrd=None):
     default start and with its default ``max_iter`` and ``tol``
     (arguments as for ``usrd_stack``); ``usrd`` may hold the
     ``usrd_stack`` result of the same systems, whose positions then
-    start them.  Each LM pass runs the systems still running as arrays,
-    in ``hyperbolic_ls``'s order, each keeping its own damping and
-    stopping on its own; once ``_ARRAY_LM`` or fewer run, each finishes
-    in ``hyperbolic_ls``'s plain-float loop.
+    start them.
     """
-    t, m = mics.shape[:2]
-    if usrd is None and m >= 5:
+    if usrd is None and mics.shape[1] >= 5:
         usrd = usrd_stack(d, mics, ref)
     x = mics.mean(axis=1)
     if usrd is not None:
-        ok = usrd.ok
-        x[ok] = usrd.position[ok]
+        x[usrd.ok] = usrd.position[usrd.ok]
+    return _hyperbolic(d, mics, ref, x)
+
+
+def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
+    """The LM runs of ``hyperbolic_ls`` on T systems (arguments as for
+    ``usrd_stack``) from the starts ``x`` (T, 3), with its ``max_iter``
+    and ``tol``; ``chol``, the Cholesky factor of a stack of one system's
+    covariance, whitens its residuals.  Each LM pass runs the systems
+    still running as arrays, each keeping its own damping and stopping
+    on its own; once ``_ARRAY_LM`` or fewer run, each finishes in the
+    plain-float loop ``_lm_float``.  Returns their ``ResultStack``.
+    """
+    t, m = mics.shape[:2]
+    whiten = (lambda arr: arr) if chol is None else (
+        lambda arr: scipy.linalg.solve_triangular(chol, arr, lower=True))
     ids = np.arange(t)
     pts = mics[ids[:, None],
                np.concatenate([ref[:, None], _other_indices(ref, m)], axis=1)]
-    center = pts.mean(axis=1)
 
     def evaluate(pos):
         diff, dist, werr = _residuals(pos, pts, d)
@@ -1145,28 +1126,34 @@ def hyperbolic_stack(d, mics, ref, usrd=None):
         if close.any():
             near = np.flatnonzero(close.any(axis=-1))
             for k in near:
-                pos[k] = _off_mic(pos[k], center[ids[k]])
+                pos[k] = _off_mic(pos[k], pts[k])
             diff[near], dist[near], werr[near] = _residuals(
                 pos[near], pts[near], d[near])
+        if chol is not None:
+            werr = whiten(werr[0])[None]
         return pos, werr, _sum_squares(werr), diff, dist
 
+    def linearize(diff, dist):
+        jac = _jacobian(diff, dist)
+        return jac if chol is None else whiten(jac[0])[None]
+
     x, werr, cost, diff, dist = evaluate(x)
-    wjac = _jacobian(diff, dist)
+    wjac = linearize(diff, dist)
     hess, grad = wjac.mT @ wjac, _matvec(wjac.mT, werr)
     peak = _max3(hess.diagonal(axis1=1, axis2=2))
     mu, nu = 1e-3 * peak, np.full(t, 2.0)
     # the systems still running hold the state arrays; a system that
     # stops leaves its end (an index into _TERMINATIONS), pass count,
     # point, cost and Jacobian behind
-    ends, iterations = np.zeros(t, dtype=int), np.full(t, MAX_ITER)
+    ends, iterations = np.zeros(t, dtype=int), np.zeros(t, dtype=int)
     out_x, out_cost, out_jac = x.copy(), cost.copy(), wjac.copy()
     it = 1
     with np.errstate(all="ignore"):
-        while it <= MAX_ITER and ids.size > _ARRAY_LM:
+        while it <= max_iter and ids.size > _ARRAY_LM:
             flat = (np.abs(grad[:, 0]) <= GRAD_TOL) \
                 & ~(np.abs(grad[:, 1:]) > GRAD_TOL).any(axis=1)
             step, solved = _damped_steps(hess, grad, mu)
-            small = solved & ~flat & _small_steps(step, x - pts[:, 0])
+            small = solved & ~flat & _small_steps(step, x - pts[:, 0], tol)
             cand, new_werr, new_cost, new_diff, new_dist = evaluate(x + step)
             better = solved & ~flat & ~small & (new_cost < cost)
             # rows of 2-D and 3-D arrays are gathered by ``take``, about
@@ -1178,7 +1165,7 @@ def hyperbolic_stack(d, mics, ref, usrd=None):
                                         new_cost[acc])
                 nu[acc], cost[acc] = 2.0, new_cost[acc]
                 x[acc] = cand.take(acc, 0)
-                jac = _jacobian(new_diff.take(acc, 0), new_dist.take(acc, 0))
+                jac = linearize(new_diff.take(acc, 0), new_dist.take(acc, 0))
                 wjac[acc], hess[acc] = jac, jac.mT @ jac
                 grad[acc] = _matvec(jac.mT, new_werr.take(acc, 0))
                 peak[acc] = _max3(
@@ -1204,9 +1191,10 @@ def hyperbolic_stack(d, mics, ref, usrd=None):
     # the last few systems carry on one at a time
     for k, i in enumerate(ids.tolist()):
         out_x[i], out_cost[i], out_jac[i], end, iterations[i] = _lm_float(
-            pts[k], d[k], x[k], it, state=(
+            pts[k], d[k], x[k], (
                 cost[k].item(), wjac[k], hess[k].tolist(), grad[k].tolist(),
-                peak[k].item(), mu[k].item(), nu[k].item()))
+                peak[k].item(), mu[k].item(), nu[k].item()),
+            it, max_iter, tol, whiten)
         ends[i] = _TERMINATIONS.index(end)
     live = np.flatnonzero(ends != 3)
     rank = np.zeros(t, dtype=int)

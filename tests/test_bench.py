@@ -678,6 +678,17 @@ def test_widest_array_sets_the_signal_lag_limit():
         base_config(scene={"kind": "random", "bounds": 6.1}, noise=signal)
 
 
+@pytest.mark.parametrize("bounds", [1e-9, 2e-8])
+def test_bounds_too_small_for_distinct_mics_are_refused(bounds):
+    # at 2e-8 m and below, the draw's 5 % spacing check passes mics that
+    # Scene refuses as not pairwise distinct (1e-9 m apart or closer)
+    with pytest.raises(ConfigError, match="scene.bounds"):
+        bench.random_scenes(3, 8, bounds, 1)
+    with pytest.raises(ConfigError, match="scene.bounds"):
+        base_config(scene={"kind": "random", "bounds": bounds})
+    assert len(bench.random_scenes(3, 8, 2.1e-8, 1)) == 3
+
+
 SCENE_MICS = [[0, 0, 0], [4, 0, 1], [4, 3, 0], [0, 3, 1], [2, 1, 2]]
 
 

@@ -650,3 +650,45 @@ def test_lm_rows_that_end_early_stay_their_public_calls():
     reasons = {r.info.get("reason") for r in (*usrd, *stacked)}
     assert {"ill-conditioned spherical system",
             "rank-deficient Jacobian"} <= reasons
+
+
+@pytest.mark.usefixtures("stacked_linalg")
+@pytest.mark.parametrize("params", [
+    {}, {"max_iter": 3}, {"max_iter": 7}, {"tol": 1e-4}])
+def test_public_parameters_reach_the_array_passes(params):
+    # noiseless Table-1 subsets started at their source, which end on the
+    # first pass, then subsets at 5 cm started about a metre off, with
+    # collinear and coplanar arrays among them: more than _ARRAY_LM
+    # systems run as arrays, and every row is hyperbolic_ls with its
+    # init and the same max_iter and tol
+    rng = np.random.default_rng(6160)
+    pick = np.concatenate([np.arange(0, 168, 21), np.arange(168, 336, 3)])
+    d, mics, ref = (part[pick] for part in _table1_systems(rng, [0.0, 0.05]))
+    sources = np.array([scene.source for scene in paper_table1_scenes()])
+    init = np.concatenate([sources[np.arange(0, 168, 21) // 56],
+                           mics[8:].mean(axis=1)
+                           + rng.uniform(-1.0, 1.0, size=(len(d) - 8, 3))])
+    for at, kind in enumerate(["collinear", "coplanar"] * 3):
+        values, array = _random_system(rng, 5, kind, at % 2 == 0)
+        d = np.insert(d, 5 * at, values[0, 1:], axis=0)
+        mics = np.insert(mics, 5 * at, array, axis=0)
+        ref = np.insert(ref, 5 * at, 0)
+        init = np.insert(init, 5 * at, array.mean(axis=0) + 0.5, axis=0)
+    assert len(d) > 4 * estimators._ARRAY_LM
+    stacked = estimators._hyperbolic(d, mics, ref, init.copy(), **params)
+    for got, row, m, r, start in zip(stacked, d, mics, ref, init):
+        assert_same(got, hyperbolic_ls(
+            RdVector(values=row, reference_index=int(r)), m, init=start,
+            **params))
+    passes = [r.info["iterations"] for r in stacked]
+    assert passes.count(1) >= 8
+    if "max_iter" in params:
+        # more than _ARRAY_LM systems run through the last array pass:
+        # the plain-float tail starts beyond max_iter
+        assert passes.count(params["max_iter"]) > estimators._ARRAY_LM
+        assert max(passes) == params["max_iter"]
+    else:
+        assert {"gradient", "step"} <= {r.info["termination"]
+                                        for r in stacked}
+    assert "rank-deficient Jacobian" in {r.info.get("reason")
+                                         for r in stacked}

@@ -852,10 +852,12 @@ def _damped_steps(hess, grad, mu):
     l22 = np.sqrt(p2)
     y0 = g0 / l00
     y1 = (g1 - l10 * y0) / l11
-    h2 = (g2 - l20 * y0 - l21 * y1) / l22 / l22
-    h1 = (y1 - l21 * h2) / l11
-    return (np.stack([(y0 - l10 * h1 - l20 * h2) / l00, h1, h2], axis=-1),
-            np.minimum(np.minimum(p0, p1), p2) > 0.0)
+    step = np.empty((len(mu), 3))
+    h0, h1, h2 = step.T  # the columns, written in place
+    np.divide((g2 - l20 * y0 - l21 * y1) / l22, l22, out=h2)
+    np.divide(y1 - l21 * h2, l11, out=h1)
+    np.divide(y0 - l10 * h1 - l20 * h2, l00, out=h0)
+    return step, np.minimum(np.minimum(p0, p1), p2) > 0.0
 
 
 def _small_steps(step, offset, tol=STEP_TOL):
@@ -867,8 +869,10 @@ def _small_steps(step, offset, tol=STEP_TOL):
                    for v in (step, offset))
     limit = tol * (limit + tol)
     small = size <= limit
-    for i in np.flatnonzero(~np.isfinite(size + limit)
-                            | (np.abs(size - limit) <= 1e-12 * limit)):
+    # a NaN, or an infinite limit, fails the comparison; a step whose
+    # squares overflow may still be finite
+    near = ~(np.abs(size - limit) > 1e-12 * limit) | (size == np.inf)
+    for i in near.nonzero()[0]:
         small[i] = _small_step(step[i].tolist(), offset[i].tolist(),
                                (0.0, 0.0, 0.0), tol)
     return small
@@ -892,21 +896,21 @@ def _gain_updates(mu, step, grad, cost, new_cost):
     float (``np.power`` may round otherwise than libm's ``pow``)."""
     terms = step * (mu[:, None] * step - grad)
     predicted = terms[:, 0] + terms[:, 1] + terms[:, 2]
-    rho = np.divide(cost - new_cost, predicted, out=np.ones_like(predicted),
+    rho = np.divide(cost - new_cost, predicted, out=np.ones(len(predicted)),
                     where=predicted > 0)
     twice = 2.0 * rho - 1.0
     factor = np.full_like(twice, 1.0 / 3.0)  # the clip, see _gain_update
-    cube = np.flatnonzero(~(twice >= 0.875))
+    cube = (~(twice >= 0.875)).nonzero()[0]
     factor[cube] = 1.0 - np.array([r ** 3 for r in twice[cube].tolist()])
     return mu * np.where(factor > 1.0 / 3.0, factor, 1.0 / 3.0)
 
 
-def _max3(v):
-    """The builtin ``max`` of the three columns of ``v`` (n, 3), row by
-    row: a NaN wins only in the first column."""
-    top = v[:, 0]
-    top = np.where(v[:, 1] > top, v[:, 1], top)
-    return np.where(v[:, 2] > top, v[:, 2], top)
+def _max3(hess):
+    """The builtin ``max`` of the diagonals of ``hess`` (n, 3, 3), matrix
+    by matrix: a NaN wins only in the first entry."""
+    top, a11, a22 = hess[:, 0, 0], hess[:, 1, 1], hess[:, 2, 2]
+    top = np.where(a11 > top, a11, top)
+    return np.where(a22 > top, a22, top)
 
 
 def _residuals(pos, pts, d):
@@ -1122,9 +1126,9 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
 
     def evaluate(pos):
         diff, dist, werr = _residuals(pos, pts, d)
-        close = dist < 1e-9
-        if close.any():
-            near = np.flatnonzero(close.any(axis=-1))
+        # fmin skips the NaN rows, as the per-row test does
+        if np.fmin.reduce(dist, axis=None) < 1e-9:
+            near = (dist < 1e-9).any(axis=-1).nonzero()[0]
             for k in near:
                 pos[k] = _off_mic(pos[k], pts[k])
             diff[near], dist[near], werr[near] = _residuals(
@@ -1139,8 +1143,11 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
 
     x, werr, cost, diff, dist = evaluate(x)
     wjac = linearize(diff, dist)
+    # J^T J, J^T e and the cost stay stacked matrix products: they round
+    # as each system's 2-D product does, and the LM stops are sensitive
+    # to the rounding of an elementwise sum
     hess, grad = wjac.mT @ wjac, _matvec(wjac.mT, werr)
-    peak = _max3(hess.diagonal(axis1=1, axis2=2))
+    peak = _max3(hess)
     mu, nu = 1e-3 * peak, np.full(t, 2.0)
     # the systems still running hold the state arrays; a system that
     # stops leaves its end (an index into _TERMINATIONS), pass count,
@@ -1150,40 +1157,43 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
     it = 1
     with np.errstate(all="ignore"):
         while it <= max_iter and ids.size > _ARRAY_LM:
-            flat = (np.abs(grad[:, 0]) <= GRAD_TOL) \
-                & ~(np.abs(grad[:, 1:]) > GRAD_TOL).any(axis=1)
+            # builtin max of |J^T e|: a NaN counts only in the first entry
+            size = np.abs(grad)
+            flat = (size[:, 0] <= GRAD_TOL) \
+                & ~(size[:, 1] > GRAD_TOL) & ~(size[:, 2] > GRAD_TOL)
             step, solved = _damped_steps(hess, grad, mu)
-            small = solved & ~flat & _small_steps(step, x - pts[:, 0], tol)
+            go = solved & ~flat
+            small = go & _small_steps(step, x - pts[:, 0], tol)
             cand, new_werr, new_cost, new_diff, new_dist = evaluate(x + step)
-            better = solved & ~flat & ~small & (new_cost < cost)
+            better = go & ~small & (new_cost < cost)
             # rows of 2-D and 3-D arrays are gathered by ``take``, about
             # three times as fast as a fancy or boolean index
-            acc = np.flatnonzero(better)
+            acc = better.nonzero()[0]
             if acc.size:
+                lower = new_cost[acc]
                 mu[acc] = _gain_updates(mu[acc], step.take(acc, 0),
-                                        grad.take(acc, 0), cost[acc],
-                                        new_cost[acc])
-                nu[acc], cost[acc] = 2.0, new_cost[acc]
+                                        grad.take(acc, 0), cost[acc], lower)
+                nu[acc], cost[acc] = 2.0, lower
                 x[acc] = cand.take(acc, 0)
                 jac = linearize(new_diff.take(acc, 0), new_dist.take(acc, 0))
-                wjac[acc], hess[acc] = jac, jac.mT @ jac
+                fresh = jac.mT @ jac
+                wjac[acc], hess[acc], peak[acc] = jac, fresh, _max3(fresh)
                 grad[acc] = _matvec(jac.mT, new_werr.take(acc, 0))
-                peak[acc] = _max3(
-                    hess.diagonal(axis1=1, axis2=2).take(acc, 0))
             # no positive-definite damped system, or a step that does not
             # lower the cost
-            damped = ~(flat | small | better)
+            stop = flat | small
+            damped = ~(stop | better)
             np.multiply(mu, nu, out=mu, where=damped)
             np.multiply(nu, 2.0, out=nu, where=damped)
             over = damped & ~((0.0 < mu) & (mu <= DAMPING_LIMIT * peak))
-            end = flat | small | over
+            end = stop | over
             if end.any():
                 done = ids[end]
                 ends[done] = np.where(flat, 1, np.where(small, 2, 3))[end]
                 iterations[done] = it
                 out_x[done], out_cost[done], out_jac[done] = \
                     x[end], cost[end], wjac[end]
-                keep = np.flatnonzero(~end)
+                keep = (~end).nonzero()[0]
                 ids, x, cost, wjac, hess, grad, peak, mu, nu, pts, d = (
                     v.take(keep, 0) for v in (ids, x, cost, wjac, hess,
                                               grad, peak, mu, nu, pts, d))
@@ -1196,7 +1206,7 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
                 peak[k].item(), mu[k].item(), nu[k].item()),
             it, max_iter, tol, whiten)
         ends[i] = _TERMINATIONS.index(end)
-    live = np.flatnonzero(ends != 3)
+    live = (ends != 3).nonzero()[0]
     rank = np.zeros(t, dtype=int)
     rank[live] = _jacobian_rank(out_jac[live])
     return _lm_results(out_x, out_cost, ends, iterations, rank)

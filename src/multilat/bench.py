@@ -673,7 +673,7 @@ def _solve(methods, values, mics, valid, energies, stacked):
     base = keep % n
     if stacked:
         kept_values, kept_mics = values[keep], mics[base]
-    stacks = {}  # reference policy -> [ref, RD rows, usrd stack]
+    stacks = {}  # reference policy -> [ref, RD rows, {kernel: its stack}]
     planes = []  # the plane system that both conic methods solve
 
     def stack(ref_policy):
@@ -681,7 +681,7 @@ def _solve(methods, values, mics, valid, energies, stacked):
             ref = _reference(ref_policy, mics, energies)[base]
             stacks[ref_policy] = [ref, kept_values[
                 np.arange(len(keep))[:, None], ref[:, None],
-                _other_indices(ref, mics.shape[1])], None]
+                _other_indices(ref, mics.shape[1])], {}]
         return stacks[ref_policy]
 
     def solve_stack(name, ref_policy):
@@ -689,14 +689,22 @@ def _solve(methods, values, mics, valid, energies, stacked):
             if not planes:
                 planes.extend(_conic_planes(kept_values, kept_mics))
             return _conic_solve(*planes, name == "conic-norm")
-        entry = stack(ref_policy)
-        ref, d, usrd = entry
+        ref, d, solved = stack(ref_policy)
+
+        def spherical(kernel):
+            if kernel not in solved:
+                solved[kernel] = kernel(d, kept_mics, ref)
+            return solved[kernel]
+
         if name == "usrd-ls":
-            entry[2] = usrd_stack(d, kept_mics, ref)
-            return entry[2]
+            return spherical(usrd_stack)
         if name == "srd-ls":
-            return srd_stack(d, kept_mics, ref)
-        return hyperbolic_stack(d, kept_mics, ref, usrd=usrd)
+            return spherical(srd_stack)
+        # hyperbolic LS starts from the srd stack, solved for whichever
+        # method asks first, and from the usrd stack if one is solved
+        srd = spherical(srd_stack) if kept_mics.shape[1] >= 4 else None
+        return hyperbolic_stack(d, kept_mics, ref, usrd=solved.get(usrd_stack),
+                                srd=srd)
 
     def solve_each(name, ref_policy):
         out = ResultStack(len(keep))

@@ -869,8 +869,7 @@ def _small_steps(step, offset, tol=STEP_TOL):
                    for v in (step, offset))
     limit = tol * (limit + tol)
     small = size <= limit
-    # a NaN, or an infinite limit, fails the comparison; a step whose
-    # squares overflow may still be finite
+    # exact lengths where '>' fails (NaN, infinite limit) or squares overflow
     near = ~(np.abs(size - limit) > 1e-12 * limit) | (size == np.inf)
     for i in near.nonzero()[0]:
         small[i] = _small_step(step[i].tolist(), offset[i].tolist(),
@@ -973,8 +972,10 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
     With ``weights=None`` the covariance is the identity and this is
     plain hyperbolic LS; correlated noise is supported by whitening with
     the Cholesky factor of the covariance.  ``init`` defaults to the
-    unconstrained spherical solution, falling back to the array
-    barycenter when that is unavailable.
+    constrained spherical solution ``srd_ls`` where that is ok (ML from
+    a closed-form spherical start, as in Chan & Ho, 1994), else the
+    unconstrained one ``usrd_ls`` where that is ok (M >= 5), else the
+    array barycenter.
 
     Each step h solves (J^T J + mu I) h = -J^T e for the whitened
     residuals e and their Jacobian J, starting from
@@ -1027,12 +1028,11 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
             chol = None
 
     if init is None:
-        guess = usrd_ls(rd, mics[0]) if rd.mic_count >= 5 else None
-        init = guess.position if guess is not None and guess.ok \
-            else mics[0].mean(axis=0)
-    x = np.asarray(init, dtype=float).reshape(1, 3).copy()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("init must be finite")
+        x = _lm_starts(d, mics, ref)
+    else:
+        x = np.asarray(init, dtype=float).reshape(1, 3).copy()
+        if not np.all(np.isfinite(x)):
+            raise ValueError("init must be finite")
     out = _hyperbolic(d, mics, ref, x, max_iter, tol, chol)
     out.residual /= scale
     return out[0]
@@ -1093,19 +1093,31 @@ def _lm_float(pts, d, x, state, first, max_iter, tol, whiten):
 _TERMINATIONS = ("max_iterations", "gradient", "step", "damping")
 
 
-def hyperbolic_stack(d, mics, ref, usrd=None):
+def hyperbolic_stack(d, mics, ref, usrd=None, srd=None):
     """``hyperbolic_ls`` of T systems at once, unweighted, from its
     default start and with its default ``max_iter`` and ``tol``
-    (arguments as for ``usrd_stack``); ``usrd`` may hold the
-    ``usrd_stack`` result of the same systems, whose positions then
-    start them.
+    (arguments as for ``usrd_stack``); ``usrd`` and ``srd`` may hold the
+    ``usrd_stack`` and ``srd_stack`` results of the same systems, which
+    then give the starts without a second solve.
     """
-    if usrd is None and mics.shape[1] >= 5:
-        usrd = usrd_stack(d, mics, ref)
+    return _hyperbolic(d, mics, ref, _lm_starts(d, mics, ref, usrd, srd))
+
+
+def _lm_starts(d, mics, ref, usrd=None, srd=None):
+    """The default LM starts (T, 3): each system's ``srd_ls`` position
+    where that is ok, else its ``usrd_ls`` position where that is ok
+    (M >= 5), else its microphones' barycenter; a missing ``srd`` is
+    solved here, and a missing ``usrd`` where some srd is not ok."""
     x = mics.mean(axis=1)
-    if usrd is not None:
-        x[usrd.ok] = usrd.position[usrd.ok]
-    return _hyperbolic(d, mics, ref, x)
+    rest = np.ones(len(x), dtype=bool)  # the systems without a start
+    if mics.shape[1] >= 4:
+        srd = srd_stack(d, mics, ref) if srd is None else srd
+        x[srd.ok], rest = srd.position[srd.ok], ~srd.ok
+    if mics.shape[1] >= 5 and rest.any():
+        usrd = usrd_stack(d, mics, ref) if usrd is None else usrd
+        rest &= usrd.ok
+        x[rest] = usrd.position[rest]
+    return x
 
 
 def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
@@ -1181,12 +1193,11 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
                 grad[acc] = _matvec(jac.mT, new_werr.take(acc, 0))
             # no positive-definite damped system, or a step that does not
             # lower the cost
-            stop = flat | small
-            damped = ~(stop | better)
+            damped = ~(flat | small | better)
             np.multiply(mu, nu, out=mu, where=damped)
             np.multiply(nu, 2.0, out=nu, where=damped)
             over = damped & ~((0.0 < mu) & (mu <= DAMPING_LIMIT * peak))
-            end = stop | over
+            end = flat | small | over
             if end.any():
                 done = ids[end]
                 ends[done] = np.where(flat, 1, np.where(small, 2, 3))[end]

@@ -10,7 +10,6 @@ Two levels of realism, both deterministic under a seed:
   pipeline tests.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,7 +205,9 @@ def synth_signals(scene, model, duration_s, sample_rate):
             channels[m] = gains[m] * delayed[start:start + n_samples]
 
     # both the convolutions and the draw release the GIL; the noise is
-    # the stream rng.normal(0.0, std_m, n) per channel would draw
+    # the stream rng.normal(0.0, std_m, n) per channel would draw; the
+    # import (logging with it) is not paid by an import of the package
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) as pool:
         filtering = pool.submit(render_clean)
         noise = rng.standard_normal((scene.mic_count, n_samples))

@@ -18,7 +18,6 @@ arrays block after block.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -427,6 +426,7 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
     # worker k takes blocks k, k + workers, ...; blocks write disjoint
     # columns, so the result does not depend on the worker count or the
     # schedule; list() reads every result, re-raising errors
+    from concurrent.futures import ThreadPoolExecutor  # see synth_signals
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run_worker, range(workers)))
     vad_keep = energy_vad(energy[rows], energy[cols])

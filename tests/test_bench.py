@@ -958,6 +958,31 @@ def test_stacked_cells_propagate_kernel_faults(monkeypatch):
         run_benchmark(config)
 
 
+def test_a_run_solves_each_policys_srd_stack_once(monkeypatch):
+    # hyperbolic LS starts from the srd stack of its reference policy,
+    # solved once for whichever of srd-ls and hyperbolic comes first;
+    # the method order changes no record
+    original, calls = estimators.srd_stack, []
+
+    def counted(d, mics, ref):
+        calls.append(len(d))
+        return original(d, mics, ref)
+
+    monkeypatch.setattr(estimators, "srd_stack", counted)
+    monkeypatch.setattr(bench, "srd_stack", counted)
+    runs = []
+    for methods in (["usrd-ls", "srd-ls", "hyperbolic", "srd-ls:index:2",
+                     "hyperbolic:index:2"],
+                    ["hyperbolic:index:2", "hyperbolic", "usrd-ls",
+                     "srd-ls:index:2", "srd-ls"]):
+        calls.clear()
+        runs.append(run_benchmark(base_config(
+            methods=methods, trials=2,
+            subsets={"mode": "all_k_of_m", "k": 5})))
+        assert calls == [2 * 56, 2 * 56]
+    assert list(runs[0]) == list(runs[1])
+
+
 @pytest.mark.usefixtures("stacked_linalg")
 def test_stacked_signal_cells_match_the_per_system_oracle(monkeypatch):
     # energy and fixed references on captures where pair (2, 5) has no

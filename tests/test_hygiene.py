@@ -164,10 +164,25 @@ assert result.status == "converged", result
 assert np.linalg.norm(result.position - scene.source) < 1e-6
 assert "scipy.linalg" in sys.modules
 """
+    done = _fresh_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
+def test_import_starts_no_thread_machinery():
+    # concurrent.futures, and the logging it loads, come with the two
+    # calls that start threads, not with an import of the package
+    done = _fresh_python("import sys, multilat\n"
+                         "print(*(name for name in ('concurrent.futures',"
+                         " 'logging') if name in sys.modules))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []

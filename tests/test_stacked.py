@@ -176,6 +176,45 @@ def test_hyperbolic_stack_rows_match(m, seeded, guard_hits):
                                          for r in stacked}
 
 
+@pytest.mark.parametrize("m", [4, 5, 8])
+def test_lm_starts_from_the_srd_solution(m):
+    # where srd_ls is ok, its position is hyperbolic_ls's default start
+    values, mics, ref = mixed_stack(m)
+    started = 0
+    for v, mic, r in zip(values, mics, ref):
+        rd = RdMatrix(v).reference_row(int(r))
+        srd = srd_ls(rd, mic)
+        if srd.ok:
+            started += 1
+            assert_same(hyperbolic_ls(rd, mic),
+                        hyperbolic_ls(rd, mic, init=srd.position))
+    assert started >= 18
+
+
+def test_lm_starts_elsewhere_where_srd_is_not_ok():
+    # a system whose srd_ls is not ok starts from its usrd_ls position
+    # where that is ok (M >= 5), else from its microphones' barycenter
+    rng = np.random.default_rng(7200)
+    starts = set()
+    for m in (4, 5, 8):
+        for kind in ("on a mic", "coplanar", "collinear", "far field"):
+            for _ in range(12):
+                values, mic = _random_system(rng, m, kind, True)
+                rd = RdMatrix(values).reference_row(0)
+                if srd_ls(rd, mic).ok:
+                    continue
+                usrd = usrd_ls(rd, mic) if m >= 5 else None
+                start = "usrd" if usrd is not None and usrd.ok \
+                    else "barycenter"
+                starts.add((start, m >= 5))
+                init = usrd.position if start == "usrd" \
+                    else mic.mean(axis=0)
+                assert_same(hyperbolic_ls(rd, mic),
+                            hyperbolic_ls(rd, mic, init=init))
+    assert starts == {("usrd", True), ("barycenter", True),
+                      ("barycenter", False)}
+
+
 _KINDS = ("ordinary", "coplanar", "collinear", "on a mic", "far field")
 
 

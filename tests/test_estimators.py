@@ -867,7 +867,7 @@ def test_hyperbolic_meets_the_crlb_on_the_table1_array():
     # variance sigma^2 the bound on E||x - x0||^2 is
     # sigma^2 tr((J^T J)^-1), J the RD Jacobian at the source.  Table-1
     # full array, reference microphone 0, sigma = 1 mm, 400 trials per
-    # position; the ratio's Monte Carlo spread is about 3 %
+    # position; the ratio's Monte Carlo spread is about 3.5 %
     sigma, trials = 1e-3, 400
     rng = np.random.default_rng(0)
     for scene in paper_table1_scenes():

@@ -701,10 +701,9 @@ def _solve(methods, values, mics, valid, energies, stacked):
         if name == "srd-ls":
             return spherical(srd_stack)
         # hyperbolic LS starts from the srd stack, solved for whichever
-        # method asks first, and from the usrd stack if one is solved
+        # method asks first
         srd = spherical(srd_stack) if kept_mics.shape[1] >= 4 else None
-        return hyperbolic_stack(d, kept_mics, ref, usrd=solved.get(usrd_stack),
-                                srd=srd)
+        return hyperbolic_stack(d, kept_mics, ref, srd=srd)
 
     def solve_each(name, ref_policy):
         out = ResultStack(len(keep))

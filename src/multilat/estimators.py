@@ -27,10 +27,13 @@ step, step test and damping run as elementwise arrays in the order of
 the plain-float code, which keeps a search over a few brackets and the
 last few LM systems (``_gtrs_roots`` says when the root search stops).
 Powers stay libm's ``pow`` of plain floats, which ``np.power`` and
-``x * x`` may round otherwise; the LM step test takes ``math.hypot``
-lengths where the ``sqrt`` of a row sum is near its threshold.  LAPACK
-decides usrd's ``COND_LIMIT`` test and the LM's rank test only on rows
-that ``_certified`` leaves open.
+``x * x`` may round otherwise.  Each LM stop test is one rule in both
+loops: a length is the ``sqrt`` of its squares added left to right, and
+the gradient stop holds where every |component| of J^T e is at most
+``GRAD_TOL``.  The LM state holds only what its decisions read; the
+rank test rebuilds each end point's Jacobian.  LAPACK decides usrd's
+``COND_LIMIT`` test and the LM's rank test only on rows that
+``_certified`` leaves open.
 """
 
 import math
@@ -832,8 +835,12 @@ def _damped_step(hess, grad, mu):
 
 
 def _small_step(step, x, origin, tol):
-    """The relative step stop: ||h|| <= tol (||x - r_ref|| + tol)."""
-    return math.hypot(*step) <= tol * (math.dist(x, origin) + tol)
+    """The relative step stop ||h|| <= tol (||x - r_ref|| + tol) in plain
+    floats; a length is the ``sqrt`` of its squares added left to right."""
+    h0, h1, h2 = step
+    o0, o1, o2 = x[0] - origin[0], x[1] - origin[1], x[2] - origin[2]
+    return math.sqrt(h0 * h0 + h1 * h1 + h2 * h2) <= tol * (
+        math.sqrt(o0 * o0 + o1 * o1 + o2 * o2) + tol)
 
 
 def _damped_steps(hess, grad, mu):
@@ -862,19 +869,10 @@ def _damped_steps(hess, grad, mu):
 
 def _small_steps(step, offset, tol=STEP_TOL):
     """``_small_step`` of n systems at once, from their steps and their
-    offsets x - r_ref (n, 3).  The ``sqrt`` of a row sum is within a few
-    ulps of ``math.hypot`` where finite, so only rows within 1e-12
-    relative of the threshold, or not finite, take ``_small_step``."""
+    offsets x - r_ref (n, 3): a row sum of three adds left to right."""
     size, limit = (np.sqrt(np.add.reduce(v * v, axis=1))
                    for v in (step, offset))
-    limit = tol * (limit + tol)
-    small = size <= limit
-    # exact lengths where '>' fails (NaN, infinite limit) or squares overflow
-    near = ~(np.abs(size - limit) > 1e-12 * limit) | (size == np.inf)
-    for i in near.nonzero()[0]:
-        small[i] = _small_step(step[i].tolist(), offset[i].tolist(),
-                               (0.0, 0.0, 0.0), tol)
-    return small
+    return size <= tol * (limit + tol)
 
 
 def _gain_update(mu, step, grad, cost, new_cost):
@@ -990,7 +988,7 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
     ``info["termination"]`` says why the loop stopped, and
     ``info["iterations"]`` counts its passes (one damped solve each):
 
-    - ``gradient``: every component of J^T e is at most ``GRAD_TOL``;
+    - ``gradient``: every |component| of J^T e is at most ``GRAD_TOL``;
     - ``step``: ||h|| <= tol (||x - r_ref|| + tol), a step small
       relative to the estimate's distance from the reference microphone
       (``tol`` is relative);
@@ -1041,11 +1039,11 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
 def _lm_float(pts, d, x, state, first, max_iter, tol, whiten):
     """The LM passes ``first``..``max_iter`` of one system, microphones
     ``pts`` reference first and RDs ``d``, in plain floats, carrying on
-    from ``x`` and ``state`` = (cost, J, J^T J, J^T e, peak, mu, nu) as
+    from ``x`` and ``state`` = (cost, J^T J, J^T e, peak, mu, nu) as
     ``_hyperbolic`` left them; ``whiten`` whitens the residuals and J.
-    Returns ``(x, cost, J, termination, iterations)``.
+    Returns ``(x, cost, termination, iterations)``.
     """
-    origin = pts[0].tolist()  # math.dist reads lists fastest
+    origin = pts[0].tolist()
 
     def evaluate(pos):
         diff, dist, werr = _residuals(pos, pts, d)
@@ -1058,13 +1056,13 @@ def _lm_float(pts, d, x, state, first, max_iter, tol, whiten):
     def linearize(diff, dist, werr):
         wjac = whiten(_jacobian(diff, dist))
         hess = (wjac.T @ wjac).tolist()
-        return wjac, hess, (wjac.T @ werr).tolist(), max(
+        return hess, (wjac.T @ werr).tolist(), max(
             hess[0][0], hess[1][1], hess[2][2])
 
-    cost, wjac, hess, grad, peak, mu, nu = state
+    cost, hess, grad, peak, mu, nu = state
     termination, iterations = "max_iterations", first - 1
     for iterations in range(first, max_iter + 1):
-        if max(map(abs, grad)) <= GRAD_TOL:
+        if all(abs(g) <= GRAD_TOL for g in grad):
             termination = "gradient"
             break
         step = _damped_step(hess, grad, mu)
@@ -1076,8 +1074,7 @@ def _lm_float(pts, d, x, state, first, max_iter, tol, whiten):
             if new_cost < cost:
                 mu = _gain_update(mu, step, grad, cost, new_cost)
                 x, cost = cand, new_cost
-                wjac, hess, grad, peak = linearize(new_diff, new_dist,
-                                                   new_werr)
+                hess, grad, peak = linearize(new_diff, new_dist, new_werr)
                 nu = 2.0
                 continue
         # no positive-definite damped system, or a step that does not
@@ -1087,36 +1084,33 @@ def _lm_float(pts, d, x, state, first, max_iter, tol, whiten):
         if not 0.0 < mu <= DAMPING_LIMIT * peak:
             termination = "damping"
             break
-    return x, cost, wjac, termination, iterations
+    return x, cost, termination, iterations
 
 
 _TERMINATIONS = ("max_iterations", "gradient", "step", "damping")
 
 
-def hyperbolic_stack(d, mics, ref, usrd=None, srd=None):
+def hyperbolic_stack(d, mics, ref, srd=None):
     """``hyperbolic_ls`` of T systems at once, unweighted, from its
     default start and with its default ``max_iter`` and ``tol``
-    (arguments as for ``usrd_stack``); ``usrd`` and ``srd`` may hold the
-    ``usrd_stack`` and ``srd_stack`` results of the same systems, which
-    then give the starts without a second solve.
-    """
-    return _hyperbolic(d, mics, ref, _lm_starts(d, mics, ref, usrd, srd))
+    (arguments as for ``usrd_stack``); ``srd``, the ``srd_stack`` result
+    of the same systems, spares a second srd solve."""
+    return _hyperbolic(d, mics, ref, _lm_starts(d, mics, ref, srd))
 
 
-def _lm_starts(d, mics, ref, usrd=None, srd=None):
+def _lm_starts(d, mics, ref, srd=None):
     """The default LM starts (T, 3): each system's ``srd_ls`` position
     where that is ok, else its ``usrd_ls`` position where that is ok
     (M >= 5), else its microphones' barycenter; a missing ``srd`` is
-    solved here, and a missing ``usrd`` where some srd is not ok."""
+    solved here, and usrd only for the systems whose srd is not ok."""
     x = mics.mean(axis=1)
-    rest = np.ones(len(x), dtype=bool)  # the systems without a start
+    rest = np.arange(len(x))  # the systems without a start
     if mics.shape[1] >= 4:
         srd = srd_stack(d, mics, ref) if srd is None else srd
-        x[srd.ok], rest = srd.position[srd.ok], ~srd.ok
-    if mics.shape[1] >= 5 and rest.any():
-        usrd = usrd_stack(d, mics, ref) if usrd is None else usrd
-        rest &= usrd.ok
-        x[rest] = usrd.position[rest]
+        x[srd.ok], rest = srd.position[srd.ok], (~srd.ok).nonzero()[0]
+    if mics.shape[1] >= 5 and rest.size:
+        usrd = usrd_stack(d[rest], mics[rest], ref[rest])
+        x[rest[usrd.ok]] = usrd.position[usrd.ok]
     return x
 
 
@@ -1127,14 +1121,16 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
     covariance, whitens its residuals.  Each LM pass runs the systems
     still running as arrays, each keeping its own damping and stopping
     on its own; once ``_ARRAY_LM`` or fewer run, each finishes in the
-    plain-float loop ``_lm_float``.  Returns their ``ResultStack``.
+    plain-float loop ``_lm_float``.  The Jacobians of the rank test are
+    rebuilt at the end points.  Returns their ``ResultStack``.
     """
     t, m = mics.shape[:2]
     whiten = (lambda arr: arr) if chol is None else (
         lambda arr: scipy.linalg.solve_triangular(chol, arr, lower=True))
     ids = np.arange(t)
-    pts = mics[ids[:, None],
-               np.concatenate([ref[:, None], _other_indices(ref, m)], axis=1)]
+    all_pts = pts = mics[ids[:, None], np.concatenate(
+        [ref[:, None], _other_indices(ref, m)], axis=1)]
+    all_d = d
 
     def evaluate(pos):
         diff, dist, werr = _residuals(pos, pts, d)
@@ -1154,25 +1150,22 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
         return jac if chol is None else whiten(jac[0])[None]
 
     x, werr, cost, diff, dist = evaluate(x)
-    wjac = linearize(diff, dist)
+    jac = linearize(diff, dist)
     # J^T J, J^T e and the cost stay stacked matrix products: they round
     # as each system's 2-D product does, and the LM stops are sensitive
     # to the rounding of an elementwise sum
-    hess, grad = wjac.mT @ wjac, _matvec(wjac.mT, werr)
+    hess, grad = jac.mT @ jac, _matvec(jac.mT, werr)
     peak = _max3(hess)
     mu, nu = 1e-3 * peak, np.full(t, 2.0)
     # the systems still running hold the state arrays; a system that
     # stops leaves its end (an index into _TERMINATIONS), pass count,
-    # point, cost and Jacobian behind
+    # point and cost behind
     ends, iterations = np.zeros(t, dtype=int), np.zeros(t, dtype=int)
-    out_x, out_cost, out_jac = x.copy(), cost.copy(), wjac.copy()
+    out_x, out_cost = x.copy(), cost.copy()
     it = 1
     with np.errstate(all="ignore"):
         while it <= max_iter and ids.size > _ARRAY_LM:
-            # builtin max of |J^T e|: a NaN counts only in the first entry
-            size = np.abs(grad)
-            flat = (size[:, 0] <= GRAD_TOL) \
-                & ~(size[:, 1] > GRAD_TOL) & ~(size[:, 2] > GRAD_TOL)
+            flat = (np.abs(grad) <= GRAD_TOL).all(axis=1)
             step, solved = _damped_steps(hess, grad, mu)
             go = solved & ~flat
             small = go & _small_steps(step, x - pts[:, 0], tol)
@@ -1189,7 +1182,7 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
                 x[acc] = cand.take(acc, 0)
                 jac = linearize(new_diff.take(acc, 0), new_dist.take(acc, 0))
                 fresh = jac.mT @ jac
-                wjac[acc], hess[acc], peak[acc] = jac, fresh, _max3(fresh)
+                hess[acc], peak[acc] = fresh, _max3(fresh)
                 grad[acc] = _matvec(jac.mT, new_werr.take(acc, 0))
             # no positive-definite damped system, or a step that does not
             # lower the cost
@@ -1202,22 +1195,23 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
                 done = ids[end]
                 ends[done] = np.where(flat, 1, np.where(small, 2, 3))[end]
                 iterations[done] = it
-                out_x[done], out_cost[done], out_jac[done] = \
-                    x[end], cost[end], wjac[end]
+                out_x[done], out_cost[done] = x[end], cost[end]
                 keep = (~end).nonzero()[0]
-                ids, x, cost, wjac, hess, grad, peak, mu, nu, pts, d = (
-                    v.take(keep, 0) for v in (ids, x, cost, wjac, hess,
-                                              grad, peak, mu, nu, pts, d))
+                ids, x, cost, hess, grad, peak, mu, nu, pts, d = (
+                    v.take(keep, 0) for v in (ids, x, cost, hess, grad,
+                                              peak, mu, nu, pts, d))
             it += 1
     # the last few systems carry on one at a time
     for k, i in enumerate(ids.tolist()):
-        out_x[i], out_cost[i], out_jac[i], end, iterations[i] = _lm_float(
+        out_x[i], out_cost[i], end, iterations[i] = _lm_float(
             pts[k], d[k], x[k], (
-                cost[k].item(), wjac[k], hess[k].tolist(), grad[k].tolist(),
+                cost[k].item(), hess[k].tolist(), grad[k].tolist(),
                 peak[k].item(), mu[k].item(), nu[k].item()),
             it, max_iter, tol, whiten)
         ends[i] = _TERMINATIONS.index(end)
     live = (ends != 3).nonzero()[0]
     rank = np.zeros(t, dtype=int)
-    rank[live] = _jacobian_rank(out_jac[live])
+    if live.size:
+        diff, dist, _ = _residuals(out_x[live], all_pts[live], all_d[live])
+        rank[live] = _jacobian_rank(linearize(diff, dist))
     return _lm_results(out_x, out_cost, ends, iterations, rank)

@@ -40,6 +40,8 @@ class RdNoiseModel:
             raise ValueError("sigma must be finite and >= 0")
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError("outlier_fraction must be in [0, 1]")
+        if not np.isfinite(self.outlier_scale):
+            raise ValueError("outlier_scale must be finite")
 
     def draw(self, rng, n):
         """n i.i.d. noise samples from the configured law."""
@@ -168,6 +170,8 @@ def synth_signals(scene, model, duration_s, sample_rate):
 
     if scene.source is None:
         raise ValueError("synthesis needs a scene with a source position")
+    if not np.isfinite([duration_s, sample_rate]).all():
+        raise ValueError("duration_s and sample_rate must be finite")
     n_samples = int(round(duration_s * sample_rate))
     if n_samples < 1:
         raise ValueError("duration too short")

@@ -51,8 +51,9 @@ class FrameConfig:
     overlap: float = 0.5
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        for name in ("sample_rate", "frame_duration"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError("overlap must be in [0, 1)")
         if self.frame_length < 2:

@@ -738,6 +738,14 @@ def test_integers_widen_to_float_only():
                            "sample_rate": 16000.0})
 
 
+@pytest.mark.parametrize("scale", [np.nan, np.inf])
+def test_non_finite_outlier_scale_is_a_config_error(scale):
+    with pytest.raises(ConfigError, match="invalid noise settings: "
+                                          "outlier_scale must be finite"):
+        base_config(noise={"domain": "rd", "kind": "outlier_mixture",
+                           "levels": [0.05], "outlier_scale": scale})
+
+
 def test_missing_required_key_is_named():
     with pytest.raises(ConfigError, match=r"missing .*noise\.levels"):
         base_config(noise={"domain": "rd"})

@@ -271,6 +271,11 @@ def test_bench_unknown_key(tmp_path, capsys):
     # passes, so the scene draws give up instead of looping on
     ("mic_count 600", {"scene": {"kind": "random", "count": 1,
                                  "mic_count": 600}}),
+    # a NaN scale would record every system as invalid_pair, an infinite
+    # one fail in perturb_rd
+    *(("outlier_scale", {"noise": {
+        "domain": "rd", "kind": "outlier_mixture", "levels": [0.05],
+        "outlier_scale": scale}}) for scale in (float("nan"), float("inf"))),
 ])
 def test_bench_unrunnable_config_exits_before_running(tmp_path, capsys,
                                                      named, overrides):
@@ -355,6 +360,8 @@ def test_8bit_wav_decodes_like_16bit(tmp_path):
     "tdoa --wav {pair} --out {out} --max-distance 2.0 --sound-speed -343",
     "tdoa --wav {pair} --out {out} --max-distance 2.0 --sound-speed inf",
     "tdoa --wav {pair} --out {out} --max-distance inf",
+    "tdoa --wav {pair} --out {out} --max-distance 1 --frame-duration inf",
+    "tdoa --wav {pair} --out {out} --max-distance 1 --frame-duration nan",
     "localize {scene} --rd {rd} --sound-speed 0",
     "localize {scene} --rd {rd} --sound-speed -1",
     "localize {scene} --rd {rd} --sound-speed nan",

@@ -115,6 +115,34 @@ def test_readme_library_tour_names_exist():
     assert not missing, f"README library tour names missing code: {missing}"
 
 
+def _estimator_reasons():
+    """The reason literals of ``estimators.py``: ``reason=`` keywords and
+    ``info["reason"] =`` assignments."""
+    values = []
+    for node in ast.walk(_tree(PACKAGE / "estimators.py")):
+        if isinstance(node, ast.keyword) and node.arg == "reason":
+            values.append(node.value)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Subscript)
+                and isinstance(target.slice, ast.Constant)
+                and target.slice.value == "reason"
+                for target in node.targets):
+            values.append(node.value)
+    assert all(isinstance(value, ast.Constant) for value in values)
+    return {value.value for value in values}
+
+
+def test_readme_status_table_lists_the_estimators_reasons():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| estimator | status | reason |")[1].split("\n\n")[0]
+    documented = set()
+    for row in table.splitlines()[2:]:
+        _, status, reason = row.strip("|").split("|")[:3]
+        if status.strip() == "`degenerate`":
+            documented.update(re.findall(r'`"([^"]+)"`', reason))
+    assert documented and documented == _estimator_reasons()
+
+
 def test_sources_parse_at_the_python_floor():
     # the oldest interpreter requires-python admits must read every
     # source; tomllib is 3.11+, so the floor is read with a pattern
@@ -179,9 +207,36 @@ def test_import_starts_no_thread_machinery():
     assert done.stdout.split() == []
 
 
-def _fresh_python(code):
-    """Run ``code`` in a new interpreter that imports this checkout."""
-    env = dict(os.environ)
+def test_blas_threads_do_not_change_the_records(tmp_path):
+    # the stacked kernels' LAPACK and BLAS calls on one thread and on two:
+    # all five methods on random 8-mic scenes, every 6-mic subset
+    raw = {"methods": ["usrd-ls", "srd-ls", "conic", "conic-norm",
+                       "hyperbolic"],
+           "features": ["vad_on:raw", "vad_on:denoised"], "trials": 2,
+           "seed": 11, "scene": {"kind": "random", "count": 2,
+                                 "mic_count": 8, "bounds": 3.0},
+           "subsets": {"mode": "all_k_of_m", "k": 6},
+           "noise": {"domain": "rd", "kind": "outlier_mixture",
+                     "levels": [0.02, 0.1]}}
+    outputs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"records-{threads}.csv"
+        done = _fresh_python(
+            "from multilat.bench import (config_from_dict, run_benchmark,"
+            " write_records_csv)\n"
+            f"write_records_csv(run_benchmark(config_from_dict({raw!r})),"
+            f" {str(path)!r})",
+            env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+        assert done.returncode == 0, done.stderr
+        outputs.append(path.read_bytes())
+    assert outputs[0].count(b"\n") == 1 + 5 * 2 * 28 * 2 * 2
+    assert outputs[0] == outputs[1]
+
+
+def _fresh_python(code, env=None):
+    """Run ``code`` in a new interpreter that imports this checkout, with
+    the variables ``env`` set on top of this process's environment."""
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code], env=env,

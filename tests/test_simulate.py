@@ -91,6 +91,9 @@ def test_noise_model_validation():
         RdNoiseModel(sigma=-0.1)
     with pytest.raises(ValueError, match="outlier_fraction"):
         RdNoiseModel(outlier_fraction=1.5)
+    for scale in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="outlier_scale"):
+            RdNoiseModel(kind="outlier_mixture", outlier_scale=scale)
     with pytest.raises(TypeError):
         perturb_rd(np.zeros((4, 4)), RdNoiseModel(sigma=0.1))
 
@@ -151,6 +154,15 @@ def test_synth_seed_determinism():
     a = synth_signals(scene, model, duration_s=0.5, sample_rate=16000)
     b = synth_signals(scene, model, duration_s=0.5, sample_rate=16000)
     np.testing.assert_array_equal(a.channels, b.channels)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("field", ["duration_s", "sample_rate"])
+def test_synth_rejects_non_finite_settings(field, value):
+    settings = {"duration_s": 0.5, "sample_rate": 16000, field: value}
+    with pytest.raises(ValueError, match="must be finite"):
+        synth_signals(paper_table1_scenes()[0], SignalModel(rng_seed=1),
+                      **settings)
 
 
 def test_file_source_scale_free(tmp_path):

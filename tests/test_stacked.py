@@ -164,10 +164,11 @@ def test_conic_stack_rows_match(m, normalize):
 @pytest.mark.parametrize("seeded", [False, True])
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
 def test_hyperbolic_stack_rows_match(m, seeded, guard_hits):
+    # seeded: handed the srd stack it starts from, as the harness does
     values, mics, ref = mixed_stack(m)
     d = rows_of(values, ref)
-    usrd = usrd_stack(d, mics, ref) if seeded and m >= 5 else None
-    stacked = hyperbolic_stack(d, mics, ref, usrd=usrd)
+    srd = srd_stack(d, mics, ref) if seeded else None
+    stacked = hyperbolic_stack(d, mics, ref, srd=srd)
     assert guard_hits
     single = spherical_calls(values, mics, ref, hyperbolic_ls)
     for got, want in zip(stacked, single):
@@ -189,6 +190,37 @@ def test_lm_starts_from_the_srd_solution(m):
             assert_same(hyperbolic_ls(rd, mic),
                         hyperbolic_ls(rd, mic, init=srd.position))
     assert started >= 18
+
+
+def test_lm_starts_solve_usrd_only_where_srd_is_not_ok(monkeypatch):
+    # an 8-mic stack whose srd_ls is not ok on some rows, and whose usrd_ls
+    # is ok on some of those: usrd_stack sees only those rows, and every
+    # row is still its public call
+    rng = np.random.default_rng(7200)
+    values, mics, ref = mixed_stack(8)
+    systems = [_random_system(rng, 8, kind, True) for kind in
+               ("on a mic", "on a mic", "coplanar", "collinear") * 16]
+    values = np.concatenate([values, [v for v, _ in systems]])
+    mics = np.concatenate([mics, [mic for _, mic in systems]])
+    ref = np.concatenate([ref, np.zeros(len(systems), dtype=int)])
+    d = rows_of(values, ref)
+    open_rows = (~srd_stack(d, mics, ref).ok).nonzero()[0]
+    seen = []
+
+    def spy(rows, *rest):
+        seen.append(rows.copy())
+        return usrd_stack(rows, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "usrd_stack", spy)
+        stacked = hyperbolic_stack(d, mics, ref)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], d[open_rows])
+    assert 0 < usrd_stack(*(v[open_rows] for v in (d, mics, ref))).ok.sum() \
+        < len(open_rows) < len(d)
+    for got, want in zip(stacked,
+                         spherical_calls(values, mics, ref, hyperbolic_ls)):
+        assert_same(got, want)
 
 
 def test_lm_starts_elsewhere_where_srd_is_not_ok():
@@ -498,26 +530,28 @@ def test_gain_update_adds_its_terms_left_to_right():
 
 
 def _boundary_steps(rng, count):
-    """Steps and offsets x - r_ref whose step test sits on its boundary:
-    ||h|| by ``math.hypot`` equals the threshold, and the ``sqrt`` of
-    the row sum lies one ulp to the other side.  Rows that are not
-    finite follow: ``math.hypot`` of an infinity is infinite, even beside
-    a NaN, where the ``sqrt`` of the row sum is NaN."""
+    """Steps and offsets x - r_ref on the step test's boundary, in pairs:
+    the threshold equals ||h||, the ``sqrt`` of its row sum, then lies
+    just below it; ``math.hypot`` rounds each ||h|| otherwise.  Rows
+    with infinities, NaNs or overflowing squares follow."""
     found = []
-    while len(found) < count:
+    while len(found) < 2 * count:
         h = rng.normal(size=3) * 1e-9
-        exact, summed = math.hypot(*h), float(np.sqrt(np.sum(h * h)))
-        if exact == summed:
+        summed = float(np.sqrt(np.sum(h * h)))
+        if math.hypot(*h) == summed:
             continue
         # the threshold STEP_TOL (D + STEP_TOL) of an offset (D, 0, 0)
-        # hits the exact length for some D near exact / STEP_TOL
-        dist = exact / STEP_TOL - STEP_TOL
+        # hits the length for some D near summed / STEP_TOL
+        dist = summed / STEP_TOL - STEP_TOL
         for _ in range(64):
             threshold = STEP_TOL * (dist + STEP_TOL)
-            if threshold == exact:
+            if threshold == summed:
+                found.append((h, np.array([dist, 0.0, 0.0])))
+                while STEP_TOL * (dist + STEP_TOL) == summed:
+                    dist = np.nextafter(dist, -np.inf)
                 found.append((h, np.array([dist, 0.0, 0.0])))
                 break
-            dist = np.nextafter(dist, np.inf if threshold < exact
+            dist = np.nextafter(dist, np.inf if threshold < summed
                                 else -np.inf)
     inf, nan = math.inf, math.nan
     found += [(np.array(h), np.array(o)) for h, o in [
@@ -526,19 +560,27 @@ def _boundary_steps(rng, count):
         ([1e-9, 0.0, 0.0], [0.0, inf, 0.0]),
         ([inf, nan, 0.0], [1.0, 0.0, 0.0]),
         ([nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
-        ([0.0, -inf, 0.0], [2.0, 0.0, 0.0])]]
+        ([0.0, -inf, 0.0], [2.0, 0.0, 0.0]),
+        ([1e-9, 0.0, 0.0], [1e300, 0.0, 0.0]),
+        ([1e200, 0.0, 0.0], [1e300, 0.0, 0.0]),
+        ([1e200, 0.0, 0.0], [1.0, 0.0, 0.0])]]
     return np.array([h for h, _ in found]), np.array([o for _, o in found])
 
 
-def test_step_test_takes_math_hypot_lengths():
-    # on the boundary only the rounding of the lengths decides
-    steps, offsets = _boundary_steps(np.random.default_rng(77), 40)
-    want = [_small_step(h.tolist(), o.tolist(), [0.0, 0.0, 0.0], STEP_TOL)
-            for h, o in zip(steps, offsets)]
-    assert _small_steps(steps, offsets).tolist() == want
-    summed = np.sqrt(np.sum(steps * steps, axis=1)) \
-        <= STEP_TOL * (offsets[:, 0] + STEP_TOL)
-    assert summed.tolist() != want
+def test_step_tests_share_the_summed_rule():
+    # on the boundary only the rounding of the lengths decides: both step
+    # tests take the sqrt of the squares added left to right
+    steps, offsets = _boundary_steps(np.random.default_rng(77), 20)
+    with np.errstate(all="ignore"):
+        want = (np.sqrt(np.sum(steps * steps, axis=1)) <= STEP_TOL * (
+            np.sqrt(np.sum(offsets * offsets, axis=1)) + STEP_TOL)).tolist()
+        assert _small_steps(steps, offsets).tolist() == want
+    assert [_small_step(h.tolist(), o.tolist(), [0.0, 0.0, 0.0], STEP_TOL)
+            for h, o in zip(steps, offsets)] == want
+    assert True in want and False in want
+    hypot = [math.hypot(*h) <= STEP_TOL * (math.hypot(*o) + STEP_TOL)
+             for h, o in zip(steps.tolist(), offsets.tolist())]
+    assert hypot != want
 
 
 @pytest.mark.usefixtures("stacked_linalg")
@@ -676,7 +718,7 @@ def test_lm_rows_that_end_early_stay_their_public_calls():
         mics = np.insert(mics, 9 * at, array, axis=0)
         ref = np.insert(ref, 9 * at, 0)
     usrd = usrd_stack(d, mics, ref)
-    stacked = hyperbolic_stack(d, mics, ref, usrd=usrd)
+    stacked = hyperbolic_stack(d, mics, ref)
     rds = [RdVector(values=row, reference_index=int(r)) for row, r in
            zip(d, ref)]
     for got, rd, m in zip(usrd, rds, mics):

@@ -93,6 +93,11 @@ def test_frame_config_validation():
         FrameConfig(sample_rate=FS, overlap=1.0)
     with pytest.raises(ValueError, match="sample_rate"):
         FrameConfig(sample_rate=0)
+    # an infinite frame length would raise OverflowError when rounded
+    for field in ("sample_rate", "frame_duration"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                FrameConfig(**{"sample_rate": FS, field: value})
 
 
 # ---------------------------------------------------------------------------

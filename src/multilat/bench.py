@@ -265,15 +265,20 @@ def _spread_out(mics, least):
     return True
 
 
-def load_scene(path):
-    """Read a scene YAML file (keys: mics, source, sound_speed)."""
+def _read_yaml(path, what):
+    """The parsed YAML file ``path``, or ConfigError("cannot read ...")."""
     import yaml
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as exc:
-        raise ConfigError(f"cannot read scene file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_scene(path):
+    """Read a scene YAML file (keys: mics, source, sound_speed)."""
+    raw = _read_yaml(path, "scene file")
     if not isinstance(raw, dict) or "mics" not in raw:
         raise ConfigError("scene file must be a mapping with a 'mics' key")
     try:
@@ -433,14 +438,7 @@ def _noise_model(config, level, seed=None):
 
 def load_config(path):
     """Read a benchmark YAML file into a validated BenchmarkConfig."""
-    import yaml
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except (OSError, yaml.YAMLError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(_read_yaml(path, "config"))
 
 
 def config_from_dict(raw):
@@ -834,6 +832,8 @@ def run_benchmark(config):
 
 #: the fractions at which ``summarize`` takes its quartiles
 _QUARTILES = np.array([0.25, 0.5, 0.75])
+#: bins per axis of ``write_histogram_csv``
+HISTOGRAM_BINS = 30
 
 
 def _quartiles(group, values, count):
@@ -923,7 +923,7 @@ def write_summary_csv(rows, path):
         for row in rows])
 
 
-def write_histogram_csv(records, path, bins=30):
+def write_histogram_csv(records, path):
     """2D histogram of mean RD error vs position error, per method/feature.
 
     Bin edges are shared across groups (global successful-data range) so
@@ -942,7 +942,7 @@ def write_histogram_csv(records, path, bins=30):
         for values in (rd_all[ok], pos_all[ok]):
             lo, hi = float(values.min()), float(values.max())
             edges.append(np.linspace(lo, hi if hi > lo else lo + 1e-12,
-                                     bins + 1))
+                                     HISTOGRAM_BINS + 1))
         rd_text, pos_text = ([f"{e:.9g}" for e in edge.tolist()]
                              for edge in edges)
         # one histogram over (group, rd, pos): group g = method * F +

@@ -23,6 +23,7 @@ from .bench import (METHOD_NAMES, REF_POLICIES, ConfigError, check_reference,
                     load_config, load_scene, localize, rd_from_signals)
 from .denoise import tdoa_average
 from .geometry import DEFAULT_SOUND_SPEED, RdMatrix, tdoa_to_rd
+from .simulate import _pcm_to_float
 from .tdoa import FrameConfig, MicSignals, estimate_tdoa_matrix
 
 EXIT_OK = 0
@@ -38,10 +39,9 @@ def _fail(code, reason):
 def _read_wavs(paths):
     """Load one multichannel WAV or several single-channel ones.
 
-    PCM is scaled to [-1, 1): unsigned 8-bit about its midpoint 128,
-    signed 16-, 24- and 32-bit about 0; IEEE float is read as is.  All
-    files must share the sample rate (no resampling).  Channels are
-    trimmed to the shortest common length.
+    Samples are decoded as ``simulate._pcm_to_float`` says.  All files
+    must share the sample rate (no resampling).  Channels are trimmed to
+    the shortest common length.
     """
     from scipy.io import wavfile
 
@@ -58,14 +58,7 @@ def _read_wavs(paths):
                 f"sample-rate mismatch: {path} has {file_rate} Hz, "
                 f"expected {rate} Hz")
         data = np.atleast_2d(np.asarray(data).T)  # -> (channels, samples)
-        if data.dtype == np.uint8:
-            data = (data.astype(float) - 128.0) / 128.0
-        elif np.issubdtype(data.dtype, np.integer):
-            bits = data.dtype.itemsize * 8
-            data = data.astype(float) / float(2 ** (bits - 1))
-        else:
-            data = data.astype(float)
-        channels.extend(data)
+        channels.extend(_pcm_to_float(data))
     if not channels:
         raise ConfigError("no WAV channels supplied")
     length = min(ch.size for ch in channels)

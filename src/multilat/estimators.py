@@ -26,11 +26,12 @@ are stacked matrix products too).  The multiplier root scan and the LM
 step, step test and damping run as elementwise arrays in the order of
 the plain-float code, which keeps a search over a few brackets and the
 last few LM systems (``_gtrs_roots`` says when the root search stops).
-Powers stay libm's ``pow`` of plain floats, which ``np.power`` and
-``x * x`` may round otherwise.  Each LM stop test is one rule in both
-loops: a length is the ``sqrt`` of its squares added left to right, and
-the gradient stop holds where every |component| of J^T e is at most
-``GRAD_TOL``.  The LM state holds only what its decisions read; the
+The LM gain cube stays libm's ``pow`` of a plain float, which
+``np.power`` may round otherwise.  Each LM stop test is one rule in both
+loops: a length is the ``sqrt`` of its squares added left to right, the
+gradient stop holds where every |component| of J^T e is at most
+``GRAD_TOL``, and the damping peak max diag(J^T J) is NaN where a
+diagonal entry is.  The LM state holds only what its decisions read; the
 rank test rebuilds each end point's Jacobian.  LAPACK decides usrd's
 ``COND_LIMIT`` test and the LM's rank test only on rows that
 ``_certified`` leaves open.
@@ -528,10 +529,8 @@ def srd_stack(d, mics, ref):
         cost = _sum_squares(_matvec(phi[at], c) - b[at])
         feasible = c[:, 0] >= -1e-9
         # per system the first of the least costs among its feasible
-        # roots, a NaN cost first, as np.argmin takes them (the sort is
-        # stable)
-        order = np.lexsort((np.where(np.isnan(cost), -np.inf, cost),
-                            ~feasible, sys))
+        # roots (the sort is stable; a NaN cost sorts last)
+        order = np.lexsort((cost, ~feasible, sys))
         ranked = sys[order]
         first = order[np.flatnonzero(
             ranked != np.concatenate([[-1], ranked[:-1]]))]
@@ -573,12 +572,11 @@ def srd_stack(d, mics, ref):
 
 def _put_srd(out, at, c, system, status, rank, **extra):
     """Rows ``at`` of ``out``: the srd results ``c`` (n, 4) of those
-    systems of ``system`` = (phi, b, origin), the square ``c1**2`` of the
-    constraint residual a plain float."""
+    systems of ``system`` = (phi, b, origin), with the constraint
+    residual |c1 * c1 - ||r||^2| and its relative size."""
     phi, b, origin = system
     r_norm2 = _sum_squares(c[:, 1:])
-    constraint = np.abs(np.array([v ** 2 for v in c[:, 0].tolist()])
-                        - r_norm2)
+    constraint = np.abs(c[:, 0] * c[:, 0] - r_norm2)
     out.put(at, status, c[:, 1:] + origin[at],
             _sum_squares(_matvec(phi[at], c) - b[at]), c1=c[:, 0],
             constraint_residual=constraint,
@@ -867,7 +865,7 @@ def _damped_steps(hess, grad, mu):
     return step, np.minimum(np.minimum(p0, p1), p2) > 0.0
 
 
-def _small_steps(step, offset, tol=STEP_TOL):
+def _small_steps(step, offset, tol):
     """``_small_step`` of n systems at once, from their steps and their
     offsets x - r_ref (n, 3): a row sum of three adds left to right."""
     size, limit = (np.sqrt(np.add.reduce(v * v, axis=1))
@@ -902,12 +900,10 @@ def _gain_updates(mu, step, grad, cost, new_cost):
     return mu * np.where(factor > 1.0 / 3.0, factor, 1.0 / 3.0)
 
 
-def _max3(hess):
-    """The builtin ``max`` of the diagonals of ``hess`` (n, 3, 3), matrix
-    by matrix: a NaN wins only in the first entry."""
-    top, a11, a22 = hess[:, 0, 0], hess[:, 1, 1], hess[:, 2, 2]
-    top = np.where(a11 > top, a11, top)
-    return np.where(a22 > top, a22, top)
+def _peaks(hess):
+    """max diag(J^T J) of each matrix of ``hess`` (n, 3, 3), NaN where a
+    diagonal entry is NaN, as ``_lm_float``'s damping test takes it."""
+    return hess.diagonal(0, 1, 2).max(1)
 
 
 def _residuals(pos, pts, d):
@@ -994,7 +990,8 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
       (``tol`` is relative);
     - ``max_iterations``: ``max_iter`` passes were used up;
     - ``damping``: mu left (0, ``DAMPING_LIMIT`` max diag(J^T J)], so
-      no damped step lowers the cost (non-finite residuals end here).
+      no damped step lowers the cost (non-finite residuals end here, and
+      so does a NaN anywhere on the diagonal of J^T J).
 
     ``gradient`` and ``step`` give status ``converged``,
     ``max_iterations`` gives ``max_iterations`` (iterations exhausted),
@@ -1039,7 +1036,7 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
 def _lm_float(pts, d, x, state, first, max_iter, tol, whiten):
     """The LM passes ``first``..``max_iter`` of one system, microphones
     ``pts`` reference first and RDs ``d``, in plain floats, carrying on
-    from ``x`` and ``state`` = (cost, J^T J, J^T e, peak, mu, nu) as
+    from ``x`` and ``state`` = (cost, J^T J, J^T e, mu, nu) as
     ``_hyperbolic`` left them; ``whiten`` whitens the residuals and J.
     Returns ``(x, cost, termination, iterations)``.
     """
@@ -1055,11 +1052,9 @@ def _lm_float(pts, d, x, state, first, max_iter, tol, whiten):
 
     def linearize(diff, dist, werr):
         wjac = whiten(_jacobian(diff, dist))
-        hess = (wjac.T @ wjac).tolist()
-        return hess, (wjac.T @ werr).tolist(), max(
-            hess[0][0], hess[1][1], hess[2][2])
+        return (wjac.T @ wjac).tolist(), (wjac.T @ werr).tolist()
 
-    cost, hess, grad, peak, mu, nu = state
+    cost, hess, grad, mu, nu = state
     termination, iterations = "max_iterations", first - 1
     for iterations in range(first, max_iter + 1):
         if all(abs(g) <= GRAD_TOL for g in grad):
@@ -1074,14 +1069,16 @@ def _lm_float(pts, d, x, state, first, max_iter, tol, whiten):
             if new_cost < cost:
                 mu = _gain_update(mu, step, grad, cost, new_cost)
                 x, cost = cand, new_cost
-                hess, grad, peak = linearize(new_diff, new_dist, new_werr)
+                hess, grad = linearize(new_diff, new_dist, new_werr)
                 nu = 2.0
                 continue
         # no positive-definite damped system, or a step that does not
         # lower the cost
         mu *= nu
         nu *= 2.0
-        if not 0.0 < mu <= DAMPING_LIMIT * peak:
+        diag = hess[0][0], hess[1][1], hess[2][2]  # a NaN wins, as in _peaks
+        if not 0.0 < mu <= DAMPING_LIMIT * max(diag) \
+                or any(map(math.isnan, diag)):
             termination = "damping"
             break
     return x, cost, termination, iterations
@@ -1155,8 +1152,7 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
     # as each system's 2-D product does, and the LM stops are sensitive
     # to the rounding of an elementwise sum
     hess, grad = jac.mT @ jac, _matvec(jac.mT, werr)
-    peak = _max3(hess)
-    mu, nu = 1e-3 * peak, np.full(t, 2.0)
+    mu, nu = 1e-3 * _peaks(hess), np.full(t, 2.0)
     # the systems still running hold the state arrays; a system that
     # stops leaves its end (an index into _TERMINATIONS), pass count,
     # point and cost behind
@@ -1181,15 +1177,15 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
                 nu[acc], cost[acc] = 2.0, lower
                 x[acc] = cand.take(acc, 0)
                 jac = linearize(new_diff.take(acc, 0), new_dist.take(acc, 0))
-                fresh = jac.mT @ jac
-                hess[acc], peak[acc] = fresh, _max3(fresh)
+                hess[acc] = jac.mT @ jac
                 grad[acc] = _matvec(jac.mT, new_werr.take(acc, 0))
             # no positive-definite damped system, or a step that does not
             # lower the cost
             damped = ~(flat | small | better)
             np.multiply(mu, nu, out=mu, where=damped)
             np.multiply(nu, 2.0, out=nu, where=damped)
-            over = damped & ~((0.0 < mu) & (mu <= DAMPING_LIMIT * peak))
+            over = damped & ~((0.0 < mu)
+                              & (mu <= DAMPING_LIMIT * _peaks(hess)))
             end = flat | small | over
             if end.any():
                 done = ids[end]
@@ -1197,16 +1193,16 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
                 iterations[done] = it
                 out_x[done], out_cost[done] = x[end], cost[end]
                 keep = (~end).nonzero()[0]
-                ids, x, cost, hess, grad, peak, mu, nu, pts, d = (
-                    v.take(keep, 0) for v in (ids, x, cost, hess, grad,
-                                              peak, mu, nu, pts, d))
+                ids, x, cost, hess, grad, mu, nu, pts, d = (
+                    v.take(keep, 0)
+                    for v in (ids, x, cost, hess, grad, mu, nu, pts, d))
             it += 1
     # the last few systems carry on one at a time
     for k, i in enumerate(ids.tolist()):
         out_x[i], out_cost[i], end, iterations[i] = _lm_float(
             pts[k], d[k], x[k], (
                 cost[k].item(), hess[k].tolist(), grad[k].tolist(),
-                peak[k].item(), mu[k].item(), nu[k].item()),
+                mu[k].item(), nu[k].item()),
             it, max_iter, tol, whiten)
         ends[i] = _TERMINATIONS.index(end)
     live = (ends != 3).nonzero()[0]

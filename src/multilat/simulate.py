@@ -132,6 +132,16 @@ def _fractional_delay_filter(mu):
     return taps / taps.sum()
 
 
+def _pcm_to_float(data):
+    """WAV samples as floats: PCM scaled to [-1, 1), unsigned 8-bit about
+    its midpoint 128, signed 16-, 24- and 32-bit about 0; IEEE float as is."""
+    if data.dtype == np.uint8:
+        return (data.astype(float) - 128.0) / 128.0
+    if np.issubdtype(data.dtype, np.integer):
+        return data.astype(float) / float(2 ** (data.dtype.itemsize * 8 - 1))
+    return data.astype(float)
+
+
 def _load_source(model, n_samples, rng):
     if model.source_path is None:
         return rng.standard_normal(n_samples)
@@ -141,7 +151,7 @@ def _load_source(model, n_samples, rng):
         data = data[:, 0]
     if data.size == 0:
         raise ValueError(f"source WAV {model.source_path!r} has no samples")
-    data = np.asarray(data, dtype=float)
+    data = _pcm_to_float(data)
     peak = np.max(np.abs(data))
     if peak > 0:
         data = data / peak

@@ -181,6 +181,22 @@ def test_file_source_scale_free(tmp_path):
     np.testing.assert_array_equal(pcm_sig.channels, flt_sig.channels)
 
 
+def test_8bit_wav_source_loads_like_16bit(tmp_path):
+    # 8-bit PCM is unsigned about its midpoint 128: the source has no DC
+    # offset and matches a 16-bit copy of the tone within one 8-bit step,
+    # 1/64 of a half-scale tone after peak normalization
+    sine = 0.5 * np.sin(2.0 * np.pi * 440.0 * np.arange(16000) / 16000)
+    u8, s16 = tmp_path / "u8.wav", tmp_path / "s16.wav"
+    wavfile.write(u8, 16000, np.round(128.0 + 128.0 * sine).astype(np.uint8))
+    wavfile.write(s16, 16000, np.round(32768.0 * sine).astype(np.int16))
+    rng = np.random.default_rng(0)
+    u8_source, s16_source = (
+        simulate._load_source(SignalModel(source_path=str(path)), 8000, rng)
+        for path in (u8, s16))
+    assert abs(np.mean(u8_source)) < 1e-3
+    assert np.max(np.abs(u8_source - s16_source)) <= 1.0 / 64.0
+
+
 def test_empty_wav_source_rejected(tmp_path):
     # an empty file names itself; a silent one still renders (all zeros)
     empty, silent = tmp_path / "empty.wav", tmp_path / "silent.wav"

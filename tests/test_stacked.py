@@ -574,13 +574,30 @@ def test_step_tests_share_the_summed_rule():
     with np.errstate(all="ignore"):
         want = (np.sqrt(np.sum(steps * steps, axis=1)) <= STEP_TOL * (
             np.sqrt(np.sum(offsets * offsets, axis=1)) + STEP_TOL)).tolist()
-        assert _small_steps(steps, offsets).tolist() == want
+        assert _small_steps(steps, offsets, STEP_TOL).tolist() == want
     assert [_small_step(h.tolist(), o.tolist(), [0.0, 0.0, 0.0], STEP_TOL)
             for h, o in zip(steps, offsets)] == want
     assert True in want and False in want
     hypot = [math.hypot(*h) <= STEP_TOL * (math.hypot(*o) + STEP_TOL)
              for h, o in zip(steps.tolist(), offsets.tolist())]
     assert hypot != want
+
+
+@pytest.mark.parametrize("entry", [0, 1, 2])
+def test_a_nan_on_the_diagonal_of_jtj_ends_on_damping(entry):
+    # both loops take the damping peak max diag(J^T J) as NaN where any
+    # diagonal entry is: the plain-float run ends on its first pass
+    hess = np.array([[4.0, 1.0, 0.0], [1.0, 5.0, 1.0], [0.0, 1.0, 6.0]])
+    hess[entry, entry] = np.nan
+    pts = paper_table1_scenes()[0].mics
+    state = 1.0, hess.tolist(), [1.0, -1.0, 1.0], 1e-3, 2.0
+    _, _, termination, iterations = estimators._lm_float(
+        pts, np.zeros(len(pts) - 1), pts.mean(axis=0), state, 1,
+        estimators.MAX_ITER, STEP_TOL, lambda arr: arr)
+    assert (termination, iterations) == ("damping", 1)
+    finite = np.nan_to_num(hess)
+    peaks = estimators._peaks(np.stack([hess, finite]))
+    assert np.isnan(peaks[0]) and peaks[1] == finite.diagonal().max()
 
 
 @pytest.mark.usefixtures("stacked_linalg")

@@ -653,24 +653,43 @@ def rd_from_signals(signals, scene):
                              ("off", tdoa_mat.with_vad("off")))}
 
 
-def _solve(methods, values, mics, valid, energies, stacked):
+def _solve(methods, values, mics, valid, energies):
     """Per method, the ``ResultStack`` of its valid systems, in order.
 
     ``mics`` (N, k, 3) are the microphones of N systems and ``energies``
     (N, k) or None their channel energies; ``values`` (F*N, k, k) are the
-    systems' RD matrices under each of F features in turn.  With
-    ``stacked`` each method's valid systems go through its estimator
-    kernel as one stack, each reference policy picking the references of
-    all systems in one ``_reference`` call; without, each system goes
-    through ``localize``.  An error that ``localize`` raises for a
-    system, or a kernel's refusal of the microphone count, makes
-    ``degenerate`` rows with its message as reason.
+    systems' RD matrices under each of F features in turn.  Each method's
+    valid systems go through its estimator kernel as one stack, each
+    reference policy picking the references of all systems in one
+    ``_reference`` call; with one system per feature (N = 1) or one
+    microphone per system (k = 1), each goes through ``localize``.  A
+    kernel's refusal of the microphone count, or an error that
+    ``localize`` raises for a system, makes ``degenerate`` rows with its
+    message as reason.
     """
     n = len(mics)
     keep = np.flatnonzero(valid)
+
+    def solve_each(name, ref_policy):
+        out = ResultStack(len(keep))
+        for row, s in enumerate(keep.tolist()):
+            try:
+                result = localize(
+                    name, ref_policy, RdMatrix(values[s]), mics[s % n],
+                    None if energies is None else energies[s % n])[1]
+            except (ValueError, IndexError) as exc:
+                out.put(row, "degenerate", reason=str(exc))
+            else:
+                out.put(row, result.status, result.position,
+                        result.residual, **result.info)
+        return out
+
+    if n == 1 or mics.shape[1] == 1:
+        # one system per feature keeps the per-system calls that perfbench's
+        # tracer and self-test wrap; one-mic subsets have no RDs to stack
+        return [solve_each(name, ref_policy) for name, ref_policy in methods]
     base = keep % n
-    if stacked:
-        kept_values, kept_mics = values[keep], mics[base]
+    kept_values, kept_mics = values[keep], mics[base]
     stacks = {}  # reference policy -> [ref, RD rows, {kernel: its stack}]
     planes = []  # the plane system that both conic methods solve
 
@@ -703,25 +722,8 @@ def _solve(methods, values, mics, valid, energies, stacked):
         srd = spherical(srd_stack) if kept_mics.shape[1] >= 4 else None
         return hyperbolic_stack(d, kept_mics, ref, srd=srd)
 
-    def solve_each(name, ref_policy):
-        out = ResultStack(len(keep))
-        for row, s in enumerate(keep.tolist()):
-            try:
-                result = localize(
-                    name, ref_policy, RdMatrix(values[s]), mics[s % n],
-                    None if energies is None else energies[s % n])[1]
-            except (ValueError, IndexError) as exc:
-                out.put(row, "degenerate", reason=str(exc))
-            else:
-                out.put(row, result.status, result.position,
-                        result.residual, **result.info)
-        return out
-
     outcomes = []
     for name, ref_policy in methods:
-        if not stacked:
-            outcomes.append(solve_each(name, ref_policy))
-            continue
         try:
             outcomes.append(solve_stack(name, ref_policy))
         except TooFewMicrophones as exc:
@@ -737,9 +739,11 @@ def run_benchmark(config):
 
     Every cell's observation is drawn first, as one stack per feature
     (``_observations``); then every feature's systems, one per (cell,
-    subset), go through ``_solve`` together.  Per-trial failures
-    (degenerate geometry, invalid TDOA pairs, estimator refusals) are
-    recorded with their status — never dropped.
+    subset), go through ``_solve`` together, as one kernel stack per
+    method, or one by one when a feature has one system or a subset one
+    microphone.  Per-trial failures (degenerate geometry, invalid TDOA
+    pairs, estimator refusals) are recorded with their status — never
+    dropped.
     """
     scenes = _scenes_for(config)
     trial_mics = np.array([scene.mics for scene in scenes])
@@ -778,12 +782,8 @@ def run_benchmark(config):
     sources = np.repeat(trial_sources[cell_trial], len(subsets), axis=0)
     if energies is not None:
         energies = energies[:, index].reshape(-1, k)
-    # a run of one system per feature keeps the per-system calls, which
-    # the perfbench tracer and self-test wrap; one-mic subsets have no
-    # RDs to stack and fail system by system
-    stacked = len(mics) > 1 and k > 1
     sources = np.tile(sources, (len(config.features), 1))
-    outcomes = _solve(methods, values, mics, valid, energies, stacked)
+    outcomes = _solve(methods, values, mics, valid, energies)
     keep = np.flatnonzero(valid)
     status = np.full((len(methods), len(valid)),
                      _RECORD_STATUSES.index("invalid_pair"))

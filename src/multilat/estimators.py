@@ -111,6 +111,8 @@ class NoiseCovariance:
         s = np.asarray(self.sigma, dtype=float)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("covariance must be square")
+        if not np.isfinite(s).all():
+            raise ValueError("covariance must be finite")
         if np.max(np.abs(s - s.T), initial=0.0) > 1e-12:
             raise ValueError("covariance must be symmetric")
         if np.linalg.eigvalsh(s).min() <= 0:
@@ -164,16 +166,12 @@ def _spherical_stack(d, mics, ref):
 def _sum_squares(v):
     """v . v over the last axis, as one stacked matrix product: bit for
     bit the ``v @ v`` of each row (an elementwise sum is not)."""
-    if v.ndim == 1:
-        return v @ v
     return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _matvec(a, v):
     """a @ v over stacks of matrices a (..., n, k) and vectors v (..., k),
-    bit for bit the 2-D ``a @ v`` of each system."""
-    if v.ndim == 1:
-        return a @ v
+    a 1-D ``v`` too, bit for bit the 2-D ``a @ v`` of each system."""
     return (a @ v[..., None])[..., 0]
 
 

@@ -33,6 +33,13 @@ def _upper_index(m):
     return rows, cols
 
 
+def _check_positive(**values):
+    """Raise ValueError naming the first NaN, infinite or <= 0 value."""
+    for name, value in values.items():
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive")
+
+
 def _as_points(x, name):
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -77,8 +84,7 @@ class Scene:
                 raise ValueError("source position must be finite")
             src.setflags(write=False)
             object.__setattr__(self, "source", src)
-        if not (np.isfinite(self.sound_speed) and self.sound_speed > 0):
-            raise ValueError("sound_speed must be positive")
+        _check_positive(sound_speed=self.sound_speed)
 
     @property
     def mic_count(self):
@@ -294,8 +300,7 @@ def tdoa_to_rd(tdoa_seconds, sound_speed=DEFAULT_SOUND_SPEED):
     t = np.asarray(tdoa_seconds, dtype=float)
     if np.any(np.isinf(t)):
         raise ValueError("tdoa must not be infinite")
-    if not (np.isfinite(sound_speed) and sound_speed > 0):
-        raise ValueError("sound_speed must be positive")
+    _check_positive(sound_speed=sound_speed)
     return sound_speed * t
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RdMatrix, RdVector, _checked_rd, _upper_index
+from .geometry import (RdMatrix, RdVector, _check_positive, _checked_rd,
+                       _upper_index)
 
 
 @dataclass(frozen=True)
@@ -180,8 +181,7 @@ def synth_signals(scene, model, duration_s, sample_rate):
 
     if scene.source is None:
         raise ValueError("synthesis needs a scene with a source position")
-    if not np.isfinite([duration_s, sample_rate]).all():
-        raise ValueError("duration_s and sample_rate must be finite")
+    _check_positive(duration_s=duration_s, sample_rate=sample_rate)
     n_samples = int(round(duration_s * sample_rate))
     if n_samples < 1:
         raise ValueError("duration too short")

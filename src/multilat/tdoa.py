@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import DEFAULT_SOUND_SPEED, _upper_index
+from .geometry import DEFAULT_SOUND_SPEED, _check_positive, _upper_index
 
 _PHAT_FLOOR = 1e-12
 # frames per block in estimate_tdoa_matrix; a worker's work arrays
@@ -51,9 +51,8 @@ class FrameConfig:
     overlap: float = 0.5
 
     def __post_init__(self):
-        for name in ("sample_rate", "frame_duration"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        _check_positive(sample_rate=self.sample_rate,
+                        frame_duration=self.frame_duration)
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError("overlap must be in [0, 1)")
         if self.frame_length < 2:
@@ -114,8 +113,7 @@ class MicSignals:
             raise ValueError("channels must be an (M, N) array")
         if not np.all(np.isfinite(ch)):
             raise ValueError("channels must be finite")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        _check_positive(sample_rate=self.sample_rate)
         object.__setattr__(self, "channels", ch)
 
     @property
@@ -234,9 +232,10 @@ def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
     b = np.asarray(frame_b, dtype=float)
     if a.ndim == 0 or a.shape != b.shape:
         raise ValueError("frames must have equal length")
-    max_lag = int(max_lag_samples)
-    if not 0 < max_lag < a.shape[-1]:
+    # checked before int(), which raises otherwise on an infinite or NaN bound
+    if not 1 <= max_lag_samples < a.shape[-1]:
         raise ValueError("max_lag must be in (0, frame length)")
+    max_lag = int(max_lag_samples)
     nfft = _fft_length(a.shape[-1], max_lag)
     frames, spectra, *work = _work_arrays(2, a.shape[:-1], a.shape[-1], nfft,
                                           max_lag)
@@ -386,10 +385,7 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
     """
     if signals.mic_count < 2:
         raise ValueError("need at least two channels")
-    for name, value in (("max_distance_m", max_distance_m),
-                        ("sound_speed", sound_speed)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be a finite positive number")
+    _check_positive(max_distance_m=max_distance_m, sound_speed=sound_speed)
     max_lag = int(np.ceil(max_distance_m / sound_speed * signals.sample_rate))
     if max_lag >= config.frame_length:
         raise ValueError("max lag exceeds the frame length; "

@@ -953,6 +953,21 @@ def test_one_system_runs_call_the_per_system_estimators(monkeypatch):
                for r in records)
 
 
+def test_one_system_runs_record_refusals_as_stacked_runs_do():
+    # a one-system run turns localize's refusal into a degenerate row with
+    # its message as reason, as a stacked run turns the kernel's
+    def usrd_outcomes(trials):
+        records = run_benchmark(base_config(
+            methods=["usrd-ls"], trials=trials,
+            scene={"kind": "random", "count": 1, "mic_count": 4}))
+        assert len(records) == trials
+        return {(r.status, r.extra["reason"]) for r in records}
+
+    assert usrd_outcomes(1) == usrd_outcomes(2) == {(
+        "degenerate",
+        "insufficient microphones: usrd_ls needs at least 5 in 3D")}
+
+
 def test_stacked_cells_propagate_kernel_faults(monkeypatch):
     # only a kernel's refusal of the microphone count becomes per-system
     # outcomes; any other error is a fault and propagates

@@ -150,6 +150,22 @@ def test_localize_rd_shape_mismatch(tmp_path, paper_scene, capsys):
     assert "8" in last_error(capsys)["error"]
 
 
+@pytest.mark.parametrize("text, named", [
+    ("0,1\n-1\n", "cannot read RD CSV"),  # ragged
+    ("0,one\n-1,0\n", "cannot read RD CSV"),  # not a number
+    (None, "cannot read RD CSV"),  # no such file
+    ("\n".join([",".join(["1"] * 8)] * 8), "must be antisymmetric")])
+def test_localize_unusable_rd_csv_is_config_error(tmp_path, paper_scene,
+                                                  capsys, text, named):
+    scene_path, _, _ = paper_scene
+    bad = tmp_path / "bad.csv"
+    if text is not None:
+        bad.write_text(text)
+    assert main(["localize", scene_path, "--rd", str(bad)]) == 2
+    error = last_error(capsys)
+    assert error["code"] == 2 and named in error["error"]
+
+
 def write_wavs(tmp_path, scene, model):
     """One float32 WAV per microphone of a synthesized 2 s capture."""
     sig = synth_signals(scene, model, duration_s=2.0, sample_rate=FS)
@@ -193,6 +209,14 @@ def test_localize_from_wavs_uses_the_chosen_vad(tmp_path, capsys, vad):
                                scene.mics)
     x, y, z = result.position
     assert position == f"position_m: {x:.6f} {y:.6f} {z:.6f}"
+
+
+def test_localize_wav_channels_must_match_the_scene(tmp_path, capsys):
+    scene = paper_table1_scenes()[1]
+    paths = write_wavs(tmp_path, scene, SignalModel(rng_seed=21))
+    scene_path = write_scene(tmp_path / "scene.yaml", scene)
+    assert main(["localize", scene_path, "--wav", *paths[:-1]]) == 2
+    assert last_error(capsys)["error"] == "7 channels for 8 microphones"
 
 
 def test_localize_from_wavs_max_energy_reference(tmp_path, capsys):
@@ -333,6 +357,20 @@ def test_tdoa_single_channel(tmp_path, capsys):
     assert main(["tdoa", "--wav", str(path), "--out", str(tmp_path),
                  "--max-distance", "2.0"]) == 2
     assert last_error(capsys)["code"] == 2
+
+
+def test_tdoa_warns_of_a_pair_without_frames(tmp_path, capsys):
+    # a silent channel has no usable frame with any other: its pairs are
+    # written as NaN and the run still succeeds
+    path = tmp_path / "three.wav"
+    base = np.random.default_rng(2).standard_normal(FS)
+    wavfile.write(path, FS, np.stack([base, np.roll(base, 5), 0.0 * base],
+                                     axis=1).astype(np.float32))
+    assert main(["tdoa", "--wav", str(path), "--out", str(tmp_path),
+                 "--max-distance", "2.0"]) == 0
+    assert "NaN entries" in capsys.readouterr().err
+    tdoa = np.loadtxt(tmp_path / "tdoa.csv", delimiter=",")
+    assert np.isnan(tdoa[2, :2]).all() and np.isfinite(tdoa[:2, :2]).all()
 
 
 def test_tdoa_sample_rate_mismatch(tmp_path, capsys):

@@ -923,6 +923,15 @@ def test_noise_covariance_validation():
     assert cov.sigma.shape == (3, 3)
 
 
+def test_noise_covariance_rejects_non_finite_entries():
+    nan, inf = np.eye(3), np.eye(3)
+    nan[0, 1] = nan[1, 0] = np.nan
+    inf[2, 2] = np.inf
+    for sigma in (nan, inf):
+        with pytest.raises(ValueError, match="covariance must be finite"):
+            NoiseCovariance(sigma)
+
+
 # ---------------------------------------------------------------------------
 # shared geometric invariants
 

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from multilat import (
+    FrameConfig,
+    MicSignals,
     RdMatrix,
     RdVector,
     LocalizationResult,
     Scene,
+    SignalModel,
+    estimate_tdoa_matrix,
     select_reference,
+    synth_signals,
     tdoa_to_rd,
     true_rd_full,
     true_rd_ref,
@@ -223,6 +228,41 @@ def test_tdoa_to_rd_values():
         tdoa_to_rd(0.001, sound_speed=0.0)
     with pytest.raises(ValueError):
         tdoa_to_rd(np.inf)
+
+
+def _two_channels():
+    return MicSignals(np.random.default_rng(0).standard_normal((2, 2048)),
+                      16000)
+
+
+#: every rate, speed and length that must be finite and positive, as
+#: "where.name", and a call with that setting at ``v``
+_POSITIVE_SETTINGS = {
+    "Scene.sound_speed": lambda v: Scene(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], sound_speed=v),
+    "tdoa_to_rd.sound_speed": lambda v: tdoa_to_rd(1e-3, v),
+    "FrameConfig.sample_rate": lambda v: FrameConfig(sample_rate=v),
+    "FrameConfig.frame_duration": lambda v: FrameConfig(16000,
+                                                        frame_duration=v),
+    "MicSignals.sample_rate": lambda v: MicSignals(np.ones((2, 8)), v),
+    "estimate_tdoa_matrix.max_distance_m": lambda v: estimate_tdoa_matrix(
+        _two_channels(), FrameConfig(16000), max_distance_m=v),
+    "estimate_tdoa_matrix.sound_speed": lambda v: estimate_tdoa_matrix(
+        _two_channels(), FrameConfig(16000), 1.0, sound_speed=v),
+    "synth_signals.duration_s": lambda v: synth_signals(
+        paper_table1_scenes()[0], SignalModel(rng_seed=1), v, 16000),
+    "synth_signals.sample_rate": lambda v: synth_signals(
+        paper_table1_scenes()[0], SignalModel(rng_seed=1), 0.5, v),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("setting", _POSITIVE_SETTINGS)
+def test_rates_speeds_and_lengths_share_one_positive_rule(setting, value):
+    name = setting.rpartition(".")[2]
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be finite and positive$"):
+        _POSITIVE_SETTINGS[setting](value)
 
 
 def test_tdoa_to_rd_accepts_lists():

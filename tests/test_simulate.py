@@ -197,6 +197,19 @@ def test_8bit_wav_source_loads_like_16bit(tmp_path):
     assert np.max(np.abs(u8_source - s16_source)) <= 1.0 / 64.0
 
 
+def test_stereo_wav_source_loads_its_first_channel(tmp_path):
+    samples = np.random.default_rng(9).integers(-20000, 20000, (4000, 2),
+                                                dtype=np.int16)
+    stereo, left = tmp_path / "stereo.wav", tmp_path / "left.wav"
+    wavfile.write(stereo, 16000, samples)
+    wavfile.write(left, 16000, samples[:, 0].copy())
+    stereo_source, left_source = (
+        simulate._load_source(SignalModel(source_path=str(path)), 8000,
+                              np.random.default_rng(0))
+        for path in (stereo, left))
+    np.testing.assert_array_equal(stereo_source, left_source)
+
+
 def test_empty_wav_source_rejected(tmp_path):
     # an empty file names itself; a silent one still renders (all zeros)
     empty, silent = tmp_path / "empty.wav", tmp_path / "silent.wav"

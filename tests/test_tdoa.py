@@ -88,6 +88,16 @@ def test_channel_shorter_than_frame_rejected():
         frame_signal(np.ones(512), default_config())
 
 
+@pytest.mark.parametrize("channels, named", [
+    (np.ones(8), r"\(M, N\) array"),
+    (np.ones((2, 2, 8)), r"\(M, N\) array"),
+    (np.where(np.eye(2, 8), np.nan, 1.0), "finite"),
+    (np.where(np.eye(2, 8), np.inf, 1.0), "finite")])
+def test_mic_signals_channels_must_be_a_finite_matrix(channels, named):
+    with pytest.raises(ValueError, match=f"channels must .*{named}"):
+        MicSignals(channels=channels, sample_rate=FS)
+
+
 def test_frame_config_validation():
     with pytest.raises(ValueError, match="overlap"):
         FrameConfig(sample_rate=FS, overlap=1.0)
@@ -149,6 +159,21 @@ def test_swap_antisymmetry():
 def test_silent_pair_rejected():
     with pytest.raises(ValueError, match="peak"):
         gcc_phat_pair(np.zeros(1024), np.zeros(1024), 64)
+
+
+@pytest.mark.parametrize("max_lag", [np.inf, -np.inf, np.nan, 0, 0.99, -1,
+                                     1024, 1e300])
+def test_gcc_phat_pair_refuses_a_lag_bound_out_of_range(max_lag):
+    frame = noise_frame(3)
+    with pytest.raises(ValueError, match=r"max_lag must be in \(0, frame"):
+        gcc_phat_pair(frame, frame, max_lag)
+
+
+@pytest.mark.parametrize("max_lag", [1, 1.5, 1023, 1023.9])
+def test_gcc_phat_pair_truncates_a_bound_in_range(max_lag):
+    frame = noise_frame(3)
+    assert gcc_phat_pair(frame, np.roll(frame, 1), max_lag) \
+        == gcc_phat_pair(frame, np.roll(frame, 1), int(max_lag))
 
 
 def test_fft_length_is_the_shortest_alias_free_fast_length():

@@ -20,7 +20,8 @@ then solves all its (feature, cell, subset) systems as one stack
 through its kernel (``usrd_stack``, ``srd_stack``, ``hyperbolic_stack``,
 ``_conic_solve`` on one ``_conic_planes`` for both conic methods), or
 through ``localize`` in a run of one system per feature, all looked up
-here at call time, with the same records bit for bit.  The grid runs
+here at call time, with the same records bit for bit; a kernel's
+``TooFewMicrophones`` makes ``degenerate`` rows.  The grid runs
 serially, so reruns give the same ``RecordTable``, sorted canonically.
 
 Multiple source positions are folded into the trial axis: trial t uses
@@ -419,11 +420,18 @@ class BenchmarkConfig:
             if not 1 <= self.subset_k <= subset_size:
                 raise ConfigError("subset k must satisfy 1 <= k <= mic count")
             subset_size = self.subset_k
-        for method in self.methods:
-            _, ref = parse_method(method, subset_size)
-            if self.noise_domain == "rd" and ref in _ENERGY_POLICIES:
-                raise ConfigError("energy reference policies need signals; "
-                                  "use the signal noise domain")
+        parsed = [parse_method(m, subset_size) for m in self.methods]
+        if self.noise_domain == "rd" \
+                and any(ref in _ENERGY_POLICIES for _, ref in parsed):
+            raise ConfigError("energy reference policies need signals; "
+                              "use the signal noise domain")
+        # each entry names its own records, so none may repeat
+        for label, ids in (("methods", [_method_id(*m) for m in parsed]),
+                           ("features", self.features),
+                           ("noise.levels", self.noise_levels)):
+            repeated = [id_ for i, id_ in enumerate(ids) if id_ in ids[:i]]
+            if repeated:
+                raise ConfigError(f"{label} list repeats {repeated[0]!r}")
 
 
 def _noise_model(config, level, seed=None):
@@ -659,77 +667,56 @@ def _solve(methods, values, mics, valid, energies):
     ``mics`` (N, k, 3) are the microphones of N systems and ``energies``
     (N, k) or None their channel energies; ``values`` (F*N, k, k) are the
     systems' RD matrices under each of F features in turn.  Each method's
-    valid systems go through its estimator kernel as one stack, each
-    reference policy picking the references of all systems in one
-    ``_reference`` call; with one system per feature (N = 1) or one
-    microphone per system (k = 1), each goes through ``localize``.  A
-    kernel's refusal of the microphone count, or an error that
-    ``localize`` raises for a system, makes ``degenerate`` rows with its
-    message as reason.
+    valid systems go through its estimator kernel as one stack: each
+    reference policy picks the references of all systems in one
+    ``_reference`` call, ``srd-ls`` and the hyperbolic start share that
+    policy's srd stack, and both conic methods one plane system.  With
+    one system per feature (N = 1) each goes through ``localize``.  A
+    method refused with ``TooFewMicrophones`` gets ``degenerate`` rows
+    with its message as reason; every other error propagates.
     """
-    n = len(mics)
+    n, k = mics.shape[:2]
     keep = np.flatnonzero(valid)
-
-    def solve_each(name, ref_policy):
-        out = ResultStack(len(keep))
-        for row, s in enumerate(keep.tolist()):
-            try:
-                result = localize(
-                    name, ref_policy, RdMatrix(values[s]), mics[s % n],
-                    None if energies is None else energies[s % n])[1]
-            except (ValueError, IndexError) as exc:
-                out.put(row, "degenerate", reason=str(exc))
-            else:
-                out.put(row, result.status, result.position,
-                        result.residual, **result.info)
-        return out
-
-    if n == 1 or mics.shape[1] == 1:
-        # one system per feature keeps the per-system calls that perfbench's
-        # tracer and self-test wrap; one-mic subsets have no RDs to stack
-        return [solve_each(name, ref_policy) for name, ref_policy in methods]
     base = keep % n
     kept_values, kept_mics = values[keep], mics[base]
-    stacks = {}  # reference policy -> [ref, RD rows, {kernel: its stack}]
-    planes = []  # the plane system that both conic methods solve
-
-    def stack(ref_policy):
-        if ref_policy not in stacks:
-            ref = _reference(ref_policy, mics, energies)[base]
-            stacks[ref_policy] = [ref, kept_values[
-                np.arange(len(keep))[:, None], ref[:, None],
-                _other_indices(ref, mics.shape[1])], {}]
-        return stacks[ref_policy]
-
-    def solve_stack(name, ref_policy):
-        if name in _CONIC_METHODS:
-            if not planes:
-                planes.extend(_conic_planes(kept_values, kept_mics))
-            return _conic_solve(*planes, name == "conic-norm")
-        ref, d, solved = stack(ref_policy)
-
-        def spherical(kernel):
-            if kernel not in solved:
-                solved[kernel] = kernel(d, kept_mics, ref)
-            return solved[kernel]
-
-        if name == "usrd-ls":
-            return spherical(usrd_stack)
-        if name == "srd-ls":
-            return spherical(srd_stack)
-        # hyperbolic LS starts from the srd stack, solved for whichever
-        # method asks first
-        srd = spherical(srd_stack) if kept_mics.shape[1] >= 4 else None
-        return hyperbolic_stack(d, kept_mics, ref, srd=srd)
-
+    rows, srd, planes = {}, {}, None  # each solved once, when first asked
     outcomes = []
     for name, ref_policy in methods:
         try:
-            outcomes.append(solve_stack(name, ref_policy))
+            if n == 1:
+                # one system per feature keeps the per-system calls that
+                # perfbench's tracer and self-test wrap
+                out = ResultStack(len(keep))
+                for row, s in enumerate(keep.tolist()):
+                    result = localize(name, ref_policy, RdMatrix(values[s]),
+                                      mics[0], None if energies is None
+                                      else energies[0])[1]
+                    out.put(row, result.status, result.position,
+                            result.residual, **result.info)
+            elif name in _CONIC_METHODS:
+                if planes is None:
+                    planes = _conic_planes(kept_values, kept_mics)
+                out = _conic_solve(*planes, name == "conic-norm")
+            else:
+                if ref_policy not in rows:
+                    ref = _reference(ref_policy, mics, energies)[base]
+                    rows[ref_policy] = ref, kept_values[
+                        np.arange(len(keep))[:, None], ref[:, None],
+                        _other_indices(ref, k)]
+                ref, d = rows[ref_policy]
+                if name == "usrd-ls":
+                    out = usrd_stack(d, kept_mics, ref)
+                elif name == "hyperbolic" and k < 4:  # no srd start
+                    out = hyperbolic_stack(d, kept_mics, ref)
+                else:
+                    if ref_policy not in srd:
+                        srd[ref_policy] = srd_stack(d, kept_mics, ref)
+                    out = srd[ref_policy] if name == "srd-ls" else \
+                        hyperbolic_stack(d, kept_mics, ref, srd[ref_policy])
         except TooFewMicrophones as exc:
-            refused = ResultStack(len(keep))
-            refused.put(slice(None), "degenerate", reason=str(exc))
-            outcomes.append(refused)
+            out = ResultStack(len(keep))
+            out.put(slice(None), "degenerate", reason=str(exc))
+        outcomes.append(out)
     return outcomes
 
 
@@ -740,10 +727,10 @@ def run_benchmark(config):
     Every cell's observation is drawn first, as one stack per feature
     (``_observations``); then every feature's systems, one per (cell,
     subset), go through ``_solve`` together, as one kernel stack per
-    method, or one by one when a feature has one system or a subset one
-    microphone.  Per-trial failures (degenerate geometry, invalid TDOA
-    pairs, estimator refusals) are recorded with their status — never
-    dropped.
+    method, or one by one when a feature has one system.  Per-trial
+    failures (degenerate geometry, invalid TDOA pairs, a method's
+    refusal of too few microphones) are recorded with their status —
+    never dropped.
     """
     scenes = _scenes_for(config)
     trial_mics = np.array([scene.mics for scene in scenes])
@@ -776,8 +763,10 @@ def run_benchmark(config):
     values = observed.take(pairs, axis=2).reshape(-1, k, k)
     truth = true_full[cell_trial].reshape(cells, -1).take(upper, axis=1)
     valid = np.isfinite(values).all(axis=(1, 2))
-    rd_err = np.where(valid, np.mean(np.abs(
-        observed.take(upper, axis=2) - truth), axis=-1).ravel(), np.nan)
+    # np.mean's bits; a one-mic subset has no pairs, and 0 / 0 is its NaN
+    with np.errstate(invalid="ignore"):
+        rd_err = np.where(valid, (np.sum(np.abs(observed.take(
+            upper, axis=2) - truth), axis=-1) / len(rows)).ravel(), np.nan)
     mics = trial_mics[cell_trial][:, index].reshape(-1, k, 3)
     sources = np.repeat(trial_sources[cell_trial], len(subsets), axis=0)
     if energies is not None:

@@ -72,6 +72,7 @@ _ARRAY_LM = 8
 _USRD_MINIMUM = "usrd_ls needs at least 5 in 3D"
 _SRD_MINIMUM = "srd_ls needs at least 4 in 3D"
 _CONIC_MINIMUM = "conic_ls needs at least 4"
+_LM_MINIMUM = "hyperbolic_ls needs at least 2"
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +131,13 @@ def _require(mic_count, least, what):
         raise TooFewMicrophones(f"insufficient microphones: {what}")
 
 
-def _stack_of_one(rd, mics, least=2, what=None):
-    """(d, mics, ref) of one reference-based system, checked, as a stack
-    of one; below ``least`` microphones ``what`` is refused."""
+def _stack_of_one(rd, mics):
+    """The checked (d, mics, ref) of one RdVector system as a stack of one."""
     if not isinstance(rd, RdVector):
         raise TypeError("expected an RdVector")
     if not np.all(np.isfinite(rd.values)):
         raise ValueError("RD vector contains invalid entries")
     mics = _as_points(mics, "mics")
-    _require(rd.mic_count, least, what)
     if mics.shape[0] != rd.mic_count:
         raise ValueError("mic count does not match RD vector")
     return rd.values[None], mics[None], np.array([rd.reference_index])
@@ -219,7 +218,7 @@ def usrd_ls(rd, mics):
     least four rows); the c1^2 = ||r||^2 coupling is *not* enforced,
     which is what makes the solution sensitive to noise.
     """
-    return usrd_stack(*_stack_of_one(rd, mics, 5, _USRD_MINIMUM))[0]
+    return usrd_stack(*_stack_of_one(rd, mics))[0]
 
 
 def usrd_stack(d, mics, ref):
@@ -493,7 +492,7 @@ def srd_ls(rd, mics):
     ``info["ambiguous"]`` is set.  Rank below 3 is reported as
     degenerate.
     """
-    return srd_stack(*_stack_of_one(rd, mics, 4, _SRD_MINIMUM))[0]
+    return srd_stack(*_stack_of_one(rd, mics))[0]
 
 
 def srd_stack(d, mics, ref):
@@ -1117,9 +1116,11 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
     still running as arrays, each keeping its own damping and stopping
     on its own; once ``_ARRAY_LM`` or fewer run, each finishes in the
     plain-float loop ``_lm_float``.  The Jacobians of the rank test are
-    rebuilt at the end points.  Returns their ``ResultStack``.
+    rebuilt at the end points.  Returns their ``ResultStack``; a stack of
+    fewer than 2 microphones, which has no RDs, is refused.
     """
     t, m = mics.shape[:2]
+    _require(m, 2, _LM_MINIMUM)
     whiten = (lambda arr: arr) if chol is None else (
         lambda arr: scipy.linalg.solve_triangular(chol, arr, lower=True))
     ids = np.arange(t)

@@ -234,7 +234,7 @@ def gcc_phat_pair(frame_a, frame_b, max_lag_samples, refine=True):
         raise ValueError("frames must have equal length")
     # checked before int(), which raises otherwise on an infinite or NaN bound
     if not 1 <= max_lag_samples < a.shape[-1]:
-        raise ValueError("max_lag must be in (0, frame length)")
+        raise ValueError("max_lag must be in [1, frame length)")
     max_lag = int(max_lag_samples)
     nfft = _fft_length(a.shape[-1], max_lag)
     frames, spectra, *work = _work_arrays(2, a.shape[:-1], a.shape[-1], nfft,

@@ -379,6 +379,22 @@ def test_unknown_key_rejected():
         })
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(methods=["srd-ls", "srd-ls"]), "methods list repeats 'srd-ls'"),
+    # one method id, spelled twice
+    (dict(methods=["srd-ls", "srd-ls:nearest-barycenter"]),
+     "methods list repeats 'srd-ls'"),
+    (dict(features=["vad_on:raw", "vad_on:raw"]),
+     "features list repeats 'vad_on:raw'"),
+    (dict(noise={"domain": "rd", "levels": [0.05, 0.05]}),
+     "noise.levels list repeats 0.05"),
+], ids=["method", "method_id", "feature", "level"])
+def test_repeated_entries_are_config_errors(overrides, message):
+    # a repeated entry would give records with the same key
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        base_config(**overrides)
+
+
 def test_subset_k_out_of_range():
     with pytest.raises(ConfigError, match="subset k"):
         base_config(subsets={"mode": "all_k_of_m", "k": 9})
@@ -968,6 +984,50 @@ def test_one_system_runs_record_refusals_as_stacked_runs_do():
         "insufficient microphones: usrd_ls needs at least 5 in 3D")}
 
 
+def test_one_mic_subsets_record_each_kernels_refusal(tmp_path):
+    # every kernel refuses a one-mic stack; the rows are degenerate with
+    # its message, and a subset without pairs has a NaN RD error, written
+    # without a warning
+    reasons = {"usrd-ls": "usrd_ls needs at least 5 in 3D",
+               "srd-ls": "srd_ls needs at least 4 in 3D",
+               "conic": "conic_ls needs at least 4",
+               "conic-norm": "conic_ls needs at least 4",
+               "hyperbolic": "hyperbolic_ls needs at least 2"}
+    records = run_benchmark(base_config(
+        methods=ALL_METHODS, features=["vad_on:raw", "vad_on:denoised"],
+        trials=2, subsets={"mode": "all_k_of_m", "k": 1},
+        noise={"domain": "rd", "kind": "gaussian", "levels": [0.0, 0.1]}))
+    assert len(records) == 5 * 2 * 8 * 2 * 2
+    assert {(r.method, r.status, r.extra["reason"]) for r in records} == {
+        (method, "degenerate", f"insufficient microphones: {reason}")
+        for method, reason in reasons.items()}
+    write_records_csv(records, tmp_path / "records.csv")
+    write_summary_csv(summarize(records), tmp_path / "summary.csv")
+    write_histogram_csv(records, tmp_path / "histogram.csv")
+    with open(tmp_path / "records.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {(row["status"], row["position_error_m"],
+             row["mean_abs_rd_error_m"]) for row in rows} == {
+        ("degenerate", "nan", "nan")}
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    assert len(summary) == 5 * 2 * 2
+    assert {(row["median_m"], row["failure_rate"], row["n"])
+            for row in summary} == {("nan", "1", "16")}
+    assert (tmp_path / "histogram.csv").read_text().count("\n") == 1
+
+
+def test_one_system_runs_propagate_estimator_faults(monkeypatch):
+    # only a refusal of the microphone count becomes degenerate rows;
+    # any other error of a per-system call is a fault and propagates
+    def broken(*args):
+        raise ValueError("estimator fault")
+
+    monkeypatch.setattr(bench, "srd_ls", broken)
+    with pytest.raises(ValueError, match="estimator fault"):
+        run_benchmark(base_config(methods=["srd-ls"], trials=1))
+
+
 def test_stacked_cells_propagate_kernel_faults(monkeypatch):
     # only a kernel's refusal of the microphone count becomes per-system
     # outcomes; any other error is a fault and propagates
@@ -1069,7 +1129,7 @@ def same_bits(a, b):
 @given(seed=st.integers(0, 2 ** 32 - 1),
        kind=st.sampled_from(["gaussian", "laplacian", "outlier_mixture"]),
        levels=st.lists(st.sampled_from([0.0, 0.01, 0.2, 1.5]), min_size=1,
-                       max_size=3),
+                       max_size=3, unique=True),
        trials=st.integers(1, 6), scenes=st.integers(1, 3),
        mic_count=st.integers(4, 8),
        features=st.sets(st.sampled_from(VALID_FEATURES), min_size=1))

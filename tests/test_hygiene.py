@@ -143,20 +143,53 @@ def test_readme_status_table_lists_the_estimators_reasons():
     assert documented and documented == _estimator_reasons()
 
 
-def test_sources_parse_at_the_python_floor():
-    # the oldest interpreter requires-python admits must read every
-    # source; tomllib is 3.11+, so the floor is read with a pattern
+def _python_floor():
+    """requires-python's >= X.Y floor as (X, Y); tomllib is 3.11+, so it
+    is read with a pattern."""
     floor = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"',
                       (ROOT / "pyproject.toml").read_text(encoding="utf-8"),
                       re.MULTILINE)
     assert floor, "requires-python has no >= X.Y floor"
-    version = (int(floor[1]), int(floor[2]))
+    return int(floor[1]), int(floor[2])
+
+
+def test_sources_parse_at_the_python_floor():
+    # the oldest interpreter requires-python admits must read every
+    # source
+    version = _python_floor()
     paths = [path for top in ("src", "tests", "demos")
              for path in sorted((ROOT / top).rglob("*.py"))]
     assert len(paths) >= 20
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=version)
+
+
+def test_ci_workflow_runs_both_suites_from_the_python_floor():
+    # the workflow is read, not run: its lowest Python is the floor, and
+    # its steps run ROADMAP's tier-1 command and the perfbench self-test
+    import yaml
+
+    workflow = yaml.safe_load(
+        (ROOT / ".github" / "workflows" / "tier1.yml").read_text(
+            encoding="utf-8"))
+    assert {"push", "pull_request"} <= set(workflow[True])  # YAML 1.1 "on"
+    (job,) = workflow["jobs"].values()
+    versions = [tuple(map(int, str(v).split(".")))
+                for v in job["strategy"]["matrix"]["python-version"]]
+    assert min(versions) == _python_floor()
+    runs = [step["run"].split() for step in job["steps"] if "run" in step]
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap)[1].split()
+
+    def runs_tier1(words):
+        # every word of the command, in order; reporting flags may be added
+        rest = iter(words)
+        return all(word in rest for word in tier1)
+
+    assert any(runs_tier1(words) for words in runs)
+    assert any("pytest" in words and words[-1] == "perfbench"
+               for words in runs)
 
 
 def test_runs_load_only_the_modules_they_use():

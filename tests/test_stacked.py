@@ -316,6 +316,10 @@ def test_stacks_refuse_what_the_public_call_refuses(kernel, least, public):
     assert str(stacked.value) == str(single.value)
     with pytest.raises(TooFewMicrophones, match="conic_ls needs at least 4"):
         _conic_planes(values[:, :3, :3], mics[:, :3])
+    # one-mic systems have no RDs to fit
+    with pytest.raises(TooFewMicrophones,
+                       match="hyperbolic_ls needs at least 2"):
+        hyperbolic_stack(rows_of(values[:, :1, :1], ref), mics[:, :1], ref)
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,8 @@ def test_silent_pair_rejected():
                                      1024, 1e300])
 def test_gcc_phat_pair_refuses_a_lag_bound_out_of_range(max_lag):
     frame = noise_frame(3)
-    with pytest.raises(ValueError, match=r"max_lag must be in \(0, frame"):
+    with pytest.raises(ValueError,
+                       match=r"max_lag must be in \[1, frame length\)"):
         gcc_phat_pair(frame, frame, max_lag)
 
 

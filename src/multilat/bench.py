@@ -425,10 +425,12 @@ class BenchmarkConfig:
                 and any(ref in _ENERGY_POLICIES for _, ref in parsed):
             raise ConfigError("energy reference policies need signals; "
                               "use the signal noise domain")
-        # each entry names its own records, so none may repeat
+        # each entry names its own records, so none may repeat; a level
+        # is named by its %.9g text in the CSVs
         for label, ids in (("methods", [_method_id(*m) for m in parsed]),
                            ("features", self.features),
-                           ("noise.levels", self.noise_levels)):
+                           ("noise.levels", [float(f"{level:.9g}")
+                                             for level in self.noise_levels])):
             repeated = [id_ for i, id_ in enumerate(ids) if id_ in ids[:i]]
             if repeated:
                 raise ConfigError(f"{label} list repeats {repeated[0]!r}")

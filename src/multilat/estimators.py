@@ -60,9 +60,12 @@ GRAD_TOL = 1e-12
 #: largest diagonal entry of J^T J: J^T J + mu*I then rounds to mu*I
 DAMPING_LIMIT = 1e16
 #: hyperbolic_ls defaults, and what hyperbolic_stack always uses: the
-#: pass limit and the relative step stop
+#: pass limit and the relative step stop.  The stop is scipy's
+#: least_squares xtol and near MINPACK's sqrt(eps): about 3e-8 m on a
+#: few-metre array whose RDs carry centimetres of noise, where a tighter
+#: stop only adds passes that move the point by less than a micron
 MAX_ITER = 100
-STEP_TOL = 1e-10
+STEP_TOL = 1e-8
 
 _D_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 #: srd multiplier brackets beyond which one Newton search runs as arrays,
@@ -984,7 +987,9 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
     - ``gradient``: every |component| of J^T e is at most ``GRAD_TOL``;
     - ``step``: ||h|| <= tol (||x - r_ref|| + tol), a step small
       relative to the estimate's distance from the reference microphone
-      (``tol`` is relative);
+      (``tol`` is relative; its default ``STEP_TOL`` = 1e-8 is
+      ``scipy.optimize.least_squares``' xtol, near MINPACK's
+      sqrt(eps) ~ 1.5e-8);
     - ``max_iterations``: ``max_iter`` passes were used up;
     - ``damping``: mu left (0, ``DAMPING_LIMIT`` max diag(J^T J)], so
       no damped step lowers the cost (non-finite residuals end here, and
@@ -1000,7 +1005,15 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
     keep the finite best point.  Iterates within 1e-9 m of a
     microphone, where the Jacobian blows up, are moved 1e-6 m towards
     the array centroid.
+
+    A ``tol`` that is not finite and >= 0 (0 leaves only the other
+    stops), or a ``max_iter`` that is not an integer >= 1, raises
+    ``ValueError``.
     """
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise ValueError("max_iter must be an integer >= 1")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tol must be finite and >= 0")
     d, mics, ref = _stack_of_one(rd, mics)
     scale, chol = 1.0, None
     if weights is not None:

@@ -388,7 +388,10 @@ def test_unknown_key_rejected():
      "features list repeats 'vad_on:raw'"),
     (dict(noise={"domain": "rd", "levels": [0.05, 0.05]}),
      "noise.levels list repeats 0.05"),
-], ids=["method", "method_id", "feature", "level"])
+    # two levels that the CSVs print alike
+    (dict(noise={"domain": "rd", "levels": [0.1, 0.1000000001]}),
+     "noise.levels list repeats 0.1"),
+], ids=["method", "method_id", "feature", "level", "printed_level"])
 def test_repeated_entries_are_config_errors(overrides, message):
     # a repeated entry would give records with the same key
     with pytest.raises(ConfigError, match=f"^{message}$"):

@@ -759,6 +759,30 @@ def test_hyperbolic_rejects_bad_weights(rng):
         hyperbolic_ls(rd, scene.mics, init=np.array([np.nan, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("stop, message", [
+    ({"tol": np.nan}, "tol"), ({"tol": -1.0}, "tol"),
+    ({"tol": np.inf}, "tol"), ({"max_iter": 0}, "max_iter"),
+    ({"max_iter": -3}, "max_iter"), ({"max_iter": 2.5}, "max_iter")],
+    ids=["tol_nan", "tol_negative", "tol_inf", "max_iter_0",
+         "max_iter_negative", "max_iter_fraction"])
+def test_hyperbolic_refuses_bad_stop_arguments(rng, stop, message):
+    # NaN and -1 would turn the step stop off, inf would stop after one
+    # pass, and no pass at all would still report max_iterations
+    scene = make_scene(rng, mic_count=8)
+    with pytest.raises(ValueError, match=f"^{message} must be"):
+        hyperbolic_ls(true_rd_ref(scene, 0), scene.mics, **stop)
+
+
+def test_hyperbolic_takes_a_zero_tol_and_numpy_integers(rng):
+    # tol=0 leaves the gradient and pass-limit stops
+    scene = make_scene(rng, mic_count=8)
+    rd = noisy_row(scene, 0.05, seed=3)
+    assert hyperbolic_ls(rd, scene.mics, tol=0).info["termination"] \
+        == "gradient"
+    capped = hyperbolic_ls(rd, scene.mics, tol=0, max_iter=np.int64(3))
+    assert capped.info == {"iterations": 3, "termination": "max_iterations"}
+
+
 def test_hyperbolic_termination_gradient(rng):
     scene = make_scene(rng, mic_count=8)
     result = hyperbolic_ls(true_rd_ref(scene, 0), scene.mics,

@@ -143,6 +143,16 @@ def test_readme_status_table_lists_the_estimators_reasons():
     assert documented and documented == _estimator_reasons()
 
 
+def test_readme_states_the_default_step_stop():
+    # the README and the hyperbolic_ls docstring give the default tol
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"default `tol` = `([^`]+)`", readme)
+    assert len(stated) == 1
+    assert float(stated[0]) == multilat.estimators.STEP_TOL
+    docstring = " ".join(multilat.hyperbolic_ls.__doc__.split())
+    assert f"``STEP_TOL`` = {stated[0]} is" in docstring
+
+
 def _python_floor():
     """requires-python's >= X.Y floor as (X, Y); tomllib is 3.11+, so it
     is read with a pattern."""

@@ -622,6 +622,25 @@ def test_large_hyperbolic_stack_matches_per_system_calls():
     assert {"gradient", "step"} <= ends
 
 
+def test_default_step_stop_spares_passes_that_move_no_micron():
+    # every C(8, 5) subset of the three Table-1 scenes at 1 and 5 cm: the
+    # default relative stop ends each run where a hundredfold tighter one
+    # would, within a micron, and the passes it spares are counted, not
+    # timed
+    rng = np.random.default_rng(3110)
+    d, mics, ref = _table1_systems(rng, [0.01, 0.05])
+    start = estimators._lm_starts(d, mics, ref)
+    loose = estimators._hyperbolic(d, mics, ref, start.copy())
+    tight = estimators._hyperbolic(d, mics, ref, start.copy(), tol=1e-10)
+    assert STEP_TOL == 1e-8 and len(d) == 336
+    assert [r.status for r in loose] == [r.status for r in tight]
+    assert np.linalg.norm(loose.position - tight.position, axis=1).max() \
+        <= 1e-6
+    passes = [sum(r.info["iterations"] for r in stack)
+              for stack in (loose, tight)]
+    assert passes[0] <= 0.8 * passes[1]
+
+
 def test_gain_updates_clip_where_the_cube_would():
     # gain ratios about the clip's edge, (2 rho - 1)^3 = 2/3, and across
     # the rest of the line: the clip taken without the cube is the clip

@@ -397,20 +397,21 @@ class BenchmarkConfig:
                 _noise_model(self, level)
             if self.noise_domain == "signal":
                 frame = FrameConfig(sample_rate=self.sample_rate).frame_length
-                if not (np.isfinite(self.duration_s)
-                        and round(self.duration_s * self.sample_rate) >= frame):
-                    raise ValueError("duration_s is shorter than one frame")
+                samples = self.duration_s * self.sample_rate
+                if not (samples < np.inf and round(samples) >= frame):
+                    raise ValueError("duration_s must span one frame, in "
+                                     "finitely many samples")
                 # the widest array the scene can have; most random draws
                 # are smaller, so this may refuse a run that would pass
-                diameter = (2.0 * np.sqrt(3.0) * self.scene_bounds
+                diameter = (2.0 * 3.0 ** 0.5 * self.scene_bounds
                             if self.scene_kind == "random" else
                             array_diameter(paper_table1_scenes()[0].mics))
-                lag = int(np.ceil(_LAG_MARGIN * diameter / self.sound_speed
-                                  * self.sample_rate))
-                if lag >= frame:
+                lag = np.ceil(_LAG_MARGIN * diameter / self.sound_speed
+                              * self.sample_rate)
+                if not lag < frame:
                     raise ValueError(
-                        f"GCC-PHAT lags up to {lag} samples (an array up to "
-                        f"{diameter:.3g} m across) must stay below the "
+                        f"GCC-PHAT lags up to {lag:.0f} samples (an array up "
+                        f"to {diameter:.3g} m across) must stay below the "
                         f"frame length {frame}")
         except ValueError as exc:
             raise ConfigError(f"invalid noise settings: {exc}") from exc

@@ -158,8 +158,6 @@ def cmd_bench(args):
 def cmd_tdoa(args):
     try:
         signals = _read_wavs(args.wav)
-        if signals.mic_count < 2:
-            raise ConfigError("need at least two channels")
         config = FrameConfig(sample_rate=signals.sample_rate,
                              frame_duration=args.frame_duration,
                              overlap=args.overlap)

@@ -32,15 +32,16 @@ loops: a length is the ``sqrt`` of its squares added left to right, the
 gradient stop holds where every |component| of J^T e is at most
 ``GRAD_TOL``, and the damping peak max diag(J^T J) is NaN where a
 diagonal entry is.  The LM state holds only what its decisions read; the
-rank test rebuilds each end point's Jacobian.  LAPACK decides usrd's
-``COND_LIMIT`` test and the LM's rank test only on rows that
-``_certified`` leaves open.
+rank test rebuilds each end point's Jacobian.  LAPACK's cond and SVD
+decide usrd's ``COND_LIMIT`` test and the LM's rank test only on rows
+that ``_certified``, from LAPACK's determinant, leaves open.  The LM
+whitens into C order, and no LM pass warns.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 # bare: scipy.linalg loads on first use, in the weighted LM only
@@ -177,23 +178,16 @@ def _matvec(a, v):
     return (a @ v[..., None])[..., 0]
 
 
-#: n -> flat indices (n!, n) of the Leibniz terms' factors, their signs
-_LEIBNIZ = {n: (np.array(p) + n * np.arange(n), np.linalg.det(np.eye(n)[p]))
-            for n in (3, 4) for p in [list(permutations(range(n)))]}
-
-
 def _certified(gram, floor):
-    """Which Gram matrices ``gram`` (T, n, n), n = 3 or 4, certainly have
+    """Which Gram matrices ``gram`` (T, n, n) certainly have
     lambda_min / lambda_max >= ``floor``: det G >= floor (tr G)^n, since
-    det G <= lambda_min lambda_max^(n-1) and tr G >= lambda_max.  G and the
-    Leibniz sum of det (G / tr G) round by below 1e-12, so by Weyl's theorem
-    LAPACK decides a row certified 100 times inside its cutoff alike."""
-    n = gram.shape[-1]
-    idx, sign = _LEIBNIZ[n]
-    g = gram.reshape(-1, n * n)
+    det G <= lambda_min lambda_max^(n-1) and tr G >= lambda_max.  LAPACK's
+    LU determinant of G / tr G (entries <= 1) is the exact determinant of
+    a matrix a few ulps away, so by Weyl's theorem a row certified 100
+    times inside its cutoff is decided alike by LAPACK."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        g = g / (g @ np.eye(n).ravel())[:, None]
-    return g[:, idx].prod(axis=-1) @ sign >= floor
+        g = gram / np.trace(gram, axis1=-2, axis2=-1)[:, None, None]
+        return np.linalg.det(g) >= floor
 
 
 def _svd_solve(u, s, vt, rhs):
@@ -755,16 +749,17 @@ def _conic_solve(values, centroid, centered, rows, normalize):
     result of its system.
     """
     normal, f, kept = rows[bool(normalize)]
-    fast = np.flatnonzero(kept.all(axis=-1))
+    fast = kept.all(axis=-1)
     u, s, vt = np.linalg.svd(normal[fast], full_matrices=False)
     rank3 = np.sum(s > RANK_TOL * s[:, :1], axis=-1) == 3
-    fast, psi, rhs = fast[rank3], normal[fast[rank3]], f[fast[rank3]]
+    fast[fast] = rank3
+    psi, rhs = normal[fast], f[fast]
     x0 = _svd_solve(u[rank3], s[rank3], vt[rank3], rhs)
     out = ResultStack(len(values))
     out.put(fast, "closed_form", x0 + centroid[fast],
             _plane_residual(psi, rhs, x0), dropped_rows=0,
             normalized=bool(normalize), rank=3)
-    for i in np.setdiff1d(np.arange(len(values)), fast).tolist():
+    for i in np.flatnonzero(~fast).tolist():
         # a dropped plane or a rank below 3: solved on its own
         _conic_one(out, i, normal[i][kept[i]], f[i][kept[i]], centered[i],
                    centroid[i], values[i],
@@ -964,12 +959,12 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
     Minimizes the cost (d - d_hat(x))^T Sigma^-1 (d - d_hat(x)) where
     d_hat predicts the reference-based RDs from a candidate position x.
     With ``weights=None`` the covariance is the identity and this is
-    plain hyperbolic LS; correlated noise is supported by whitening with
-    the Cholesky factor of the covariance.  ``init`` defaults to the
-    constrained spherical solution ``srd_ls`` where that is ok (ML from
-    a closed-form spherical start, as in Chan & Ho, 1994), else the
-    unconstrained one ``usrd_ls`` where that is ok (M >= 5), else the
-    array barycenter.
+    plain hyperbolic LS, run alike for any scalar covariance; correlated
+    noise is whitened, into C order, by the Cholesky factor of the
+    covariance.  ``init`` defaults to the constrained spherical solution
+    ``srd_ls`` where that is ok (ML from a closed-form spherical start,
+    as in Chan & Ho, 1994), else the unconstrained one ``usrd_ls`` where
+    that is ok (M >= 5), else the array barycenter.
 
     Each step h solves (J^T J + mu I) h = -J^T e for the whitened
     residuals e and their Jacobian J, starting from
@@ -1027,10 +1022,6 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
         # cost carries the 1/s factor)
         scale = float(np.trace(weights.sigma)) / weights.sigma.shape[0]
         chol = np.linalg.cholesky(weights.sigma / scale)
-        if np.array_equal(chol, np.eye(chol.shape[0])):
-            # scalar covariance: whitening is a no-op, take the
-            # unweighted path so scaled and unscaled runs coincide
-            chol = None
 
     if init is None:
         x = _lm_starts(d, mics, ref)
@@ -1121,6 +1112,7 @@ def _lm_starts(d, mics, ref, srd=None):
     return x
 
 
+@np.errstate(all="ignore")
 def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
     """The LM runs of ``hyperbolic_ls`` on T systems (arguments as for
     ``usrd_stack``) from the starts ``x`` (T, 3), with its ``max_iter``
@@ -1134,8 +1126,10 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
     """
     t, m = mics.shape[:2]
     _require(m, 2, _LM_MINIMUM)
+    # C-ordered like unwhitened arrays (F order rounds Gram products apart)
     whiten = (lambda arr: arr) if chol is None else (
-        lambda arr: scipy.linalg.solve_triangular(chol, arr, lower=True))
+        lambda arr: np.ascontiguousarray(scipy.linalg.solve_triangular(
+            chol, arr, lower=True, check_finite=False)))
     ids = np.arange(t)
     all_pts = pts = mics[ids[:, None], np.concatenate(
         [ref[:, None], _other_indices(ref, m)], axis=1)]
@@ -1171,44 +1165,42 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
     ends, iterations = np.zeros(t, dtype=int), np.zeros(t, dtype=int)
     out_x, out_cost = x.copy(), cost.copy()
     it = 1
-    with np.errstate(all="ignore"):
-        while it <= max_iter and ids.size > _ARRAY_LM:
-            flat = (np.abs(grad) <= GRAD_TOL).all(axis=1)
-            step, solved = _damped_steps(hess, grad, mu)
-            go = solved & ~flat
-            small = go & _small_steps(step, x - pts[:, 0], tol)
-            cand, new_werr, new_cost, new_diff, new_dist = evaluate(x + step)
-            better = go & ~small & (new_cost < cost)
-            # rows of 2-D and 3-D arrays are gathered by ``take``, about
-            # three times as fast as a fancy or boolean index
-            acc = better.nonzero()[0]
-            if acc.size:
-                lower = new_cost[acc]
-                mu[acc] = _gain_updates(mu[acc], step.take(acc, 0),
-                                        grad.take(acc, 0), cost[acc], lower)
-                nu[acc], cost[acc] = 2.0, lower
-                x[acc] = cand.take(acc, 0)
-                jac = linearize(new_diff.take(acc, 0), new_dist.take(acc, 0))
-                hess[acc] = jac.mT @ jac
-                grad[acc] = _matvec(jac.mT, new_werr.take(acc, 0))
-            # no positive-definite damped system, or a step that does not
-            # lower the cost
-            damped = ~(flat | small | better)
-            np.multiply(mu, nu, out=mu, where=damped)
-            np.multiply(nu, 2.0, out=nu, where=damped)
-            over = damped & ~((0.0 < mu)
-                              & (mu <= DAMPING_LIMIT * _peaks(hess)))
-            end = flat | small | over
-            if end.any():
-                done = ids[end]
-                ends[done] = np.where(flat, 1, np.where(small, 2, 3))[end]
-                iterations[done] = it
-                out_x[done], out_cost[done] = x[end], cost[end]
-                keep = (~end).nonzero()[0]
-                ids, x, cost, hess, grad, mu, nu, pts, d = (
-                    v.take(keep, 0)
-                    for v in (ids, x, cost, hess, grad, mu, nu, pts, d))
-            it += 1
+    while it <= max_iter and ids.size > _ARRAY_LM:
+        flat = (np.abs(grad) <= GRAD_TOL).all(axis=1)
+        step, solved = _damped_steps(hess, grad, mu)
+        go = solved & ~flat
+        small = go & _small_steps(step, x - pts[:, 0], tol)
+        cand, new_werr, new_cost, new_diff, new_dist = evaluate(x + step)
+        better = go & ~small & (new_cost < cost)
+        # rows of 2-D and 3-D arrays are gathered by ``take``, about
+        # three times as fast as a fancy or boolean index
+        acc = better.nonzero()[0]
+        if acc.size:
+            lower = new_cost[acc]
+            mu[acc] = _gain_updates(mu[acc], step.take(acc, 0),
+                                    grad.take(acc, 0), cost[acc], lower)
+            nu[acc], cost[acc] = 2.0, lower
+            x[acc] = cand.take(acc, 0)
+            jac = linearize(new_diff.take(acc, 0), new_dist.take(acc, 0))
+            hess[acc] = jac.mT @ jac
+            grad[acc] = _matvec(jac.mT, new_werr.take(acc, 0))
+        # no positive-definite damped system, or a step that does not
+        # lower the cost
+        damped = ~(flat | small | better)
+        np.multiply(mu, nu, out=mu, where=damped)
+        np.multiply(nu, 2.0, out=nu, where=damped)
+        over = damped & ~((0.0 < mu) & (mu <= DAMPING_LIMIT * _peaks(hess)))
+        end = flat | small | over
+        if end.any():
+            done = ids[end]
+            ends[done] = np.where(flat, 1, np.where(small, 2, 3))[end]
+            iterations[done] = it
+            out_x[done], out_cost[done] = x[end], cost[end]
+            keep = (~end).nonzero()[0]
+            ids, x, cost, hess, grad, mu, nu, pts, d = (
+                v.take(keep, 0)
+                for v in (ids, x, cost, hess, grad, mu, nu, pts, d))
+        it += 1
     # the last few systems carry on one at a time
     for k, i in enumerate(ids.tolist()):
         out_x[i], out_cost[i], end, iterations[i] = _lm_float(

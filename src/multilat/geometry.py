@@ -13,6 +13,7 @@ gives the non-redundant set of M-1 values (``RdVector``).
 """
 
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,7 +37,7 @@ def _upper_index(m):
 def _check_positive(**values):
     """Raise ValueError naming the first NaN, infinite or <= 0 value."""
     for name, value in values.items():
-        if not 0.0 < value < np.inf:
+        if not 0.0 < value <= sys.float_info.max:
             raise ValueError(f"{name} must be finite and positive")
 
 
@@ -311,7 +312,7 @@ def select_reference(mics):
     choices: the means and distances round alike either way).
 
     The other reference policies are resolved by
-    :func:`multilat.bench.localize`.
+    ``multilat.bench._reference``.
     """
     pts = np.asarray(mics, dtype=float)
     if pts.ndim != 3:

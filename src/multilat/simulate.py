@@ -77,8 +77,10 @@ class SignalModel:
     def __post_init__(self):
         if self.gain_law not in ("unit", "inverse_distance"):
             raise ValueError(f"unknown gain law {self.gain_law!r}")
-        if not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
+        with np.errstate(over="ignore"):
+            ratio = np.power(10.0, self.snr_db / 10.0)
+        if not 0.0 < ratio < np.inf:
+            raise ValueError("snr_db must be finite, its ratio finite and > 0")
 
 
 def perturb_rd(rd, model, rng=None):
@@ -182,6 +184,8 @@ def synth_signals(scene, model, duration_s, sample_rate):
     if scene.source is None:
         raise ValueError("synthesis needs a scene with a source position")
     _check_positive(duration_s=duration_s, sample_rate=sample_rate)
+    if not duration_s * sample_rate < np.inf:
+        raise ValueError("duration_s * sample_rate must be finite")
     n_samples = int(round(duration_s * sample_rate))
     if n_samples < 1:
         raise ValueError("duration too short")

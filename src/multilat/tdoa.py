@@ -55,6 +55,8 @@ class FrameConfig:
                         frame_duration=self.frame_duration)
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError("overlap must be in [0, 1)")
+        if not self.sample_rate * self.frame_duration < np.inf:
+            raise ValueError("frame_duration * sample_rate must be finite")
         if self.frame_length < 2:
             raise ValueError("frame must span at least 2 samples")
 
@@ -386,7 +388,8 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
     if signals.mic_count < 2:
         raise ValueError("need at least two channels")
     _check_positive(max_distance_m=max_distance_m, sound_speed=sound_speed)
-    max_lag = int(np.ceil(max_distance_m / sound_speed * signals.sample_rate))
+    lag = np.ceil(max_distance_m / sound_speed * signals.sample_rate)
+    max_lag = int(min(lag, config.frame_length))  # int() raises on inf
     if max_lag >= config.frame_length:
         raise ValueError("max lag exceeds the frame length; "
                          "use longer frames or a smaller max distance")

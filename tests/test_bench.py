@@ -765,6 +765,24 @@ def test_non_finite_outlier_scale_is_a_config_error(scale):
                            "levels": [0.05], "outlier_scale": scale})
 
 
+@pytest.mark.parametrize("named, overrides", [
+    ("snr_db", {"noise": {"levels": [4000.0]}}),
+    ("snr_db", {"noise": {"levels": [-4000.0]}}),
+    ("duration_s", {"noise": {"levels": [20.0], "duration_s": 1e308}}),
+    ("sample_rate", {"noise": {"levels": [20.0], "sample_rate": 10 ** 400}}),
+    ("GCC-PHAT lags", {"noise": {"levels": [20.0]}, "sound_speed": 1e-308}),
+    ("GCC-PHAT lags", {"noise": {"levels": [20.0]}, "sound_speed": 1e-308,
+                       "scene": {"kind": "random", "count": 1,
+                                 "mic_count": 5}}),
+])
+def test_signal_settings_that_overflow_are_config_errors(named, overrides):
+    # each raised OverflowError or ZeroDivisionError inside the config
+    # or mid-run before its derived floats were compared
+    overrides["noise"]["domain"] = "signal"
+    with pytest.raises(ConfigError, match=f"invalid noise settings: {named}"):
+        base_config(**overrides)
+
+
 def test_missing_required_key_is_named():
     with pytest.raises(ConfigError, match=r"missing .*noise\.levels"):
         base_config(noise={"domain": "rd"})

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, outputs, file round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from multilat.bench import paper_table1_scenes
 from multilat.cli import _read_wavs, main
 
 FS = 16000
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_scene(path, scene):
@@ -359,6 +364,18 @@ def test_tdoa_single_channel(tmp_path, capsys):
     assert last_error(capsys)["code"] == 2
 
 
+def test_tdoa_one_channel_is_refused_by_the_estimator(tmp_path, capsys):
+    # estimate_tdoa_matrix's refusal is the CLI's: exit 2, nothing written
+    path = tmp_path / "mono.wav"
+    wavfile.write(path, FS, np.ones(FS, dtype=np.float32))
+    out = tmp_path / "out"
+    assert main(["tdoa", "--wav", str(path), "--out", str(out),
+                 "--max-distance", "2.0"]) == 2
+    assert last_error(capsys) == {"error": "need at least two channels",
+                                  "code": 2}
+    assert not out.exists()
+
+
 def test_tdoa_warns_of_a_pair_without_frames(tmp_path, capsys):
     # a silent channel has no usable frame with any other: its pairs are
     # written as NaN and the run still succeeds
@@ -417,6 +434,40 @@ def test_bad_front_end_numbers_are_config_errors(tmp_path, paper_scene,
     assert main([arg.format(**paths) for arg in argv.split()]) == 2
     assert last_error(capsys)["code"] == 2
     assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv, overrides", [
+    *(pytest.param("bench {config} --out {out}", {
+        "noise": {"domain": "signal", "levels": [20.0], **noise}, **top},
+        id=f"bench-{name}")
+      for name, noise, top in (
+          ("snr_db=4000", {"levels": [4000.0]}, {}),
+          ("snr_db=-4000", {"levels": [-4000.0]}, {}),
+          ("duration_s=1e308", {"duration_s": 1e308}, {}),
+          ("sample_rate=1e400", {"sample_rate": 10 ** 400}, {}),
+          ("sound_speed=1e-308", {}, {"sound_speed": 1e-308}))),
+    *(pytest.param("tdoa --wav {pair} --out {out} --max-distance " + flags,
+                   {}, id="tdoa-" + flags.replace(" ", ""))
+      for flags in ("1 --frame-duration 1e305", "1e308",
+                    "1 --sound-speed 1e-308")),
+])
+def test_overflowing_finite_settings_print_no_traceback(tmp_path, argv,
+                                                        overrides):
+    # each raised OverflowError or ZeroDivisionError before its derived
+    # floats were compared: exit 1 and a traceback instead of exit 2
+    paths = {"config": bench_yaml(tmp_path, **overrides),
+             "pair": shifted_pair_wav(tmp_path), "out": tmp_path / "out"}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "multilat",
+         *(arg.format(**paths) for arg in argv.split())],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    line, = proc.stderr.splitlines()
+    assert json.loads(line)["code"] == 2
+    assert not paths["out"].exists()
 
 
 @pytest.mark.parametrize("argv", [

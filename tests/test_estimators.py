@@ -826,6 +826,19 @@ def test_hyperbolic_termination_damping(rng):
     np.testing.assert_array_equal(result.position, init)
 
 
+@pytest.mark.parametrize("weights", [None, 0.5 * np.eye(7) + 0.5],
+                         ids=["unweighted", "general-covariance"])
+def test_hyperbolic_overflowing_start_ends_quietly_on_damping(rng, weights):
+    # the first evaluate already overflows: no RuntimeWarning (an error
+    # in this suite) escapes, and whitening the NaN residuals is no error
+    scene = make_scene(rng, mic_count=8)
+    result = hyperbolic_ls(true_rd_ref(scene, 0), scene.mics,
+                           init=[1e200, 0.0, 0.0], weights=weights)
+    assert result.status == "degenerate"
+    assert result.info == {"iterations": 1, "termination": "damping",
+                           "reason": "damping overflow"}
+
+
 def test_hyperbolic_collinear_is_degenerate():
     # a line of microphones fixes the source only up to a circle about
     # the line: J has rank 2 at every point off the line, 1 on it

@@ -165,6 +165,19 @@ def test_synth_rejects_non_finite_settings(field, value):
                       **settings)
 
 
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+def test_snr_whose_power_ratio_overflows_is_refused(snr_db):
+    # 10 ** (snr_db / 10) overflows, or reaches 0 and is divided by
+    with pytest.raises(ValueError, match="snr_db must be finite"):
+        SignalModel(snr_db=snr_db)
+
+
+def test_synth_refuses_a_sample_count_that_overflows():
+    with pytest.raises(ValueError, match="must be finite"):
+        synth_signals(paper_table1_scenes()[0], SignalModel(rng_seed=1),
+                      1e308, 16000)
+
+
 def test_file_source_scale_free(tmp_path):
     # the same samples as PCM16 and as float32 render identical channels:
     # the source is peak-normalized, whatever its sample format

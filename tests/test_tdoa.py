@@ -110,6 +110,21 @@ def test_frame_config_validation():
                 FrameConfig(**{"sample_rate": FS, field: value})
 
 
+def test_settings_whose_frame_or_lag_overflows_are_refused():
+    # finite settings whose derived sample counts overflow: compared
+    # before int() or round(), which raise OverflowError on infinity
+    with pytest.raises(ValueError, match="must be finite"):
+        FrameConfig(sample_rate=FS, frame_duration=1e305)
+    with pytest.raises(ValueError, match="sample_rate must be finite"):
+        FrameConfig(sample_rate=10 ** 400)
+    signals = MicSignals(np.random.default_rng(0).standard_normal((2, 4096)),
+                         FS)
+    for distance, speed in ((1e308, 343.0), (1.0, 1e-308)):
+        with pytest.raises(ValueError, match="max lag exceeds"):
+            estimate_tdoa_matrix(signals, FrameConfig(sample_rate=FS),
+                                 distance, sound_speed=speed)
+
+
 # ---------------------------------------------------------------------------
 # GCC-PHAT
 

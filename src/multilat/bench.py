@@ -52,8 +52,9 @@ from .estimators import (TooFewMicrophones, _conic_planes, _conic_solve,
 from .geometry import (DEFAULT_SOUND_SPEED, LocalizationResult, RdMatrix,
                        ResultStack, Scene, _MIN_MIC_SEPARATION, _upper_index,
                        select_reference, tdoa_to_rd)
-from .simulate import RdNoiseModel, SignalModel, perturb_rd, synth_signals
-from .tdoa import FrameConfig, estimate_tdoa_matrix
+from .simulate import (RdNoiseModel, SignalModel, _sample_count, perturb_rd,
+                       synth_signals)
+from .tdoa import FrameConfig, _max_lag, estimate_tdoa_matrix
 
 _SCENE_SALT = 101
 _TRIAL_SALT = 202
@@ -336,7 +337,9 @@ def _typed(label, value, kind):
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """One benchmark run (see module docstring); creation checks it all."""
+    """One benchmark run (see module docstring); creation checks it all,
+    the Table-1 position, capture length and lag bound by the library's
+    rules (the bound for the widest array the scene can have)."""
 
     methods: tuple[str, ...]
     features: tuple[str, ...]
@@ -381,10 +384,10 @@ class BenchmarkConfig:
             if getattr(self, name) not in valid:
                 raise ConfigError(f"unknown {_LABELS[name]} "
                                   f"{getattr(self, name)!r}")
-        if self.scene_kind == "paper_table1" \
-                and self.scene_position not in (None, 0, 1, 2):
-            raise ConfigError("paper_table1 position must be 0, 1 or 2")
-        if self.scene_kind == "random":
+        if self.scene_kind == "paper_table1":
+            diameter = array_diameter(
+                paper_table1_scenes(self.scene_position)[0].mics)
+        else:
             if self.scene_count < 1:
                 raise ConfigError("scene count must be >= 1")
             if self.scene_mic_count < 4:
@@ -392,27 +395,19 @@ class BenchmarkConfig:
                 # random_scenes rejects every coplanar draw
                 raise ConfigError("scene mic_count must be >= 4")
             _check_bounds(self.scene_bounds)
+            # the widest array a draw can have; most are smaller, so the
+            # lag rule below may refuse a run that would pass
+            diameter = 2.0 * 3.0 ** 0.5 * self.scene_bounds
         try:
             for level in self.noise_levels:
                 _noise_model(self, level)
             if self.noise_domain == "signal":
                 frame = FrameConfig(sample_rate=self.sample_rate).frame_length
-                samples = self.duration_s * self.sample_rate
-                if not (samples < np.inf and round(samples) >= frame):
-                    raise ValueError("duration_s must span one frame, in "
-                                     "finitely many samples")
-                # the widest array the scene can have; most random draws
-                # are smaller, so this may refuse a run that would pass
-                diameter = (2.0 * 3.0 ** 0.5 * self.scene_bounds
-                            if self.scene_kind == "random" else
-                            array_diameter(paper_table1_scenes()[0].mics))
-                lag = np.ceil(_LAG_MARGIN * diameter / self.sound_speed
-                              * self.sample_rate)
-                if not lag < frame:
-                    raise ValueError(
-                        f"GCC-PHAT lags up to {lag:.0f} samples (an array up "
-                        f"to {diameter:.3g} m across) must stay below the "
-                        f"frame length {frame}")
+                if _sample_count(self.duration_s, self.sample_rate) < frame:
+                    raise ValueError(f"duration_s must span one frame, "
+                                     f"{frame} samples")
+                _max_lag(frame, _LAG_MARGIN * diameter, self.sound_speed,
+                         self.sample_rate)
         except ValueError as exc:
             raise ConfigError(f"invalid noise settings: {exc}") from exc
         subset_size = 8 if self.scene_kind == "paper_table1" \

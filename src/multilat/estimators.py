@@ -154,6 +154,7 @@ def _other_indices(ref, m):
     return idx + (idx >= ref[:, None])
 
 
+@np.errstate(all="ignore")
 def _spherical_stack(d, mics, ref):
     """phi (T, M-1, 4) and b (T, M-1) of T systems, and their reference
     microphone positions (T, 3); see ``build_spherical_system``."""
@@ -218,6 +219,7 @@ def usrd_ls(rd, mics):
     return usrd_stack(*_stack_of_one(rd, mics))[0]
 
 
+@np.errstate(all="ignore")
 def usrd_stack(d, mics, ref):
     """``usrd_ls`` of T systems of M microphones at once.
 
@@ -640,6 +642,7 @@ def _check_conic(rd, mics):
     return mics
 
 
+@np.errstate(all="ignore")
 def _plane_rows(values, mics):
     """Plane normals (..., K, 3), right-hand sides (..., K) and which
     planes are kept (..., K) of all K = C(M, 3) triplets, from full RD
@@ -711,8 +714,9 @@ def conic_ls(rd, mics, normalize=False):
     the range-consistency quadratic.  What stays underdetermined is
     ``degenerate`` with ``info["reason"]``: ``"no triplet planes"`` when
     every plane is trivial, ``"rank-deficient plane system"`` below rank
-    2, and ``"no feasible line root"`` when the line of a rank-2 system
-    has no feasible root.
+    2, ``"no feasible line root"`` when the line of a rank-2 system has
+    no feasible root, and ``"non-finite plane solution"`` when the point
+    overflows (RDs near 1e150 m or more).
 
     A minimal array may genuinely admit two sources with identical RDs
     (all ranges offset by one constant); both line roots then fit the
@@ -722,11 +726,9 @@ def conic_ls(rd, mics, normalize=False):
     mics = _check_conic(rd, mics)
     centroid = mics.mean(axis=0)
     centered = mics - centroid
-    system = build_conic_system(rd, centered, normalize)
     out = ResultStack(1)
-    _conic_one(out, 0, system.psi_matrix, system.psi_rhs, centered, centroid,
-               rd.values, dropped_rows=len(system.dropped_triplets),
-               normalized=system.normalized)
+    _conic_one(out, 0, *_plane_rows(rd.values, centered)[bool(normalize)],
+               centered, centroid, rd.values, normalize)
     return out[0]
 
 
@@ -740,37 +742,41 @@ def _conic_planes(values, mics):
     return values, centroid, centered, _plane_rows(values, centered)
 
 
+@np.errstate(all="ignore")
 def _conic_solve(values, centroid, centered, rows, normalize):
     """``conic_ls`` of the T systems of ``_conic_planes`` at once.
 
     Systems whose planes are all kept share one stacked SVD; a system
-    that drops a plane or has rank below 3 is solved on its own.  Each
-    row of the returned ``ResultStack`` is bit for bit the ``conic_ls``
-    result of its system.
+    that drops a plane, has rank below 3 or a non-finite point is solved
+    on its own.  Each row of the returned ``ResultStack`` is bit for bit
+    the ``conic_ls`` result of its system.
     """
     normal, f, kept = rows[bool(normalize)]
     fast = kept.all(axis=-1)
     u, s, vt = np.linalg.svd(normal[fast], full_matrices=False)
     rank3 = np.sum(s > RANK_TOL * s[:, :1], axis=-1) == 3
-    fast[fast] = rank3
-    psi, rhs = normal[fast], f[fast]
-    x0 = _svd_solve(u[rank3], s[rank3], vt[rank3], rhs)
+    x0 = _svd_solve(u, s, vt, f[fast])
+    solved = rank3 & np.isfinite(x0).all(axis=-1)
+    fast[fast] = solved
+    x0, psi, rhs = x0[solved], normal[fast], f[fast]
     out = ResultStack(len(values))
     out.put(fast, "closed_form", x0 + centroid[fast],
             _plane_residual(psi, rhs, x0), dropped_rows=0,
             normalized=bool(normalize), rank=3)
     for i in np.flatnonzero(~fast).tolist():
-        # a dropped plane or a rank below 3: solved on its own
-        _conic_one(out, i, normal[i][kept[i]], f[i][kept[i]], centered[i],
-                   centroid[i], values[i],
-                   dropped_rows=int(np.sum(~kept[i])),
-                   normalized=bool(normalize))
+        # a dropped plane, a rank below 3 or a non-finite point
+        _conic_one(out, i, normal[i], f[i], kept[i], centered[i],
+                   centroid[i], values[i], normalize)
     return out
 
 
-def _conic_one(out, i, psi, rhs, centered, centroid, values, **info):
-    """Row i of ``out``: the plane system of one array solved on its
-    own, with the rank fallbacks of ``conic_ls``."""
+@np.errstate(all="ignore")
+def _conic_one(out, i, normal, f, kept, centered, centroid, values,
+               normalize):
+    """Row i of ``out``: one array's ``_plane_rows`` triple solved on its
+    own, with the rank fallbacks and the non-finite rule of ``conic_ls``."""
+    psi, rhs = normal[kept], f[kept]
+    info = {"dropped_rows": int(np.sum(~kept)), "normalized": bool(normalize)}
     if psi.shape[0] == 0:
         out.put(i, "degenerate", centroid, 0.0, rank=0,
                 reason="no triplet planes", **info)
@@ -792,6 +798,9 @@ def _conic_one(out, i, psi, rhs, centered, centroid, values, **info):
             info["reason"] = "no feasible line root"
     else:
         info["reason"] = "rank-deficient plane system"
+    if status == "closed_form" and not np.isfinite(x).all():
+        status = "degenerate"
+        info["reason"] = "non-finite plane solution"
     out.put(i, status, x + centroid, float(_plane_residual(psi, rhs, x)),
             rank=rank, **info)
 

@@ -66,7 +66,8 @@ class SignalModel:
     by the propagation time, scaled by the gain law, plus white
     Gaussian noise at ``snr_db`` relative to that channel's clean
     power.  The source x is white noise, or the WAV file at
-    ``source_path`` when one is given.
+    ``source_path`` when one is given.  The power ratio 10^(snr_db/10)
+    must be finite and at least 1e-300.
     """
 
     gain_law: str = "unit"
@@ -79,8 +80,10 @@ class SignalModel:
             raise ValueError(f"unknown gain law {self.gain_law!r}")
         with np.errstate(over="ignore"):
             ratio = np.power(10.0, self.snr_db / 10.0)
-        if not 0.0 < ratio < np.inf:
-            raise ValueError("snr_db must be finite, its ratio finite and > 0")
+        # the noise std sqrt(power / ratio) stays finite to power 1e8
+        if not 1e-300 <= ratio < np.inf:
+            raise ValueError("snr_db must be finite, its ratio finite and "
+                             ">= 1e-300")
 
 
 def perturb_rd(rd, model, rng=None):
@@ -164,6 +167,15 @@ def _load_source(model, n_samples, rng):
     return data[:n_samples]
 
 
+def _sample_count(duration_s, sample_rate):
+    """The capture length round(duration_s x sample_rate) in samples."""
+    _check_positive(duration_s=duration_s, sample_rate=sample_rate)
+    if not 0.5 < duration_s * sample_rate < np.iinfo(np.intp).max:
+        raise ValueError(f"duration_s must be finite and span at least 1 "
+                         f"and fewer than {np.iinfo(np.intp).max} samples")
+    return int(round(duration_s * sample_rate))
+
+
 def synth_signals(scene, model, duration_s, sample_rate):
     """Render free-field microphone channels for a scene.
 
@@ -173,7 +185,8 @@ def synth_signals(scene, model, duration_s, sample_rate):
     to ``model.snr_db`` per channel.  Bit-identical for a fixed seed.
     The filters run on a helper thread while the calling thread draws
     the noise; neither touches what the other reads, so the bits cannot
-    depend on the threads.
+    depend on the threads.  round(``duration_s`` x ``sample_rate``)
+    must be at least 1 and below ``np.iinfo(np.intp).max``.
 
     Returns
     -------
@@ -183,12 +196,7 @@ def synth_signals(scene, model, duration_s, sample_rate):
 
     if scene.source is None:
         raise ValueError("synthesis needs a scene with a source position")
-    _check_positive(duration_s=duration_s, sample_rate=sample_rate)
-    if not duration_s * sample_rate < np.inf:
-        raise ValueError("duration_s * sample_rate must be finite")
-    n_samples = int(round(duration_s * sample_rate))
-    if n_samples < 1:
-        raise ValueError("duration too short")
+    n_samples = _sample_count(duration_s, sample_rate)
     delays = scene.source_distances() / scene.sound_speed
     delay_samples = delays * sample_rate
     if np.max(delay_samples) >= n_samples:

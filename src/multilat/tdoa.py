@@ -69,6 +69,15 @@ class FrameConfig:
         return max(1, int(round(self.frame_length * (1.0 - self.overlap))))
 
 
+def _max_lag(frame_length, max_distance_m, sound_speed, sample_rate):
+    """The lag bound ceil(max_distance_m / sound_speed x sample_rate)."""
+    lag = np.ceil(max_distance_m / sound_speed * sample_rate)
+    if not 1 <= lag < frame_length:
+        raise ValueError(f"GCC-PHAT lags up to {lag:.0f} samples: max lag "
+                         f"exceeds the frame length {frame_length} or is 0")
+    return int(lag)
+
+
 def periodic_hann(length):
     """DFT-even Hann window; its energy is exactly 3/8 of its length."""
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
@@ -199,15 +208,14 @@ def frame_signal(channels, config):
     ``(..., n_frames, frame_length)`` array; a trailing partial frame is
     discarded.  Raises if the channels are shorter than one frame.
     """
-    x = np.asarray(channels, dtype=float)
-    flen = config.frame_length
-    if x.ndim == 0 or x.shape[-1] < flen:
-        raise ValueError("channel shorter than one frame")
-    return _frame_views(x, config) * _hann(flen)
+    return _frame_views(np.asarray(channels, dtype=float),
+                        config) * _hann(config.frame_length)
 
 
 def _frame_views(x, config):
     """Read-only ``(..., n_frames, frame_length)`` views of the frames."""
+    if x.ndim == 0 or x.shape[-1] < config.frame_length:
+        raise ValueError("channel shorter than one frame")
     return sliding_window_view(x, config.frame_length,
                                axis=-1)[..., ::config.hop_length, :]
 
@@ -383,21 +391,16 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
 
     ``max_distance_m`` is the largest inter-mic distance (the array
     diameter), which the signals alone cannot know.  It and
-    ``sound_speed`` must be finite and positive.
+    ``sound_speed`` must be finite and positive, and give a lag bound in
+    [1, frame length); each channel must span one frame.
     """
     if signals.mic_count < 2:
         raise ValueError("need at least two channels")
     _check_positive(max_distance_m=max_distance_m, sound_speed=sound_speed)
-    lag = np.ceil(max_distance_m / sound_speed * signals.sample_rate)
-    max_lag = int(min(lag, config.frame_length))  # int() raises on inf
-    if max_lag >= config.frame_length:
-        raise ValueError("max lag exceeds the frame length; "
-                         "use longer frames or a smaller max distance")
     m, flen = signals.mic_count, config.frame_length
-    if signals.length < flen:
-        raise ValueError("channel shorter than one frame")
-    nfft = _fft_length(flen, max_lag)
+    max_lag = _max_lag(flen, max_distance_m, sound_speed, signals.sample_rate)
     windows = _frame_views(signals.channels, config)
+    nfft = _fft_length(flen, max_lag)
     n_frames = windows.shape[1]
     rows, cols = _upper_index(m)
     energy = np.empty((m, n_frames))

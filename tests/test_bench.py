@@ -717,7 +717,9 @@ SCENE_MICS = [[0, 0, 0], [4, 0, 1], [4, 3, 0], [0, 3, 1], [2, 1, 2]]
     {"mics": [[True, 2, 2]] + SCENE_MICS[1:]},
     {"mics": SCENE_MICS, "source": [1, False, 1]},
     {"mics": "0 0 0"},
-], ids=["speed-bool", "speed-str", "mic-bool", "source-bool", "mics-str"])
+    [SCENE_MICS],
+], ids=["speed-bool", "speed-str", "mic-bool", "source-bool", "mics-str",
+        "not-a-mapping"])
 def test_scene_file_values_have_exact_types(tmp_path, doc):
     path = tmp_path / "scene.yaml"
     path.write_text(yaml.safe_dump(doc))
@@ -768,7 +770,11 @@ def test_non_finite_outlier_scale_is_a_config_error(scale):
 @pytest.mark.parametrize("named, overrides", [
     ("snr_db", {"noise": {"levels": [4000.0]}}),
     ("snr_db", {"noise": {"levels": [-4000.0]}}),
+    # finite settings that failed mid-run: a subnormal power ratio, whose
+    # noise std overflows, and a sample count no array can hold
+    ("snr_db", {"noise": {"levels": [-3100.0]}}),
     ("duration_s", {"noise": {"levels": [20.0], "duration_s": 1e308}}),
+    ("duration_s", {"noise": {"levels": [20.0], "duration_s": 1e300}}),
     ("sample_rate", {"noise": {"levels": [20.0], "sample_rate": 10 ** 400}}),
     ("GCC-PHAT lags", {"noise": {"levels": [20.0]}, "sound_speed": 1e-308}),
     ("GCC-PHAT lags", {"noise": {"levels": [20.0]}, "sound_speed": 1e-308,
@@ -786,6 +792,11 @@ def test_signal_settings_that_overflow_are_config_errors(named, overrides):
 def test_missing_required_key_is_named():
     with pytest.raises(ConfigError, match=r"missing .*noise\.levels"):
         base_config(noise={"domain": "rd"})
+
+
+def test_config_that_is_not_a_mapping_is_refused():
+    with pytest.raises(ConfigError, match="config must be a mapping"):
+        config_from_dict([{"methods": ["srd-ls"]}])
 
 
 def _readme_benchmark_yaml():

@@ -216,6 +216,17 @@ def test_localize_from_wavs_uses_the_chosen_vad(tmp_path, capsys, vad):
     assert position == f"position_m: {x:.6f} {y:.6f} {z:.6f}"
 
 
+def test_localize_silent_capture_has_invalid_pairs(tmp_path, capsys):
+    # no frame pair has a live bin, so every pair is NaN: exit 3
+    scene = paper_table1_scenes()[1]
+    capture = tmp_path / "silent.wav"
+    wavfile.write(capture, FS, np.zeros((FS // 5, 8), dtype=np.float32))
+    scene_path = write_scene(tmp_path / "scene.yaml", scene)
+    assert main(["localize", scene_path, "--wav", str(capture)]) == 3
+    assert last_error(capsys)["error"] == \
+        "TDOA estimation produced invalid pairs"
+
+
 def test_localize_wav_channels_must_match_the_scene(tmp_path, capsys):
     scene = paper_table1_scenes()[1]
     paths = write_wavs(tmp_path, scene, SignalModel(rng_seed=21))
@@ -305,6 +316,17 @@ def test_bench_unknown_key(tmp_path, capsys):
     *(("outlier_scale", {"noise": {
         "domain": "rd", "kind": "outlier_mixture", "levels": [0.05],
         "outlier_scale": scale}}) for scale in (float("nan"), float("inf"))),
+    ("trials must be >= 1", {"trials": 0}),
+    ("seed must be >= 0", {"seed": -1}),
+    ("unknown scene.kind 'bogus'", {"scene": {"kind": "bogus"}}),
+    ("unknown subsets.mode 'bogus'", {"subsets": {"mode": "bogus"}}),
+    ("unknown noise.domain 'bogus'",
+     {"noise": {"domain": "bogus", "levels": [0.05]}}),
+    ("scene count must be >= 1", {"scene": {"kind": "random", "count": 0}}),
+    *(("paper_table1 position must be 0, 1 or 2",
+       {"scene": {"kind": "paper_table1", "position": position}})
+      for position in (3, -1)),
+    ("config section 'noise' must be a mapping", {"noise": [0.05]}),
 ])
 def test_bench_unrunnable_config_exits_before_running(tmp_path, capsys,
                                                      named, overrides):
@@ -421,6 +443,7 @@ def test_8bit_wav_decodes_like_16bit(tmp_path):
     "localize {scene} --rd {rd} --sound-speed -1",
     "localize {scene} --rd {rd} --sound-speed nan",
     "localize {scene} --wav {short}",
+    "localize {scene} --wav {rd}",  # not a WAV file
 ])
 def test_bad_front_end_numbers_are_config_errors(tmp_path, paper_scene,
                                                  capsys, argv):
@@ -443,13 +466,19 @@ def test_bad_front_end_numbers_are_config_errors(tmp_path, paper_scene,
       for name, noise, top in (
           ("snr_db=4000", {"levels": [4000.0]}, {}),
           ("snr_db=-4000", {"levels": [-4000.0]}, {}),
+          # a finite but subnormal power ratio: the noise std overflows
+          ("snr_db=-3100", {"levels": [-3100.0]}, {}),
           ("duration_s=1e308", {"duration_s": 1e308}, {}),
+          # a finite sample count that no array can hold
+          ("duration_s=1e300", {"duration_s": 1e300}, {}),
           ("sample_rate=1e400", {"sample_rate": 10 ** 400}, {}),
           ("sound_speed=1e-308", {}, {"sound_speed": 1e-308}))),
     *(pytest.param("tdoa --wav {pair} --out {out} --max-distance " + flags,
                    {}, id="tdoa-" + flags.replace(" ", ""))
       for flags in ("1 --frame-duration 1e305", "1e308",
-                    "1 --sound-speed 1e-308")),
+                    "1 --sound-speed 1e-308",
+                    # a lag bound that underflows to 0
+                    "5e-324 --sound-speed 1e300")),
 ])
 def test_overflowing_finite_settings_print_no_traceback(tmp_path, argv,
                                                         overrides):
@@ -468,6 +497,35 @@ def test_overflowing_finite_settings_print_no_traceback(tmp_path, argv,
     line, = proc.stderr.splitlines()
     assert json.loads(line)["code"] == 2
     assert not paths["out"].exists()
+
+
+def test_tdoa_lag_bound_that_rounds_to_zero_is_named(tmp_path, capsys):
+    # numpy's broadcast error was caught as a ValueError, not named
+    assert main(["tdoa", "--wav", shifted_pair_wav(tmp_path), "--out",
+                 str(tmp_path / "out"), "--max-distance", "5e-324",
+                 "--sound-speed", "1e300"]) == 2
+    assert last_error(capsys)["error"].startswith(
+        "GCC-PHAT lags up to 0 samples: max lag exceeds")
+
+
+def test_localize_on_rds_that_overflow_ends_quietly(tmp_path):
+    # at 1e308 m/s the RDs overflow when the estimators square them
+    scene = paper_table1_scenes()[0]
+    capture = tmp_path / "capture.wav"
+    signals = synth_signals(scene, SignalModel(rng_seed=4), duration_s=0.5,
+                            sample_rate=FS)
+    wavfile.write(capture, FS, signals.channels.T.astype(np.float32))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "multilat", "localize",
+         write_scene(tmp_path / "scene.yaml", scene), "--wav", str(capture),
+         "--sound-speed", "1e308"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    line, = proc.stderr.splitlines()
+    assert json.loads(line)["code"] == 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,11 +23,15 @@ from multilat.bench import paper_table1_scenes
 from multilat.estimators import (
     RANK_TOL,
     SphericalSystem,
+    _conic_planes,
+    _conic_solve,
     _diagonal_pencil,
     _phi,
     build_conic_system,
     build_spherical_system,
     hyperbolic_stack,
+    srd_stack,
+    usrd_stack,
 )
 from multilat.geometry import RdMatrix, RdVector
 
@@ -967,6 +971,71 @@ def test_noise_covariance_rejects_non_finite_entries():
     for sigma in (nan, inf):
         with pytest.raises(ValueError, match="covariance must be finite"):
             NoiseCovariance(sigma)
+
+
+@pytest.mark.parametrize("sigma", [np.ones(3), np.ones((2, 3))],
+                         ids=["vector", "2x3"])
+def test_noise_covariance_must_be_square(sigma):
+    with pytest.raises(ValueError, match="covariance must be square"):
+        NoiseCovariance(sigma)
+
+
+@pytest.mark.parametrize("phi, b, message", [
+    (np.ones((4, 3)), np.ones(4), r"phi must be \(M-1, 4\)"),
+    (np.ones((4, 4)), np.ones(3), r"phi must be \(M-1, 4\)"),
+    (np.ones(4), np.ones(1), r"phi must be \(M-1, 4\)"),
+    (np.full((4, 4), np.inf), np.ones(4), "spherical system must be finite"),
+    (np.ones((4, 4)), np.full(4, np.nan), "spherical system must be finite"),
+])
+def test_spherical_system_must_be_finite_and_shaped(phi, b, message):
+    with pytest.raises(ValueError, match=message):
+        SphericalSystem(phi=phi, b=b)
+
+
+@pytest.mark.parametrize("wrong", ["rd form", "mic count", "mic shape"])
+@pytest.mark.parametrize("estimator",
+                         [usrd_ls, srd_ls, hyperbolic_ls, conic_ls],
+                         ids=lambda fn: fn.__name__)
+def test_estimators_refuse_the_other_rd_form_or_other_mics(estimator, wrong):
+    # conic_ls takes the full RdMatrix, the others a reference RdVector
+    scene = paper_table1_scenes()[0]
+    full = true_rd_full(scene)
+    forms = [full, full.reference_row(0)]
+    if estimator is not conic_ls:
+        forms.reverse()
+    if wrong == "rd form":
+        with pytest.raises(TypeError, match="RdMatrix|RdVector"):
+            estimator(forms[1], scene.mics)
+    elif wrong == "mic count":
+        with pytest.raises(ValueError, match="mic count does not match"):
+            estimator(forms[0], scene.mics[:7])
+    else:
+        with pytest.raises(ValueError, match=r"an \(M, 3\) array"):
+            estimator(forms[0], scene.mics[:, :2])
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e306])
+def test_rds_that_overflow_end_degenerate_without_a_warning(scale):
+    # the squares and products of such RDs overflow: every estimator,
+    # called or stacked, ends degenerate, and conic with a named reason
+    # (a stack row equal to its call) instead of a NaN closed_form row
+    scene = paper_table1_scenes()[0]
+    full = RdMatrix(true_rd_full(scene).values * scale)
+    vec = full.reference_row(0)
+    stacked = (vec.values[None], scene.mics[None], np.array([0]))
+    results = [usrd_ls(vec, scene.mics), usrd_stack(*stacked)[0],
+               srd_ls(vec, scene.mics), srd_stack(*stacked)[0],
+               hyperbolic_ls(vec, scene.mics), hyperbolic_stack(*stacked)[0]]
+    for normalize in (False, True):
+        call = conic_ls(full, scene.mics, normalize=normalize)
+        row = _conic_solve(*_conic_planes(full.values[None], scene.mics[None]),
+                           normalize)[0]
+        assert row.status == call.status and row.info == call.info
+        np.testing.assert_array_equal(row.position, call.position)
+        results += [call, row]
+    assert all(result.status == "degenerate" for result in results)
+    plain = conic_ls(full, scene.mics)
+    assert plain.info["reason"] == "non-finite plane solution"
 
 
 # ---------------------------------------------------------------------------

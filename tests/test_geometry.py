@@ -216,6 +216,13 @@ def test_localization_result_statuses():
         LocalizationResult(position=[0.0] * 3, residual=0.0, status="nope")
 
 
+@pytest.mark.parametrize("status", ["closed_form", "degenerate"])
+def test_localization_result_refuses_a_negative_residual(status):
+    with pytest.raises(ValueError, match="residual must be non-negative"):
+        LocalizationResult(position=[0.0] * 3, residual=-1e-300,
+                           status=status)
+
+
 # ---------------------------------------------------------------------------
 # tdoa_to_rd / select_reference
 
@@ -281,6 +288,13 @@ def test_select_reference_nearest_barycenter():
     # to the lowest index
     mics = [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 5.0, 0.0]]
     assert select_reference(mics) == 0
+
+
+@pytest.mark.parametrize("mics", [np.zeros((0, 3)), np.zeros((2, 0, 3))],
+                         ids=["array", "stack"])
+def test_select_reference_needs_a_microphone(mics):
+    with pytest.raises(ValueError, match="need at least one microphone"):
+        select_reference(mics)
 
 
 def test_select_reference_single_and_ties():

@@ -165,11 +165,33 @@ def test_synth_rejects_non_finite_settings(field, value):
                       **settings)
 
 
-@pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3100.0])
 def test_snr_whose_power_ratio_overflows_is_refused(snr_db):
     # 10 ** (snr_db / 10) overflows, or reaches 0 and is divided by
     with pytest.raises(ValueError, match="snr_db must be finite"):
         SignalModel(snr_db=snr_db)
+
+
+def test_snr_at_the_ratio_floor_still_synthesizes():
+    # a ratio of 1e-300 keeps the noise std of a unit-power channel finite
+    sig = synth_signals(paper_table1_scenes()[0],
+                        SignalModel(snr_db=-3000.0, rng_seed=1), 0.05, 16000)
+    assert np.isfinite(sig.channels).all()
+
+
+@pytest.mark.parametrize("duration_s", [1e300, 3e-5, 1e-300])
+def test_synth_refuses_a_capture_no_array_can_hold(duration_s):
+    # 1.6e304 samples, and 0.48 and 1.6e-296, which round to none
+    with pytest.raises(ValueError, match="^duration_s must be finite and "
+                                         "span at least 1"):
+        synth_signals(paper_table1_scenes()[0], SignalModel(rng_seed=1),
+                      duration_s, 16000)
+
+
+def test_synth_needs_a_source():
+    scene = Scene(mics=paper_table1_scenes()[0].mics)
+    with pytest.raises(ValueError, match="needs a scene with a source"):
+        synth_signals(scene, SignalModel(rng_seed=1), 0.5, 16000)
 
 
 def test_synth_refuses_a_sample_count_that_overflows():

@@ -119,8 +119,10 @@ def test_settings_whose_frame_or_lag_overflows_are_refused():
         FrameConfig(sample_rate=10 ** 400)
     signals = MicSignals(np.random.default_rng(0).standard_normal((2, 4096)),
                          FS)
-    for distance, speed in ((1e308, 343.0), (1.0, 1e-308)):
-        with pytest.raises(ValueError, match="max lag exceeds"):
+    # the last pair's bound underflows to 0 lags
+    for distance, speed in ((1e308, 343.0), (1.0, 1e-308), (5e-324, 1e300)):
+        with pytest.raises(ValueError,
+                           match="^GCC-PHAT lags.*max lag exceeds"):
             estimate_tdoa_matrix(signals, FrameConfig(sample_rate=FS),
                                  distance, sound_speed=speed)
 
@@ -169,6 +171,21 @@ def test_swap_antisymmetry():
     refined_ab = gcc_phat_pair(frame, other, 64)
     refined_ba = gcc_phat_pair(other, frame, 64)
     assert abs(refined_ab + refined_ba) <= 1e-6
+
+
+@pytest.mark.parametrize("shapes", [(1024, 1023), ((2, 1024), (3, 1024)),
+                                    ((), ())])
+def test_gcc_phat_pair_needs_frames_of_one_shape(shapes):
+    a, b = (np.ones(shape) for shape in shapes)
+    with pytest.raises(ValueError, match="frames must have equal length"):
+        gcc_phat_pair(a, b, 64)
+
+
+@pytest.mark.parametrize("frame_duration", [5e-5, 1e-9])
+def test_frame_config_needs_two_samples(frame_duration):
+    # 0.8 and 1.6e-5 samples at 16 kHz, which round to 1 and 0
+    with pytest.raises(ValueError, match="frame must span at least 2"):
+        FrameConfig(sample_rate=FS, frame_duration=frame_duration)
 
 
 def test_silent_pair_rejected():

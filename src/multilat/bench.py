@@ -37,6 +37,7 @@ defaults.
 
 import os
 import re
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import combinations
 from types import UnionType
@@ -215,6 +216,7 @@ def paper_table1_scenes(position=None):
 #: 600 (each pair is closer than 5 % of the bounds with probability
 #: about 6.5e-5)
 _SCENE_DRAWS = 1000
+_MAX_BOUNDS = sys.float_info.max ** 0.5 / (2.0 * 3.0 ** 0.5)
 
 
 def random_scenes(count, mic_count, bounds, seed):
@@ -249,9 +251,11 @@ def random_scenes(count, mic_count, bounds, seed):
 
 
 def _check_bounds(bounds):
-    if not (np.isfinite(bounds) and 0.05 * bounds > _MIN_MIC_SEPARATION):
-        raise ConfigError(f"scene.bounds must be finite and above "
-                          f"{_MIN_MIC_SEPARATION / 0.05:g} m, got {bounds:g}")
+    # the widest array a draw can have, 2 sqrt(3) bounds, must square finitely
+    if not (0.05 * bounds > _MIN_MIC_SEPARATION and bounds <= _MAX_BOUNDS):
+        raise ConfigError(f"scene.bounds must be above "
+                          f"{_MIN_MIC_SEPARATION / 0.05:g} m and at most "
+                          f"{_MAX_BOUNDS:g} m, got {bounds:g}")
 
 
 def _spread_out(mics, least):
@@ -385,8 +389,7 @@ class BenchmarkConfig:
                 raise ConfigError(f"unknown {_LABELS[name]} "
                                   f"{getattr(self, name)!r}")
         if self.scene_kind == "paper_table1":
-            diameter = array_diameter(
-                paper_table1_scenes(self.scene_position)[0].mics)
+            diameter = paper_table1_scenes(self.scene_position)[0].diameter
         else:
             if self.scene_count < 1:
                 raise ConfigError("scene count must be >= 1")
@@ -640,19 +643,13 @@ def _observations(config, scenes, truth):
     return np.array(observed), energies
 
 
-def array_diameter(mics):
-    """Largest distance between two microphones, metres."""
-    diff = mics[:, None, :] - mics[None, :, :]
-    return float(np.linalg.norm(diff, axis=-1).max())
-
-
 def rd_from_signals(signals, scene):
     """Full RD matrices (NaN per invalid pair) of a capture of ``scene``,
     keyed by VAD setting ("on", "off"): one GCC-PHAT lag pass with lags
     up to ``_LAG_MARGIN`` x the array diameter, reduced for both."""
     tdoa_mat = estimate_tdoa_matrix(
         signals, FrameConfig(sample_rate=signals.sample_rate),
-        max_distance_m=_LAG_MARGIN * array_diameter(scene.mics),
+        max_distance_m=_LAG_MARGIN * scene.diameter,
         sound_speed=scene.sound_speed)
     return {vad: RdMatrix(tdoa_to_rd(mat.values, scene.sound_speed))
             for vad, mat in (("on", tdoa_mat),

@@ -141,13 +141,13 @@ def cmd_bench(args):
         started = time.perf_counter()
         # random scenes are drawn here, and a draw can fail
         records = bench_mod.run_benchmark(config)
+        elapsed = time.perf_counter() - started
+        bench_mod.write_records_csv(records, out_dir / "records.csv")
+        bench_mod.write_summary_csv(bench_mod.summarize(records),
+                                    out_dir / "summary.csv")
+        bench_mod.write_histogram_csv(records, out_dir / "histogram.csv")
     except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    elapsed = time.perf_counter() - started
-    bench_mod.write_records_csv(records, out_dir / "records.csv")
-    bench_mod.write_summary_csv(bench_mod.summarize(records),
-                                out_dir / "summary.csv")
-    bench_mod.write_histogram_csv(records, out_dir / "histogram.csv")
     cells = (len(config.methods) * len(config.features)
              * len(config.noise_levels))
     print(f"{len(records)} records over {cells} method/feature/noise cells "
@@ -167,13 +167,13 @@ def cmd_tdoa(args):
             refine=not args.no_refine).with_vad(args.vad)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        np.savetxt(out_dir / "tdoa.csv", tdoa_mat.values,
+                   delimiter=",", fmt="%.12g")
+        np.savetxt(out_dir / "rd.csv",
+                   tdoa_to_rd(tdoa_mat.values, args.sound_speed),
+                   delimiter=",", fmt="%.12g")
     except (ConfigError, ValueError, OSError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    np.savetxt(out_dir / "tdoa.csv", tdoa_mat.values,
-               delimiter=",", fmt="%.12g")
-    np.savetxt(out_dir / "rd.csv",
-               tdoa_to_rd(tdoa_mat.values, args.sound_speed),
-               delimiter=",", fmt="%.12g")
     print(f"wrote {out_dir / 'tdoa.csv'} (seconds) and "
           f"{out_dir / 'rd.csv'} (meters)")
     if not tdoa_mat.is_valid():

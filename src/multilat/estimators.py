@@ -112,13 +112,16 @@ class NoiseCovariance:
 
     sigma: np.ndarray
 
+    @np.errstate(over="ignore")  # an asymmetry beyond the float range
     def __post_init__(self):
         s = np.asarray(self.sigma, dtype=float)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("covariance must be square")
         if not np.isfinite(s).all():
             raise ValueError("covariance must be finite")
-        if np.max(np.abs(s - s.T), initial=0.0) > 1e-12:
+        # relative, so that s * Sigma is judged as Sigma is
+        if np.max(np.abs(s - s.T), initial=0.0) \
+                > 1e-12 * np.max(np.abs(s), initial=0.0):
             raise ValueError("covariance must be symmetric")
         if np.linalg.eigvalsh(s).min() <= 0:
             raise ValueError("covariance must be positive definite")
@@ -494,6 +497,7 @@ def srd_ls(rd, mics):
     return srd_stack(*_stack_of_one(rd, mics))[0]
 
 
+@np.errstate(all="ignore")
 def srd_stack(d, mics, ref):
     """``srd_ls`` of T systems at once (arguments as for ``usrd_stack``).
 
@@ -714,9 +718,9 @@ def conic_ls(rd, mics, normalize=False):
     the range-consistency quadratic.  What stays underdetermined is
     ``degenerate`` with ``info["reason"]``: ``"no triplet planes"`` when
     every plane is trivial, ``"rank-deficient plane system"`` below rank
-    2, ``"no feasible line root"`` when the line of a rank-2 system has
-    no feasible root, and ``"non-finite plane solution"`` when the point
-    overflows (RDs near 1e150 m or more).
+    2 and ``"no feasible line root"`` when the line of a rank-2 system
+    has no feasible root; a point that overflows (RDs near 1e150 m or
+    more) is ``degenerate`` by ``ResultStack``'s finite-position rule.
 
     A minimal array may genuinely admit two sources with identical RDs
     (all ranges offset by one constant); both line roots then fit the
@@ -747,24 +751,23 @@ def _conic_solve(values, centroid, centered, rows, normalize):
     """``conic_ls`` of the T systems of ``_conic_planes`` at once.
 
     Systems whose planes are all kept share one stacked SVD; a system
-    that drops a plane, has rank below 3 or a non-finite point is solved
-    on its own.  Each row of the returned ``ResultStack`` is bit for bit
-    the ``conic_ls`` result of its system.
+    that drops a plane or has rank below 3 is solved on its own.  Each
+    row of the returned ``ResultStack`` is bit for bit the ``conic_ls``
+    result of its system.
     """
     normal, f, kept = rows[bool(normalize)]
     fast = kept.all(axis=-1)
     u, s, vt = np.linalg.svd(normal[fast], full_matrices=False)
     rank3 = np.sum(s > RANK_TOL * s[:, :1], axis=-1) == 3
     x0 = _svd_solve(u, s, vt, f[fast])
-    solved = rank3 & np.isfinite(x0).all(axis=-1)
-    fast[fast] = solved
-    x0, psi, rhs = x0[solved], normal[fast], f[fast]
+    fast[fast] = rank3
+    x0, psi, rhs = x0[rank3], normal[fast], f[fast]
     out = ResultStack(len(values))
     out.put(fast, "closed_form", x0 + centroid[fast],
             _plane_residual(psi, rhs, x0), dropped_rows=0,
             normalized=bool(normalize), rank=3)
     for i in np.flatnonzero(~fast).tolist():
-        # a dropped plane, a rank below 3 or a non-finite point
+        # a dropped plane or a rank below 3
         _conic_one(out, i, normal[i], f[i], kept[i], centered[i],
                    centroid[i], values[i], normalize)
     return out
@@ -774,7 +777,7 @@ def _conic_solve(values, centroid, centered, rows, normalize):
 def _conic_one(out, i, normal, f, kept, centered, centroid, values,
                normalize):
     """Row i of ``out``: one array's ``_plane_rows`` triple solved on its
-    own, with the rank fallbacks and the non-finite rule of ``conic_ls``."""
+    own, with the rank fallbacks of ``conic_ls``."""
     psi, rhs = normal[kept], f[kept]
     info = {"dropped_rows": int(np.sum(~kept)), "normalized": bool(normalize)}
     if psi.shape[0] == 0:
@@ -798,9 +801,6 @@ def _conic_one(out, i, normal, f, kept, centered, centroid, values,
             info["reason"] = "no feasible line root"
     else:
         info["reason"] = "rank-deficient plane system"
-    if status == "closed_form" and not np.isfinite(x).all():
-        status = "degenerate"
-        info["reason"] = "non-finite plane solution"
     out.put(i, status, x + centroid, float(_plane_residual(psi, rhs, x)),
             rank=rank, **info)
 
@@ -1006,9 +1006,10 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
     (singular values below ``RANK_TOL`` relative) is ``degenerate``
     with reason ``"rank-deficient Jacobian"``: a collinear array fixes
     the source only up to a circle about its line.  Degenerate results
-    keep the finite best point.  Iterates within 1e-9 m of a
-    microphone, where the Jacobian blows up, are moved 1e-6 m towards
-    the array centroid.
+    keep the finite best point: every start is finite (an srd or usrd
+    start that overflowed is not ok) and only a lower cost moves it.
+    Iterates within 1e-9 m of a microphone, where the Jacobian blows
+    up, are moved 1e-6 m towards the array centroid.
 
     A ``tol`` that is not finite and >= 0 (0 leaves only the other
     stops), or a ``max_iter`` that is not an integer >= 1, raises

@@ -63,11 +63,15 @@ class Scene:
         (e.g. when localizing real recordings).
     sound_speed : float
         Speed of sound in m/s, > 0.
+
+    ``diameter``, the largest distance between two microphones in
+    meters, is derived from ``mics``.
     """
 
     mics: np.ndarray
     source: np.ndarray | None = None
     sound_speed: float = DEFAULT_SOUND_SPEED
+    diameter: float = field(init=False, compare=False)
 
     def __post_init__(self):
         mics = _as_points(self.mics, "mics")
@@ -77,6 +81,7 @@ class Scene:
         dist = np.linalg.norm(mics[rows] - mics[cols], axis=-1)
         if dist.min() <= _MIN_MIC_SEPARATION:
             raise ValueError("microphone positions must be pairwise distinct")
+        object.__setattr__(self, "diameter", float(dist.max()))
         mics.setflags(write=False)
         object.__setattr__(self, "mics", mics)
         if self.source is not None:
@@ -240,10 +245,15 @@ class ResultStack:
         """Fill ``rows`` (an index, index array, mask or slice) with a
         status and values given once or row by row, info scalars as plain
         Python ones; a position or residual of None is left as it is.
-        A put that selects no row adds no info column."""
+        A put that selects no row adds no info column.  Here every
+        estimator keeps its one finite-position rule: a row put with a
+        status other than ``degenerate`` whose stored position, given
+        now or before, is not finite is stored ``degenerate`` with reason
+        ``"non-finite solution"``."""
         if not self.status[rows].size:
             return
-        self.status[rows] = LocalizationResult._STATUSES.index(status)
+        code = LocalizationResult._STATUSES.index(status)
+        self.status[rows] = code
         if position is not None:
             self.position[rows] = position
         if residual is not None:
@@ -252,6 +262,11 @@ class ResultStack:
             if key not in self.info:
                 self.info[key] = np.full(len(self), None, dtype=object)
             self.info[key][rows] = value
+        if code != _DEGENERATE:
+            bad = ~np.isfinite(self.position).all(axis=-1)
+            bad &= self.status != _DEGENERATE
+            if bad.any():
+                self.put(bad, "degenerate", reason="non-finite solution")
 
     @property
     def ok(self):

@@ -207,7 +207,7 @@ def test_localize_from_wavs_uses_the_chosen_vad(tmp_path, capsys, vad):
     signals = _read_wavs(paths)
     tdoa = estimate_tdoa_matrix(
         signals, FrameConfig(sample_rate=FS),
-        max_distance_m=bench._LAG_MARGIN * bench.array_diameter(scene.mics),
+        max_distance_m=bench._LAG_MARGIN * scene.diameter,
         sound_speed=scene.sound_speed).with_vad(vad)
     rd = RdMatrix(tdoa_to_rd(tdoa.values, scene.sound_speed))
     _, result = bench.localize("srd-ls", "nearest-barycenter", rd,
@@ -327,6 +327,9 @@ def test_bench_unknown_key(tmp_path, capsys):
        {"scene": {"kind": "paper_table1", "position": position}})
       for position in (3, -1)),
     ("config section 'noise' must be a mapping", {"noise": [0.05]}),
+    # the widest array's square overflows
+    ("scene.bounds", {"scene": {"kind": "random", "count": 1,
+                                "mic_count": 5, "bounds": 1e300}}),
 ])
 def test_bench_unrunnable_config_exits_before_running(tmp_path, capsys,
                                                      named, overrides):
@@ -473,6 +476,10 @@ def test_bad_front_end_numbers_are_config_errors(tmp_path, paper_scene,
           ("duration_s=1e300", {"duration_s": 1e300}, {}),
           ("sample_rate=1e400", {"sample_rate": 10 ** 400}, {}),
           ("sound_speed=1e-308", {}, {"sound_speed": 1e-308}))),
+    # random mics spread that far overflow in the spacing check
+    pytest.param("bench {config} --out {out}", {"scene": {
+        "kind": "random", "count": 1, "mic_count": 5, "bounds": 1e300}},
+        id="bench-bounds=1e300"),
     *(pytest.param("tdoa --wav {pair} --out {out} --max-distance " + flags,
                    {}, id="tdoa-" + flags.replace(" ", ""))
       for flags in ("1 --frame-duration 1e305", "1e308",
@@ -497,6 +504,24 @@ def test_overflowing_finite_settings_print_no_traceback(tmp_path, argv,
     line, = proc.stderr.splitlines()
     assert json.loads(line)["code"] == 2
     assert not paths["out"].exists()
+
+
+def test_bench_on_random_scenes_of_1e150_m_runs_quietly(tmp_path):
+    # every estimator overflows on such arrays and ends degenerate or
+    # finite without a warning
+    config = bench_yaml(
+        tmp_path, methods=["usrd-ls", "srd-ls", "conic", "conic-norm",
+                           "hyperbolic"],
+        scene={"kind": "random", "count": 1, "mic_count": 5,
+               "bounds": 1.0e150})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "multilat", "bench", config, "--out",
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert (tmp_path / "out" / "records.csv").exists()
 
 
 def test_tdoa_lag_bound_that_rounds_to_zero_is_named(tmp_path, capsys):
@@ -532,9 +557,12 @@ def test_localize_on_rds_that_overflow_ends_quietly(tmp_path):
     "bench {config} --out {out}",
     "tdoa --wav {pair} --out {out} --max-distance 2.0",
 ])
-@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+# adir holds directories where the CSVs would be written
+@pytest.mark.parametrize("out", ["afile", "afile/sub", "adir"])
 def test_out_that_is_a_file_is_config_error(tmp_path, capsys, argv, out):
     (tmp_path / "afile").write_text("keep")
+    for name in ("records.csv", "tdoa.csv"):
+        (tmp_path / "adir" / name).mkdir(parents=True)
     paths = {"config": bench_yaml(tmp_path),
              "pair": shifted_pair_wav(tmp_path), "out": tmp_path / out}
     before = set(tmp_path.rglob("*"))

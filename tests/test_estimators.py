@@ -980,6 +980,11 @@ def test_noise_covariance_must_be_square(sigma):
         NoiseCovariance(sigma)
 
 
+def test_noise_covariance_whose_asymmetry_overflows_is_refused_quietly():
+    with pytest.raises(ValueError, match="covariance must be symmetric"):
+        NoiseCovariance(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
+
 @pytest.mark.parametrize("phi, b, message", [
     (np.ones((4, 3)), np.ones(4), r"phi must be \(M-1, 4\)"),
     (np.ones((4, 4)), np.ones(3), r"phi must be \(M-1, 4\)"),
@@ -1035,7 +1040,56 @@ def test_rds_that_overflow_end_degenerate_without_a_warning(scale):
         results += [call, row]
     assert all(result.status == "degenerate" for result in results)
     plain = conic_ls(full, scene.mics)
-    assert plain.info["reason"] == "non-finite plane solution"
+    assert plain.info["reason"] == "non-finite solution"
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e100, 1e110, 1e120, 1e150])
+def test_scaled_geometry_gives_degenerate_or_finite_points_quietly(scale):
+    # Table-1 mics and source scaled alike: the squares of the spherical
+    # and plane systems overflow, yet every estimator, called or stacked,
+    # returns without a warning, and only degenerate rows are non-finite
+    scene = paper_table1_scenes()[0]
+    mics = scene.mics * scale
+    full = true_rd_full(Scene(mics=mics, source=scene.source * scale))
+    vec = full.reference_row(0)
+    stacked = (vec.values[None], mics[None], np.array([0]))
+    pairs = {"usrd": (usrd_ls(vec, mics), usrd_stack(*stacked)[0]),
+             "srd": (srd_ls(vec, mics), srd_stack(*stacked)[0]),
+             "hyperbolic": (hyperbolic_ls(vec, mics),
+                            hyperbolic_stack(*stacked)[0])}
+    for normalize in (False, True):
+        pairs[f"conic {normalize}"] = (
+            conic_ls(full, mics, normalize=normalize),
+            _conic_solve(*_conic_planes(full.values[None], mics[None]),
+                         normalize)[0])
+    for name, (call, row) in pairs.items():
+        assert row.status == call.status, name
+        np.testing.assert_equal(row.info, call.info)  # c1 may be NaN
+        np.testing.assert_array_equal(row.position, call.position)
+        assert call.status == "degenerate" \
+            or np.isfinite(call.position).all(), name
+    if scale >= 1e110:
+        assert pairs["usrd"][0].status == "degenerate"
+        assert pairs["usrd"][0].info["reason"] == "non-finite solution"
+    assert np.isfinite(pairs["hyperbolic"][0].position).all()
+
+
+@pytest.mark.parametrize("j", [-600, 0, 600])
+@pytest.mark.parametrize("sigma, refusal", [
+    ([[4e4, 1e4], [1e4 + 1e-11, 4e4]], None),  # one rounding step apart
+    ([[1e-14, 5e-13], [0.0, 1e-14]], "symmetric"),
+    ([[1.0, 0.5], [0.4, 1.0]], "symmetric"),
+    ([[1.0, 2.0], [2.0, 1.0]], "positive definite"),
+], ids=["rounding-step", "upper-only", "asymmetric", "indefinite"])
+def test_noise_covariance_is_judged_alike_at_any_scale(sigma, refusal, j):
+    # symmetry is relative to the largest entry, so 2^j Sigma is
+    # accepted or refused as Sigma is
+    scaled = np.ldexp(np.array(sigma), j)
+    if refusal is None:
+        np.testing.assert_array_equal(NoiseCovariance(scaled).sigma, scaled)
+    else:
+        with pytest.raises(ValueError, match=refusal):
+            NoiseCovariance(scaled)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multilat import (
     FrameConfig,
@@ -349,3 +351,60 @@ def test_result_stack_put_of_no_row_adds_no_info_column(rows):
     assert [out[i].status for i in range(3)] == \
         ["degenerate", "converged", "degenerate"]
     assert [out[i].info for i in range(3)] == [{}, {"rank": 3}, {}]
+
+
+_POINT = st.sampled_from([0.0, -1.5, 2.0, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _rows(draw, n):
+    """A row selection of a stack of n: a mask, an index array or a slice."""
+    form = draw(st.sampled_from(["mask", "indices", "slice"]))
+    if form == "mask":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if form == "indices":
+        return np.array(draw(st.lists(st.integers(0, n - 1), unique=True,
+                                      max_size=n)), dtype=int)
+    start = draw(st.integers(0, n))
+    return slice(start, draw(st.integers(start, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_result_stack_put_stores_non_finite_rows_degenerate(data, n):
+    # whatever the puts, a row that is not degenerate has a finite stored
+    # position; a later put with no position re-reads the stored one
+    out = ResultStack(n)
+    status = np.full(n, "degenerate", dtype=object)
+    position, reason = np.full((n, 3), np.nan), [None] * n
+    for _ in range(data.draw(st.integers(1, 5))):
+        rows = data.draw(_rows(n))
+        at = np.arange(n)[rows]
+        put = data.draw(st.sampled_from(LocalizationResult._STATUSES))
+        given_at = None
+        if data.draw(st.booleans()):
+            given_at = np.array(data.draw(st.lists(
+                st.lists(_POINT, min_size=3, max_size=3),
+                min_size=len(at), max_size=len(at))), dtype=float)
+            position[at] = given_at.reshape(-1, 3)
+        out.put(rows, put, given_at)
+        status[at] = put
+        if put != "degenerate":
+            for i in at[~np.isfinite(position[at]).all(axis=-1)].tolist():
+                status[i], reason[i] = "degenerate", "non-finite solution"
+        results = list(out)
+        assert [r.status for r in results] == status.tolist()
+        assert [r.info.get("reason") for r in results] == reason
+        np.testing.assert_array_equal(out.position, position)
+        assert all(r.status == "degenerate" or np.isfinite(r.position).all()
+                   for r in results)
+
+
+def test_result_stack_put_without_position_keeps_a_non_finite_row_degenerate():
+    # as the LM ends: every row converged, then some re-put max_iterations
+    out = ResultStack(2)
+    out.put(slice(None), "converged", [[np.nan, 0.0, 0.0], [1.0, 2.0, 3.0]],
+            0.5, iterations=[100, 100])
+    out.put(np.array([True, True]), "max_iterations")
+    assert [r.status for r in out] == ["degenerate", "max_iterations"]
+    assert out[0].info == {"iterations": 100, "reason": "non-finite solution"}

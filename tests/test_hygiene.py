@@ -116,10 +116,12 @@ def test_readme_library_tour_names_exist():
 
 
 def _estimator_reasons():
-    """The reason literals of ``estimators.py``: ``reason=`` keywords and
+    """The reason literals of ``estimators.py`` and ``geometry.py`` (whose
+    ``ResultStack.put`` names non-finite rows): ``reason=`` keywords and
     ``info["reason"] =`` assignments."""
     values = []
-    for node in ast.walk(_tree(PACKAGE / "estimators.py")):
+    for node in (node for module in ("estimators.py", "geometry.py")
+                 for node in ast.walk(_tree(PACKAGE / module))):
         if isinstance(node, ast.keyword) and node.arg == "reason":
             values.append(node.value)
         elif isinstance(node, ast.Assign) and any(

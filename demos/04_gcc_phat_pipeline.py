@@ -11,6 +11,7 @@ import numpy as np
 
 from multilat import (
     FrameConfig,
+    RdMatrix,
     Scene,
     SignalModel,
     estimate_tdoa_matrix,
@@ -20,7 +21,6 @@ from multilat import (
     tdoa_to_rd,
     true_rd_full,
 )
-from multilat.geometry import RdVector
 
 MICS = np.array([
     [0.0, 0.0, 1.0],
@@ -50,9 +50,8 @@ def main():
     print(f"framing: {config.frame_length}-sample Hann frames, "
           f"50% overlap -> {frames.shape[0]} frames per channel")
 
-    diameter = max(np.linalg.norm(a - b) for a in MICS for b in MICS)
     tdoa = estimate_tdoa_matrix(signals, config,
-                                max_distance_m=1.05 * diameter)
+                                max_distance_m=1.05 * scene.diameter)
     upper = np.triu_indices(scene.mic_count, 1)
     voiced = int(np.median(tdoa.frame_count_used[upper]))
     every = int(np.median(tdoa.with_vad("off").frame_count_used[upper]))
@@ -64,9 +63,7 @@ def main():
     rd_rms = float(np.sqrt(np.mean((measured - truth.values) ** 2)))
     print(f"RD error RMS: {rd_rms * 100:.2f} cm")
 
-    others = [m for m in range(scene.mic_count) if m != 0]
-    row = RdVector(values=measured[0, others], reference_index=0)
-    result = srd_ls(row, scene.mics)
+    result = srd_ls(RdMatrix(measured).reference_row(0), scene.mics)
     err = np.linalg.norm(result.position - SOURCE)
     print(f"srd-ls position: {np.round(result.position, 3)} "
           f"({err * 100:.1f} cm from truth, status {result.status})")

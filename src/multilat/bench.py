@@ -324,8 +324,9 @@ _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _typed(label, value, kind):
-    """``value`` as the annotated ``kind``: ints widen to float, lists become
-    tuples, ``T | None`` admits None; all else (bools too) is a ConfigError."""
+    """``value`` as the annotated ``kind``: ints widen to float (one beyond
+    the float range to an infinity), lists become tuples, ``T | None``
+    admits None; all else (bools too) is a ConfigError."""
     origin, args = get_origin(kind), get_args(kind)
     if origin is UnionType:
         return None if value is None else _typed(label, value, args[0])
@@ -334,7 +335,10 @@ def _typed(label, value, kind):
                      for item in value)
     if origin is None and not isinstance(value, bool) and isinstance(
             value, (float, int) if kind is float else kind):
-        return kind(value)
+        try:
+            return kind(value)
+        except OverflowError:
+            return np.inf if value > 0 else -np.inf
     raise ConfigError(f"{label} must be {_KIND_NAMES.get(kind, 'a list')}, "
                       f"not {value!r}")
 

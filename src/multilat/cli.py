@@ -217,8 +217,9 @@ def build_parser():
     p_tdoa.add_argument("--wav", nargs="+", required=True)
     p_tdoa.add_argument("--out", default=".",
                         help="directory for tdoa.csv and rd.csv")
-    p_tdoa.add_argument("--frame-duration", type=float, default=0.064)
-    p_tdoa.add_argument("--overlap", type=float, default=0.5)
+    p_tdoa.add_argument("--frame-duration", type=float,
+                        default=FrameConfig.frame_duration)
+    p_tdoa.add_argument("--overlap", type=float, default=FrameConfig.overlap)
     p_tdoa.add_argument("--vad", default="off", choices=("on", "off"))
     p_tdoa.add_argument("--max-distance", type=float, required=True,
                         help="largest inter-microphone distance, meters")

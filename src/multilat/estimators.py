@@ -22,7 +22,7 @@ which takes its start, ``max_iter``, ``tol`` and whitening); only the
 ``conic_ls`` reference solves its one system on its own.  Stacked
 matrix products, solves and factorizations round as their per-system
 calls do (an elementwise sum over a row does not, so sums of squares
-are stacked matrix products too).  The multiplier root scan and the LM
+are row dots, ``np.vecdot``).  The multiplier root scan and the LM
 step, step test and damping run as elementwise arrays in the order of
 the plain-float code, which keeps a search over a few brackets and the
 last few LM systems (``_gtrs_roots`` says when the root search stops).
@@ -34,8 +34,9 @@ gradient stop holds where every |component| of J^T e is at most
 diagonal entry is.  The LM state holds only what its decisions read; the
 rank test rebuilds each end point's Jacobian.  LAPACK's cond and SVD
 decide usrd's ``COND_LIMIT`` test and the LM's rank test only on rows
-that ``_certified``, from LAPACK's determinant, leaves open.  The LM
-whitens into C order, and no LM pass warns.
+that ``_certified``, from LAPACK's determinant, leaves open.  Both LM
+loops share one ``evaluate`` and ``linearize``, which whiten into C
+order, and no LM pass warns.
 """
 
 import math
@@ -171,9 +172,9 @@ def _spherical_stack(d, mics, ref):
 
 
 def _sum_squares(v):
-    """v . v over the last axis, as one stacked matrix product: bit for
-    bit the ``v @ v`` of each row (an elementwise sum is not)."""
-    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+    """v . v over the last axis: bit for bit the 1-D ``v @ v`` of each
+    row (an elementwise sum is not), cheaper than a stacked product."""
+    return np.vecdot(v, v)
 
 
 def _matvec(a, v):
@@ -664,6 +665,9 @@ def _plane_rows(values, mics):
     # a row-by-row dot product, so that each scale equals the
     # np.linalg.norm of its row to the last bit
     scale = np.sqrt(_sum_squares(normal))
+    if np.isinf(scale).any():  # finite rows whose squares overflow
+        big = np.isinf(scale) & np.isfinite(normal).all(axis=-1)
+        scale[big] = np.hypot.reduce(normal[big], axis=-1)
     kept = scale >= 1e-12
     # dropped rows are divided by 1 and never read
     scale = np.where(kept, scale, 1.0)
@@ -1044,27 +1048,15 @@ def hyperbolic_ls(rd, mics, init=None, weights=None, max_iter=MAX_ITER,
     return out[0]
 
 
-def _lm_float(pts, d, x, state, first, max_iter, tol, whiten):
-    """The LM passes ``first``..``max_iter`` of one system, microphones
-    ``pts`` reference first and RDs ``d``, in plain floats, carrying on
-    from ``x`` and ``state`` = (cost, J^T J, J^T e, mu, nu) as
-    ``_hyperbolic`` left them; ``whiten`` whitens the residuals and J.
-    Returns ``(x, cost, termination, iterations)``.
+def _lm_float(pts, d, x, state, first, max_iter, tol, evaluate, linearize):
+    """The LM passes ``first``..``max_iter`` of a stack of one system,
+    microphones ``pts`` (1, M, 3) and RDs ``d`` (1, M-1), carrying on from
+    ``x`` (3,) and ``state`` = (cost, J^T J, J^T e, mu, nu) through the
+    ``evaluate`` and ``linearize`` of ``_hyperbolic``; the step, step
+    test, gain update and stops run in plain floats.  Returns
+    ``(x, cost, termination, iterations)``.
     """
-    origin = pts[0].tolist()
-
-    def evaluate(pos):
-        diff, dist, werr = _residuals(pos, pts, d)
-        if dist.min() < 1e-9:
-            pos = _off_mic(pos, pts)
-            diff, dist, werr = _residuals(pos, pts, d)
-        werr = whiten(werr)
-        return pos, werr, float(werr @ werr), diff, dist
-
-    def linearize(diff, dist, werr):
-        wjac = whiten(_jacobian(diff, dist))
-        return (wjac.T @ wjac).tolist(), (wjac.T @ werr).tolist()
-
+    origin = pts[0, 0].tolist()
     cost, hess, grad, mu, nu = state
     termination, iterations = "max_iterations", first - 1
     for iterations in range(first, max_iter + 1):
@@ -1076,11 +1068,15 @@ def _lm_float(pts, d, x, state, first, max_iter, tol, whiten):
             if _small_step(step, x.tolist(), origin, tol):
                 termination = "step"
                 break
-            cand, new_werr, new_cost, new_diff, new_dist = evaluate(x + step)
+            cand, werr, new_cost, diff, dist = evaluate(
+                (x + step)[None], pts, d)
+            new_cost = new_cost.item()
             if new_cost < cost:
                 mu = _gain_update(mu, step, grad, cost, new_cost)
-                x, cost = cand, new_cost
-                hess, grad = linearize(new_diff, new_dist, new_werr)
+                x, cost = cand[0], new_cost
+                # 2-D products, cheaper than and rounded as stacked ones
+                wjac, werr = linearize(diff, dist)[0], werr[0]
+                hess, grad = (wjac.T @ wjac).tolist(), (wjac.T @ werr).tolist()
                 nu = 2.0
                 continue
         # no positive-definite damped system, or a step that does not
@@ -1130,22 +1126,23 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
     covariance, whitens its residuals.  Each LM pass runs the systems
     still running as arrays, each keeping its own damping and stopping
     on its own; once ``_ARRAY_LM`` or fewer run, each finishes in the
-    plain-float loop ``_lm_float``.  The Jacobians of the rank test are
-    rebuilt at the end points.  Returns their ``ResultStack``; a stack of
-    fewer than 2 microphones, which has no RDs, is refused.
+    plain-float loop ``_lm_float`` through the same ``evaluate`` and
+    ``linearize``.  The Jacobians of the rank test are rebuilt at the
+    end points.  Returns their ``ResultStack``; a stack of fewer than 2
+    microphones, which has no RDs, is refused.
     """
     t, m = mics.shape[:2]
     _require(m, 2, _LM_MINIMUM)
-    # C-ordered like unwhitened arrays (F order rounds Gram products apart)
-    whiten = (lambda arr: arr) if chol is None else (
-        lambda arr: np.ascontiguousarray(scipy.linalg.solve_triangular(
-            chol, arr, lower=True, check_finite=False)))
     ids = np.arange(t)
     all_pts = pts = mics[ids[:, None], np.concatenate(
         [ref[:, None], _other_indices(ref, m)], axis=1)]
     all_d = d
 
-    def evaluate(pos):
+    def whiten(arr):  # into C order, as F order rounds Gram products apart
+        return np.ascontiguousarray(scipy.linalg.solve_triangular(
+            chol, arr[0], lower=True, check_finite=False))[None]
+
+    def evaluate(pos, pts, d):
         diff, dist, werr = _residuals(pos, pts, d)
         # fmin skips the NaN rows, as the per-row test does
         if np.fmin.reduce(dist, axis=None) < 1e-9:
@@ -1155,18 +1152,18 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
             diff[near], dist[near], werr[near] = _residuals(
                 pos[near], pts[near], d[near])
         if chol is not None:
-            werr = whiten(werr[0])[None]
+            werr = whiten(werr)
         return pos, werr, _sum_squares(werr), diff, dist
 
     def linearize(diff, dist):
         jac = _jacobian(diff, dist)
-        return jac if chol is None else whiten(jac[0])[None]
+        return jac if chol is None else whiten(jac)
 
-    x, werr, cost, diff, dist = evaluate(x)
+    x, werr, cost, diff, dist = evaluate(x, pts, d)
     jac = linearize(diff, dist)
-    # J^T J, J^T e and the cost stay stacked matrix products: they round
-    # as each system's 2-D product does, and the LM stops are sensitive
-    # to the rounding of an elementwise sum
+    # J^T J and J^T e stay stacked matrix products and the cost a row
+    # dot: they round as each system's 2-D product does, and the LM stops
+    # are sensitive to the rounding of an elementwise sum
     hess, grad = jac.mT @ jac, _matvec(jac.mT, werr)
     mu, nu = 1e-3 * _peaks(hess), np.full(t, 2.0)
     # the systems still running hold the state arrays; a system that
@@ -1180,7 +1177,8 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
         step, solved = _damped_steps(hess, grad, mu)
         go = solved & ~flat
         small = go & _small_steps(step, x - pts[:, 0], tol)
-        cand, new_werr, new_cost, new_diff, new_dist = evaluate(x + step)
+        cand, new_werr, new_cost, new_diff, new_dist = evaluate(
+            x + step, pts, d)
         better = go & ~small & (new_cost < cost)
         # rows of 2-D and 3-D arrays are gathered by ``take``, about
         # three times as fast as a fancy or boolean index
@@ -1214,10 +1212,10 @@ def _hyperbolic(d, mics, ref, x, max_iter=MAX_ITER, tol=STEP_TOL, chol=None):
     # the last few systems carry on one at a time
     for k, i in enumerate(ids.tolist()):
         out_x[i], out_cost[i], end, iterations[i] = _lm_float(
-            pts[k], d[k], x[k], (
+            pts[k:k + 1], d[k:k + 1], x[k], (
                 cost[k].item(), hess[k].tolist(), grad[k].tolist(),
                 mu[k].item(), nu[k].item()),
-            it, max_iter, tol, whiten)
+            it, max_iter, tol, evaluate, linearize)
         ends[i] = _TERMINATIONS.index(end)
     live = (ends != 3).nonzero()[0]
     rank = np.zeros(t, dtype=int)

@@ -392,10 +392,14 @@ def estimate_tdoa_matrix(signals, config, max_distance_m,
     ``max_distance_m`` is the largest inter-mic distance (the array
     diameter), which the signals alone cannot know.  It and
     ``sound_speed`` must be finite and positive, and give a lag bound in
-    [1, frame length); each channel must span one frame.
+    [1, frame length); each channel must span one frame, and ``config``
+    must frame at the signals' sample rate.
     """
     if signals.mic_count < 2:
         raise ValueError("need at least two channels")
+    if config.sample_rate != signals.sample_rate:
+        raise ValueError(f"config sample_rate {config.sample_rate} Hz does "
+                         f"not match the signals' {signals.sample_rate} Hz")
     _check_positive(max_distance_m=max_distance_m, sound_speed=sound_speed)
     m, flen = signals.mic_count, config.frame_length
     max_lag = _max_lag(flen, max_distance_m, sound_speed, signals.sample_rate)

@@ -60,8 +60,7 @@ def _stacked_linalg_mismatch():
             ("matmul", gram, [x.T @ x for x in a]),
             ("matrix-vector product", (a.mT @ v[..., None])[..., 0],
              [x.T @ y for x, y in zip(a, v)]),
-            ("dot product", (v[:, None, :] @ v[:, :, None])[:, 0, 0],
-             [y @ y for y in v]),
+            ("dot product", np.vecdot(v, v), [y @ y for y in v]),
             ("solve", np.linalg.solve(gram, a.mT @ v[..., None])[..., 0],
              [np.linalg.solve(g, x.T @ y) for g, x, y in zip(gram, a, v)]),
             ("cond", np.linalg.cond(gram), [np.linalg.cond(g) for g in gram]),

@@ -85,6 +85,17 @@ def test_localize_missing_scene(tmp_path, capsys):
     assert last_error(capsys)["code"] == 2
 
 
+def test_localize_energy_reference_without_signals_is_config_error(
+        paper_scene, capsys):
+    # an RD CSV carries no channel energies to choose a reference by
+    scene_path, rd_path, _ = paper_scene
+    assert main(["localize", scene_path, "--rd", rd_path, "--method",
+                 "srd-ls", "--ref", "max-energy"]) == 2
+    payload = last_error(capsys)
+    assert payload["code"] == 2
+    assert payload["error"] == "energy reference policies need signals"
+
+
 def test_localize_four_mics_usrd(tmp_path, capsys):
     mics = np.array([[0, 0, 0], [1.7, 0.2, 0.1],
                      [0.3, 1.9, 0.2], [0.2, 0.4, 1.8]], dtype=float)
@@ -475,11 +486,17 @@ def test_bad_front_end_numbers_are_config_errors(tmp_path, paper_scene,
           # a finite sample count that no array can hold
           ("duration_s=1e300", {"duration_s": 1e300}, {}),
           ("sample_rate=1e400", {"sample_rate": 10 ** 400}, {}),
-          ("sound_speed=1e-308", {}, {"sound_speed": 1e-308}))),
+          ("sound_speed=1e-308", {}, {"sound_speed": 1e-308}),
+          # integers beyond the float range, which float() refuses
+          ("snr_db=1e400", {"levels": [10 ** 400]}, {}),
+          ("sound_speed=1e400", {}, {"sound_speed": 10 ** 400}))),
     # random mics spread that far overflow in the spacing check
-    pytest.param("bench {config} --out {out}", {"scene": {
-        "kind": "random", "count": 1, "mic_count": 5, "bounds": 1e300}},
-        id="bench-bounds=1e300"),
+    *(pytest.param("bench {config} --out {out}", {"scene": {
+        "kind": "random", "count": 1, "mic_count": 5, "bounds": bounds}},
+        id=f"bench-bounds={name}")
+      for name, bounds in (("1e300", 1e300), ("1e400", 10 ** 400))),
+    pytest.param("localize {scene} --rd {rd}", {},
+                 id="localize-sound_speed=1e400"),
     *(pytest.param("tdoa --wav {pair} --out {out} --max-distance " + flags,
                    {}, id="tdoa-" + flags.replace(" ", ""))
       for flags in ("1 --frame-duration 1e305", "1e308",
@@ -491,8 +508,13 @@ def test_overflowing_finite_settings_print_no_traceback(tmp_path, argv,
                                                         overrides):
     # each raised OverflowError or ZeroDivisionError before its derived
     # floats were compared: exit 1 and a traceback instead of exit 2
+    scene = paper_table1_scenes()[0]
+    huge = tmp_path / "huge.yaml"
+    huge.write_text(yaml.safe_dump({"mics": scene.mics.tolist(),
+                                    "sound_speed": 10 ** 400}))
     paths = {"config": bench_yaml(tmp_path, **overrides),
-             "pair": shifted_pair_wav(tmp_path), "out": tmp_path / "out"}
+             "pair": shifted_pair_wav(tmp_path), "out": tmp_path / "out",
+             "scene": huge, "rd": write_rd(tmp_path / "rd.csv", scene)}
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(

@@ -740,6 +740,25 @@ def test_hyperbolic_scaled_covariance_identical(rng):
     assert scaled.residual == pytest.approx(plain.residual / 4.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("mic", [0, 5])
+@pytest.mark.parametrize("s", [0.25, 3.0])
+def test_hyperbolic_weighted_start_on_a_mic_matches_unweighted(rng, mic, s):
+    # the start is moved off the microphone and the residuals and J are
+    # whitened by the one evaluation both LM loops call: Sigma = s I
+    # whitens by the identity, so only the cost carries the 1/s
+    scene = make_scene(rng, mic_count=8)
+    rd = noisy_row(scene, 0.01, seed=29)
+    init = scene.mics[mic]
+    plain = hyperbolic_ls(rd, scene.mics, init=init)
+    weighted = hyperbolic_ls(rd, scene.mics, init=init,
+                             weights=s * np.eye(7))
+    assert plain.status == weighted.status == "converged"
+    assert np.array_equal(plain.position, weighted.position)
+    assert plain.info == weighted.info
+    assert weighted.residual == plain.residual / s
+    assert np.linalg.norm(plain.position - scene.source) < 0.1
+
+
 def test_hyperbolic_cost_never_increases(rng):
     # truncating the iteration earlier can never report a lower cost
     scene = make_scene(rng, mic_count=8)
@@ -1072,6 +1091,21 @@ def test_scaled_geometry_gives_degenerate_or_finite_points_quietly(scale):
         assert pairs["usrd"][0].status == "degenerate"
         assert pairs["usrd"][0].info["reason"] == "non-finite solution"
     assert np.isfinite(pairs["hyperbolic"][0].position).all()
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e100])
+def test_normalized_conic_rows_whose_squares_overflow_keep_their_planes(
+        scale):
+    # the row lengths overflowed to inf, every normalized row became 0,
+    # and the normalized system ended rank 0 where the plain one solved
+    scene = paper_table1_scenes()[0]
+    mics = scene.mics * scale
+    full = true_rd_full(Scene(mics=mics, source=scene.source * scale))
+    for normalize in (False, True):
+        result = conic_ls(full, mics, normalize=normalize)
+        assert result.status == "closed_form", normalize
+        np.testing.assert_allclose(result.position / scale, scene.source,
+                                   atol=1e-12)
 
 
 @pytest.mark.parametrize("j", [-600, 0, 600])

@@ -593,11 +593,12 @@ def test_a_nan_on_the_diagonal_of_jtj_ends_on_damping(entry):
     # diagonal entry is: the plain-float run ends on its first pass
     hess = np.array([[4.0, 1.0, 0.0], [1.0, 5.0, 1.0], [0.0, 1.0, 6.0]])
     hess[entry, entry] = np.nan
-    pts = paper_table1_scenes()[0].mics
+    pts = paper_table1_scenes()[0].mics[None]
     state = 1.0, hess.tolist(), [1.0, -1.0, 1.0], 1e-3, 2.0
+    # the damped step fails before any evaluation, so none is passed
     _, _, termination, iterations = estimators._lm_float(
-        pts, np.zeros(len(pts) - 1), pts.mean(axis=0), state, 1,
-        estimators.MAX_ITER, STEP_TOL, lambda arr: arr)
+        pts, np.zeros((1, pts.shape[1] - 1)), pts[0].mean(axis=0), state, 1,
+        estimators.MAX_ITER, STEP_TOL, None, None)
     assert (termination, iterations) == ("damping", 1)
     finite = np.nan_to_num(hess)
     peaks = estimators._peaks(np.stack([hess, finite]))

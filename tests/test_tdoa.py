@@ -127,6 +127,15 @@ def test_settings_whose_frame_or_lag_overflows_are_refused():
                                  distance, sound_speed=speed)
 
 
+def test_a_config_at_another_sample_rate_is_refused():
+    # frames were sized at the config's rate and lags converted at the
+    # capture's: 3,072-sample frames of a 16 kHz capture, quietly
+    signals = MicSignals(np.random.default_rng(0).standard_normal((2, 8192)),
+                         FS)
+    with pytest.raises(ValueError, match="48000 Hz .* 16000 Hz"):
+        estimate_tdoa_matrix(signals, FrameConfig(sample_rate=48000), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # GCC-PHAT
 
